@@ -18,12 +18,12 @@
 // hardware threads than workers use `--service-mode=sleep` (see that header).
 //
 // `--transport` takes a comma-separated list drawn from loopback|tcp|uring plus the
-// io_uring feature-ladder rungs uring+ms|uring+ms+sqp|uring+ms+sqp+zc ("uring" is the
-// rung-0 baseline: multishot/SQPOLL/SEND_ZC all off, i.e. the re-arm singleshot +
-// plain-send path); every requested transport sweeps the SAME ascending rate list
-// (calibrated once, on the first transport), so uring-vs-epoll and rung-vs-rung
-// comparisons happen at matched load. `--uring-ladder` is shorthand for
-// `--transport=tcp,uring,uring+ms,uring+ms+sqp,uring+ms+sqp+zc`. Socket transports
+// io_uring feature-ladder rungs uring+ms|uring+ms+sqp ("uring" is the rung-0
+// baseline: multishot and SQPOLL off, i.e. the re-arm pooled-recv path); every
+// requested transport sweeps the SAME ascending rate list (calibrated once, on the
+// first transport), so uring-vs-epoll and rung-vs-rung comparisons happen at matched
+// load. `--uring-ladder` is shorthand for
+// `--transport=tcp,uring,uring+ms,uring+ms+sqp`. Socket transports
 // additionally report syscalls_per_req (Transport::IoSyscalls over completed
 // requests) — the ladder's headline, stepping from epoll's ~2/req through batched
 // uring's ~0.7 toward ~0 with SQPOLL. A host without io_uring drops the uring legs
@@ -71,8 +71,8 @@ namespace zygos {
 namespace {
 
 constexpr const char* kUsage =
-    "usage: fig6_live_runtime [--transport=loopback|tcp|uring|uring+ms|uring+ms+sqp|"
-    "uring+ms+sqp+zc[,...]]\n"
+    "usage: fig6_live_runtime [--transport=loopback|tcp|uring|uring+ms|uring+ms+sqp"
+    "[,...]]\n"
     "  [--uring-ladder] [--workers=N]\n"
     "  [--connections=N] [--threads=N] [--arrivals=poisson|fixed] [--dist=NAME]\n"
     "  [--service-us=F] [--service-mode=spin|sleep] [--configs=zygos,no-steal,...]\n"
@@ -104,27 +104,23 @@ std::optional<Config> ParseConfig(const std::string& name) {
 }
 
 // io_uring feature-ladder rung encoded in a transport name. Rung 0 ("uring") turns
-// every ladder feature OFF — the re-arm singleshot + plain-send baseline — so the
+// every ladder feature OFF — the re-arm pooled-recv baseline — so the
 // historical "uring" curve (and the uring-vs-epoll predicates keyed on it) keep
 // measuring the same thing; later rungs add features cumulatively.
 struct UringRung {
   bool multishot = false;
   bool sqpoll = false;
-  bool send_zc = false;
 };
 
 std::optional<UringRung> ParseUringRung(const std::string& name) {
   if (name == "uring") {
-    return UringRung{false, false, false};
+    return UringRung{false, false};
   }
   if (name == "uring+ms") {
-    return UringRung{true, false, false};
+    return UringRung{true, false};
   }
   if (name == "uring+ms+sqp") {
-    return UringRung{true, true, false};
-  }
-  if (name == "uring+ms+sqp+zc") {
-    return UringRung{true, true, true};
+    return UringRung{true, true};
   }
   return std::nullopt;
 }
@@ -140,9 +136,6 @@ std::string RungDenied(const UringRung& rung) {
   }
   if (rung.sqpoll && !probe.sqpoll) {
     return "SQPOLL";
-  }
-  if (rung.send_zc && !probe.send_zc) {
-    return "SEND_ZC";
   }
   return "";
 }
@@ -203,7 +196,6 @@ LivePoint RunCell(const Experiment& exp, const Config& config, double rate) {
       UringTransportOptions uring(TcpOptionsFor(options));
       uring.multishot = rung->multishot;
       uring.sqpoll = rung->sqpoll;
-      uring.send_zc = rung->send_zc;
       transport = std::make_unique<UringTransport>(uring);
     } else {
       transport = std::make_unique<TcpTransport>(TcpOptionsFor(options));
@@ -377,9 +369,8 @@ int Main(int argc, char** argv) {
     if (UringTransport::Available()) {
       const UringProbe& probe = ProbeUring();
       std::printf("io_uring: available\n");
-      std::printf("io_uring: features multishot=%d sqpoll=%d send_zc=%d\n",
-                  (probe.buf_ring && probe.multishot) ? 1 : 0, probe.sqpoll ? 1 : 0,
-                  probe.send_zc ? 1 : 0);
+      std::printf("io_uring: features multishot=%d sqpoll=%d\n",
+                  (probe.buf_ring && probe.multishot) ? 1 : 0, probe.sqpoll ? 1 : 0);
       return 0;
     }
     std::printf("io_uring: unavailable: %s\n",
@@ -389,7 +380,7 @@ int Main(int argc, char** argv) {
 
   if (uring_ladder) {
     // The full matched-load ladder: epoll reference, then each uring rung.
-    exp.transport = "tcp,uring,uring+ms,uring+ms+sqp,uring+ms+sqp+zc";
+    exp.transport = "tcp,uring,uring+ms,uring+ms+sqp";
   }
   std::vector<std::string> transports;
   for (const std::string& name : SplitCsv(exp.transport)) {
@@ -602,7 +593,7 @@ int Main(int argc, char** argv) {
   // rung-by-rung syscall staircase plus its two JSON acceptance booleans.
   bool any_rung = false;
   std::string ladder_cells;
-  for (const char* name : {"uring", "uring+ms", "uring+ms+sqp", "uring+ms+sqp+zc"}) {
+  for (const char* name : {"uring", "uring+ms", "uring+ms+sqp"}) {
     double syscalls = -1;
     for (const LivePoint& point : points) {
       if (point.config == "zygos" && point.transport == name) {

@@ -23,7 +23,7 @@
 //
 // Common flags:  [--workload=usr|etc] [--keys=50000] [--workers=4]
 // Server-side:   [--transport=tcp|uring]
-//                [--uring-multishot=0|1] [--uring-sqpoll=0|1] [--uring-zc=0|1]
+//                [--uring-multishot=0|1] [--uring-sqpoll=0|1]
 //                (io_uring ladder rungs; each is requested-AND-kernel-granted,
 //                a denied rung degrades the transport instead of failing it)
 // Client-side:   [--connections=16] [--threads=4] [--requests=40000] [--pipeline=8]
@@ -305,7 +305,6 @@ struct Server {
 struct UringFeatures {
   bool multishot = true;
   bool sqpoll = false;
-  bool send_zc = true;
 };
 
 std::unique_ptr<Server> StartServer(int workers, size_t max_flows,
@@ -344,7 +343,6 @@ std::unique_ptr<Server> StartServer(int workers, size_t max_flows,
     UringTransportOptions uring(tcp);
     uring.multishot = uring_features.multishot;
     uring.sqpoll = uring_features.sqpoll;
-    uring.send_zc = uring_features.send_zc;
     transport = std::make_unique<UringTransport>(uring);
   } else {
     transport = std::make_unique<TcpTransport>(tcp);
@@ -360,9 +358,8 @@ std::unique_ptr<Server> StartServer(int workers, size_t max_flows,
   if (transport_name == "uring") {
     // Granted = requested AND kernel probe; a denied rung degrades, not fails.
     auto* uring = static_cast<UringTransport*>(server->transport);
-    std::printf("kv_server: uring features multishot=%d sqpoll=%d send_zc=%d\n",
-                uring->MultishotEnabled() ? 1 : 0, uring->SqpollEnabled() ? 1 : 0,
-                uring->SendZcEnabled() ? 1 : 0);
+    std::printf("kv_server: uring features multishot=%d sqpoll=%d\n",
+                uring->MultishotEnabled() ? 1 : 0, uring->SqpollEnabled() ? 1 : 0);
   }
   return server;
 }
@@ -454,7 +451,6 @@ int Main(int argc, char** argv) {
   UringFeatures uring_features;
   uring_features.multishot = flags.GetBool("uring-multishot", true);
   uring_features.sqpoll = flags.GetBool("uring-sqpoll", false);
-  uring_features.send_zc = flags.GetBool("uring-zc", true);
   const int workers = static_cast<int>(flags.GetInt("workers", 4));
   // Concurrent-connection cap (ids are recycled, so churn no longer needs headroom).
   const auto max_flows = static_cast<size_t>(flags.GetInt("max-flows", 1 << 12));
@@ -469,7 +465,7 @@ int Main(int argc, char** argv) {
   if (!flags.CheckUnknown(
           "usage: kv_server [--mode=demo|serve|client|loadgen] [--workload=usr|etc]\n"
           "  [--keys=N] [--workers=N] [--max-flows=N] [--transport=tcp|uring]\n"
-          "  [--uring-multishot=0|1] [--uring-sqpoll=0|1] [--uring-zc=0|1]\n"
+          "  [--uring-multishot=0|1] [--uring-sqpoll=0|1]\n"
           "  [--host=H] [--port=P] [--connections=N] [--threads=N] [--requests=N]\n"
           "  [--pipeline=N] [--seed=N] [--rate=RPS] [--duration-ms=N] [--warmup-ms=N]\n"
           "  [--churn-ms=N] [--arrivals=poisson|fixed]")) {

@@ -2,15 +2,17 @@
 //
 // Builds a 4-worker runtime in full ZygOS mode (work stealing + doorbells), serves a
 // synthetic spin-handler (the paper's microbenchmark application), drives it with an
-// in-process open-loop Poisson client, and prints the latency distribution plus the
-// scheduler's own counters (steals, remote syscalls, doorbells).
+// in-process open-loop Poisson generator (src/loadgen) for --requests / --rate
+// seconds, and prints the latency distribution — measured from each request's
+// scheduled send time, so it is coordinated-omission safe — plus the scheduler's own
+// counters (steals, remote syscalls, doorbells).
 //
 // Run:  ./quickstart [--workers=4] [--rate=20000] [--requests=50000] [--spin_us=10]
 #include <cstdio>
 
 #include "src/common/flags.h"
 #include "src/common/time_units.h"
-#include "src/runtime/client.h"
+#include "src/loadgen/loadgen.h"
 #include "src/runtime/runtime.h"
 
 namespace zygos {
@@ -23,9 +25,11 @@ int Main(int argc, char** argv) {
   options.num_flows = 64;
   options.mode = RuntimeMode::kZygos;
 
-  ClientOptions client_options;
-  client_options.rate_rps = flags.GetDouble("rate", 20'000);
-  client_options.total_requests = static_cast<uint64_t>(flags.GetInt("requests", 50'000));
+  GeneratorOptions gen;
+  gen.rate_rps = flags.GetDouble("rate", 20'000);
+  const auto requests = flags.GetInt("requests", 50'000);
+  gen.duration = static_cast<Nanos>(static_cast<double>(requests) * 1e9 / gen.rate_rps);
+  gen.num_flows = options.num_flows;
   const auto spin_us = flags.GetInt("spin_us", 10);
 
   // The application: spin for ~spin_us of CPU per request, echo the payload.
@@ -37,23 +41,22 @@ int Main(int argc, char** argv) {
     return request;
   };
 
-  LatencyCollector collector;
-  Runtime runtime(options, handler, collector.Handler());
+  MeasuredCompletion completion;
+  Runtime runtime(options, handler, completion.Handler());
   runtime.Start();
 
-  std::printf("quickstart: %d workers, %.0f RPS offered, %llu requests, ~%lld us tasks\n",
-              options.num_workers, client_options.rate_rps,
-              static_cast<unsigned long long>(client_options.total_requests),
+  std::printf("quickstart: %d workers, %.0f RPS offered, ~%lld requests, ~%lld us tasks\n",
+              options.num_workers, gen.rate_rps, static_cast<long long>(requests),
               static_cast<long long>(spin_us));
-  OpenLoopClient client(runtime, client_options);
-  client.Run();
+  LoopbackSink sink(runtime);
+  GeneratorResult result = OpenLoopGenerator(gen).RunFrom(NowNanos(), sink);
   runtime.Shutdown();
 
-  LatencyHistogram latency = collector.Snapshot();
+  LatencyHistogram latency = completion.Snapshot();
   WorkerStats stats = runtime.TotalStats();
   std::printf("completed %llu / sent %llu (drops %llu)\n",
               static_cast<unsigned long long>(runtime.Completed()),
-              static_cast<unsigned long long>(client.sent()),
+              static_cast<unsigned long long>(result.sent),
               static_cast<unsigned long long>(runtime.NicDrops()));
   std::printf("latency: p50 %.1f us  p99 %.1f us  max %.1f us  (wall-clock; noisy on "
               "oversubscribed hosts)\n",

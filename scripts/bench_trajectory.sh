@@ -174,11 +174,11 @@ live_json="${OUT_DIR}/BENCH_fig6_live.json"
 # where the loadgen and the server share cores, a single scheduler stall books tens
 # of ms into one cell's p99 (CO-safe accounting must count it); the median row
 # discards the one-off without biasing the curve.
-# Transport list = epoll reference, the four io_uring ladder rungs ("uring" is the
-# rung-0 baseline with multishot/SQPOLL/SEND_ZC off — the same backend the historic
-# uring curve measured), and loopback.
+# Transport list = epoll reference, the three io_uring ladder rungs ("uring" is the
+# rung-0 baseline with multishot and SQPOLL off: one pooled recv armed per
+# connection), and loopback.
 "${BUILD_DIR}/bench/fig6_live_runtime" \
-  --transport=tcp,uring,uring+ms,uring+ms+sqp,uring+ms+sqp+zc,loopback \
+  --transport=tcp,uring,uring+ms,uring+ms+sqp,loopback \
   --dist=exponential --service-us=300 --service-mode=sleep --workers=2 \
   --connections=16 --load-fractions=0.2,0.4,0.6,0.8 --cell-repeats=3 \
   --duration-ms="${LIVE_DURATION_MS}" --warmup-ms=400 --seed=3 \
@@ -205,7 +205,7 @@ if ! grep -q '"uring_ladder_syscalls_strictly_decreasing": true' "${live_json}";
   exit 1
 fi
 if ! grep -q '"uring_full_ladder_syscalls_leq_0p1": true' "${live_json}"; then
-  echo "bench_trajectory: full uring ladder (+ms+sqp+zc) above 0.1 syscalls/request — the zero-syscall steady state regressed?" >&2
+  echo "bench_trajectory: full uring ladder (+ms+sqp) above 0.1 syscalls/request — the zero-syscall steady state regressed?" >&2
   exit 1
 fi
 # PR-numbered snapshots: the live-harness acceptance record (0004), the uring

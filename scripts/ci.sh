@@ -25,6 +25,9 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}"
 echo "== ctest"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
+echo "== perfbench selftest (the benchmark's own arithmetic tests)"
+python3 perfbench/run.py --selftest
+
 echo "== smoke: examples/quickstart"
 "${BUILD_DIR}/examples/quickstart" --requests=5000 --rate=20000
 
@@ -196,20 +199,25 @@ fi
 echo "== smoke: uring feature ladder (per-feature, probe-gated)"
 # One in-process demo smoke per granted io_uring feature, each with ONLY that
 # feature requested, so a rung-specific regression cannot hide behind the other
-# rungs. The probe's second output line carries the per-feature support set
-# ("io_uring: features multishot=D sqpoll=D send_zc=D"); a denied feature skips
-# green. The smoke asserts the server's own feature-engagement line echoes exactly
-# the requested set — a silently-degraded rung fails here, not in a benchmark.
+# rungs. The probe's second line must read "io_uring: features multishot=D
+# sqpoll=D"; a denied feature skips green. The smoke asserts the server's own
+# feature-engagement line echoes exactly the requested set — a silently-degraded
+# rung fails here, not in a benchmark.
 probe_features="$("${BUILD_DIR}/bench/fig6_live_runtime" --probe-uring | sed -n 2p || true)"
+if [[ -n "${probe_features}" ]] && \
+    ! [[ "${probe_features}" =~ ^io_uring:\ features\ multishot=[01]\ sqpoll=[01]$ ]]; then
+  echo "ci: unexpected --probe-uring feature line: ${probe_features}" >&2
+  exit 1
+fi
 run_uring_feature_smoke() {
-  local label="$1" ms="$2" sqp="$3" zc="$4"
+  local label="$1" ms="$2" sqp="$3"
   if [[ "${probe_features}" == *"${label}=1"* ]]; then
     smoke_out="$("${BUILD_DIR}/examples/kv_server" --mode=demo --transport=uring \
-      --uring-multishot="${ms}" --uring-sqpoll="${sqp}" --uring-zc="${zc}" \
+      --uring-multishot="${ms}" --uring-sqpoll="${sqp}" \
       --workers=2 --keys=2000 --requests=3000 --connections=4 --threads=2)"
     printf '%s\n' "${smoke_out}" | grep "io syscalls"
     if ! printf '%s\n' "${smoke_out}" | \
-        grep -q "uring features multishot=${ms} sqpoll=${sqp} send_zc=${zc}"; then
+        grep -q "uring features multishot=${ms} sqpoll=${sqp}$"; then
       echo "ci: uring ${label} smoke did not engage the requested feature set" >&2
       exit 1
     fi
@@ -218,9 +226,8 @@ run_uring_feature_smoke() {
   fi
 }
 if [[ -n "${probe_features}" ]]; then
-  run_uring_feature_smoke multishot 1 0 0
-  run_uring_feature_smoke sqpoll 0 1 0
-  run_uring_feature_smoke send_zc 0 0 1
+  run_uring_feature_smoke multishot 1 0
+  run_uring_feature_smoke sqpoll 0 1
 else
   echo "ci: skipping uring feature smokes (io_uring unavailable on this host)"
 fi
@@ -253,10 +260,10 @@ echo "== AddressSanitizer: runtime + loadgen + chaos + transport suites (${BUILD
 # destroy connections with chunks still parked in the timing wheel, and its replay
 # determinism (SameSeedReplaysIdenticalDelaySchedule) is asserted under ASan too.
 # transport_conformance_test runs the same lifecycle battery over all backends —
-# including the full uring feature matrix (multishot x sqpoll x send-zc, kernel-
-# supported combos only); for uring that is the gate that a kernel-owned completion
-# (multishot recv into a buffer-ring slot, SEND_ZC notification, straggler send)
-# never lands in freed buffers after a sever or shutdown. overload_test rides along:
+# including the full uring feature matrix (multishot x sqpoll, kernel-supported
+# combos only); for uring that is the gate that a kernel-owned completion
+# (multishot recv into a buffer-ring slot, pooled recv, straggler send) never
+# lands in freed buffers after a sever or shutdown. overload_test rides along:
 # a shed reply is a TX buffer for a request that never reached the handler, and the
 # gated-handler test holds a shed in flight across a flow recycle — the exact window
 # where a refused event's buffer could be freed twice or leak. tpcc_test + net_test

@@ -106,9 +106,9 @@ class IoBuf {
   }
 
   // Handles currently sharing the slab (racy snapshot under concurrency; exact when
-  // only this thread holds references). The uring transport's registered-buffer
-  // arena uses unique() to decide when a slot's bytes are no longer aliased by any
-  // in-flight Segment/parser view and the slot can be re-armed for the next recv.
+  // only this thread holds references). The uring transport's multishot buffer
+  // ring uses unique() to decide when a slot's bytes are no longer aliased by any
+  // in-flight Segment/parser view and the slot can go back to the kernel.
   uint32_t use_count() const {
     return slab_ == nullptr ? 0 : slab_->refs.load(std::memory_order_acquire);
   }

@@ -158,7 +158,6 @@ bool UringSyscallsBelowEpoll(const std::vector<LivePoint>& points) {
 }
 
 bool UringLadderSyscallsStrictlyDecreasing(const std::vector<LivePoint>& points) {
-  // Chain rungs only — the +zc rung cuts copies, not enters, so it is excluded.
   // syscalls_per_req is counter-exact (no sampling noise), hence the strict <.
   static const char* const kChain[] = {"uring", "uring+ms", "uring+ms+sqp"};
   double prev = 0;
@@ -179,7 +178,7 @@ bool UringLadderSyscallsStrictlyDecreasing(const std::vector<LivePoint>& points)
 }
 
 bool UringFullLadderSyscallsLeq0p1(const std::vector<LivePoint>& points) {
-  std::vector<const LivePoint*> full = PointsOf(points, "zygos", "uring+ms+sqp+zc");
+  std::vector<const LivePoint*> full = PointsOf(points, "zygos", "uring+ms+sqp");
   if (full.empty()) {
     return true;
   }

@@ -24,10 +24,8 @@
 //   uring_ladder_syscalls_strictly_decreasing : syscalls/request at peak load falls
 //                                strictly at each feature rung of the io_uring ladder
 //                                that was swept ("uring" baseline -> "uring+ms" ->
-//                                "uring+ms+sqp"; counter-exact). The +zc rung is not
-//                                part of the chain — SEND_ZC removes copies, not
-//                                io_uring_enter calls.
-//   uring_full_ladder_syscalls_leq_0p1 : the full ladder ("uring+ms+sqp+zc") reaches
+//                                "uring+ms+sqp"; counter-exact)
+//   uring_full_ladder_syscalls_leq_0p1 : the full ladder ("uring+ms+sqp") reaches
 //                                <= 0.1 syscalls/request at peak load
 // so shell harnesses can grep instead of re-deriving them. `commit` is written empty
 // ("") and stamped by scripts/bench_trajectory.sh.
@@ -128,10 +126,10 @@ bool StealLeqNoStealAtPeak(const std::vector<LivePoint>& points);
 bool UringP99LeqEpollAtPeak(const std::vector<LivePoint>& points);
 bool UringSyscallsBelowEpoll(const std::vector<LivePoint>& points);
 // io_uring feature-ladder acceptance, full-ZygOS config, peak (= last) load point.
-// Rung names are transport strings: "uring" (all rungs off — the re-arm/singleshot
+// Rung names are transport strings: "uring" (all rungs off — the re-arm pooled-recv
 // baseline), "uring+ms" (+multishot recv over a provided-buffer ring), "uring+ms+sqp"
-// (+SQPOLL), "uring+ms+sqp+zc" (+SEND_ZC). Both are vacuously true when the relevant
-// rungs are absent from the sweep (fewer than two chain rungs / no full-ladder rung).
+// (+SQPOLL, the full ladder). Both are vacuously true when the relevant rungs are
+// absent from the sweep (fewer than two rungs / no full-ladder rung).
 bool UringLadderSyscallsStrictlyDecreasing(const std::vector<LivePoint>& points);
 bool UringFullLadderSyscallsLeq0p1(const std::vector<LivePoint>& points);
 

@@ -1,11 +1,8 @@
-// In-process open-loop client for the real-thread runtime: Poisson arrivals paced in
-// wall-clock time over a population of flows (the mutilate role), plus a thread-safe
-// latency collector wired to the runtime's completion callback.
-//
-// NOTE: OpenLoopClient is the original minimal harness (request-count bounded, latency
-// measured from the actual inject time). The measurement-grade generator — duration
-// windows, warmup, coordinated-omission-safe scheduled-time accounting, TCP support —
-// lives in src/loadgen/; prefer it for any experiment whose latencies are reported.
+// Thread-safe latency collector wired to the runtime's completion callback. The
+// open-loop load generator that drives the runtime — scheduled send times,
+// coordinated-omission-safe accounting, warmup windows, TCP support — lives in
+// src/loadgen/ (OpenLoopGenerator + LoopbackSink + MeasuredCompletion, which records
+// into a LatencyCollector).
 //
 // On hosts with fewer hardware threads than workers the wall-clock latencies include
 // OS scheduling noise — the examples print them as illustrations; the reproducible
@@ -14,20 +11,16 @@
 // Contract: latencies are wall-clock Nanos. LatencyCollector is thread-safe and
 // sharded per recording thread (completion callbacks on many workers land in disjoint
 // histograms; Snapshot() merges), so concurrent Record calls never serialize on one
-// lock. OpenLoopClient runs on the caller's thread; one instance per generator thread.
+// lock.
 #ifndef ZYGOS_RUNTIME_CLIENT_H_
 #define ZYGOS_RUNTIME_CLIENT_H_
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <thread>
 
 #include "src/common/histogram.h"
-#include "src/common/rng.h"
 #include "src/common/time_units.h"
 #include "src/concurrency/cache_line.h"
 #include "src/concurrency/spinlock.h"
@@ -92,53 +85,6 @@ class LatencyCollector {
   }
 
   std::array<Shard, kShards> shards_;
-};
-
-struct ClientOptions {
-  double rate_rps = 50'000;      // aggregate offered load
-  uint64_t total_requests = 100'000;
-  size_t payload_size = 32;
-  uint64_t seed = 1;
-};
-
-// Blocking open-loop generator: call Run() from a dedicated thread.
-class OpenLoopClient {
- public:
-  OpenLoopClient(Runtime& runtime, ClientOptions options)
-      : runtime_(runtime), options_(options), rng_(options.seed) {}
-
-  void Run() {
-    const std::string payload(options_.payload_size, 'x');
-    const double mean_gap_ns = 1e9 / options_.rate_rps;
-    auto next = std::chrono::steady_clock::now();
-    const auto num_flows = static_cast<uint64_t>(runtime_.options().num_flows);
-    for (uint64_t i = 0; i < options_.total_requests; ++i) {
-      next += std::chrono::nanoseconds(
-          static_cast<int64_t>(rng_.NextExponential(mean_gap_ns)));
-      // Hybrid wait: sleep for the bulk, spin the last ~50 µs for pacing accuracy.
-      while (std::chrono::steady_clock::now() < next) {
-        auto remaining = next - std::chrono::steady_clock::now();
-        if (remaining > std::chrono::microseconds(100)) {
-          std::this_thread::sleep_for(remaining - std::chrono::microseconds(50));
-        }
-      }
-      if (runtime_.Inject(rng_.NextBounded(num_flows), i, payload)) {
-        sent_++;
-      } else {
-        dropped_++;
-      }
-    }
-  }
-
-  uint64_t sent() const { return sent_; }
-  uint64_t dropped() const { return dropped_; }
-
- private:
-  Runtime& runtime_;
-  ClientOptions options_;
-  Rng rng_;
-  uint64_t sent_ = 0;
-  uint64_t dropped_ = 0;
 };
 
 }  // namespace zygos

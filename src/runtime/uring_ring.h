@@ -36,8 +36,9 @@
 // probes io_uring_setup once per process — sandboxes and seccomp policies commonly
 // deny it, and every uring code path must degrade to a clear skip/error, never a
 // crash (see ISSUE 7 satellite 1). ProbeUring() additionally reports the per-feature
-// ladder (buf_ring / multishot / send_zc / sqpoll) so callers can request rungs
-// individually and degrade per-feature (ISSUE 10).
+// ladder (buf_ring / multishot / sqpoll) so callers can request rungs individually
+// and degrade per-feature. It also reports whether the kernel has a zero-copy send
+// opcode (send_zc), for display only: no transport uses it.
 #ifndef ZYGOS_RUNTIME_URING_RING_H_
 #define ZYGOS_RUNTIME_URING_RING_H_
 
@@ -87,6 +88,7 @@ struct UringProbe {
   bool buf_ring = false;   // IORING_REGISTER_PBUF_RING accepted
   bool multishot = false;  // IORING_RECV_MULTISHOT delivers F_BUFFER completions
   bool send_zc = false;    // IORING_OP_SEND_ZC present in the opcode table
+                           // (reported only; the transports never send zero-copy)
   bool sqpoll = false;     // IORING_SETUP_SQPOLL ring creation permitted
 };
 
@@ -94,11 +96,12 @@ const UringProbe& ProbeUring();  // defined below UringRing (the probe uses it)
 
 inline bool UringAvailable() { return ProbeUring().available; }
 
+// How long the kernel SQ poller spins before parking and raising NEED_WAKEUP.
+// Modest: on small hosts the poller timeshares with the workers.
+constexpr unsigned kSqThreadIdleMs = 50;
+
 struct UringRingOptions {
   bool sqpoll = false;
-  // How long the kernel SQ poller spins before parking and raising NEED_WAKEUP.
-  // Modest by default: on small hosts the poller timeshares with the workers.
-  unsigned sq_thread_idle_ms = 50;
 };
 
 // One mmap'd submission/completion ring pair. Owned by exactly one worker queue.
@@ -123,7 +126,7 @@ class UringRing {
     params.cq_entries = cq_entries;
     if (opts.sqpoll) {
       params.flags |= IORING_SETUP_SQPOLL;
-      params.sq_thread_idle = opts.sq_thread_idle_ms;
+      params.sq_thread_idle = kSqThreadIdleMs;
     }
     ring_fd_ = SysUringSetup(sq_entries, &params);
     if (ring_fd_ < 0) {
@@ -330,11 +333,6 @@ class UringRing {
     return true;
   }
 
-  int RegisterBuffers(const iovec* iovecs, unsigned n) {
-    int r = SysUringRegister(ring_fd_, IORING_REGISTER_BUFFERS, iovecs, n);
-    return r < 0 ? -errno : r;
-  }
-
   // ---- Provided buffer ring (multishot receive) ----------------------------
   //
   // One buffer group (bgid) per ring. The kernel pops entries as multishot RECV
@@ -528,39 +526,9 @@ inline void PrepRecvMultishot(io_uring_sqe* sqe, int fd, uint16_t buf_group,
   sqe->user_data = user_data;
 }
 
-// Fixed-buffer read (works on sockets: offset 0, read(2) semantics) from a slot
-// registered with RegisterBuffers — the kernel skips the per-op pin/unpin of the
-// user pages, the cost the registered-buffer RX arena exists to avoid.
-inline void PrepReadFixed(io_uring_sqe* sqe, int fd, void* buf, unsigned len,
-                          uint16_t buf_index, uint64_t user_data) {
-  sqe->opcode = IORING_OP_READ_FIXED;
-  sqe->fd = fd;
-  sqe->addr = reinterpret_cast<uint64_t>(buf);
-  sqe->len = len;
-  sqe->off = 0;
-  sqe->buf_index = buf_index;
-  sqe->user_data = user_data;
-}
-
 inline void PrepSend(io_uring_sqe* sqe, int fd, const void* buf, unsigned len,
                      uint64_t user_data) {
   sqe->opcode = IORING_OP_SEND;
-  sqe->fd = fd;
-  sqe->addr = reinterpret_cast<uint64_t>(buf);
-  sqe->len = len;
-  sqe->msg_flags = MSG_NOSIGNAL;
-  sqe->user_data = user_data;
-}
-
-// Zero-copy send: the kernel pins the pages instead of copying into skbs, so the
-// buffer MUST stay alive past the first CQE. Lifetime contract: CQE #1 (the
-// completion, res = bytes sent) may carry IORING_CQE_F_MORE meaning a second CQE
-// with IORING_CQE_F_NOTIF will land once the NIC is done with the pages — only then
-// may the buffer be reused. res = -EOPNOTSUPP means this socket family/path can't
-// do zero-copy: resubmit as plain SEND.
-inline void PrepSendZc(io_uring_sqe* sqe, int fd, const void* buf, unsigned len,
-                       uint64_t user_data) {
-  sqe->opcode = IORING_OP_SEND_ZC;
   sqe->fd = fd;
   sqe->addr = reinterpret_cast<uint64_t>(buf);
   sqe->len = len;

@@ -1,6 +1,5 @@
 #include "src/runtime/uring_transport.h"
 
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -16,18 +15,10 @@ namespace {
 // SQ depth per queue: a full TX batch (runtime kTxBatch) plus recv re-arms and
 // cancels fit with room to spare; GetSqe submits mid-pass if a pass ever outgrows it.
 constexpr unsigned kSqEntries = 256;
-// Registered RX arena slots per queue. Each armed recv holds one slot; 128 covers the
-// per-queue connection fan-in of every bench here, and running out is not an error —
-// recvs beyond the arena fall back to pooled IORING_OP_RECV.
-constexpr int kArenaSlots = 128;
 // Provided-buffer ring entries per queue (multishot RX; must be a power of two).
-// Sized above the arena because ONE hot flow can consume many slots per pass — a
-// dry ring costs a -ENOBUFS terminal completion and a single-shot round trip.
+// Generous because ONE hot flow can consume many slots per pass — a dry ring costs
+// a -ENOBUFS terminal completion and a single-shot round trip.
 constexpr uint32_t kBufRingEntries = 256;
-// AcquireSlot probes this many free slots (oldest first) for one whose bytes no
-// Segment/parser view still aliases; past that, fall back to a pooled recv rather
-// than scan the whole arena on the hot path.
-constexpr size_t kSlotProbes = 8;
 // Granularity of the bounded TransmitBatch wait (mirrors the epoll backend's
 // kTxPollMillis poll() slices — same stall discipline, one syscall per slice).
 constexpr Nanos kTxWaitSlice = 10 * kMillisecond;
@@ -78,7 +69,6 @@ void UringTransport::Start() {
   // rung-0 path rather than failing Start.
   ms_enabled_ = uring_options_.multishot && probe.buf_ring && probe.multishot;
   sqpoll_enabled_ = uring_options_.sqpoll && probe.sqpoll;
-  zc_enabled_ = uring_options_.send_zc && probe.send_zc;
   // CQ must absorb every in-flight op at once: an armed recv per connection plus a
   // full TX batch. Undersizing only costs overflow flushes, but size it right.
   unsigned cq_entries = RoundPow2(static_cast<unsigned>(std::min<uint64_t>(
@@ -87,7 +77,6 @@ void UringTransport::Start() {
     std::string error;
     UringRingOptions ring_opts;
     ring_opts.sqpoll = sqpoll_enabled_;
-    ring_opts.sq_thread_idle_ms = uring_options_.sq_thread_idle_ms;
     if (!pq->ring.Init(kSqEntries, cq_entries, ring_opts, &error)) {
       if (sqpoll_enabled_) {
         // The probe's trial ring succeeded but this one didn't (rlimits, cgroup
@@ -105,24 +94,6 @@ void UringTransport::Start() {
         std::fprintf(stderr, "zygos: uring transport: %s\n", error.c_str());
         std::abort();
       }
-    }
-    // Registered RX arena: permanent pooled slabs, pinned once. Registration failing
-    // (RLIMIT_MEMLOCK, old kernel) degrades to pooled recvs — never an error.
-    pq->arena.reserve(kArenaSlots);
-    std::vector<iovec> iov(static_cast<size_t>(kArenaSlots));
-    for (int i = 0; i < kArenaSlots; ++i) {
-      pq->arena.push_back(AllocBuffer(options_.max_segment_bytes));
-      iov[static_cast<size_t>(i)] = {pq->arena.back().data(),
-                                     pq->arena.back().capacity()};
-      pq->free_slots.push_back(i);
-    }
-    if (pq->ring.RegisterBuffers(iov.data(), static_cast<unsigned>(kArenaSlots)) ==
-        0) {
-      pq->fixed_ok = true;
-    } else {
-      pq->fixed_ok = false;
-      pq->arena.clear();
-      pq->free_slots.clear();
     }
     // Multishot RX backing: permanent slabs behind the kernel's buffer ring, all
     // slots offered up front. Failure (memlock, sandbox) drops the rung per-queue.
@@ -187,31 +158,22 @@ void UringTransport::Stop() {
     }
     pq.ring.Submit();
     int spins = 0;
-    while ((!pq.conns.empty() || !pq.zombie_sends.empty() ||
-            !pq.zc_parked.empty()) &&
-           spins++ < 400) {
+    while ((!pq.conns.empty() || !pq.zombie_sends.empty()) && spins++ < 400) {
       pq.ring.SubmitAndWait(1, 5 * kMillisecond);
       pq.ring.FlushOverflow();
       DrainCq(pq, nullptr);
     }
     // A CQE that never arrived (kernel-side hang; should not happen) means the
     // kernel may still write into that connection's buffers: leak them rather than
-    // hand corruptible memory back to the pool. Same for SEND_ZC pages whose NOTIF
-    // never landed.
+    // hand corruptible memory back to the pool.
     for (auto& [flow, conn] : pq.conns) {
       (void)flow;
       conn.release();
     }
     pq.conns.clear();
-    if (!pq.zc_parked.empty()) {
-      auto* leaked = new std::unordered_map<uint64_t, ZcParked>;
-      leaked->swap(pq.zc_parked);
-    }
     pq.pending.clear();
     pq.pending_count.store(0, std::memory_order_relaxed);
     pq.ring.Destroy();  // tears down the buffer ring registration too
-    pq.arena.clear();
-    pq.free_slots.clear();
     pq.bring_bufs.clear();
     pq.bring_out.clear();
     pq.ms_ok = false;
@@ -240,21 +202,6 @@ io_uring_sqe* UringTransport::GetSqe(PerQueue& pq) {
     }
   }
   return sqe;
-}
-
-int UringTransport::AcquireSlot(PerQueue& pq) {
-  // Probe oldest-freed first: slots at the front were released longest ago, so their
-  // aliasing Segment views have most likely been consumed and dropped.
-  size_t probes = std::min(pq.free_slots.size(), kSlotProbes);
-  for (size_t i = 0; i < probes; ++i) {
-    int slot = pq.free_slots[i];
-    if (pq.arena[static_cast<size_t>(slot)].unique()) {
-      pq.free_slots[i] = pq.free_slots.back();
-      pq.free_slots.pop_back();
-      return slot;
-    }
-  }
-  return -1;
 }
 
 void UringTransport::RecycleBufRing(PerQueue& pq) {
@@ -293,28 +240,14 @@ void UringTransport::ArmRecv(PerQueue& pq, UConn* conn, bool allow_multishot) {
     PrepRecvMultishot(sqe, conn->fd, pq.ring.BufRingBgid(), ud);
     conn->ms_armed = true;
     conn->rx_inflight = true;
-    conn->rx_slot = -1;
     return;
   }
-  int slot = pq.fixed_ok ? AcquireSlot(pq) : -1;
-  io_uring_sqe* sqe = GetSqe(pq);
-  if (slot >= 0) {
-    IoBuf& target = pq.arena[static_cast<size_t>(slot)];
-    unsigned len = static_cast<unsigned>(
-        std::min(target.capacity(), options_.max_segment_bytes));
-    PrepReadFixed(sqe, conn->fd, target.data(), len, static_cast<uint16_t>(slot),
-                  ud);
-    conn->rx_slot = slot;
-    conn->rx_buf.Reset();
-  } else {
-    if (!conn->rx_buf) {
-      conn->rx_buf = AllocBuffer(options_.max_segment_bytes);
-    }
-    unsigned len = static_cast<unsigned>(
-        std::min(conn->rx_buf.capacity(), options_.max_segment_bytes));
-    PrepRecv(sqe, conn->fd, conn->rx_buf.data(), len, ud);
-    conn->rx_slot = -1;
+  if (!conn->rx_buf) {
+    conn->rx_buf = AllocBuffer(options_.max_segment_bytes);
   }
+  unsigned len = static_cast<unsigned>(
+      std::min(conn->rx_buf.capacity(), options_.max_segment_bytes));
+  PrepRecv(GetSqe(pq), conn->fd, conn->rx_buf.data(), len, ud);
   conn->ms_armed = false;
   conn->rx_inflight = true;
 }
@@ -400,35 +333,22 @@ void UringTransport::HandleRecvCqe(PerQueue& pq, uint64_t flow_id, int res,
   // Terminal CQE (multishot detached) or single-shot completion: the SQE is gone.
   conn->rx_inflight = false;
   conn->ms_armed = false;
-  const int slot = conn->rx_slot;
-  conn->rx_slot = -1;
-  IoBuf pooled = std::move(conn->rx_buf);
-  if (slot >= 0) {
-    pq.free_slots.push_back(slot);  // reusable once no Segment view aliases it
-  }
   if (conn->closing) {
     FinalizeClose(pq, conn);  // sever/teardown completed its deferred close
     return;
   }
   if (res > 0) {
-    IoBuf buf;
-    if (slot >= 0) {
-      buf = pq.arena[static_cast<size_t>(slot)];  // refcounted alias, zero copy
-      buf.set_size(static_cast<size_t>(res));
-      pq.fixed_recvs++;
-    } else {
-      pooled.set_size(static_cast<size_t>(res));
-      buf = std::move(pooled);
-      pq.pooled_recvs++;
-    }
+    // Single-shot data: the pooled target becomes the Segment (zero copy); the
+    // re-arm below allocates a fresh one.
+    IoBuf buf = std::move(conn->rx_buf);
+    buf.set_size(static_cast<size_t>(res));
+    pq.pooled_recvs++;
     PushPending(pq,
                 PendingItem{/*is_close=*/false, flow_id, std::move(buf), NowNanos()});
-    conn->rx_buf = std::move(pooled);  // keep the spare across arena recvs
     ArmRecv(pq, conn);
     return;
   }
   if (res == -EAGAIN || res == -EINTR) {
-    conn->rx_buf = std::move(pooled);
     ArmRecv(pq, conn);
     return;
   }
@@ -437,7 +357,6 @@ void UringTransport::HandleRecvCqe(PerQueue& pq, uint64_t flow_id, int res,
     // recv to stay armed, and retry multishot on the next completion — degraded
     // throughput under backpressure, never a stall or a spin.
     RecycleBufRing(pq);
-    conn->rx_buf = std::move(pooled);
     ArmRecv(pq, conn, /*allow_multishot=*/false);
     return;
   }
@@ -445,15 +364,6 @@ void UringTransport::HandleRecvCqe(PerQueue& pq, uint64_t flow_id, int res,
     // Kernel rejected multishot at completion time (probe lied / exotic socket):
     // degrade the whole queue to the rung-0 arm-per-completion path.
     pq.ms_ok = false;
-    conn->rx_buf = std::move(pooled);
-    ArmRecv(pq, conn);
-    return;
-  }
-  if (slot >= 0 && (res == -EINVAL || res == -EOPNOTSUPP)) {
-    // This kernel rejects READ_FIXED on sockets: degrade the whole queue to pooled
-    // recvs (correctness unchanged, the pinned-pages optimization lost).
-    pq.fixed_ok = false;
-    conn->rx_buf = std::move(pooled);
     ArmRecv(pq, conn);
     return;
   }
@@ -461,17 +371,6 @@ void UringTransport::HandleRecvCqe(PerQueue& pq, uint64_t flow_id, int res,
   // arrived before the hangup and stay; the close lands behind them.
   conn->purge_on_close = false;
   FinalizeClose(pq, conn);
-}
-
-void UringTransport::PrepTxSqe(PerQueue& pq, UConn* conn, const char* data,
-                               unsigned len, uint64_t token) {
-  io_uring_sqe* sqe = GetSqe(pq);
-  if (zc_enabled_ && conn->zc_ok) {
-    PrepSendZc(sqe, conn->fd, data, len, MakeUd(kUdSend, token));
-    pq.zc_sends++;
-  } else {
-    PrepSend(sqe, conn->fd, data, len, MakeUd(kUdSend, token));
-  }
 }
 
 void UringTransport::HandleCqe(PerQueue& pq, uint64_t user_data, int res,
@@ -489,32 +388,10 @@ void UringTransport::HandleCqe(PerQueue& pq, uint64_t user_data, int res,
     default:
       return;
   }
-  if ((flags & IORING_CQE_F_NOTIF) != 0) {
-    // Second CQE of a SEND_ZC op: the kernel released the pages. Accounting
-    // happened on the completion CQE; here we only drain the parked frame ref.
-    auto parked = pq.zc_parked.find(payload);
-    if (parked != pq.zc_parked.end() && --parked->second.notifs <= 0) {
-      pq.zc_parked.erase(parked);
-    }
-    pq.zombie_sends.erase(payload);
-    return;
-  }
-  const bool notif_pending = (flags & IORING_CQE_F_MORE) != 0;
   if (tx == nullptr || payload < tx->token_base ||
       payload - tx->token_base >= tx->batch.size()) {
-    // Straggler from an abandoned batch. If a NOTIF is still owed, keep the frame
-    // ref parked until it lands; otherwise release it now.
-    auto z = pq.zombie_sends.find(payload);
-    if (z != pq.zombie_sends.end()) {
-      if (notif_pending) {
-        auto [parked, inserted] = pq.zc_parked.try_emplace(payload);
-        if (inserted) {
-          parked->second.frame = z->second;
-        }
-        parked->second.notifs++;
-      }
-      pq.zombie_sends.erase(z);
-    }
+    // Straggler from an abandoned batch: the kernel is done with the frame now.
+    pq.zombie_sends.erase(payload);
     return;
   }
   const size_t i = static_cast<size_t>(payload - tx->token_base);
@@ -524,16 +401,6 @@ void UringTransport::HandleCqe(PerQueue& pq, uint64_t user_data, int res,
   }
   const TxSegment& seg = tx->batch[i];
   std::string_view frame = seg.frame.view();
-  if (notif_pending) {
-    // SEND_ZC completion whose pages the kernel still holds: park a frame ref per
-    // owed NOTIF (a resubmitted short zc send owes several on the same token).
-    auto [parked, inserted] = pq.zc_parked.try_emplace(payload);
-    if (inserted) {
-      parked->second.frame = seg.frame;
-    }
-    parked->second.notifs++;
-  }
-  bool zc_fallback = false;
   if (res > 0) {
     st.sent += static_cast<size_t>(res);
     if (st.sent >= frame.size()) {
@@ -541,17 +408,13 @@ void UringTransport::HandleCqe(PerQueue& pq, uint64_t user_data, int res,
       tx->outstanding--;
       return;
     }
-  } else if (res == -EOPNOTSUPP && zc_enabled_) {
-    // This socket/path can't zero-copy: clear zc_ok and resubmit as plain SEND
-    // below (same token).
-    zc_fallback = true;
   } else if (res != -EAGAIN && res != -EINTR) {
     st.done = true;
     st.failed = true;
     tx->outstanding--;
     return;
   }
-  // Short send or EAGAIN/EINTR/zc-fallback: resubmit the remainder (same token).
+  // Short send or EAGAIN/EINTR: resubmit the remainder (same token).
   auto it = pq.conns.find(seg.flow_id);
   if (it == pq.conns.end() || it->second->closing) {
     st.done = true;
@@ -559,11 +422,8 @@ void UringTransport::HandleCqe(PerQueue& pq, uint64_t user_data, int res,
     tx->outstanding--;
     return;
   }
-  if (zc_fallback) {
-    it->second->zc_ok = false;
-  }
-  PrepTxSqe(pq, it->second.get(), frame.data() + st.sent,
-            static_cast<unsigned>(frame.size() - st.sent), payload);
+  PrepSend(GetSqe(pq), it->second->fd, frame.data() + st.sent,
+           static_cast<unsigned>(frame.size() - st.sent), MakeUd(kUdSend, payload));
 }
 
 void UringTransport::DrainCq(PerQueue& pq, TxContext* tx) {
@@ -651,7 +511,7 @@ size_t UringTransport::TransmitBatch(int queue, std::span<TxSegment> batch) {
   ctx.batch = batch;
   ctx.state = &state;
   ctx.token_base = base;
-  // One SEND (or SEND_ZC) SQE per response; the whole batch leaves with a single
+  // One SEND SQE per response; the whole batch leaves with a single
   // submit-and-wait enter below. Responses to dead/closing flows hit the floor like
   // a TX on a downed link (completion still fires — the request retired).
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -664,15 +524,13 @@ size_t UringTransport::TransmitBatch(int queue, std::span<TxSegment> batch) {
       continue;
     }
     std::string_view frame = batch[i].frame.view();
-    PrepTxSqe(pq, conn, frame.data(), static_cast<unsigned>(frame.size()),
-              base + i);
+    PrepSend(GetSqe(pq), conn->fd, frame.data(), static_cast<unsigned>(frame.size()),
+             MakeUd(kUdSend, base + i));
     ctx.outstanding++;
   }
   // Reap every completion before returning (the runtime's shutdown accounting needs
   // completions to fire inside TransmitBatch), with the same bounded-stall
   // discipline as the epoll backend: past the deadline, cancel the laggards.
-  // (SEND_ZC NOTIF CQEs are NOT waited for — the parked frame refs outlive the
-  // batch and drain in later passes.)
   Nanos deadline =
       NowNanos() + std::max<Nanos>(options_.stall_drop_deadline, kMillisecond);
   bool cancelled = false;
@@ -776,14 +634,6 @@ uint64_t UringTransport::IoSyscalls() const {
   return total;
 }
 
-uint64_t UringTransport::FixedBufferRecvs() const {
-  uint64_t total = 0;
-  for (const auto& pq : queues_) {
-    total += pq->fixed_recvs;
-  }
-  return total;
-}
-
 uint64_t UringTransport::PooledRecvs() const {
   uint64_t total = 0;
   for (const auto& pq : queues_) {
@@ -796,14 +646,6 @@ uint64_t UringTransport::MultishotRecvs() const {
   uint64_t total = 0;
   for (const auto& pq : queues_) {
     total += pq->ms_recvs;
-  }
-  return total;
-}
-
-uint64_t UringTransport::ZcSends() const {
-  uint64_t total = 0;
-  for (const auto& pq : queues_) {
-    total += pq->zc_sends;
   }
   return total;
 }

@@ -5,20 +5,13 @@
 // (SocketTransportBase); what changes is the per-queue I/O engine. Each worker queue
 // owns one io_uring (src/runtime/uring_ring.h — raw-syscall shim, no liburing):
 //
-//   RX  rung 0 (always available): every registered connection keeps one recv
-//       armed. Completions land in the queue's CQ and are drained — not per-fd
-//       syscalls but shared-memory reads — at the top of PollBatch; each completed
-//       recv re-arms immediately and all re-arm SQEs of a pass are submitted with
-//       ONE io_uring_enter. Recv targets come from a per-queue REGISTERED-BUFFER
-//       ARENA: BufferPool large-class slabs pinned once via IORING_REGISTER_BUFFERS
-//       and read with IORING_OP_READ_FIXED (read(2) semantics on a socket), so the
-//       kernel skips per-op page pinning and the bytes still flow zero-copy into
-//       FrameParser views — the Segment's IoBuf is a refcounted alias of the arena
-//       slot, and the slot is re-armed only once no view references it
-//       (IoBuf::unique). When the arena is exhausted (or fixed-buffer reads fail at
-//       runtime), recvs fall back to plain IORING_OP_RECV into ordinary pooled
-//       buffers — never a stall, just a cheaper optimization lost (PooledRecvs
-//       counts the misses).
+//   RX  rung 0 (always available): every registered connection keeps one plain
+//       IORING_OP_RECV armed into a pooled buffer. Completions land in the queue's
+//       CQ and are drained — not per-fd syscalls but shared-memory reads — at the
+//       top of PollBatch; each completed recv hands its buffer to the Segment
+//       (zero copy into FrameParser views) and re-arms immediately with a fresh
+//       pooled buffer, and all re-arm SQEs of a pass are submitted with ONE
+//       io_uring_enter (PooledRecvs counts these completions).
 //       rung 1 (UringTransportOptions::multishot): a STANDING multishot
 //       IORING_OP_RECV per connection over a provided-buffer ring
 //       (IORING_REGISTER_PBUF_RING) — one SQE yields completions indefinitely
@@ -28,9 +21,9 @@
 //       aliases it refcounted and the slot returns to the kernel's ring once the
 //       runtime drops the last view (unique()), published in batches with one
 //       release-store. A dry ring surfaces as a terminal -ENOBUFS completion: the
-//       connection takes one single-shot recv (rung 0 path) and retries multishot on
-//       the next arm — backpressure degrades, never stalls.
-//   TX  rung 0: TransmitBatch queues one IORING_OP_SEND SQE per TxSegment and
+//       connection takes one pooled single-shot recv (the rung-0 path) and retries
+//       multishot on the next arm — backpressure degrades, never stalls.
+//   TX  (one path): TransmitBatch queues one IORING_OP_SEND SQE per TxSegment and
 //       submits the whole batch with a single io_uring_enter (submit-and-wait): N
 //       responses cost ~1 syscall instead of N sends. Short sends are resubmitted; a
 //       peer that stops reading past stall_drop_deadline gets its SQE cancelled
@@ -38,13 +31,12 @@
 //       the same bounded-stall discipline as the epoll backend. TX completions are
 //       reaped before returning (the runtime's Shutdown accounting requires
 //       completions to fire synchronously inside TransmitBatch).
-//       rung 3 (UringTransportOptions::send_zc): IORING_OP_SEND_ZC pins the frame
-//       pages instead of copying them into skbs. Lifetime is TWO CQEs: the
-//       completion (normal accounting; IORING_CQE_F_MORE promises a follow-up) and
-//       a notification (IORING_CQE_F_NOTIF) once the NIC is done with the pages —
-//       the frame's IoBuf ref is parked per send token until its NOTIF count
-//       drains, so the slab can never be recycled under the kernel. A socket that
-//       answers -EOPNOTSUPP falls back to plain SEND for its lifetime (zc_ok).
+//
+//       There is deliberately no zero-copy send and no registered-buffer receive
+//       arena: frames here are at most a few KiB over loopback TCP, where the
+//       kernel copies "zero-copy" payloads anyway, and the measured served
+//       throughput was higher with plain SEND (docs/ARCHITECTURE.md, "Deleted
+//       rungs").
 //
 //   SQ  rung 2 (UringTransportOptions::sqpoll): IORING_SETUP_SQPOLL hands SQ
 //       consumption to a kernel poller thread; publishing the tail IS the
@@ -78,9 +70,8 @@
 //
 // Capability: io_uring may be denied wholesale (seccomp/sandbox). Check
 // UringTransport::Available() BEFORE constructing; Start aborts with the probe's
-// reason otherwise. Registered buffers failing (RLIMIT_MEMLOCK) degrades to pooled
-// recvs, not an error; a per-feature rung denied by the probe is silently dropped
-// from the effective set (query MultishotEnabled/SqpollEnabled/SendZcEnabled).
+// reason otherwise. A per-feature rung denied by the probe is silently dropped from
+// the effective set (query MultishotEnabled/SqpollEnabled).
 #ifndef ZYGOS_RUNTIME_URING_TRANSPORT_H_
 #define ZYGOS_RUNTIME_URING_TRANSPORT_H_
 
@@ -101,7 +92,7 @@
 namespace zygos {
 
 // TcpTransportOptions plus the io_uring feature ladder. Defaults request the
-// syscall-free RX/TX rungs (they degrade cleanly when denied); SQPOLL stays opt-in
+// syscall-free RX rung (it degrades cleanly when denied); SQPOLL stays opt-in
 // because its kernel poller thread competes for CPU on small hosts.
 struct UringTransportOptions : TcpTransportOptions {
   UringTransportOptions() = default;
@@ -110,8 +101,6 @@ struct UringTransportOptions : TcpTransportOptions {
 
   bool multishot = true;  // rung 1: standing multishot RECV over a buffer ring
   bool sqpoll = false;    // rung 2: kernel SQ poller (opt-in)
-  bool send_zc = true;    // rung 3: zero-copy TX with two-CQE lifetime
-  unsigned sq_thread_idle_ms = 50;  // SQPOLL park threshold (see UringRingOptions)
 };
 
 class UringTransport final : public SocketTransportBase {
@@ -139,18 +128,16 @@ class UringTransport final : public SocketTransportBase {
   uint64_t IoSyscalls() const override;
 
   // Effective feature set after Start: requested AND probe-granted AND not degraded
-  // at runtime. (SendZc/Multishot may flip off per-queue/per-socket later; these
-  // report the Start-time grant.)
+  // at runtime. (Multishot may flip off per-queue later; this reports the
+  // Start-time grant.)
   bool MultishotEnabled() const { return ms_enabled_; }
   bool SqpollEnabled() const { return sqpoll_enabled_; }
-  bool SendZcEnabled() const { return zc_enabled_; }
+  // Zero-copy send was removed; kept for callers that still print the grant.
+  bool SendZcEnabled() const { return false; }
 
-  // RX observability: recvs served from the registered arena vs pooled fallbacks vs
-  // multishot buffer-ring completions; TX: sends that went zero-copy.
-  uint64_t FixedBufferRecvs() const;
+  // RX observability: single-shot pooled recvs vs multishot buffer-ring completions.
   uint64_t PooledRecvs() const;
   uint64_t MultishotRecvs() const;
-  uint64_t ZcSends() const;
 
  private:
   struct UConn {
@@ -161,9 +148,7 @@ class UringTransport final : public SocketTransportBase {
     bool ms_armed = false;     // the in-flight recv is a standing multishot SQE
     bool closing = false;      // sever/hangup seen; finalize once rx_inflight clears
     bool purge_on_close = false;  // sever: drop this flow's undelivered segments
-    bool zc_ok = true;         // SEND_ZC allowed (cleared on -EOPNOTSUPP)
-    int rx_slot = -1;          // registered-arena slot of the armed recv; -1 = pooled
-    IoBuf rx_buf;              // pooled recv target (unused for arena recvs)
+    IoBuf rx_buf;              // single-shot recv target (unused under multishot)
   };
 
   // One entry of the per-queue delivery FIFO: a received segment or a close, in CQ
@@ -195,14 +180,6 @@ class UringTransport final : public SocketTransportBase {
     size_t outstanding = 0;
   };
 
-  // SEND_ZC pages the kernel still holds for one send token: the frame ref plus how
-  // many IORING_CQE_F_NOTIF completions are owed (a short zc send resubmitted as zc
-  // owes one per op on the same token).
-  struct ZcParked {
-    IoBuf frame;
-    int notifs = 0;
-  };
-
   struct alignas(kCacheLineSize) PerQueue {
     UringRing ring;
     // Home-worker-only (plus Stop at quiescence).
@@ -211,14 +188,6 @@ class UringTransport final : public SocketTransportBase {
     // any-thread ApproxNonEmpty peek.
     std::deque<PendingItem> pending;
     std::atomic<size_t> pending_count{0};
-    // Registered RX arena: permanent IoBuf per slot keeps the slab alive (and its
-    // registration valid) for the transport's lifetime. free_slots holds slots with
-    // no recv armed; a slot is reusable only when its arena handle is also unique()
-    // (no Segment/parser view still aliases the bytes).
-    std::vector<IoBuf> arena;
-    std::vector<int> free_slots;
-    bool fixed_ok = false;  // arena registered and READ_FIXED working
-    uint64_t fixed_recvs = 0;
     uint64_t pooled_recvs = 0;
     // Provided-buffer ring backing (multishot RX): bring_bufs[bid] keeps each slab
     // alive for the transport's lifetime; bids in bring_out were handed to Segments
@@ -227,9 +196,6 @@ class UringTransport final : public SocketTransportBase {
     std::vector<uint16_t> bring_out;
     bool ms_ok = false;  // buffer ring registered and multishot accepted
     uint64_t ms_recvs = 0;
-    // SEND_ZC two-CQE lifetime: frame refs parked until their NOTIF count drains.
-    std::unordered_map<uint64_t, ZcParked> zc_parked;
-    uint64_t zc_sends = 0;
     // Sends abandoned after a cancel outwaited its grace period: the frame ref is
     // parked here, keyed by send token, so the slab cannot be recycled while the
     // kernel op may still read it. Reaped when the straggler CQE finally lands.
@@ -241,11 +207,8 @@ class UringTransport final : public SocketTransportBase {
 
   io_uring_sqe* GetSqe(PerQueue& pq);
   void ArmRecv(PerQueue& pq, UConn* conn, bool allow_multishot = true);
-  int AcquireSlot(PerQueue& pq);
   // Returns consumed buffer-ring slots (now unique) to the kernel's ring.
   void RecycleBufRing(PerQueue& pq);
-  void PrepTxSqe(PerQueue& pq, UConn* conn, const char* data, unsigned len,
-                 uint64_t token);
   // Drains every available CQE through HandleCqe. tx may be null.
   void DrainCq(PerQueue& pq, TxContext* tx);
   void HandleCqe(PerQueue& pq, uint64_t user_data, int res, uint32_t flags,
@@ -259,7 +222,6 @@ class UringTransport final : public SocketTransportBase {
   UringTransportOptions uring_options_;
   bool ms_enabled_ = false;
   bool sqpoll_enabled_ = false;
-  bool zc_enabled_ = false;
   std::vector<std::unique_ptr<PerQueue>> queues_;
   bool started_ = false;
 };

@@ -613,9 +613,7 @@ TEST(LiveReportTest, MonotonePredicateExemptsSqpollRungs) {
   // the p99-vs-load shape is scheduling noise, so those transports are excluded
   // from the monotone gate (their contract is the exact syscall counters).
   std::vector<LivePoint> points = {PointT("zygos", "uring+ms+sqp", 100, 400000),
-                                   PointT("zygos", "uring+ms+sqp", 200, 50000),
-                                   PointT("zygos", "uring+ms+sqp+zc", 100, 60),
-                                   PointT("zygos", "uring+ms+sqp+zc", 200, 20)};
+                                   PointT("zygos", "uring+ms+sqp", 200, 50000)};
   EXPECT_TRUE(ZygosP99MonotoneInLoad(points));
   // Non-SQPOLL rungs stay covered.
   points.push_back(PointT("zygos", "uring+ms", 100, 50));
@@ -644,8 +642,8 @@ TEST(LiveReportTest, LadderSyscallsMustStrictlyDecreaseAcrossPresentRungs) {
 
 TEST(LiveReportTest, FullLadderSyscallBudgetIsTenthOfARequest) {
   std::vector<LivePoint> points = {
-      PointT("zygos", "uring+ms+sqp+zc", 100, 10, 0.30),
-      PointT("zygos", "uring+ms+sqp+zc", 200, 12, 0.06)};
+      PointT("zygos", "uring+ms+sqp", 100, 10, 0.30),
+      PointT("zygos", "uring+ms+sqp", 200, 12, 0.06)};
   EXPECT_TRUE(UringFullLadderSyscallsLeq0p1(points));  // peak cell decides
   points[1].syscalls_per_req = 0.11;
   EXPECT_FALSE(UringFullLadderSyscallsLeq0p1(points));

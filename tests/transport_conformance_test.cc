@@ -3,13 +3,13 @@
 // backend — LoopbackTransport (in-process rings), TcpTransport (epoll sockets) and
 // UringTransport (batched io_uring) — so a new backend cannot pass by implementing a
 // private dialect of the contract (src/runtime/transport.h). The uring backend is
-// instantiated across its full feature matrix (multishot × sqpoll × send_zc,
-// ISSUE 10): every rung combination must satisfy the identical contract, including
-// severance with a standing multishot SQE in flight. The uring instantiations skip
+// instantiated across its full feature matrix (multishot × sqpoll): every rung
+// combination must satisfy the identical contract, including severance with a
+// standing multishot SQE in flight. The uring instantiations skip
 // themselves via the runtime capability probe when the kernel/sandbox denies
 // io_uring_setup or a requested rung (ci.sh surfaces the skip); everything else must
-// pass everywhere. A dedicated forced-fallback test pins byte-identical echo when
-// every rung is explicitly denied.
+// pass everywhere. A dedicated forced-fallback test pins byte-identical echo through
+// the pooled single-shot recv path when every rung is explicitly denied.
 //
 // All assertions are functional (counts, orderings, invariants), never timing-based —
 // the host may have a single hardware thread.
@@ -48,23 +48,18 @@ struct BackendVariant {
   Backend backend;
   bool multishot = false;
   bool sqpoll = false;
-  bool send_zc = false;
   const char* name = "?";
 };
 
 std::vector<BackendVariant> AllVariants() {
   return {
-      {Backend::kLoopback, false, false, false, "loopback"},
-      {Backend::kTcp, false, false, false, "tcp"},
-      // Full uring feature matrix: rung 0, each rung alone, each pair, all three.
-      {Backend::kUring, false, false, false, "uring"},
-      {Backend::kUring, true, false, false, "uring_ms"},
-      {Backend::kUring, false, true, false, "uring_sqp"},
-      {Backend::kUring, false, false, true, "uring_zc"},
-      {Backend::kUring, true, true, false, "uring_ms_sqp"},
-      {Backend::kUring, true, false, true, "uring_ms_zc"},
-      {Backend::kUring, false, true, true, "uring_sqp_zc"},
-      {Backend::kUring, true, true, true, "uring_ms_sqp_zc"},
+      {Backend::kLoopback, false, false, "loopback"},
+      {Backend::kTcp, false, false, "tcp"},
+      // Full uring feature matrix: rung 0, each rung alone, both.
+      {Backend::kUring, false, false, "uring"},
+      {Backend::kUring, true, false, "uring_ms"},
+      {Backend::kUring, false, true, "uring_sqp"},
+      {Backend::kUring, true, true, "uring_ms_sqp"},
   };
 }
 
@@ -258,7 +253,6 @@ std::unique_ptr<Runtime> MakeRuntime(const BackendVariant& variant,
     UringTransportOptions uopts(tcp);
     uopts.multishot = variant.multishot;
     uopts.sqpoll = variant.sqpoll;
-    uopts.send_zc = variant.send_zc;
     auto uring = std::make_unique<UringTransport>(uopts);
     *sock_out = uring.get();
     transport = std::move(uring);
@@ -286,9 +280,6 @@ class TransportConformance : public ::testing::TestWithParam<BackendVariant> {
     }
     if (v.sqpoll && !probe.sqpoll) {
       GTEST_SKIP() << "SQPOLL rung denied by kernel probe";
-    }
-    if (v.send_zc && !probe.send_zc) {
-      GTEST_SKIP() << "SEND_ZC rung denied by kernel probe";
     }
   }
 
@@ -586,7 +577,7 @@ TEST_P(TransportConformance, RequestedFeatureRungsActuallyEngage) {
   runtime->Start();
   EXPECT_EQ(uring->MultishotEnabled(), v.multishot);
   EXPECT_EQ(uring->SqpollEnabled(), v.sqpoll);
-  EXPECT_EQ(uring->SendZcEnabled(), v.send_zc);
+  EXPECT_FALSE(uring->SendZcEnabled()) << "zero-copy send was removed";
   {
     TestTcpClient client(sock->port());
     ASSERT_TRUE(client.ok());
@@ -597,19 +588,14 @@ TEST_P(TransportConformance, RequestedFeatureRungsActuallyEngage) {
         << "multishot requested+granted but no buffer-ring completion landed";
   } else {
     EXPECT_EQ(uring->MultishotRecvs(), 0u);
-  }
-  if (v.send_zc) {
-    EXPECT_GT(uring->ZcSends(), 0u)
-        << "send_zc requested+granted but every TX took the plain-SEND path";
-  } else {
-    EXPECT_EQ(uring->ZcSends(), 0u);
+    EXPECT_GT(uring->PooledRecvs(), 0u);
   }
   runtime->Shutdown();
 }
 
 // Forced fallback: every rung explicitly denied must reproduce rung 0 exactly —
-// byte-identical echo across binary payloads covering all 256 byte values, and no
-// rung counter may tick.
+// byte-identical echo across binary payloads covering all 256 byte values, served
+// by the pooled single-shot recv path, and no rung counter may tick.
 TEST(UringForcedFallback, AllRungsDeniedEchoesByteIdentically) {
   if (!UringTransport::Available()) {
     GTEST_SKIP() << "io_uring unavailable on this host: "
@@ -623,7 +609,6 @@ TEST(UringForcedFallback, AllRungsDeniedEchoesByteIdentically) {
   UringTransportOptions uopts(TcpOptionsFor(options));
   uopts.multishot = false;
   uopts.sqpoll = false;
-  uopts.send_zc = false;
   auto uring = std::make_unique<UringTransport>(uopts);
   UringTransport* sock = uring.get();
   auto runtime =
@@ -650,7 +635,7 @@ TEST(UringForcedFallback, AllRungsDeniedEchoesByteIdentically) {
     }
   }
   EXPECT_EQ(sock->MultishotRecvs(), 0u);
-  EXPECT_EQ(sock->ZcSends(), 0u);
+  EXPECT_GT(sock->PooledRecvs(), 0u) << "rung 0 must receive through pooled RECV";
   runtime->Shutdown();
 }
 
