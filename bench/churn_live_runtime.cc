@@ -16,19 +16,12 @@
 //
 // stdout: one CSV row per churn point plus a `# headline:` line; `--json=PATH`
 // writes the BENCH-contract report ({metric, value, unit, commit, params}) with the
-// acceptance booleans scripts/ci.sh and scripts/bench_trajectory.sh gate on:
+// acceptance gates (src/loadgen/experiment.h; exit 1 iff one is false):
 //   distinct_conns_exceed_capacity, zero_capacity_refusals, flat_table_occupancy,
-//   allocation_free_after_warmup.
-//
-// Usage: churn_live_runtime [--workers=N] [--connections=N] [--threads=N]
-//   [--rate=RPS] [--churn-ms=l1,l2,...]  (mean lifetimes, 0 = no churn baseline)
-//   [--duration-ms=N] [--warmup-ms=N] [--max-flows=N] [--payload=N] [--seed=N]
-//   [--arrivals=poisson|fixed] [--json=PATH]
+//   allocation_free_after_warmup, all_runs_clean.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -36,7 +29,7 @@
 
 #include "src/common/flags.h"
 #include "src/common/time_units.h"
-#include "src/loadgen/arrival.h"
+#include "src/loadgen/experiment.h"
 #include "src/loadgen/tcp_loadgen.h"
 #include "src/runtime/runtime.h"
 #include "src/runtime/tcp_transport.h"
@@ -69,17 +62,9 @@ struct ChurnPoint {
   bool clean = false;
 };
 
-struct Experiment {
-  int workers = 2;
-  int connections = 8;
-  int threads = 2;
+struct Experiment : LiveFlags {
   double rate = 4000;
-  Nanos duration = 0;
-  Nanos warmup = 0;
   size_t max_flows = 32;
-  size_t payload = 32;
-  uint64_t seed = 1;
-  ArrivalKind arrivals = ArrivalKind::kPoisson;
 };
 
 ChurnPoint RunCell(const Experiment& exp, double churn_ms) {
@@ -96,23 +81,13 @@ ChurnPoint RunCell(const Experiment& exp, double churn_ms) {
   Runtime runtime(options, std::move(transport), std::move(echo));
   runtime.Start();
 
-  TcpLoadgenOptions gen;
-  gen.port = tcp->port();
-  gen.connections = exp.connections;
-  gen.threads = exp.threads;
-  gen.arrivals = exp.arrivals;
-  gen.rate_rps = exp.rate;
-  gen.seed = exp.seed;
+  TcpLoadgenOptions gen = LiveLoadgenOptions(exp, tcp->port(), exp.rate);
   gen.churn_mean_lifetime = static_cast<Nanos>(churn_ms * 1e6);
-  gen.make_payload = [size = exp.payload](Rng&, std::string& out) {
-    out.assign(size, 'x');
-  };
 
   // Warmup run: grows every pool (and the per-core Connection freelists) to the
   // workload's working set, so the measured run can be judged allocation-free. Full
   // length: the in-flight buffer population scales with backlog depth, which needs
   // the same duration to reach its stationary range.
-  gen.duration = exp.duration;
   gen.warmup = gen.duration / 2;
   RunTcpLoadgen(gen);
   uint64_t warmed_misses = runtime.TotalStats().pool_misses;
@@ -165,34 +140,14 @@ ChurnPoint RunCell(const Experiment& exp, double churn_ms) {
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   Experiment exp;
-  exp.workers = static_cast<int>(flags.GetInt("workers", 2));
-  exp.connections = static_cast<int>(flags.GetInt("connections", 8));
-  exp.threads = static_cast<int>(flags.GetInt("threads", 2));
+  exp.name = "churn_live_runtime";
+  exp.usage = kUsage;
+  exp.duration = 1500 * kMillisecond;
+  exp.warmup = 400 * kMillisecond;
   exp.rate = flags.GetDouble("rate", 4000);
   const std::string churn_csv = flags.GetString("churn-ms", "0,160,80,40,20");
-  exp.duration = flags.GetInt("duration-ms", 1500) * kMillisecond;
-  exp.warmup = flags.GetInt("warmup-ms", 400) * kMillisecond;
   exp.max_flows = static_cast<size_t>(flags.GetInt("max-flows", 32));
-  exp.payload = static_cast<size_t>(flags.GetInt("payload", 32));
-  exp.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const std::string arrivals_name = flags.GetString("arrivals", "poisson");
-  const std::string json_path = flags.GetString("json", "");
-  if (!flags.CheckUnknown(kUsage)) {
-    return 2;
-  }
-  auto arrivals = ParseArrivalKind(arrivals_name);
-  if (!arrivals) {
-    std::fprintf(stderr, "churn_live_runtime: unknown --arrivals=%s\n%s\n",
-                 arrivals_name.c_str(), kUsage);
-    return 2;
-  }
-  exp.arrivals = *arrivals;
-  if (exp.workers < 1 || exp.connections < 1 || exp.threads < 1 ||
-      exp.duration <= exp.warmup) {
-    std::fprintf(stderr,
-                 "churn_live_runtime: need workers/connections/threads >= 1 and "
-                 "--duration-ms > --warmup-ms\n%s\n",
-                 kUsage);
+  if (!ParseLiveFlags(flags, exp)) {
     return 2;
   }
   if (exp.max_flows < static_cast<size_t>(exp.connections)) {
@@ -204,16 +159,8 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<double> lifetimes;
-  for (const std::string& token : SplitCsv(churn_csv)) {
-    double lifetime = ParseFlagNumberOrDie("churn-ms", token, kUsage);
-    if (lifetime < 0) {
-      std::fprintf(stderr, "churn_live_runtime: --churn-ms entries must be >= 0\n");
-      return 2;
-    }
-    lifetimes.push_back(lifetime);
-  }
-  if (lifetimes.empty()) {
-    std::fprintf(stderr, "churn_live_runtime: --churn-ms is empty\n%s\n", kUsage);
+  if (!ParseNumbers(exp, "churn-ms", churn_csv, ">= 0",
+                    [](double lifetime) { return lifetime >= 0; }, lifetimes)) {
     return 2;
   }
   // Ascending churn RATE: the no-churn baseline (0) first, then longest lifetime to
@@ -229,8 +176,8 @@ int Main(int argc, char** argv) {
               "arrivals=%s duration_ms=%.0f warmup_ms=%.0f max_flows=%zu payload=%zu "
               "seed=%llu\n",
               exp.workers, exp.connections, exp.threads, exp.rate,
-              ArrivalKindName(exp.arrivals), static_cast<double>(exp.duration) / 1e6,
-              static_cast<double>(exp.warmup) / 1e6, exp.max_flows, exp.payload,
+              ArrivalKindName(*exp.arrivals), static_cast<double>(exp.duration) / 1e6,
+              static_cast<double>(exp.warmup) / 1e6, exp.max_flows, *exp.payload,
               static_cast<unsigned long long>(exp.seed));
   std::printf("churn_ms,offered_rps,achieved_rps,p50_us,p99_us,p999_us,measured,"
               "reconnects,distinct_conns,accept_rate_cps,capacity_refusals,"
@@ -285,75 +232,31 @@ int Main(int argc, char** argv) {
               flat_occupancy ? "yes" : "no", allocation_free ? "yes" : "no",
               all_clean ? "yes" : "no");
 
-  if (!json_path.empty()) {
-    FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "churn_live_runtime: cannot open %s for writing\n",
-                   json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"metric\": \"churn_p99_us_at_fastest_churn\",\n"
-                 "  \"value\": %.2f,\n"
-                 "  \"unit\": \"us\",\n"
-                 "  \"commit\": \"\",\n"
-                 "  \"params\": {\n"
-                 "    \"workers\": %d, \"connections\": %d, \"threads\": %d, "
-                 "\"rate_rps\": %.0f, \"arrivals\": \"%s\",\n"
-                 "    \"duration_ms\": %.0f, \"warmup_ms\": %.0f, "
-                 "\"table_capacity\": %zu, \"payload\": %zu, \"seed\": %llu,\n",
-                 fastest.p99_us, exp.workers, exp.connections, exp.threads, exp.rate,
-                 ArrivalKindName(exp.arrivals),
-                 static_cast<double>(exp.duration) / 1e6,
-                 static_cast<double>(exp.warmup) / 1e6, exp.max_flows, exp.payload,
-                 static_cast<unsigned long long>(exp.seed));
-    std::fprintf(out,
-                 "    \"distinct_conns_exceed_capacity\": %s,\n"
-                 "    \"zero_capacity_refusals\": %s,\n"
-                 "    \"flat_table_occupancy\": %s,\n"
-                 "    \"allocation_free_after_warmup\": %s,\n"
-                 "    \"all_runs_clean\": %s,\n"
-                 "    \"pool_miss_per_req_max\": %.6f,\n",
-                 exceed_capacity ? "true" : "false", zero_refusals ? "true" : "false",
-                 flat_occupancy ? "true" : "false",
-                 allocation_free ? "true" : "false", all_clean ? "true" : "false",
-                 worst_miss_rate);
-    auto print_array = [out, &points](const char* key, auto getter, const char* fmt,
-                                      bool last = false) {
-      std::fprintf(out, "    \"%s\": [", key);
-      for (size_t i = 0; i < points.size(); ++i) {
-        if (i > 0) {
-          std::fprintf(out, ", ");
-        }
-        std::fprintf(out, fmt, getter(points[i]));
-      }
-      std::fprintf(out, "]%s\n", last ? "" : ",");
-    };
-    print_array("churn_ms", [](const ChurnPoint& p) { return p.churn_ms; }, "%.0f");
-    print_array("p99_us", [](const ChurnPoint& p) { return p.p99_us; }, "%.2f");
-    print_array("achieved_rps",
-                [](const ChurnPoint& p) { return p.achieved_rps; }, "%.0f");
-    print_array("accept_rate_cps",
-                [](const ChurnPoint& p) { return p.accept_rate_cps; }, "%.1f");
-    print_array(
-        "distinct_conns",
-        [](const ChurnPoint& p) {
-          return static_cast<unsigned long long>(p.distinct_conns);
-        },
-        "%llu");
-    print_array(
-        "peak_open",
-        [](const ChurnPoint& p) { return static_cast<unsigned long long>(p.peak_open); },
-        "%llu", /*last=*/true);
-    std::fprintf(out, "  }\n}\n");
-    if (std::fclose(out) != 0) {
-      std::fprintf(stderr, "churn_live_runtime: write to %s failed\n",
-                   json_path.c_str());
-      return 1;
-    }
-  }
-  return all_clean && zero_refusals && flat_occupancy ? 0 : 1;
+  BenchReport report("churn_p99_us_at_fastest_churn", fastest.p99_us, "us");
+  AddRunParams(report.params(), exp);
+  report.params()
+      .Int("threads", exp.threads)
+      .Num("rate_rps", exp.rate, 0)
+      .Str("arrivals", ArrivalKindName(*exp.arrivals))
+      .Int("table_capacity", exp.max_flows)
+      .Int("payload", *exp.payload);
+  report.Gate("distinct_conns_exceed_capacity", exceed_capacity)
+      .Gate("zero_capacity_refusals", zero_refusals)
+      .Gate("flat_table_occupancy", flat_occupancy)
+      .Gate("allocation_free_after_warmup", allocation_free)
+      .Gate("all_runs_clean", all_clean);
+  auto column = [&points](auto ChurnPoint::*field) {
+    return Column(points, [field](const ChurnPoint& point) { return point.*field; });
+  };
+  report.params()
+      .Num("pool_miss_per_req_max", worst_miss_rate, 6)
+      .Nums("churn_ms", column(&ChurnPoint::churn_ms), 0)
+      .Nums("p99_us", column(&ChurnPoint::p99_us), 2)
+      .Nums("achieved_rps", column(&ChurnPoint::achieved_rps), 0)
+      .Nums("accept_rate_cps", column(&ChurnPoint::accept_rate_cps), 1)
+      .Nums("distinct_conns", column(&ChurnPoint::distinct_conns), 0)
+      .Nums("peak_open", column(&ChurnPoint::peak_open), 0);
+  return report.Finish(exp.json_path);
 }
 
 }  // namespace

@@ -19,15 +19,11 @@
 //                  logical p99 must not beat stealing's.
 //
 // stdout: one CSV row per cell plus `# headline:`; `--json=PATH` writes the
-// BENCH-contract report with the booleans scripts/ci.sh and
-// scripts/bench_trajectory.sh gate on: p99_amplification_monotone_in_fanout,
+// BENCH-contract report with the acceptance gates (src/loadgen/experiment.h; exit 1
+// iff one is false): p99_amplification_monotone_in_fanout,
 // steal_leq_no_steal_under_jitter, all_runs_clean.
-//
-// Usage: fanout_chaos [--workers=N] [--connections=N] [--threads=N]
-//   [--logical-rate=RPS] [--fanouts=1,2,4,8] [--duration-ms=N] [--warmup-ms=N]
-//   [--proxy-s2c=MODEL] [--steal-compare=BOOL] [--steal-rate=SUB_RPS]
-//   [--steal-jitter=MODEL] [--service-us=F] [--payload=N] [--seed=N] [--json=PATH]
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -38,6 +34,7 @@
 #include "src/common/distribution.h"
 #include "src/common/flags.h"
 #include "src/common/time_units.h"
+#include "src/loadgen/experiment.h"
 #include "src/loadgen/spin_service.h"
 #include "src/loadgen/tcp_loadgen.h"
 #include "src/runtime/runtime.h"
@@ -53,19 +50,12 @@ constexpr const char* kUsage =
     "  [--steal-jitter=MODEL] [--service-us=F] [--payload=N] [--seed=N]\n"
     "  [--json=PATH]  (MODEL grammar: see src/chaos/chaos_proxy.h ParseDelayModel)";
 
-struct Experiment {
-  int workers = 2;
-  int connections = 8;
-  int threads = 1;
+struct Experiment : LiveFlags {
   double logical_rate = 250;
-  Nanos duration = 0;
-  Nanos warmup = 0;
   DelayModel proxy_s2c;
   DelayModel steal_jitter;
   double steal_rate = 1200;  // SUB-requests/s for the steal-compare cells
   Nanos service = 300 * kMicrosecond;
-  size_t payload = 24;
-  uint64_t seed = 1;
 };
 
 struct Cell {
@@ -101,18 +91,10 @@ Cell Measure(const std::string& config, int fanout_n, double logical_rate,
 
 TcpLoadgenOptions GenFor(const Experiment& exp, uint16_t port, int fanout_n,
                          double logical_rate, uint64_t seed) {
-  TcpLoadgenOptions gen;
-  gen.port = port;
-  gen.connections = exp.connections;
-  gen.threads = exp.threads;
+  // Arrivals are LOGICAL requests.
+  TcpLoadgenOptions gen = LiveLoadgenOptions(exp, port, logical_rate);
   gen.fanout_n = fanout_n;
-  gen.rate_rps = logical_rate;  // arrivals are LOGICAL requests
-  gen.duration = exp.duration;
-  gen.warmup = exp.warmup;
   gen.seed = seed;
-  gen.make_payload = [size = exp.payload](Rng&, std::string& out) {
-    out.assign(size, 'f');
-  };
   return gen;
 }
 
@@ -208,22 +190,21 @@ void PrintCell(const Cell& cell) {
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   Experiment exp;
-  exp.workers = static_cast<int>(flags.GetInt("workers", 2));
-  exp.connections = static_cast<int>(flags.GetInt("connections", 8));
-  exp.threads = static_cast<int>(flags.GetInt("threads", 1));
+  exp.name = "fanout_chaos";
+  exp.usage = kUsage;
+  exp.threads = 1;
+  exp.duration = 3000 * kMillisecond;
+  exp.warmup = 800 * kMillisecond;
+  exp.payload = 24;
+  exp.arrivals.reset();
   exp.logical_rate = flags.GetDouble("logical-rate", 250);
   const std::string fanouts_csv = flags.GetString("fanouts", "1,2,4,8");
-  exp.duration = flags.GetInt("duration-ms", 3000) * kMillisecond;
-  exp.warmup = flags.GetInt("warmup-ms", 800) * kMillisecond;
   const std::string proxy_s2c = flags.GetString("proxy-s2c", "lognormal:1000:0.8");
   const bool steal_compare = flags.GetBool("steal-compare", true);
   exp.steal_rate = flags.GetDouble("steal-rate", 1200);
   const std::string steal_jitter = flags.GetString("steal-jitter", "uniform:50:100");
   exp.service = static_cast<Nanos>(flags.GetDouble("service-us", 300) * 1000);
-  exp.payload = static_cast<size_t>(flags.GetInt("payload", 24));
-  exp.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const std::string json_path = flags.GetString("json", "");
-  if (!flags.CheckUnknown(kUsage)) {
+  if (!ParseLiveFlags(flags, exp)) {
     return 2;
   }
   auto s2c_model = ParseDelayModel(proxy_s2c);
@@ -236,23 +217,15 @@ int Main(int argc, char** argv) {
   exp.proxy_s2c = *s2c_model;
   exp.steal_jitter = *jitter_model;
 
-  std::vector<int> fanouts;
-  for (const std::string& token : SplitCsv(fanouts_csv)) {
-    int n = static_cast<int>(ParseFlagNumberOrDie("fanouts", token, kUsage));
-    if (n < 1 || n > exp.connections) {
-      std::fprintf(stderr,
-                   "fanout_chaos: --fanouts entries must be in [1, --connections]\n");
-      return 2;
-    }
-    fanouts.push_back(n);
-  }
-  if (fanouts.empty() || exp.duration <= exp.warmup) {
-    std::fprintf(stderr,
-                 "fanout_chaos: need non-empty --fanouts and --duration-ms > "
-                 "--warmup-ms\n%s\n",
-                 kUsage);
+  std::vector<double> widths;
+  if (!ParseNumbers(exp, "fanouts", fanouts_csv, "integers in [1, --connections]",
+                    [&exp](double n) {
+                      return n >= 1 && n <= exp.connections && n == std::floor(n);
+                    },
+                    widths)) {
     return 2;
   }
+  std::vector<int> fanouts(widths.begin(), widths.end());
   std::sort(fanouts.begin(), fanouts.end());
   fanouts.erase(std::unique(fanouts.begin(), fanouts.end()), fanouts.end());
 
@@ -333,69 +306,30 @@ int Main(int argc, char** argv) {
               steal_compare ? (steal_leq ? "yes" : "no") : "skipped",
               all_clean ? "yes" : "no");
 
-  if (!json_path.empty()) {
-    FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "fanout_chaos: cannot open %s for writing\n",
-                   json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"metric\": \"fanout_p99_amplification\",\n"
-                 "  \"value\": %.3f,\n"
-                 "  \"unit\": \"x\",\n"
-                 "  \"commit\": \"\",\n"
-                 "  \"params\": {\n"
-                 "    \"workers\": %d, \"connections\": %d, \"threads\": %d, "
-                 "\"logical_rate_rps\": %.0f,\n"
-                 "    \"duration_ms\": %.0f, \"warmup_ms\": %.0f, "
-                 "\"proxy_s2c\": \"%s\", \"steal_jitter\": \"%s\",\n"
-                 "    \"steal_rate_rps\": %.0f, \"service_us\": %.1f, "
-                 "\"payload\": %zu, \"seed\": %llu,\n"
-                 "    \"steal_compare\": %s,\n"
-                 "    \"p99_amplification_monotone_in_fanout\": %s,\n"
-                 "    \"steal_leq_no_steal_under_jitter\": %s,\n"
-                 "    \"all_runs_clean\": %s,\n"
-                 "    \"steal_p99_us\": %.2f,\n"
-                 "    \"no_steal_p99_us\": %.2f,\n",
-                 amplification, exp.workers, exp.connections, exp.threads,
-                 exp.logical_rate, static_cast<double>(exp.duration) / 1e6,
-                 static_cast<double>(exp.warmup) / 1e6,
-                 DelayModelName(exp.proxy_s2c).c_str(),
-                 DelayModelName(exp.steal_jitter).c_str(), exp.steal_rate,
-                 static_cast<double>(exp.service) / 1000, exp.payload,
-                 static_cast<unsigned long long>(exp.seed),
-                 steal_compare ? "true" : "false", monotone ? "true" : "false",
-                 steal_leq ? "true" : "false", all_clean ? "true" : "false",
-                 steal_cell.p99_us, no_steal_cell.p99_us);
-    auto print_array = [out](const char* key, const std::vector<Cell>& cells,
-                             auto getter, const char* fmt, bool last = false) {
-      std::fprintf(out, "    \"%s\": [", key);
-      for (size_t i = 0; i < cells.size(); ++i) {
-        if (i > 0) {
-          std::fprintf(out, ", ");
-        }
-        std::fprintf(out, fmt, getter(cells[i]));
-      }
-      std::fprintf(out, "]%s\n", last ? "" : ",");
-    };
-    print_array("fanout_n", proxy_curve,
-                [](const Cell& c) { return c.fanout_n; }, "%d");
-    print_array("direct_p99_us", direct_curve,
-                [](const Cell& c) { return c.p99_us; }, "%.2f");
-    print_array("proxy_p99_us", proxy_curve,
-                [](const Cell& c) { return c.p99_us; }, "%.2f");
-    print_array("proxy_sub_p99_us", proxy_curve,
-                [](const Cell& c) { return c.sub_p99_us; }, "%.2f",
-                /*last=*/true);
-    std::fprintf(out, "  }\n}\n");
-    if (std::fclose(out) != 0) {
-      std::fprintf(stderr, "fanout_chaos: write to %s failed\n", json_path.c_str());
-      return 1;
-    }
-  }
-  return monotone && steal_leq && all_clean ? 0 : 1;
+  BenchReport report("fanout_p99_amplification", amplification, "x", 3);
+  AddRunParams(report.params(), exp);
+  report.params()
+      .Int("threads", exp.threads)
+      .Num("logical_rate_rps", exp.logical_rate, 0)
+      .Str("proxy_s2c", DelayModelName(exp.proxy_s2c))
+      .Str("steal_jitter", DelayModelName(exp.steal_jitter))
+      .Num("steal_rate_rps", exp.steal_rate, 0)
+      .Num("service_us", static_cast<double>(exp.service) / 1000, 1)
+      .Int("payload", *exp.payload)
+      .Bool("steal_compare", steal_compare);
+  report.Gate("p99_amplification_monotone_in_fanout", monotone)
+      .Gate("steal_leq_no_steal_under_jitter", steal_leq)
+      .Gate("all_runs_clean", all_clean);
+  auto p99 = [](const Cell& cell) { return cell.p99_us; };
+  report.params()
+      .Num("steal_p99_us", steal_cell.p99_us, 2)
+      .Num("no_steal_p99_us", no_steal_cell.p99_us, 2)
+      .Nums("fanout_n", Column(proxy_curve, [](const Cell& c) { return c.fanout_n; }), 0)
+      .Nums("direct_p99_us", Column(direct_curve, p99), 2)
+      .Nums("proxy_p99_us", Column(proxy_curve, p99), 2)
+      .Nums("proxy_sub_p99_us",
+            Column(proxy_curve, [](const Cell& c) { return c.sub_p99_us; }), 2);
+  return report.Finish(exp.json_path);
 }
 
 }  // namespace

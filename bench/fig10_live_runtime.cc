@@ -10,8 +10,11 @@
 //   zygos        full design (stealing + doorbells)
 //   no-steal     RuntimeOptions::enable_stealing = false
 //   partitioned  RuntimeMode::kPartitioned (the shared-nothing IX baseline)
-// over ascending load and prints one CSV row per (config, load) cell. `--json=PATH`
-// writes the BENCH-contract report with three acceptance booleans:
+// over ascending load and prints one CSV row per (config, load) cell. The sweep is the
+// shared live harness's (src/loadgen/experiment.h: configs, transports — the io_uring
+// ladder rungs included — calibration, median-of-N cells); this binary adds the TPC-C
+// handler, the payload factory and the per-cell ledger. `--json=PATH` writes the
+// BENCH-contract report with three acceptance gates (exit 1 iff one is false):
 //   zygos_p99_monotone_in_load  p99 CCDF shape: never drops below 0.8x its running
 //                               max as load rises (shared predicate, report.h)
 //   steal_leq_no_steal_at_peak  stealing never hurts the tail at the peak cell
@@ -22,17 +25,8 @@
 //
 // Every cell runs against a FRESH database (LoadTpcc per cell): cells are
 // independent, and consistency checks (tests/tpcc_test.cc) stay meaningful.
-//
-// Usage: fig10_live_runtime [--transport=loopback|tcp] [--workers=N]
-//   [--connections=N] [--threads=N] [--arrivals=poisson|fixed] [--warehouses=N]
-//   [--scale=tiny|full] [--configs=a,b,...] [--rates=r1,r2,...]
-//   [--load-fractions=f1,f2,...] [--calibrate-rate=R] [--cell-repeats=N]
-//   [--duration-ms=N] [--warmup-ms=N] [--seed=N] [--skew=BOOL] [--json=PATH]
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,21 +34,17 @@
 #include "src/common/flags.h"
 #include "src/common/time_units.h"
 #include "src/db/tpcc_loader.h"
-#include "src/loadgen/arrival.h"
-#include "src/loadgen/loadgen.h"
+#include "src/loadgen/experiment.h"
 #include "src/loadgen/report.h"
-#include "src/loadgen/tcp_loadgen.h"
 #include "src/loadgen/tpcc_gen.h"
-#include "src/runtime/runtime.h"
-#include "src/runtime/socket_transport.h"
-#include "src/runtime/tcp_transport.h"
 #include "src/services/tpcc_service.h"
 
 namespace zygos {
 namespace {
 
 constexpr const char* kUsage =
-    "usage: fig10_live_runtime [--transport=loopback|tcp] [--workers=N]\n"
+    "usage: fig10_live_runtime [--transport=loopback|tcp|uring|uring+ms|uring+ms+sqp"
+    "[,...]] [--workers=N]\n"
     "  [--connections=N] [--threads=N] [--arrivals=poisson|fixed] [--warehouses=N]\n"
     "  [--scale=tiny|full] [--service-pad-us=F] "
     "[--configs=zygos,no-steal,partitioned]\n"
@@ -62,47 +52,13 @@ constexpr const char* kUsage =
     "  [--cell-repeats=N] [--duration-ms=N] [--warmup-ms=N] [--seed=N]\n"
     "  [--skew=BOOL] [--json=PATH]";
 
-struct Config {
-  std::string name;
-  RuntimeMode mode = RuntimeMode::kZygos;
-  bool stealing = true;
-  bool doorbells = true;
-};
-
-std::optional<Config> ParseConfig(const std::string& name) {
-  if (name == "zygos") {
-    return Config{name, RuntimeMode::kZygos, true, true};
-  }
-  if (name == "no-steal") {
-    return Config{name, RuntimeMode::kZygos, false, true};
-  }
-  if (name == "partitioned") {
-    return Config{name, RuntimeMode::kPartitioned, false, false};
-  }
-  return std::nullopt;
-}
-
-struct Experiment {
-  std::string transport = "loopback";  // "loopback" | "tcp"
-  int workers = 2;
-  int connections = 8;
-  int threads = 2;
-  ArrivalKind arrivals = ArrivalKind::kPoisson;
-  LoaderOptions scale;
-  // Blocking pad before each transaction (0 = pure OCC execution). The same
-  // rationale as spin_service's sleep mode: on CI hosts with fewer hardware threads
-  // than workers, CPU-burn service times make every scheduling policy look alike
-  // (all workers timeshare one core); a blocking pad restores real per-worker
-  // concurrency so stealing-vs-no-steal stays distinguishable. It also models the
-  // paper's longer Silo service times relative to this reduced-scale database.
-  Nanos pad = 0;
-  Nanos duration = 0;
-  Nanos warmup = 0;
-  uint64_t seed = 1;
-  bool skew = true;
-};
-
-// The served handler: optional blocking pad, then one TPC-C transaction.
+// The served handler: optional blocking pad, then one TPC-C transaction. The pad
+// has the same rationale as spin_service's sleep mode: on CI hosts with fewer
+// hardware threads than workers, CPU-burn service times make every scheduling policy
+// look alike (all workers timeshare one core); a blocking pad restores real
+// per-worker concurrency so stealing-vs-no-steal stays distinguishable. It also
+// models the paper's longer Silo service times relative to this reduced-scale
+// database.
 ViewHandler PaddedHandler(TpccService& service, Nanos pad) {
   return [&service, pad](uint64_t flow_id, std::string_view request,
                          ResponseBuilder& response) {
@@ -137,459 +93,157 @@ struct CellLedger {
   }
 };
 
-struct CellResult {
+struct TpccCell {
   LivePoint point;
   CellLedger ledger;
 };
 
-// Runs one (config, rate) cell on the live runtime against a fresh database.
-CellResult RunCell(const Experiment& exp, const Config& config, double rate) {
-  Database db;
-  TpccTables tables = LoadTpcc(db, exp.scale);
-  TpccService service(db, tables, exp.scale);
-
-  RuntimeOptions options;
-  options.num_workers = exp.workers;
-  options.mode = config.mode;
-  options.num_flows = exp.connections;
-  options.enable_stealing = config.stealing;
-  options.enable_doorbells = config.doorbells;
-
-  CellResult result;
-  LivePoint& point = result.point;
-  CellLedger& ledger = result.ledger;
-  point.config = config.name;
-  point.transport = exp.transport;
-  point.offered_rps = rate;
-
-  if (exp.transport == "tcp") {
-    auto transport = std::make_unique<TcpTransport>(TcpOptionsFor(options));
-    SocketTransportBase* sock = transport.get();
-    Runtime runtime(options, std::move(transport), PaddedHandler(service, exp.pad));
-    if (exp.skew) {
-      runtime.mutable_rss().SetIndirection(
-          std::vector<int>(static_cast<size_t>(options.num_flow_groups), 0));
-    }
-    runtime.Start();
-
-    TcpLoadgenOptions gen;
-    gen.port = sock->port();
-    gen.connections = exp.connections;
-    gen.threads = exp.threads;
-    gen.arrivals = exp.arrivals;
-    gen.rate_rps = rate;
-    gen.duration = exp.duration;
-    gen.warmup = exp.warmup;
-    gen.seed = exp.seed;
-    gen.make_payload = MakeTpccPayloadFactory(exp.scale);
-    TcpLoadgenResult tcp = RunTcpLoadgen(gen);
-    runtime.Shutdown();
-
-    point.achieved_rps = tcp.achieved_rps();
-    point.sent = tcp.sent;
-    point.measured = tcp.measured;
-    point.dropped = tcp.lost;
-    point.send_lag_max_us = ToMicros(tcp.max_send_lag);
-    point.p50_us = ToMicros(tcp.latency.P50());
-    point.p99_us = ToMicros(tcp.latency.P99());
-    point.p999_us = ToMicros(tcp.latency.P999());
-    point.mean_us = tcp.latency.Mean() / 1e3;
-    point.max_us = ToMicros(tcp.latency.Max());
-    WorkerStats stats = runtime.TotalStats();
-    point.steals = runtime.TotalShuffleStats().steals;
-    point.stolen_events = stats.stolen_events;
-    point.doorbells_sent = stats.doorbells_sent;
-    point.remote_syscalls = stats.remote_syscalls;
-    point.sheds = stats.sheds_deadline + stats.sheds_fairness + stats.sheds_admission;
-
-    ledger.sent = tcp.sent;
-    ledger.commits = service.commits();
-    ledger.user_aborts = service.user_aborts();
-    ledger.malformed = service.malformed();
-    ledger.shed = tcp.shed;
-    ledger.lost = tcp.lost;
-    ledger.occ_retries = service.occ_retries();
-    // Client side: every scheduled request completed, was shed, or is accounted
-    // lost. Server side: every completion the runtime retired was answered by the
-    // service (or refused as shed). Both must hold.
-    ledger.balanced =
-        tcp.completed + tcp.shed + tcp.lost == tcp.sent &&
-        ledger.commits + ledger.user_aborts + ledger.malformed + point.sheds ==
-            runtime.Completed();
-    return result;
-  }
-
-  // Loopback: in-process generator drives Runtime::Inject directly.
-  MeasuredCompletion completion;
-  Runtime runtime(options, PaddedHandler(service, exp.pad), completion.Handler());
-  if (exp.skew) {
-    runtime.mutable_rss().SetIndirection(
-        std::vector<int>(static_cast<size_t>(options.num_flow_groups), 0));
-  }
-  runtime.Start();
-
-  GeneratorOptions gen;
-  gen.arrivals = exp.arrivals;
-  gen.rate_rps = rate;
-  gen.duration = exp.duration;
-  gen.num_flows = exp.connections;
-  gen.seed = exp.seed;
-  gen.make_payload = MakeTpccPayloadFactory(exp.scale);
-  OpenLoopGenerator generator(gen);
-  LoopbackSink sink(runtime);
-
-  Nanos start = NowNanos();
-  completion.set_measure_start(start + exp.warmup);
-  GeneratorResult sent = generator.RunFrom(start, sink);
-  // Quiesce before reading the clock: achieved throughput counts the drain tail, so
-  // an overloaded point honestly reports its sustainable rate, not the offered one.
-  while (runtime.Completed() < runtime.Injected()) {
-    std::this_thread::yield();
-  }
-  Nanos end = NowNanos();
-  runtime.Shutdown();
-
-  LatencyHistogram hist = completion.Snapshot();
-  Nanos window = end - completion.measure_start();
-  point.achieved_rps = window > 0 ? static_cast<double>(completion.measured_count()) *
-                                        1e9 / static_cast<double>(window)
-                                  : 0.0;
-  point.sent = sent.sent;
-  point.measured = completion.measured_count();
-  point.dropped = sent.dropped;
-  point.send_lag_max_us = ToMicros(sent.max_send_lag);
-  point.p50_us = ToMicros(hist.P50());
-  point.p99_us = ToMicros(hist.P99());
-  point.p999_us = ToMicros(hist.P999());
-  point.mean_us = hist.Mean() / 1e3;
-  point.max_us = ToMicros(hist.Max());
-  WorkerStats stats = runtime.TotalStats();
-  point.steals = runtime.TotalShuffleStats().steals;
-  point.stolen_events = stats.stolen_events;
-  point.doorbells_sent = stats.doorbells_sent;
-  point.remote_syscalls = stats.remote_syscalls;
-  point.sheds = stats.sheds_deadline + stats.sheds_fairness + stats.sheds_admission;
-
-  ledger.sent = sent.sent;
+// The ledger hook: the service's books for one run, checked against the run's raw
+// loadgen/generator result.
+CellLedger LedgerOf(const LiveCellResult& cell, const LiveTransport& transport,
+                    const TpccService& service) {
+  CellLedger ledger;
   ledger.commits = service.commits();
   ledger.user_aborts = service.user_aborts();
   ledger.malformed = service.malformed();
-  ledger.shed = point.sheds;
-  ledger.lost = sent.dropped;  // ingress ring refusals never reached the service
   ledger.occ_retries = service.occ_retries();
-  ledger.balanced = ledger.commits + ledger.user_aborts + ledger.malformed +
-                        ledger.shed + ledger.lost ==
-                    ledger.sent;
-  return result;
-}
-
-// Median-of-N by p99 (whole row + its ledger kept together; see fig6_live_runtime).
-CellResult MeasureCell(const Experiment& exp, const Config& config, double rate,
-                       int repeats) {
-  std::vector<CellResult> runs;
-  runs.reserve(static_cast<size_t>(repeats));
-  for (int i = 0; i < repeats; ++i) {
-    runs.push_back(RunCell(exp, config, rate));
+  uint64_t answered = ledger.commits + ledger.user_aborts + ledger.malformed;
+  if (transport.socket) {
+    const TcpLoadgenResult& tcp = cell.tcp;
+    ledger.sent = tcp.sent;
+    ledger.shed = tcp.shed;
+    ledger.lost = tcp.lost;
+    // Client side: every scheduled request completed, was shed, or is accounted
+    // lost. Server side: every completion the runtime retired was answered by the
+    // service (or refused as shed). Both must hold.
+    ledger.balanced = tcp.completed + tcp.shed + tcp.lost == tcp.sent &&
+                      answered + cell.point.sheds == cell.runtime_completed;
+  } else {
+    // GeneratorResult::sent excludes the ingress-ring refusals (`dropped`), which never
+    // reached the service: every scheduled request is sent + dropped.
+    ledger.sent = cell.loopback.sent + cell.loopback.dropped;
+    ledger.shed = cell.point.sheds;
+    ledger.lost = cell.loopback.dropped;
+    ledger.balanced = answered + ledger.shed + ledger.lost == ledger.sent;
   }
-  std::sort(runs.begin(), runs.end(), [](const CellResult& a, const CellResult& b) {
-    return a.point.p99_us < b.point.p99_us;
-  });
-  return runs[runs.size() / 2];
-}
-
-void PrintJsonArray(FILE* out, const std::vector<const LivePoint*>& points,
-                    double LivePoint::* field) {
-  std::fputc('[', out);
-  for (size_t i = 0; i < points.size(); ++i) {
-    std::fprintf(out, "%s%.2f", i == 0 ? "" : ", ", points[i]->*field);
-  }
-  std::fputc(']', out);
-}
-
-bool WriteFig10Json(const std::string& path, const Experiment& exp,
-                    const std::string& scale_name,
-                    const std::vector<LivePoint>& points, const CellLedger& totals,
-                    bool all_cells_balanced) {
-  std::vector<const LivePoint*> zygos;
-  for (const LivePoint& point : points) {
-    if (point.config == "zygos") {
-      zygos.push_back(&point);
-    }
-  }
-  if (zygos.empty()) {
-    std::fprintf(stderr, "fig10_live_runtime: no 'zygos' points — refusing to write "
-                 "%s\n", path.c_str());
-    return false;
-  }
-  FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "fig10_live_runtime: cannot open %s for writing\n",
-                 path.c_str());
-    return false;
-  }
-  bool ledger_balanced = all_cells_balanced && totals.malformed == 0;
-  std::fprintf(out,
-               "{\n"
-               "  \"metric\": \"fig10_live_zygos_p99_us_at_peak_load\",\n"
-               "  \"value\": %.2f,\n"
-               "  \"unit\": \"us\",\n"
-               "  \"commit\": \"\",\n"
-               "  \"params\": {\n"
-               "    \"transport\": \"%s\", \"scale\": \"%s\", \"warehouses\": %d,\n"
-               "    \"arrivals\": \"%s\", \"workers\": %d, \"connections\": %d, "
-               "\"skew\": %s, \"service_pad_us\": %.1f,\n"
-               "    \"duration_ms\": %.0f, \"warmup_ms\": %.0f, \"seed\": %llu,\n",
-               zygos.back()->p99_us, exp.transport.c_str(), scale_name.c_str(),
-               exp.scale.num_warehouses, ArrivalKindName(exp.arrivals), exp.workers,
-               exp.connections, exp.skew ? "true" : "false",
-               static_cast<double>(exp.pad) / 1e3,
-               static_cast<double>(exp.duration) / 1e6,
-               static_cast<double>(exp.warmup) / 1e6,
-               static_cast<unsigned long long>(exp.seed));
-  std::fprintf(out, "    \"zygos_p99_monotone_in_load\": %s,\n",
-               ZygosP99MonotoneInLoad(points) ? "true" : "false");
-  std::fprintf(out, "    \"steal_leq_no_steal_at_peak\": %s,\n",
-               StealLeqNoStealAtPeak(points) ? "true" : "false");
-  std::fprintf(out, "    \"ledger_balanced\": %s,\n",
-               ledger_balanced ? "true" : "false");
-  std::fprintf(out,
-               "    \"tpcc_sent\": %llu, \"tpcc_commits\": %llu, "
-               "\"tpcc_user_aborts\": %llu,\n"
-               "    \"tpcc_malformed\": %llu, \"tpcc_shed\": %llu, "
-               "\"tpcc_lost\": %llu, \"tpcc_occ_retries\": %llu,\n",
-               static_cast<unsigned long long>(totals.sent),
-               static_cast<unsigned long long>(totals.commits),
-               static_cast<unsigned long long>(totals.user_aborts),
-               static_cast<unsigned long long>(totals.malformed),
-               static_cast<unsigned long long>(totals.shed),
-               static_cast<unsigned long long>(totals.lost),
-               static_cast<unsigned long long>(totals.occ_retries));
-
-  std::vector<std::string> configs;
-  for (const LivePoint& point : points) {
-    if (std::find(configs.begin(), configs.end(), point.config) == configs.end()) {
-      configs.push_back(point.config);
-    }
-  }
-  std::fprintf(out, "    \"curves\": {\n");
-  for (size_t c = 0; c < configs.size(); ++c) {
-    std::vector<const LivePoint*> curve;
-    for (const LivePoint& point : points) {
-      if (point.config == configs[c]) {
-        curve.push_back(&point);
-      }
-    }
-    std::string key = configs[c];
-    std::replace(key.begin(), key.end(), '-', '_');
-    std::fprintf(out, "      \"%s\": {\"offered_rps\": ", key.c_str());
-    PrintJsonArray(out, curve, &LivePoint::offered_rps);
-    std::fprintf(out, ", \"achieved_rps\": ");
-    PrintJsonArray(out, curve, &LivePoint::achieved_rps);
-    std::fprintf(out, ", \"p50_us\": ");
-    PrintJsonArray(out, curve, &LivePoint::p50_us);
-    std::fprintf(out, ", \"p99_us\": ");
-    PrintJsonArray(out, curve, &LivePoint::p99_us);
-    std::fprintf(out, ", \"p999_us\": ");
-    PrintJsonArray(out, curve, &LivePoint::p999_us);
-    std::fprintf(out, "}%s\n", c + 1 == configs.size() ? "" : ",");
-  }
-  std::fprintf(out, "    }\n  }\n}\n");
-  bool ok = std::fclose(out) == 0;
-  if (!ok) {
-    std::fprintf(stderr, "fig10_live_runtime: write to %s failed\n", path.c_str());
-  }
-  return ok;
+  return ledger;
 }
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  Experiment exp;
-  exp.transport = flags.GetString("transport", "loopback");
-  exp.workers = static_cast<int>(flags.GetInt("workers", 2));
-  exp.connections = static_cast<int>(flags.GetInt("connections", 8));
-  exp.threads = static_cast<int>(flags.GetInt("threads", 2));
-  const std::string arrivals_name = flags.GetString("arrivals", "poisson");
   const int warehouses = static_cast<int>(flags.GetInt("warehouses", 1));
   const std::string scale_name = flags.GetString("scale", "tiny");
   const double pad_us = flags.GetDouble("service-pad-us", 0.0);
-  exp.pad = static_cast<Nanos>(pad_us * 1e3);
-  const std::string configs_csv =
-      flags.GetString("configs", "zygos,no-steal,partitioned");
-  const std::string rates_csv = flags.GetString("rates", "");
-  const std::string fractions_csv =
-      flags.GetString("load-fractions", "0.25,0.5,0.75,0.95");
-  const double calibrate_rate = flags.GetDouble("calibrate-rate", 0.0);
-  const int cell_repeats = static_cast<int>(flags.GetInt("cell-repeats", 1));
-  exp.duration = flags.GetInt("duration-ms", 500) * kMillisecond;
-  exp.warmup = flags.GetInt("warmup-ms", 150) * kMillisecond;
-  exp.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  exp.skew = flags.GetBool("skew", true);
-  const std::string json_path = flags.GetString("json", "");
-  if (!flags.CheckUnknown(kUsage)) {
+  const auto pad = static_cast<Nanos>(pad_us * 1e3);
+  LiveSweep sweep;
+  sweep.name = "fig10_live_runtime";
+  sweep.usage = kUsage;
+  sweep.configs_csv = "zygos,no-steal,partitioned";
+  sweep.payload.reset();  // requests come from the TPC-C mix
+  if (!ParseLiveSweep(flags, sweep)) {
     return 2;
   }
-  if (exp.transport != "loopback" && exp.transport != "tcp") {
-    std::fprintf(stderr, "fig10_live_runtime: unknown --transport=%s\n%s\n",
-                 exp.transport.c_str(), kUsage);
-    return 2;
-  }
-  auto arrivals = ParseArrivalKind(arrivals_name);
-  if (!arrivals) {
-    std::fprintf(stderr, "fig10_live_runtime: bad --arrivals\n%s\n", kUsage);
-    return 2;
-  }
-  exp.arrivals = *arrivals;
+  LoaderOptions scale;
   if (scale_name == "tiny") {
-    exp.scale = LoaderOptions::Tiny(warehouses);
+    scale = LoaderOptions::Tiny(warehouses);
   } else if (scale_name == "full") {
-    exp.scale.num_warehouses = warehouses;
+    scale.num_warehouses = warehouses;
   } else {
     std::fprintf(stderr, "fig10_live_runtime: unknown --scale=%s (tiny|full)\n%s\n",
                  scale_name.c_str(), kUsage);
     return 2;
   }
-  if (exp.workers < 1 || exp.connections < 1 || exp.threads < 1 ||
-      warehouses < 1 || exp.duration <= exp.warmup) {
-    std::fprintf(stderr,
-                 "fig10_live_runtime: need workers/connections/threads/warehouses "
-                 ">= 1 and --duration-ms > --warmup-ms\n%s\n",
-                 kUsage);
+  if (warehouses < 1) {
+    std::fprintf(stderr, "fig10_live_runtime: need --warehouses >= 1\n%s\n", kUsage);
     return 2;
   }
-  if (cell_repeats < 1) {
-    std::fprintf(stderr, "fig10_live_runtime: --cell-repeats must be >= 1\n%s\n",
-                 kUsage);
-    return 2;
+  if (!SelectTransports(sweep)) {
+    return 0;
   }
-
-  std::vector<Config> configs;
-  for (const std::string& name : SplitCsv(configs_csv)) {
-    auto config = ParseConfig(name);
-    if (!config) {
-      std::fprintf(stderr,
-                   "fig10_live_runtime: unknown config '%s' in --configs\n%s\n",
-                   name.c_str(), kUsage);
-      return 2;
-    }
-    configs.push_back(*config);
-  }
-  if (configs.empty()) {
-    std::fprintf(stderr, "fig10_live_runtime: --configs is empty\n%s\n", kUsage);
-    return 2;
-  }
+  sweep.make_payload = MakeTpccPayloadFactory(scale);
 
   std::printf("# fig10_live_runtime: transport=%s scale=%s warehouses=%d arrivals=%s "
               "workers=%d connections=%d pad_us=%.1f skew=%d duration_ms=%.0f "
               "warmup_ms=%.0f seed=%llu\n",
-              exp.transport.c_str(), scale_name.c_str(), warehouses,
-              ArrivalKindName(exp.arrivals), exp.workers, exp.connections, pad_us,
-              exp.skew ? 1 : 0, static_cast<double>(exp.duration) / 1e6,
-              static_cast<double>(exp.warmup) / 1e6,
-              static_cast<unsigned long long>(exp.seed));
+              sweep.TransportNames().c_str(), scale_name.c_str(), warehouses,
+              ArrivalKindName(*sweep.arrivals), sweep.workers, sweep.connections,
+              pad_us, sweep.skew ? 1 : 0, static_cast<double>(sweep.duration) / 1e6,
+              static_cast<double>(sweep.warmup) / 1e6,
+              static_cast<unsigned long long>(sweep.seed));
 
-  // Load points: explicit list, or fractions of a calibrated peak. TPC-C has no
-  // closed-form service time, so calibration is always an overload probe: offer far
-  // more than the engine can serve and read the achieved completion rate.
-  std::vector<double> rates;
-  for (const std::string& token : SplitCsv(rates_csv)) {
-    double rate = ParseFlagNumberOrDie("rates", token, kUsage);
-    if (rate <= 0) {
-      std::fprintf(stderr, "fig10_live_runtime: --rates entries must be > 0\n");
-      return 2;
-    }
-    rates.push_back(rate);
+  auto run_cell = [&](const LiveTransport& transport, const LiveConfig& config,
+                      double rate) {
+    Database db;
+    TpccTables tables = LoadTpcc(db, scale);
+    TpccService service(db, tables, scale);
+    LiveCellResult cell =
+        RunLiveCell(sweep, transport, config, rate, PaddedHandler(service, pad));
+    return TpccCell{cell.point, LedgerOf(cell, transport, service)};
+  };
+  // TPC-C has no closed-form service time, so calibration is always an overload
+  // probe. With a blocking pad the nominal capacity is workers/pad (the pad dominates
+  // reduced-scale transaction times), probed at 3x; without a pad there is no closed
+  // form — 30k rps is several times the peak on modest hosts (override with
+  // --calibrate-rate on fast ones). Keeping the probe a small multiple of the peak
+  // matters: the drain of the probe's backlog is serial.
+  const double probe = pad > 0 ? 3.0 * static_cast<double>(sweep.workers) * 1e9 /
+                                     static_cast<double>(pad)
+                               : 30'000.0;
+  if (!CalibrateRates(sweep, probe, run_cell)) {
+    return 1;
   }
-  if (rates.empty()) {
-    // Default probe: with a blocking pad the nominal capacity is workers/pad (the
-    // pad dominates reduced-scale transaction times), probed at 3x; without a pad
-    // there is no closed form — 30k rps is several times the peak on modest hosts
-    // (override with --calibrate-rate on fast ones). Keeping the probe a small
-    // multiple of the peak matters: the drain of the probe's backlog is serial.
-    double probe = calibrate_rate > 0 ? calibrate_rate
-                   : exp.pad > 0
-                       ? 3.0 * static_cast<double>(exp.workers) * 1e9 /
-                             static_cast<double>(exp.pad)
-                       : 30'000.0;
-    std::printf("# calibration: probing peak TPC-C throughput at %.0f rps...\n",
-                probe);
-    std::fflush(stdout);
-    std::vector<double> peaks;
-    for (int i = 0; i < cell_repeats; ++i) {
-      peaks.push_back(
-          RunCell(exp, Config{"zygos", RuntimeMode::kZygos, true, true}, probe)
-              .point.achieved_rps);
-    }
-    std::sort(peaks.begin(), peaks.end());
-    double peak = peaks[peaks.size() / 2];
-    if (peak <= 0) {
-      std::fprintf(stderr, "fig10_live_runtime: calibration produced no throughput\n");
-      return 1;
-    }
-    std::printf("# calibration: peak sustainable throughput = %.0f tps\n", peak);
-    for (const std::string& token : SplitCsv(fractions_csv)) {
-      double fraction = ParseFlagNumberOrDie("load-fractions", token, kUsage);
-      if (fraction <= 0) {
-        std::fprintf(stderr,
-                     "fig10_live_runtime: --load-fractions entries must be > 0\n");
-        return 2;
-      }
-      rates.push_back(fraction * peak);
-    }
-  }
-  std::sort(rates.begin(), rates.end());
 
-  PrintLiveCsvHeader(stdout);
-  std::vector<LivePoint> points;
   CellLedger totals;
   bool all_cells_balanced = true;
-  for (const Config& config : configs) {
-    for (double rate : rates) {
-      CellResult cell = MeasureCell(exp, config, rate, cell_repeats);
-      PrintLiveCsvRow(stdout, cell.point);
-      if (!cell.ledger.balanced) {
-        all_cells_balanced = false;
-        std::printf("# ledger imbalance: config=%s rate=%.0f sent=%llu commits=%llu "
-                    "aborts=%llu malformed=%llu shed=%llu lost=%llu\n",
-                    config.name.c_str(), rate,
-                    static_cast<unsigned long long>(cell.ledger.sent),
-                    static_cast<unsigned long long>(cell.ledger.commits),
-                    static_cast<unsigned long long>(cell.ledger.user_aborts),
-                    static_cast<unsigned long long>(cell.ledger.malformed),
-                    static_cast<unsigned long long>(cell.ledger.shed),
-                    static_cast<unsigned long long>(cell.ledger.lost));
-      }
-      std::fflush(stdout);
-      totals.Accumulate(cell.ledger);
-      points.push_back(std::move(cell.point));
+  auto on_cell = [&](const TpccCell& cell) {
+    if (!cell.ledger.balanced) {
+      all_cells_balanced = false;
+      std::printf("# ledger imbalance: config=%s rate=%.0f sent=%llu commits=%llu "
+                  "aborts=%llu malformed=%llu shed=%llu lost=%llu\n",
+                  cell.point.config.c_str(), cell.point.offered_rps,
+                  static_cast<unsigned long long>(cell.ledger.sent),
+                  static_cast<unsigned long long>(cell.ledger.commits),
+                  static_cast<unsigned long long>(cell.ledger.user_aborts),
+                  static_cast<unsigned long long>(cell.ledger.malformed),
+                  static_cast<unsigned long long>(cell.ledger.shed),
+                  static_cast<unsigned long long>(cell.ledger.lost));
     }
-  }
+    totals.Accumulate(cell.ledger);
+  };
+  const std::vector<LivePoint> points = RunLiveSweep(sweep, run_cell, on_cell);
 
-  // Headline: the acceptance view of the sweep (stable format; scripts grep it).
-  double zygos_peak = 0, no_steal_peak = 0;
-  for (const LivePoint& point : points) {
-    if (point.config == "zygos") {
-      zygos_peak = point.p99_us;
-    } else if (point.config == "no-steal") {
-      no_steal_peak = point.p99_us;
-    }
-  }
-  bool ledger_balanced = all_cells_balanced && totals.malformed == 0;
+  // Headline: the acceptance view of the sweep (stable format).
+  const LivePoint* zygos = HeadlinePoint(points, "zygos");
+  const LivePoint* no_steal = HeadlinePoint(points, "no-steal");
+  const bool ledger_balanced = all_cells_balanced && totals.malformed == 0;
   std::printf("# headline: tpcc live p99@peak zygos=%.1fus no-steal=%.1fus "
               "commits=%llu aborts=%llu monotone=%s steal_leq_no_steal=%s "
               "ledger_balanced=%s\n",
-              zygos_peak, no_steal_peak,
+              zygos != nullptr ? zygos->p99_us : 0.0,
+              no_steal != nullptr ? no_steal->p99_us : 0.0,
               static_cast<unsigned long long>(totals.commits),
               static_cast<unsigned long long>(totals.user_aborts),
               ZygosP99MonotoneInLoad(points) ? "yes" : "no",
               StealLeqNoStealAtPeak(points) ? "yes" : "no",
               ledger_balanced ? "yes" : "no");
 
-  if (!json_path.empty() &&
-      !WriteFig10Json(json_path, exp, scale_name, points, totals,
-                      all_cells_balanced)) {
-    return 1;
-  }
-  return 0;
+  BenchReport report =
+      LiveSweepReport("fig10_live_zygos_p99_us_at_peak_load", sweep, points);
+  report.params()
+      .Str("scale", scale_name)
+      .Int("warehouses", warehouses)
+      .Num("service_pad_us", pad_us, 1);
+  report.Gate("ledger_balanced", ledger_balanced);
+  report.params()
+      .Int("tpcc_sent", totals.sent)
+      .Int("tpcc_commits", totals.commits)
+      .Int("tpcc_user_aborts", totals.user_aborts)
+      .Int("tpcc_malformed", totals.malformed)
+      .Int("tpcc_shed", totals.shed)
+      .Int("tpcc_lost", totals.lost)
+      .Int("tpcc_occ_retries", totals.occ_retries)
+      .Object("curves", LiveCurves(points, false));
+  return report.Finish(sweep.json_path);
 }
 
 }  // namespace

@@ -33,16 +33,12 @@
 //   no_shed_collapses, zero_sheds_below_saturation, shed_fraction_tracks_analytic,
 //   ledger_balanced
 // and the measured shed curve next to the analytic prediction max(0, 1 - 1/m).
-// Exit status is 0 iff every boolean holds.
-//
-// Usage: overload_live_runtime [--workers=N] [--connections=N] [--threads=N]
-//   [--service-us=N] [--multipliers=m1,m2,...] [--duration-ms=N] [--warmup-ms=N]
-//   [--budget-ms=N] [--slo-ms=N] [--payload=N] [--seed=N] [--json=PATH]
+// Exit status is 0 iff every boolean holds (gates of the shared BENCH writer,
+// src/loadgen/experiment.h).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,7 +46,7 @@
 
 #include "src/common/flags.h"
 #include "src/common/time_units.h"
-#include "src/loadgen/arrival.h"
+#include "src/loadgen/experiment.h"
 #include "src/loadgen/tcp_loadgen.h"
 #include "src/overload/admission.h"
 #include "src/queueing/analytic.h"
@@ -65,15 +61,8 @@ constexpr const char* kUsage =
     "  [--service-us=N] [--multipliers=m1,m2,...] [--duration-ms=N] [--warmup-ms=N]\n"
     "  [--budget-ms=N] [--slo-ms=N] [--payload=N] [--seed=N] [--json=PATH]";
 
-struct Experiment {
-  int workers = 2;
-  int connections = 8;
-  int threads = 2;
+struct Experiment : LiveFlags {
   Nanos service = kMillisecond;
-  Nanos duration = 0;
-  Nanos warmup = 0;
-  size_t payload = 32;
-  uint64_t seed = 1;
 };
 
 // One sweep cell, finished once the SLO is known.
@@ -126,21 +115,12 @@ RawCell RunRaw(const Experiment& exp, bool overload_on, double rate, Nanos budge
   Runtime runtime(options, std::move(transport), SleepEcho(exp.service));
   runtime.Start();
 
-  TcpLoadgenOptions gen;
-  gen.port = tcp->port();
-  gen.connections = exp.connections;
-  gen.threads = exp.threads;
-  gen.rate_rps = rate;
-  gen.duration = exp.duration;
-  gen.warmup = exp.warmup;
+  TcpLoadgenOptions gen = LiveLoadgenOptions(exp, tcp->port(), rate);
   gen.seed = exp.seed + seed_salt;
   // Bounded drain: a collapsed no-shed cell holds seconds of backlog the harness
   // must not wait out — undrained requests count as `lost`, the ledger still
   // balances, and teardown refusals reclaim the server side.
   gen.drain_timeout = 3 * kSecond;
-  gen.make_payload = [size = exp.payload](Rng&, std::string& out) {
-    out.assign(size, 'x');
-  };
   RawCell raw;
   raw.result = RunTcpLoadgen(gen);
   runtime.Shutdown();
@@ -195,57 +175,28 @@ void PrintCell(const Cell& cell) {
   std::fflush(stdout);
 }
 
-void PrintJsonArray(FILE* out, const char* key,
-                    const std::vector<double>& values, const char* fmt,
-                    bool last = false) {
-  std::fprintf(out, "    \"%s\": [", key);
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      std::fprintf(out, ", ");
-    }
-    std::fprintf(out, fmt, values[i]);
-  }
-  std::fprintf(out, "]%s\n", last ? "" : ",");
-}
-
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   Experiment exp;
-  exp.workers = static_cast<int>(flags.GetInt("workers", 2));
-  exp.connections = static_cast<int>(flags.GetInt("connections", 8));
-  exp.threads = static_cast<int>(flags.GetInt("threads", 2));
+  exp.name = "overload_live_runtime";
+  exp.usage = kUsage;
+  exp.duration = 1200 * kMillisecond;
+  exp.warmup = 300 * kMillisecond;
+  exp.arrivals.reset();
   exp.service = flags.GetInt("service-us", 1000) * kMicrosecond;
   const std::string multipliers_csv = flags.GetString("multipliers", "0.8,1,2,4,10");
-  exp.duration = flags.GetInt("duration-ms", 1200) * kMillisecond;
-  exp.warmup = flags.GetInt("warmup-ms", 300) * kMillisecond;
   Nanos budget_flag = flags.GetInt("budget-ms", 0) * kMillisecond;
   Nanos slo_flag = flags.GetInt("slo-ms", 0) * kMillisecond;
-  exp.payload = static_cast<size_t>(flags.GetInt("payload", 32));
-  exp.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const std::string json_path = flags.GetString("json", "");
-  if (!flags.CheckUnknown(kUsage)) {
+  if (!ParseLiveFlags(flags, exp)) {
     return 2;
   }
-  if (exp.workers < 1 || exp.connections < 1 || exp.threads < 1 ||
-      exp.service <= 0 || exp.duration <= exp.warmup) {
-    std::fprintf(stderr,
-                 "overload_live_runtime: need workers/connections/threads >= 1, "
-                 "--service-us > 0 and --duration-ms > --warmup-ms\n%s\n",
-                 kUsage);
+  if (exp.service <= 0) {
+    std::fprintf(stderr, "overload_live_runtime: need --service-us > 0\n%s\n", kUsage);
     return 2;
   }
   std::vector<double> multipliers;
-  for (const std::string& token : SplitCsv(multipliers_csv)) {
-    double m = ParseFlagNumberOrDie("multipliers", token, kUsage);
-    if (m <= 0) {
-      std::fprintf(stderr, "overload_live_runtime: multipliers must be > 0\n");
-      return 2;
-    }
-    multipliers.push_back(m);
-  }
-  if (multipliers.empty()) {
-    std::fprintf(stderr, "overload_live_runtime: --multipliers is empty\n%s\n",
-                 kUsage);
+  if (!ParseNumbers(exp, "multipliers", multipliers_csv, "> 0",
+                    [](double m) { return m > 0; }, multipliers)) {
     return 2;
   }
   std::sort(multipliers.begin(), multipliers.end());
@@ -386,9 +337,6 @@ int Main(int argc, char** argv) {
     }
   }
 
-  bool all_ok = goodput_at_2x && admitted_p99_bounded && no_shed_collapses &&
-                zero_sheds_below_saturation && shed_tracks_analytic &&
-                ledger_balanced;
   std::printf("# headline: overload goodput@2x=%.0f/s peak=%.0f/s ratio=%.2f "
               "goodput_at_2x_geq_090_peak=%s admitted_p99_bounded=%s "
               "no_shed_collapses=%s zero_sheds_below_saturation=%s "
@@ -399,83 +347,41 @@ int Main(int argc, char** argv) {
               zero_sheds_below_saturation ? "yes" : "no",
               shed_tracks_analytic ? "yes" : "no", ledger_balanced ? "yes" : "no");
 
-  if (!json_path.empty()) {
-    FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "overload_live_runtime: cannot open %s for writing\n",
-                   json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"metric\": \"overload_goodput_ratio_at_2x\",\n"
-                 "  \"value\": %.3f,\n"
-                 "  \"unit\": \"ratio\",\n"
-                 "  \"commit\": \"\",\n"
-                 "  \"params\": {\n"
-                 "    \"workers\": %d, \"connections\": %d, \"threads\": %d, "
-                 "\"service_us\": %.0f, \"payload\": %zu, \"seed\": %llu,\n"
-                 "    \"duration_ms\": %.0f, \"warmup_ms\": %.0f, "
-                 "\"peak_rps\": %.0f, \"peak_goodput_rps\": %.0f,\n"
-                 "    \"budget_ms\": %.2f, \"slo_ms\": %.2f, "
-                 "\"analytic_wait_p99_us\": %.1f,\n",
-                 goodput_ratio_2x, exp.workers, exp.connections, exp.threads,
-                 ToMicros(exp.service), exp.payload,
-                 static_cast<unsigned long long>(exp.seed),
-                 static_cast<double>(exp.duration) / 1e6,
-                 static_cast<double>(exp.warmup) / 1e6, peak_rps, peak_goodput,
-                 static_cast<double>(budget) / 1e6, static_cast<double>(slo) / 1e6,
-                 analytic_wait / 1e3);
-    std::fprintf(out,
-                 "    \"goodput_at_2x_geq_090_peak\": %s,\n"
-                 "    \"admitted_p99_bounded_under_overload\": %s,\n"
-                 "    \"no_shed_collapses\": %s,\n"
-                 "    \"zero_sheds_below_saturation\": %s,\n"
-                 "    \"shed_fraction_tracks_analytic\": %s,\n"
-                 "    \"ledger_balanced\": %s,\n",
-                 goodput_at_2x ? "true" : "false",
-                 admitted_p99_bounded ? "true" : "false",
-                 no_shed_collapses ? "true" : "false",
-                 zero_sheds_below_saturation ? "true" : "false",
-                 shed_tracks_analytic ? "true" : "false",
-                 ledger_balanced ? "true" : "false");
-    auto column = [&cells](const std::string& config, auto getter) {
-      std::vector<double> out_values;
-      for (const Cell& cell : cells) {
-        if (cell.config == config) {
-          out_values.push_back(getter(cell));
-        }
+  BenchReport report("overload_goodput_ratio_at_2x", goodput_ratio_2x, "ratio", 3);
+  report.params()
+      .Int("threads", exp.threads)
+      .Num("service_us", ToMicros(exp.service), 0)
+      .Int("payload", *exp.payload)
+      .Num("peak_rps", peak_rps, 0)
+      .Num("peak_goodput_rps", peak_goodput, 0)
+      .Num("budget_ms", static_cast<double>(budget) / 1e6, 2)
+      .Num("slo_ms", static_cast<double>(slo) / 1e6, 2)
+      .Num("analytic_wait_p99_us", analytic_wait / 1e3, 1);
+  AddRunParams(report.params(), exp);
+  report.Gate("goodput_at_2x_geq_090_peak", goodput_at_2x)
+      .Gate("admitted_p99_bounded_under_overload", admitted_p99_bounded)
+      .Gate("no_shed_collapses", no_shed_collapses)
+      .Gate("zero_sheds_below_saturation", zero_sheds_below_saturation)
+      .Gate("shed_fraction_tracks_analytic", shed_tracks_analytic)
+      .Gate("ledger_balanced", ledger_balanced);
+  auto column = [&cells](const std::string& config, double Cell::*field) {
+    std::vector<double> values;
+    for (const Cell& cell : cells) {
+      if (cell.config == config) {
+        values.push_back(cell.*field);
       }
-      return out_values;
-    };
-    auto mult = [](const Cell& c) { return c.multiplier; };
-    PrintJsonArray(out, "multipliers", column("zygos", mult), "%.2f");
-    PrintJsonArray(out, "zygos_goodput_rps",
-                   column("zygos", [](const Cell& c) { return c.goodput_rps; }),
-                   "%.0f");
-    PrintJsonArray(out, "no_shed_goodput_rps",
-                   column("no-shed", [](const Cell& c) { return c.goodput_rps; }),
-                   "%.0f");
-    PrintJsonArray(out, "zygos_p99_admitted_us",
-                   column("zygos", [](const Cell& c) { return c.p99_admitted_us; }),
-                   "%.1f");
-    PrintJsonArray(out, "no_shed_p99_us",
-                   column("no-shed", [](const Cell& c) { return c.p99_admitted_us; }),
-                   "%.1f");
-    PrintJsonArray(out, "zygos_shed_fraction",
-                   column("zygos", [](const Cell& c) { return c.shed_fraction; }),
-                   "%.4f");
-    PrintJsonArray(out, "predicted_shed_fraction",
-                   column("zygos", [](const Cell& c) { return c.predicted_shed; }),
-                   "%.4f", /*last=*/true);
-    std::fprintf(out, "  }\n}\n");
-    if (std::fclose(out) != 0) {
-      std::fprintf(stderr, "overload_live_runtime: write to %s failed\n",
-                   json_path.c_str());
-      return 1;
     }
-  }
-  return all_ok ? 0 : 1;
+    return values;
+  };
+  report.params()
+      .Nums("multipliers", column("zygos", &Cell::multiplier), 2)
+      .Nums("zygos_goodput_rps", column("zygos", &Cell::goodput_rps), 0)
+      .Nums("no_shed_goodput_rps", column("no-shed", &Cell::goodput_rps), 0)
+      .Nums("zygos_p99_admitted_us", column("zygos", &Cell::p99_admitted_us), 1)
+      .Nums("no_shed_p99_us", column("no-shed", &Cell::p99_admitted_us), 1)
+      .Nums("zygos_shed_fraction", column("zygos", &Cell::shed_fraction), 4)
+      .Nums("predicted_shed_fraction", column("zygos", &Cell::predicted_shed), 4);
+  return report.Finish(exp.json_path);
 }
 
 }  // namespace

@@ -43,118 +43,55 @@ if [[ -z "${pooled_allocs}" ]] || ! awk -v a="${pooled_allocs}" 'BEGIN {exit !(a
   exit 1
 fi
 
-echo "== smoke: bench/fig6_live_runtime (one low-load point, loopback, live runtime)"
-live_json="${BUILD_DIR}/fig6_live_smoke.json"
-rm -f "${live_json}"
-# Capture-then-grep (NOT `| tee | grep -q`): under pipefail, grep -q exiting at
-# the first match SIGPIPEs tee when the binary prints its headline later.
-live_out="$("${BUILD_DIR}/bench/fig6_live_runtime" --transport=loopback \
-  --configs=zygos --rates=1500 --duration-ms=400 --warmup-ms=100 \
-  --dist=exponential --service-us=100 --service-mode=sleep --workers=2 \
-  --connections=8 --seed=7 --json="${live_json}")"
-printf '%s\n' "${live_out}"
-printf '%s\n' "${live_out}" | grep -q '^zygos,' || {
-    echo "ci: fig6_live_runtime emitted no zygos CSV row" >&2; exit 1; }
-if command -v python3 > /dev/null; then
-  python3 -m json.tool "${live_json}" > /dev/null || {
-    echo "ci: ${live_json} is malformed JSON" >&2; exit 1; }
-else
-  grep -q '"metric": "live_zygos_p99_us_at_peak_load"' "${live_json}" || {
-    echo "ci: ${live_json} is missing the live-runtime metric" >&2; exit 1; }
-fi
+# smoke_live <binary> <csv_row_regex> [args...]: one short run of a live bench. It
+# must print a CSV row matching the regex, write a parseable BENCH JSON, pass every
+# gate its params.gates lists (scripts/check_gates.py) and exit 0 — the binary
+# exits 1 iff a gate is false (the shared harness, src/loadgen/experiment.h).
+smoke_live() {
+  local bin="$1" row="$2" status=0 out
+  shift 2
+  local json="${BUILD_DIR}/${bin}_smoke.json"
+  echo "== smoke: bench/${bin}"
+  rm -f "${json}"
+  # Capture-then-grep (NOT `| tee | grep -q`): under pipefail, grep -q exiting at
+  # the first match SIGPIPEs tee when the binary prints its headline later. The
+  # `|| status` keeps the CSV rows printed when a failing gate fails the run.
+  out="$("${BUILD_DIR}/bench/${bin}" "$@" --json="${json}")" || status=$?
+  printf '%s\n' "${out}"
+  printf '%s\n' "${out}" | grep -qE "${row}" || {
+      echo "ci: ${bin} emitted no CSV row matching ${row}" >&2; exit 1; }
+  python3 scripts/check_gates.py "${json}" || exit 1
+  (( status == 0 )) || { echo "ci: ${bin} exited ${status}" >&2; exit 1; }
+}
 
-echo "== smoke: bench/churn_live_runtime (one low churn rate, real TCP, small table)"
-churn_json="${BUILD_DIR}/churn_smoke.json"
-rm -f "${churn_json}"
-churn_out="$("${BUILD_DIR}/bench/churn_live_runtime" --rate=1500 --churn-ms=30 \
-  --duration-ms=600 --warmup-ms=200 --connections=4 --threads=2 --max-flows=16 \
-  --seed=7 --json="${churn_json}")"
-printf '%s\n' "${churn_out}"
-printf '%s\n' "${churn_out}" | grep -q '^30,' || {
-    echo "ci: churn_live_runtime emitted no churn CSV row" >&2; exit 1; }
-if command -v python3 > /dev/null; then
-  python3 -m json.tool "${churn_json}" > /dev/null || {
-    echo "ci: ${churn_json} is malformed JSON" >&2; exit 1; }
-fi
-for gate in distinct_conns_exceed_capacity zero_capacity_refusals \
-            flat_table_occupancy allocation_free_after_warmup; do
-  grep -q "\"${gate}\": true" "${churn_json}" || {
-    echo "ci: churn acceptance boolean ${gate} is not true" >&2; exit 1; }
-done
-
-echo "== smoke: bench/fanout_chaos (fan-out amplification through the chaos proxy)"
-fanout_json="${BUILD_DIR}/fanout_smoke.json"
-rm -f "${fanout_json}"
-# --steal-compare=false keeps the smoke short; its boolean is then vacuously true
-# and recorded as such in params ("steal_compare": false).
-fanout_out="$("${BUILD_DIR}/bench/fanout_chaos" --fanouts=1,8 --logical-rate=150 \
-  --duration-ms=1000 --warmup-ms=250 --steal-compare=false --seed=7 \
-  --json="${fanout_json}")"
-printf '%s\n' "${fanout_out}"
-printf '%s\n' "${fanout_out}" | grep -q '^proxy,' || {
-    echo "ci: fanout_chaos emitted no through-proxy CSV row" >&2; exit 1; }
-if command -v python3 > /dev/null; then
-  python3 -m json.tool "${fanout_json}" > /dev/null || {
-    echo "ci: ${fanout_json} is malformed JSON" >&2; exit 1; }
-fi
-for gate in p99_amplification_monotone_in_fanout steal_leq_no_steal_under_jitter \
-            all_runs_clean; do
-  grep -q "\"${gate}\": true" "${fanout_json}" || {
-    echo "ci: fanout acceptance boolean ${gate} is not true" >&2; exit 1; }
-done
-
-echo "== smoke: bench/fig10_live_runtime (one low-load TPC-C cell, loopback)"
+# One low-load point, loopback, live runtime.
+smoke_live fig6_live_runtime '^zygos,' --transport=loopback --configs=zygos \
+  --rates=1500 --duration-ms=400 --warmup-ms=100 --dist=exponential \
+  --service-us=100 --service-mode=sleep --workers=2 --connections=8 --seed=7
+# One low churn rate, real TCP, small table.
+smoke_live churn_live_runtime '^30,' --rate=1500 --churn-ms=30 --duration-ms=600 \
+  --warmup-ms=200 --connections=4 --threads=2 --max-flows=16 --seed=7
+# Fan-out amplification through the chaos proxy. --steal-compare=false keeps the
+# smoke short; its gate is then vacuously true and recorded as such in params
+# ("steal_compare": false).
+smoke_live fanout_chaos '^proxy,' --fanouts=1,8 --logical-rate=150 \
+  --duration-ms=1000 --warmup-ms=250 --steal-compare=false --seed=7
 # One sub-saturated zygos cell over the live TPC-C service: the ledger must balance
 # exactly (commit+abort+shed+lost == sent, zero malformed) even in a 400 ms window.
-# The monotone/steal booleans are vacuously true with a single rate and config; the
-# ledger boolean is the real gate here.
-fig10_json="${BUILD_DIR}/fig10_live_smoke.json"
-rm -f "${fig10_json}"
-fig10_out="$("${BUILD_DIR}/bench/fig10_live_runtime" --transport=loopback \
-  --configs=zygos --rates=1200 --duration-ms=400 --warmup-ms=100 --workers=2 \
-  --warehouses=1 --scale=tiny --seed=7 --json="${fig10_json}")"
-printf '%s\n' "${fig10_out}"
-printf '%s\n' "${fig10_out}" | grep -q '^zygos,' || {
-    echo "ci: fig10_live_runtime emitted no zygos CSV row" >&2; exit 1; }
-if command -v python3 > /dev/null; then
-  python3 -m json.tool "${fig10_json}" > /dev/null || {
-    echo "ci: ${fig10_json} is malformed JSON" >&2; exit 1; }
-fi
-for gate in zygos_p99_monotone_in_load steal_leq_no_steal_at_peak ledger_balanced; do
-  grep -q "\"${gate}\": true" "${fig10_json}" || {
-    echo "ci: fig10 acceptance boolean ${gate} is not true" >&2; exit 1; }
-done
-
-echo "== smoke: bench/overload_live_runtime (one 2x-overload cell, real TCP)"
+# The monotone/steal gates are vacuously true with a single rate and config; the
+# ledger gate is the real one here.
+smoke_live fig10_live_runtime '^zygos,' --transport=loopback --configs=zygos \
+  --rates=1200 --duration-ms=400 --warmup-ms=100 --workers=2 --warehouses=1 \
+  --scale=tiny --seed=7
 # Short-window overload smoke: calibrate, then a 0.8x cell (must shed nothing) and a
-# 2x cell (zygos must hold goodput while no-shed collapses). The binary exits
-# non-zero if any acceptance boolean fails, so `set -e` is the gate; the JSON is
-# validated on top. 1200 ms cells, not shorter: the SLO is derived from the 0.8x
-# baseline p99, which host noise can inflate 2-3x on an oversubscribed box — the
-# no-shed backlog delay (~0.5x elapsed time at 2x offered) must still clearly
-# exceed that inflated SLO inside the window or no_shed_collapses goes flaky.
-overload_json="${BUILD_DIR}/overload_smoke.json"
-rm -f "${overload_json}"
-overload_out="$("${BUILD_DIR}/bench/overload_live_runtime" --workers=2 \
-  --connections=8 --threads=2 --service-us=1000 --multipliers=0.8,2 \
-  --duration-ms=1200 --warmup-ms=150 --seed=7 --json="${overload_json}")" || {
-    # Print what the binary got through before the failing boolean killed it —
-    # `set -e` on the bare substitution would otherwise swallow every CSV row.
-    printf '%s\n' "${overload_out}"
-    echo "ci: overload_live_runtime exited non-zero (an acceptance boolean failed)" >&2
-    exit 1; }
-printf '%s\n' "${overload_out}"
-printf '%s\n' "${overload_out}" | grep -q '^zygos,2\.00,' || {
-    echo "ci: overload_live_runtime emitted no 2x zygos CSV row" >&2; exit 1; }
-if command -v python3 > /dev/null; then
-  python3 -m json.tool "${overload_json}" > /dev/null || {
-    echo "ci: ${overload_json} is malformed JSON" >&2; exit 1; }
-fi
-for gate in goodput_at_2x_geq_090_peak no_shed_collapses \
-            zero_sheds_below_saturation ledger_balanced; do
-  grep -q "\"${gate}\": true" "${overload_json}" || {
-    echo "ci: overload acceptance boolean ${gate} is not true" >&2; exit 1; }
-done
+# 2x cell (zygos must hold goodput while no-shed collapses). 1200 ms cells, not
+# shorter: the SLO is derived from the 0.8x baseline p99, which host noise can
+# inflate 2-3x on an oversubscribed box — the no-shed backlog delay (~0.5x elapsed
+# time at 2x offered) must still clearly exceed that inflated SLO inside the window
+# or no_shed_collapses goes flaky.
+smoke_live overload_live_runtime '^zygos,2\.00,' --workers=2 --connections=8 \
+  --threads=2 --service-us=1000 --multipliers=0.8,2 --duration-ms=1200 \
+  --warmup-ms=150 --seed=7
 
 echo "== smoke: kv_server serve -> chaos_proxy -> open-loop loadgen over real TCP"
 # The full degraded-network pipeline as three separate processes: the loadgen dials
@@ -285,5 +222,18 @@ LSAN_OPTIONS="suppressions=$(pwd)/scripts/lsan.supp" \
   ctest --test-dir "${BUILD_DIR}-asan" \
   -R 'runtime_test|loadgen_test|chaos_test|transport_conformance_test|overload_test|tpcc_test|net_test' \
   --output-on-failure -j "${JOBS}" --repeat until-pass:2
+
+echo "== UndefinedBehaviorSanitizer: wire-decoder suites (${BUILD_DIR}-ubsan)"
+# The decoders parse bytes from the network: a length or count taken from the wire
+# that overflows, shifts out of range or indexes past a buffer is UB that a normal
+# build may silently survive. net_test (frame parsing), tpcc_test (the TPC-C request
+# decode fuzz sweep) and kvstore_test (the KV protocol) drive every decoder path;
+# -fno-sanitize-recover makes the first report fatal.
+cmake -B "${BUILD_DIR}-ubsan" -S . -DZYGOS_BUILD_BENCH=OFF -DZYGOS_BUILD_EXAMPLES=OFF \
+  -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=undefined" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
+cmake --build "${BUILD_DIR}-ubsan" -j "${JOBS}" --target net_test tpcc_test kvstore_test
+ctest --test-dir "${BUILD_DIR}-ubsan" -R 'net_test|tpcc_test|kvstore_test' \
+  --output-on-failure -j "${JOBS}"
 
 echo "CI OK"

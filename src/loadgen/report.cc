@@ -1,21 +1,11 @@
 #include "src/loadgen/report.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace zygos {
 
 namespace {
-
-std::vector<const LivePoint*> PointsOf(const std::vector<LivePoint>& points,
-                                       const std::string& config) {
-  std::vector<const LivePoint*> out;
-  for (const LivePoint& point : points) {
-    if (point.config == config) {
-      out.push_back(&point);
-    }
-  }
-  return out;
-}
 
 std::vector<const LivePoint*> PointsOf(const std::vector<LivePoint>& points,
                                        const std::string& config,
@@ -42,13 +32,20 @@ std::vector<std::string> TransportsOf(const std::vector<LivePoint>& points) {
   return out;
 }
 
-void PrintJsonArray(FILE* out, const std::vector<const LivePoint*>& points,
-                    double LivePoint::* field) {
-  std::fputc('[', out);
-  for (size_t i = 0; i < points.size(); ++i) {
-    std::fprintf(out, "%s%.2f", i == 0 ? "" : ", ", points[i]->*field);
+// The two curves' cells at their highest COMMON load: both sweep the same ascending
+// rate list, so that is the last row of the shorter curve. Nulls when either curve is
+// absent.
+std::pair<const LivePoint*, const LivePoint*> AtCommonPeak(
+    const std::vector<LivePoint>& points, const std::string& config_a,
+    const std::string& transport_a, const std::string& config_b,
+    const std::string& transport_b) {
+  std::vector<const LivePoint*> a = PointsOf(points, config_a, transport_a);
+  std::vector<const LivePoint*> b = PointsOf(points, config_b, transport_b);
+  if (a.empty() || b.empty()) {
+    return {nullptr, nullptr};
   }
-  std::fputc(']', out);
+  size_t common = std::min(a.size(), b.size());
+  return {a[common - 1], b[common - 1]};
 }
 
 }  // namespace
@@ -118,15 +115,9 @@ bool ZygosP99MonotoneInLoad(const std::vector<LivePoint>& points) {
 
 bool StealLeqNoStealAtPeak(const std::vector<LivePoint>& points) {
   for (const std::string& transport : TransportsOf(points)) {
-    std::vector<const LivePoint*> zygos = PointsOf(points, "zygos", transport);
-    std::vector<const LivePoint*> no_steal = PointsOf(points, "no-steal", transport);
-    if (zygos.empty() || no_steal.empty()) {
-      continue;
-    }
-    // Highest common load point: both sweeps run the same ascending rate list, so the
-    // last row of the shorter curve is the comparison cell.
-    size_t common = std::min(zygos.size(), no_steal.size());
-    if (zygos[common - 1]->p99_us > no_steal[common - 1]->p99_us) {
+    auto [zygos, no_steal] =
+        AtCommonPeak(points, "zygos", transport, "no-steal", transport);
+    if (zygos != nullptr && zygos->p99_us > no_steal->p99_us) {
       return false;
     }
   }
@@ -134,27 +125,16 @@ bool StealLeqNoStealAtPeak(const std::vector<LivePoint>& points) {
 }
 
 bool UringP99LeqEpollAtPeak(const std::vector<LivePoint>& points) {
-  std::vector<const LivePoint*> uring = PointsOf(points, "zygos", "uring");
-  std::vector<const LivePoint*> epoll = PointsOf(points, "zygos", "tcp");
-  if (uring.empty() || epoll.empty()) {
-    return true;
-  }
+  auto [uring, epoll] = AtCommonPeak(points, "zygos", "uring", "zygos", "tcp");
   // "No latency cost" within p99 estimator noise: the hard, noise-free win the
   // uring backend claims is syscalls/request (below, strict); this predicate
   // guards against the batching path *costing* tail latency at matched load.
-  size_t common = std::min(uring.size(), epoll.size());
-  return kP99NoiseTolerance * uring[common - 1]->p99_us <=
-         epoll[common - 1]->p99_us;
+  return uring == nullptr || kP99NoiseTolerance * uring->p99_us <= epoll->p99_us;
 }
 
 bool UringSyscallsBelowEpoll(const std::vector<LivePoint>& points) {
-  std::vector<const LivePoint*> uring = PointsOf(points, "zygos", "uring");
-  std::vector<const LivePoint*> epoll = PointsOf(points, "zygos", "tcp");
-  if (uring.empty() || epoll.empty()) {
-    return true;
-  }
-  size_t common = std::min(uring.size(), epoll.size());
-  return uring[common - 1]->syscalls_per_req < epoll[common - 1]->syscalls_per_req;
+  auto [uring, epoll] = AtCommonPeak(points, "zygos", "uring", "zygos", "tcp");
+  return uring == nullptr || uring->syscalls_per_req < epoll->syscalls_per_req;
 }
 
 bool UringLadderSyscallsStrictlyDecreasing(const std::vector<LivePoint>& points) {
@@ -163,11 +143,11 @@ bool UringLadderSyscallsStrictlyDecreasing(const std::vector<LivePoint>& points)
   double prev = 0;
   bool have_prev = false;
   for (const char* rung : kChain) {
-    std::vector<const LivePoint*> curve = PointsOf(points, "zygos", rung);
-    if (curve.empty()) {
+    const LivePoint* peak = PeakPoint(points, "zygos", rung);
+    if (peak == nullptr) {
       continue;
     }
-    double syscalls = curve.back()->syscalls_per_req;
+    double syscalls = peak->syscalls_per_req;
     if (have_prev && syscalls >= prev) {
       return false;
     }
@@ -178,110 +158,19 @@ bool UringLadderSyscallsStrictlyDecreasing(const std::vector<LivePoint>& points)
 }
 
 bool UringFullLadderSyscallsLeq0p1(const std::vector<LivePoint>& points) {
-  std::vector<const LivePoint*> full = PointsOf(points, "zygos", "uring+ms+sqp");
-  if (full.empty()) {
-    return true;
-  }
-  return full.back()->syscalls_per_req <= 0.1;
+  const LivePoint* full = PeakPoint(points, "zygos", "uring+ms+sqp");
+  return full == nullptr || full->syscalls_per_req <= 0.1;
 }
 
-bool WriteLiveJsonReport(const std::string& path, const LiveRunInfo& info,
-                         const std::vector<LivePoint>& points) {
-  std::vector<const LivePoint*> zygos = PointsOf(points, "zygos");
-  if (zygos.empty()) {
-    std::fprintf(stderr, "report: no 'zygos' points — refusing to write %s\n",
-                 path.c_str());
-    return false;
-  }
-  FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "report: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"metric\": \"live_zygos_p99_us_at_peak_load\",\n"
-               "  \"value\": %.2f,\n"
-               "  \"unit\": \"us\",\n"
-               "  \"commit\": \"\",\n"
-               "  \"params\": {\n"
-               "    \"transport\": \"%s\", \"distribution\": \"%s\", "
-               "\"service_us\": %.2f, \"service_mode\": \"%s\",\n"
-               "    \"arrivals\": \"%s\", \"workers\": %d, \"connections\": %d, "
-               "\"skew\": %s,\n"
-               "    \"duration_ms\": %.0f, \"warmup_ms\": %.0f, \"seed\": %llu,\n",
-               zygos.back()->p99_us, info.transport.c_str(), info.distribution.c_str(),
-               info.service_us, info.service_mode.c_str(), info.arrivals.c_str(),
-               info.workers, info.connections, info.skew ? "true" : "false",
-               info.duration_ms, info.warmup_ms,
-               static_cast<unsigned long long>(info.seed));
-  std::fprintf(out, "    \"zygos_p99_monotone_in_load\": %s,\n",
-               ZygosP99MonotoneInLoad(points) ? "true" : "false");
-  std::fprintf(out, "    \"steal_leq_no_steal_at_peak\": %s,\n",
-               StealLeqNoStealAtPeak(points) ? "true" : "false");
-  std::fprintf(out, "    \"uring_p99_leq_epoll_at_peak\": %s,\n",
-               UringP99LeqEpollAtPeak(points) ? "true" : "false");
-  std::fprintf(out, "    \"uring_syscalls_below_epoll\": %s,\n",
-               UringSyscallsBelowEpoll(points) ? "true" : "false");
-  std::fprintf(out, "    \"uring_ladder_syscalls_strictly_decreasing\": %s,\n",
-               UringLadderSyscallsStrictlyDecreasing(points) ? "true" : "false");
-  std::fprintf(out, "    \"uring_full_ladder_syscalls_leq_0p1\": %s,\n",
-               UringFullLadderSyscallsLeq0p1(points) ? "true" : "false");
-  // Hardware-counter cost at the headline cell (full-ZygOS peak load). A locked-down
-  // host reports available=false with the probe's reason and all-zero rates.
-  std::fprintf(out,
-               "    \"perf_counters\": {\"available\": %s, \"reason\": \"%s\", "
-               "\"measured\": %s,\n"
-               "      \"cycles_per_req\": %.0f, \"instructions_per_req\": %.0f, "
-               "\"cache_misses_per_req\": %.1f},\n",
-               info.perf_available ? "true" : "false", info.perf_reason.c_str(),
-               zygos.back()->perf_valid ? "true" : "false",
-               zygos.back()->cycles_per_req, zygos.back()->instructions_per_req,
-               zygos.back()->cache_misses_per_req);
+const LivePoint* PeakPoint(const std::vector<LivePoint>& points,
+                           const std::string& config, const std::string& transport) {
+  std::vector<const LivePoint*> curve = PointsOf(points, config, transport);
+  return curve.empty() ? nullptr : curve.back();
+}
 
-  // One curve block per (config, transport) pair present, in first-appearance order.
-  // Single-transport runs keep the historical config-only keys; multi-transport runs
-  // suffix the transport so the curves stay distinct.
-  std::vector<std::string> transports = TransportsOf(points);
-  std::vector<std::pair<std::string, std::string>> curves_keys;
-  for (const LivePoint& point : points) {
-    std::pair<std::string, std::string> id{point.config, point.transport};
-    if (std::find(curves_keys.begin(), curves_keys.end(), id) == curves_keys.end()) {
-      curves_keys.push_back(id);
-    }
-  }
-  std::fprintf(out, "    \"curves\": {\n");
-  for (size_t c = 0; c < curves_keys.size(); ++c) {
-    std::vector<const LivePoint*> curve =
-        PointsOf(points, curves_keys[c].first, curves_keys[c].second);
-    // JSON keys use underscores; the CSV keeps the hyphenated config names and the
-    // '+'-joined uring ladder rungs ("uring+ms" -> "..._uring_ms").
-    std::string key = curves_keys[c].first;
-    if (transports.size() > 1) {
-      key += "-" + curves_keys[c].second;
-    }
-    std::replace(key.begin(), key.end(), '-', '_');
-    std::replace(key.begin(), key.end(), '+', '_');
-    std::fprintf(out, "      \"%s\": {\"offered_rps\": ", key.c_str());
-    PrintJsonArray(out, curve, &LivePoint::offered_rps);
-    std::fprintf(out, ", \"achieved_rps\": ");
-    PrintJsonArray(out, curve, &LivePoint::achieved_rps);
-    std::fprintf(out, ", \"p50_us\": ");
-    PrintJsonArray(out, curve, &LivePoint::p50_us);
-    std::fprintf(out, ", \"p99_us\": ");
-    PrintJsonArray(out, curve, &LivePoint::p99_us);
-    std::fprintf(out, ", \"p999_us\": ");
-    PrintJsonArray(out, curve, &LivePoint::p999_us);
-    std::fprintf(out, ", \"syscalls_per_req\": ");
-    PrintJsonArray(out, curve, &LivePoint::syscalls_per_req);
-    std::fprintf(out, "}%s\n", c + 1 == curves_keys.size() ? "" : ",");
-  }
-  std::fprintf(out, "    }\n  }\n}\n");
-  bool ok = std::fclose(out) == 0;
-  if (!ok) {
-    std::fprintf(stderr, "report: write to %s failed\n", path.c_str());
-  }
-  return ok;
+const LivePoint* HeadlinePoint(const std::vector<LivePoint>& points,
+                               const std::string& config) {
+  return points.empty() ? nullptr : PeakPoint(points, config, points.front().transport);
 }
 
 }  // namespace zygos

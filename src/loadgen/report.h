@@ -1,11 +1,7 @@
-// Result reporting for live-runtime experiments: the stable CSV stdout contract and
-// the BENCH_*.json report file that scripts/bench_trajectory.sh and scripts/ci.sh
-// consume (bench/README.md "live-runtime figures").
-//
-// One LivePoint per (config, load) cell of a sweep. The JSON report follows the
-// repo's BENCH contract ({metric, value, unit, commit, params}): the headline value
-// is the full-ZygOS p99 at the highest swept load, and params carries every curve
-// plus four precomputed acceptance booleans —
+// Result reporting for live-runtime experiments: one LivePoint per (config,
+// transport, load) cell of a sweep, the stable CSV stdout contract, the headline cell
+// and the acceptance predicates the BENCH_*.json reports carry as gates
+// (src/loadgen/experiment.h writes them; bench/README.md documents them):
 //   zygos_p99_monotone_in_load : ZygOS p99 never drops below 0.8x its running max
 //                                as offered load rises (one-sided estimator-noise
 //                                tolerance — a cell's p99 rests on a few dozen tail
@@ -27,8 +23,6 @@
 //                                "uring+ms+sqp"; counter-exact)
 //   uring_full_ladder_syscalls_leq_0p1 : the full ladder ("uring+ms+sqp") reaches
 //                                <= 0.1 syscalls/request at peak load
-// so shell harnesses can grep instead of re-deriving them. `commit` is written empty
-// ("") and stamped by scripts/bench_trajectory.sh.
 //
 // Contract: not thread-safe (assemble points after the run); latencies in the CSV and
 // JSON are microseconds, rates are requests/second.
@@ -37,7 +31,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -63,9 +56,7 @@ struct LivePoint {
   double max_us = 0;
   double send_lag_max_us = 0;  // generator lateness (see GeneratorResult::max_send_lag)
   uint64_t steals = 0;
-  uint64_t stolen_events = 0;
   uint64_t doorbells_sent = 0;
-  uint64_t remote_syscalls = 0;
   // Data-path syscalls per completed request (Transport::IoSyscalls over completions;
   // see bench/README.md "syscalls_per_request"). 0 for loopback. The headline the
   // uring backend exists to lower: epoll pays ~2+/req, batched uring well under 1.
@@ -80,26 +71,6 @@ struct LivePoint {
   double cycles_per_req = 0;
   double instructions_per_req = 0;
   double cache_misses_per_req = 0;
-};
-
-// Experiment-wide parameters echoed into the CSV preamble and the JSON params block.
-struct LiveRunInfo {
-  std::string transport;     // "loopback" | "tcp"
-  std::string distribution;  // service-time distribution name
-  double service_us = 0;
-  std::string service_mode;  // "spin" | "sleep"
-  std::string arrivals;      // "poisson" | "fixed"
-  int workers = 0;
-  int connections = 0;
-  bool skew = false;  // all flow groups homed on core 0
-  double duration_ms = 0;
-  double warmup_ms = 0;
-  uint64_t seed = 0;
-  // perf_event_open capability on this host (src/hw/perf_counters.h): echoed into
-  // the JSON params.perf_counters block so a trajectory reader can tell a locked-
-  // down host from a zero-cost run.
-  bool perf_available = false;
-  std::string perf_reason;  // empty when available
 };
 
 // CSV contract (stdout): header row then one row per point, `#` lines are prose.
@@ -118,25 +89,25 @@ void PrintLiveCsvRow(FILE* out, const LivePoint& point);
 bool ZygosP99MonotoneInLoad(const std::vector<LivePoint>& points);
 bool StealLeqNoStealAtPeak(const std::vector<LivePoint>& points);
 // Cross-transport acceptance, full-ZygOS config at the highest common load point
-// (both transports sweep the same ascending rate list):
-//   UringP99LeqEpollAtPeak    uring p99 <= epoll p99 at matched load, within the
-//                             one-sided p99 noise tolerance (see header comment)
-//   UringSyscallsBelowEpoll   uring syscalls/request strictly below epoll's
-// Vacuously true when either transport's curve is absent.
+// (both transports sweep the same ascending rate list); vacuously true when either
+// transport's curve is absent.
 bool UringP99LeqEpollAtPeak(const std::vector<LivePoint>& points);
 bool UringSyscallsBelowEpoll(const std::vector<LivePoint>& points);
-// io_uring feature-ladder acceptance, full-ZygOS config, peak (= last) load point.
-// Rung names are transport strings: "uring" (all rungs off — the re-arm pooled-recv
-// baseline), "uring+ms" (+multishot recv over a provided-buffer ring), "uring+ms+sqp"
-// (+SQPOLL, the full ladder). Both are vacuously true when the relevant rungs are
-// absent from the sweep (fewer than two rungs / no full-ladder rung).
+// io_uring feature-ladder acceptance, full-ZygOS config, peak (= last) load point of
+// each rung (rung names: LiveTransport, src/loadgen/experiment.h). Both are vacuously
+// true when the relevant rungs are absent from the sweep (fewer than two rungs / no
+// full-ladder rung).
 bool UringLadderSyscallsStrictlyDecreasing(const std::vector<LivePoint>& points);
 bool UringFullLadderSyscallsLeq0p1(const std::vector<LivePoint>& points);
 
-// Writes the BENCH-contract JSON report. Returns false (and prints to stderr) on I/O
-// failure. `points` must hold at least one "zygos" row.
-bool WriteLiveJsonReport(const std::string& path, const LiveRunInfo& info,
-                         const std::vector<LivePoint>& points);
+// The last (= highest-load) point of `config` on `transport`; null when absent.
+const LivePoint* PeakPoint(const std::vector<LivePoint>& points,
+                           const std::string& config, const std::string& transport);
+// The headline cell: `config`'s peak point on the FIRST swept transport — the one the
+// rate list was calibrated on — so a headline never depends on the order of the
+// transports after it. Null when `config` was not swept there.
+const LivePoint* HeadlinePoint(const std::vector<LivePoint>& points,
+                               const std::string& config);
 
 }  // namespace zygos
 

@@ -304,9 +304,9 @@ void Runtime::WorkerLoop(int core) {
       }
       return;
     }
-    if (options_.yield_when_idle) {
-      std::this_thread::yield();
-    }
+    // Yield the OS thread: essential on machines with fewer hardware threads than
+    // workers, harmless elsewhere.
+    std::this_thread::yield();
   }
 }
 

@@ -103,9 +103,6 @@ struct RuntimeOptions {
   // transports that mint flow ids dynamically, like TcpTransport, must stay below it).
   // 0 means max(num_flows, 4096).
   size_t max_flows = 0;
-  // Yield the OS thread inside the idle loop (essential on machines with fewer
-  // hardware threads than workers; harmless elsewhere).
-  bool yield_when_idle = true;
   // Ablation knobs for the live-runtime experiments (kZygos mode only; kPartitioned
   // never runs the idle loop). Both default to the full ZygOS design.
   //   enable_stealing = false  -> the idle loop skips step (b): remote shuffle queues

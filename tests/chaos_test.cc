@@ -275,7 +275,6 @@ struct EchoServer {
     RuntimeOptions options;
     options.num_workers = workers;
     options.num_flows = 16;
-    options.yield_when_idle = true;
     TcpTransportOptions tcp = TcpOptionsFor(options);
     if (stall_deadline > 0) {
       tcp.stall_drop_deadline = stall_deadline;

@@ -1,14 +1,19 @@
 // Tests for the open-loop load generator (src/loadgen): arrival-process statistics,
 // the coordinated-omission guard (the send schedule is a pure function of the seed —
 // sink latency must never shift scheduled times or thin the request count), the
-// warmup window of MeasuredCompletion, and an end-to-end loopback run against the
-// live runtime.
+// warmup window of MeasuredCompletion, an end-to-end loopback run against the live
+// runtime, and the shared live-experiment harness (src/loadgen/experiment.h: the
+// BENCH report writer, median-of-N, the config table, one cell per transport family).
 //
-// All assertions are functional (counts, schedules, invariants) except the loopback
-// round-trip, which only asserts that measurement happened — never how fast: the host
+// All assertions are functional (counts, schedules, invariants) except the live
+// round-trips, which only assert that measurement happened — never how fast: the host
 // may have a single hardware thread.
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,6 +24,7 @@
 #include "src/chaos/chaos_proxy.h"
 #include "src/db/tpcc_loader.h"
 #include "src/loadgen/arrival.h"
+#include "src/loadgen/experiment.h"
 #include "src/loadgen/fanout.h"
 #include "src/loadgen/loadgen.h"
 #include "src/loadgen/report.h"
@@ -556,6 +562,135 @@ TEST(TcpLoadgenFanoutTest, LogicalScheduleIsIndependentOfNetworkDegradation) {
   EXPECT_EQ(degraded.logical_completed + degraded.logical_lost, degraded.logical_sent);
 }
 
+// --- The shared live-experiment harness (experiment.h) ----------------------------------
+
+TEST(BenchReportTest, WritesParamsArraysNestedObjectsAndTheGateList) {
+  BenchReport report("tiny_metric", 1.5, "us");
+  report.params().Str("transport", "tcp").Int("workers", 2).Num("ratio", 0.25, 3);
+  report.Gate("shape_ok", true).Gate("ledger_ok", false);
+  JsonObject curve;
+  curve.Nums("p99_us", {1, 2.5}, 1);
+  report.params().Object("curves", JsonObject().Object("zygos", curve));
+  EXPECT_EQ(report.ToJson(),
+            "{\n"
+            "  \"metric\": \"tiny_metric\",\n"
+            "  \"value\": 1.50,\n"
+            "  \"unit\": \"us\",\n"
+            "  \"commit\": \"\",\n"
+            "  \"params\": {\n"
+            "    \"transport\": \"tcp\",\n"
+            "    \"workers\": 2,\n"
+            "    \"ratio\": 0.250,\n"
+            "    \"shape_ok\": true,\n"
+            "    \"ledger_ok\": false,\n"
+            "    \"curves\": {\n"
+            "      \"zygos\": {\n"
+            "        \"p99_us\": [1.0, 2.5]\n"
+            "      }\n"
+            "    },\n"
+            "    \"gates\": [\"shape_ok\", \"ledger_ok\"]\n"
+            "  }\n"
+            "}\n");
+  // The exit status: 1 while any gate is false — also when no file is written — and
+  // the file holds exactly ToJson().
+  const std::string path = testing::TempDir() + "/bench_report_test.json";
+  EXPECT_EQ(report.Finish(path), 1);
+  std::stringstream written;
+  written << std::ifstream(path).rdbuf();
+  EXPECT_EQ(written.str(), report.ToJson());
+  std::remove(path.c_str());
+  EXPECT_EQ(report.Finish(""), 1);
+  BenchReport passing("m", 0, "x");
+  passing.Gate("a", true).Gate("b", true);
+  EXPECT_EQ(passing.Finish(""), 0);
+  // A missing headline renders as null, never as a made-up number.
+  EXPECT_NE(BenchReport("m", NAN, "us").ToJson().find("\"value\": null,"),
+            std::string::npos);
+}
+
+TEST(MedianOfNTest, KeepsTheWholeMedianRunForOddAndEvenCounts) {
+  // Each run is (key, tag): the tag proves the whole run is returned, not just a key.
+  auto median = [](std::vector<std::pair<double, int>> runs) {
+    size_t next = 0;
+    return MedianOfN(
+        static_cast<int>(runs.size()), [&] { return runs[next++]; },
+        [](const std::pair<double, int>& run) { return run.first; });
+  };
+  EXPECT_EQ(median({{30, 1}, {10, 2}, {20, 3}}).second, 3);
+  // Even counts keep sorted[n/2], the upper median.
+  EXPECT_EQ(median({{40, 1}, {10, 2}, {30, 3}, {20, 4}}).second, 3);
+  EXPECT_EQ(median({{7, 9}}).second, 9);
+}
+
+TEST(LiveConfigTest, ParsesTheConfigTableAndRejectsUnknownNames) {
+  std::optional<LiveConfig> no_ipi = ParseLiveConfig("no-ipi");
+  ASSERT_TRUE(no_ipi.has_value());
+  EXPECT_TRUE(no_ipi->stealing);
+  EXPECT_FALSE(no_ipi->doorbells);
+  EXPECT_EQ(ParseLiveConfig("partitioned")->mode, RuntimeMode::kPartitioned);
+  EXPECT_FALSE(ParseLiveConfig("zygos-turbo").has_value());
+
+  std::optional<std::vector<LiveConfig>> configs = ParseLiveConfigs("zygos,no-steal");
+  ASSERT_TRUE(configs.has_value());
+  ASSERT_EQ(configs->size(), 2u);
+  EXPECT_EQ((*configs)[1].name, "no-steal");
+  EXPECT_FALSE((*configs)[1].stealing);
+  EXPECT_FALSE(ParseLiveConfigs("zygos,bogus").has_value());
+  EXPECT_FALSE(ParseLiveConfigs("").has_value());
+
+  std::optional<LiveTransport> rung = ParseLiveTransport("uring+ms");
+  ASSERT_TRUE(rung.has_value());
+  EXPECT_TRUE(rung->socket && rung->uring && rung->multishot);
+  EXPECT_FALSE(rung->sqpoll);
+  EXPECT_FALSE(ParseLiveTransport("loopback")->socket);
+  EXPECT_FALSE(ParseLiveTransport("uring+ms+sqp+zc").has_value());
+}
+
+// One low-rate cell per transport family through the shared runner. Functional
+// assertions only (tests/README.md): the run's ledger balances and something was
+// measured — never how fast.
+LiveSweep LowRateSweep() {
+  LiveSweep sweep;
+  sweep.workers = 2;
+  sweep.connections = 4;
+  sweep.threads = 1;
+  sweep.duration = 300 * kMillisecond;
+  sweep.warmup = 50 * kMillisecond;
+  return sweep;
+}
+
+ViewHandler EchoHandler() {
+  return [](uint64_t, std::string_view request, ResponseBuilder& out) {
+    out.Append(request);
+  };
+}
+
+TEST(RunLiveCellTest, LoopbackCellRetiresEveryAcceptedRequest) {
+  LiveCellResult cell = RunLiveCell(LowRateSweep(), *ParseLiveTransport("loopback"),
+                                    *ParseLiveConfig("zygos"), 1000, EchoHandler());
+  EXPECT_GT(cell.loopback.sent, 0u);
+  // GeneratorResult::sent already excludes ingress refusals (`dropped`), so every
+  // accepted request must have retired.
+  EXPECT_EQ(cell.runtime_completed, cell.loopback.sent);
+  EXPECT_EQ(cell.point.sent, cell.loopback.sent);
+  EXPECT_EQ(cell.point.dropped, cell.loopback.dropped);
+  EXPECT_GT(cell.point.measured, 0u);
+  EXPECT_EQ(cell.point.transport, "loopback");
+  EXPECT_EQ(cell.point.syscalls_per_req, 0.0);
+}
+
+TEST(RunLiveCellTest, TcpCellLedgerBalances) {
+  LiveCellResult cell = RunLiveCell(LowRateSweep(), *ParseLiveTransport("tcp"),
+                                    *ParseLiveConfig("zygos"), 500, EchoHandler());
+  const TcpLoadgenResult& tcp = cell.tcp;
+  EXPECT_GT(tcp.sent, 0u);
+  EXPECT_EQ(tcp.completed + tcp.shed + tcp.lost, tcp.sent);
+  EXPECT_EQ(cell.point.sent, tcp.sent);
+  EXPECT_GT(cell.point.measured, 0u);
+  EXPECT_GE(cell.runtime_completed, tcp.completed);
+  EXPECT_GT(cell.point.syscalls_per_req, 0.0) << "epoll serves no request syscall-free";
+}
+
 // --- report.h acceptance predicates ---------------------------------------------------
 
 LivePoint Point(const std::string& config, double offered, double p99) {
@@ -673,6 +808,28 @@ TEST(LiveReportTest, UringSyscallsMustBeStrictlyBelowEpoll) {
   points[1].syscalls_per_req = 2.5;  // equality is NOT enough — no tolerance here
   EXPECT_FALSE(UringSyscallsBelowEpoll(points));
   EXPECT_TRUE(UringSyscallsBelowEpoll({PointT("zygos", "uring", 100, 10, 0.4)}));
+}
+
+TEST(LiveReportTest, HeadlineIsTheFirstTransportsPeakWhateverFollowsIt) {
+  // The first transport is the calibration transport; the value must not depend on
+  // the order of the transports swept after it.
+  std::vector<LivePoint> tcp = {PointT("zygos", "tcp", 100, 10),
+                                PointT("zygos", "tcp", 200, 30)};
+  std::vector<LivePoint> uring = {PointT("zygos", "uring", 100, 8),
+                                  PointT("zygos", "uring", 200, 25)};
+  std::vector<LivePoint> loopback = {PointT("zygos", "loopback", 100, 900),
+                                     PointT("zygos", "loopback", 200, 4000)};
+  std::vector<LivePoint> order_a = tcp, order_b = tcp;
+  order_a.insert(order_a.end(), uring.begin(), uring.end());
+  order_a.insert(order_a.end(), loopback.begin(), loopback.end());
+  order_b.insert(order_b.end(), loopback.begin(), loopback.end());
+  order_b.insert(order_b.end(), uring.begin(), uring.end());
+  LiveSweep sweep;
+  BenchReport a = LiveSweepReport("m", sweep, order_a);
+  BenchReport b = LiveSweepReport("m", sweep, order_b);
+  EXPECT_EQ(a.value(), 30);
+  EXPECT_EQ(b.value(), a.value());
+  EXPECT_NE(b.ToJson().find("\"headline_transport\": \"tcp\""), std::string::npos);
 }
 
 TEST(LiveReportTest, StealComparisonUsesHighestCommonLoadPoint) {

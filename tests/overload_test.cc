@@ -258,7 +258,6 @@ RuntimeOptions OverloadRuntimeOptions() {
   RuntimeOptions options;
   options.num_workers = 2;
   options.num_flows = 8;
-  options.yield_when_idle = true;
   options.overload.enabled = true;
   return options;
 }
@@ -424,7 +423,6 @@ struct OverloadTcpServer {
   explicit OverloadTcpServer(Nanos deadline_budget, Nanos service) {
     options.num_workers = 2;
     options.num_flows = 64;
-    options.yield_when_idle = true;
     options.overload.enabled = true;
     options.overload.deadline_budget = deadline_budget;
     auto owned = std::make_unique<TcpTransport>(TcpOptionsFor(options));

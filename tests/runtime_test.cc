@@ -86,7 +86,6 @@ RuntimeOptions SmallOptions(RuntimeMode mode, int workers = 3, int flows = 16) {
   options.num_workers = workers;
   options.mode = mode;
   options.num_flows = flows;
-  options.yield_when_idle = true;
   return options;
 }
 

@@ -292,7 +292,6 @@ class TransportConformance : public ::testing::TestWithParam<BackendVariant> {
     options.num_workers = workers;
     options.mode = RuntimeMode::kZygos;
     options.num_flows = flows;
-    options.yield_when_idle = true;
     return options;
   }
 };
@@ -605,7 +604,6 @@ TEST(UringForcedFallback, AllRungsDeniedEchoesByteIdentically) {
   options.num_workers = 2;
   options.mode = RuntimeMode::kZygos;
   options.num_flows = 8;
-  options.yield_when_idle = true;
   UringTransportOptions uopts(TcpOptionsFor(options));
   uopts.multishot = false;
   uopts.sqpoll = false;
