@@ -11,8 +11,8 @@
 //   no-steal     RuntimeOptions::enable_stealing = false
 //   partitioned  RuntimeMode::kPartitioned (the shared-nothing IX baseline)
 // over ascending load and prints one CSV row per (config, load) cell. The sweep is the
-// shared live harness's (src/loadgen/experiment.h: configs, transports — the io_uring
-// ladder rungs included — calibration, median-of-N cells); this binary adds the TPC-C
+// shared live harness's (src/loadgen/experiment.h: configs, transports, calibration,
+// median-of-N cells); this binary adds the TPC-C
 // handler, the payload factory and the per-cell ledger. `--json=PATH` writes the
 // BENCH-contract report with three acceptance gates (exit 1 iff one is false):
 //   zygos_p99_monotone_in_load  p99 CCDF shape: never drops below 0.8x its running
@@ -43,8 +43,7 @@ namespace zygos {
 namespace {
 
 constexpr const char* kUsage =
-    "usage: fig10_live_runtime [--transport=loopback|tcp|uring|uring+ms|uring+ms+sqp"
-    "[,...]] [--workers=N]\n"
+    "usage: fig10_live_runtime [--transport=loopback|tcp|uring[,...]] [--workers=N]\n"
     "  [--connections=N] [--threads=N] [--arrivals=poisson|fixed] [--warehouses=N]\n"
     "  [--scale=tiny|full] [--service-pad-us=F] "
     "[--configs=zygos,no-steal,partitioned]\n"

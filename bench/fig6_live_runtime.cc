@@ -17,19 +17,15 @@
 // the synthetic spin service (src/loadgen/spin_service.h); on hosts with fewer
 // hardware threads than workers use `--service-mode=sleep` (see that header).
 //
-// `--transport` takes a comma-separated list of loopback, tcp and the io_uring
-// feature-ladder rungs uring|uring+ms|uring+ms+sqp (LiveTransport in
-// src/loadgen/experiment.h); every requested transport sweeps the SAME ascending rate
-// list (calibrated once, on the first transport), so uring-vs-epoll and rung-vs-rung
-// comparisons happen at matched load, and the headline value is the zygos peak-load
-// p99 on that first transport. `--uring-ladder` is shorthand for
-// `--transport=tcp,uring,uring+ms,uring+ms+sqp`. Socket transports additionally
-// report syscalls_per_req (Transport::IoSyscalls over completed requests) — the
-// ladder's headline, stepping from epoll's ~2/req through batched uring's ~0.7 toward
-// ~0 with SQPOLL. A rung this host cannot serve is skipped with a `# skip:` note
-// (exit 0 when nothing remains); `--probe-uring` reports availability and the
-// per-feature support set (exit 0/1) so harnesses can decide before committing to a
-// sweep.
+// `--transport` takes a comma-separated list of loopback, tcp and uring
+// (LiveTransport in src/loadgen/experiment.h); every requested transport sweeps the
+// SAME ascending rate list (calibrated once, on the first transport), so
+// uring-vs-epoll comparisons happen at matched load, and the headline value is the
+// zygos peak-load p99 on that first transport. Socket transports additionally report
+// syscalls_per_req (Transport::IoSyscalls over completed requests): epoll's ~2/req
+// against batched uring's ~0.7. uring on a host without io_uring is skipped with a
+// `# skip:` note (exit 0 when nothing remains); `--probe-uring` reports availability
+// (exit 0/1) so harnesses can decide before committing to a sweep.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -48,9 +44,7 @@ namespace zygos {
 namespace {
 
 constexpr const char* kUsage =
-    "usage: fig6_live_runtime [--transport=loopback|tcp|uring|uring+ms|uring+ms+sqp"
-    "[,...]]\n"
-    "  [--uring-ladder] [--workers=N]\n"
+    "usage: fig6_live_runtime [--transport=loopback|tcp|uring[,...]] [--workers=N]\n"
     "  [--connections=N] [--threads=N] [--arrivals=poisson|fixed] [--dist=NAME]\n"
     "  [--service-us=F] [--service-mode=spin|sleep] [--configs=zygos,no-steal,...]\n"
     "  [--rates=r1,r2,...] [--load-fractions=f1,f2,...] [--calibrate-rate=R]\n"
@@ -58,19 +52,14 @@ constexpr const char* kUsage =
     "  [--seed=N] [--skew=BOOL] [--json=PATH] [--probe-uring]";
 
 // Capability probe for harnesses (scripts/ci.sh): no sweep, just the verdict. The
-// first line's "available"/"unavailable" verdict is the stable grep target; the
-// second line carries the per-feature support set so harnesses can gate individual
-// ladder rungs (`grep 'sqpoll=1'`).
+// "available"/"unavailable" verdict is the stable grep target.
 int PrintUringProbe() {
   if (!UringTransport::Available()) {
     std::printf("io_uring: unavailable: %s\n",
                 UringTransport::UnavailableReason().c_str());
     return 1;
   }
-  const UringProbe& probe = ProbeUring();
   std::printf("io_uring: available\n");
-  std::printf("io_uring: features multishot=%d sqpoll=%d\n",
-              (probe.buf_ring && probe.multishot) ? 1 : 0, probe.sqpoll ? 1 : 0);
   return 0;
 }
 
@@ -80,7 +69,6 @@ int Main(int argc, char** argv) {
   const double service_us = flags.GetDouble("service-us", 200.0);
   const std::string mode_name = flags.GetString("service-mode", "spin");
   const bool probe_uring = flags.GetBool("probe-uring", false);
-  const bool uring_ladder = flags.GetBool("uring-ladder", false);
   LiveSweep sweep;
   sweep.name = "fig6_live_runtime";
   sweep.usage = kUsage;
@@ -97,10 +85,6 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "fig6_live_runtime: bad --service-mode or --dist\n%s\n",
                  kUsage);
     return 2;
-  }
-  if (uring_ladder) {
-    // The full matched-load ladder: epoll reference, then each uring rung.
-    sweep.transport_csv = "tcp,uring,uring+ms,uring+ms+sqp";
   }
   if (!SelectTransports(sweep)) {
     return 0;
@@ -158,25 +142,6 @@ int Main(int argc, char** argv) {
               uring != nullptr ? uring->syscalls_per_req : 0.0,
               UringP99LeqEpollAtPeak(points) ? "yes" : "no",
               UringSyscallsBelowEpoll(points) ? "yes" : "no");
-  // Ladder headline only when at least one feature rung actually swept: the
-  // rung-by-rung syscall staircase plus its two JSON acceptance booleans.
-  bool any_rung = false;
-  std::string ladder_cells;
-  for (const char* name : {"uring", "uring+ms", "uring+ms+sqp"}) {
-    if (const LivePoint* peak = PeakPoint(points, "zygos", name)) {
-      any_rung = any_rung || std::string(name) != "uring";
-      char cell[64];
-      std::snprintf(cell, sizeof cell, " %s=%.3f", name, peak->syscalls_per_req);
-      ladder_cells += cell;
-    }
-  }
-  if (any_rung) {
-    std::printf("# headline: uring ladder syscalls/req@peak%s "
-                "strictly_decreasing=%s full_ladder_leq_0.1=%s\n",
-                ladder_cells.c_str(),
-                UringLadderSyscallsStrictlyDecreasing(points) ? "yes" : "no",
-                UringFullLadderSyscallsLeq0p1(points) ? "yes" : "no");
-  }
 
   BenchReport report = LiveSweepReport("live_zygos_p99_us_at_peak_load", sweep, points);
   report.params()
@@ -184,11 +149,7 @@ int Main(int argc, char** argv) {
       .Num("service_us", service_us, 2)
       .Str("service_mode", ServiceModeName(*service_mode));
   report.Gate("uring_p99_leq_epoll_at_peak", UringP99LeqEpollAtPeak(points))
-      .Gate("uring_syscalls_below_epoll", UringSyscallsBelowEpoll(points))
-      .Gate("uring_ladder_syscalls_strictly_decreasing",
-            UringLadderSyscallsStrictlyDecreasing(points))
-      .Gate("uring_full_ladder_syscalls_leq_0p1",
-            UringFullLadderSyscallsLeq0p1(points));
+      .Gate("uring_syscalls_below_epoll", UringSyscallsBelowEpoll(points));
   // Hardware-counter cost at the headline cell. A locked-down host reports
   // available=false with the probe's reason and all-zero rates.
   const LivePoint head = zygos != nullptr ? *zygos : LivePoint{};

@@ -23,9 +23,6 @@
 //
 // Common flags:  [--workload=usr|etc] [--keys=50000] [--workers=4]
 // Server-side:   [--transport=tcp|uring]
-//                [--uring-multishot=0|1] [--uring-sqpoll=0|1]
-//                (io_uring ladder rungs; each is requested-AND-kernel-granted,
-//                a denied rung degrades the transport instead of failing it)
 // Client-side:   [--connections=16] [--threads=4] [--requests=40000] [--pipeline=8]
 // Loadgen-side:  [--rate=20000] [--duration-ms=2000] [--warmup-ms=500]
 //                [--arrivals=poisson|fixed] [--churn-ms=N]  (churn: mean connection
@@ -300,17 +297,9 @@ struct Server {
   LatencyCollector server_latency;  // arrival at the transport -> TX
 };
 
-// Which io_uring ladder rungs to request (granted rungs = requested AND kernel
-// probe; UringTransport degrades per-rung rather than failing).
-struct UringFeatures {
-  bool multishot = true;
-  bool sqpoll = false;
-};
-
 std::unique_ptr<Server> StartServer(int workers, size_t max_flows,
                                     const KvWorkloadSpec& spec, uint16_t port,
-                                    const std::string& transport_name,
-                                    const UringFeatures& uring_features) {
+                                    const std::string& transport_name) {
   auto server = std::make_unique<Server>();
   KvWorkload workload(spec, /*seed=*/5);
   std::printf("kv_server: populating %llu keys (%s workload)...\n",
@@ -340,10 +329,7 @@ std::unique_ptr<Server> StartServer(int workers, size_t max_flows,
   TcpTransportOptions tcp = TcpOptionsFor(options, port);
   std::unique_ptr<SocketTransportBase> transport;
   if (transport_name == "uring") {
-    UringTransportOptions uring(tcp);
-    uring.multishot = uring_features.multishot;
-    uring.sqpoll = uring_features.sqpoll;
-    transport = std::make_unique<UringTransport>(uring);
+    transport = std::make_unique<UringTransport>(tcp);
   } else {
     transport = std::make_unique<TcpTransport>(tcp);
   }
@@ -355,12 +341,6 @@ std::unique_ptr<Server> StartServer(int workers, size_t max_flows,
   std::printf("kv_server: %d workers listening on %s:%u (%s transport)\n",
               options.num_workers, tcp.bind_address.c_str(),
               server->transport->port(), transport_name.c_str());
-  if (transport_name == "uring") {
-    // Granted = requested AND kernel probe; a denied rung degrades, not fails.
-    auto* uring = static_cast<UringTransport*>(server->transport);
-    std::printf("kv_server: uring features multishot=%d sqpoll=%d\n",
-                uring->MultishotEnabled() ? 1 : 0, uring->SqpollEnabled() ? 1 : 0);
-  }
   return server;
 }
 
@@ -448,9 +428,6 @@ int Main(int argc, char** argv) {
 
   // Server-side knobs (read unconditionally so CheckUnknown knows every flag).
   const std::string transport_name = flags.GetString("transport", "tcp");
-  UringFeatures uring_features;
-  uring_features.multishot = flags.GetBool("uring-multishot", true);
-  uring_features.sqpoll = flags.GetBool("uring-sqpoll", false);
   const int workers = static_cast<int>(flags.GetInt("workers", 4));
   // Concurrent-connection cap (ids are recycled, so churn no longer needs headroom).
   const auto max_flows = static_cast<size_t>(flags.GetInt("max-flows", 1 << 12));
@@ -465,7 +442,6 @@ int Main(int argc, char** argv) {
   if (!flags.CheckUnknown(
           "usage: kv_server [--mode=demo|serve|client|loadgen] [--workload=usr|etc]\n"
           "  [--keys=N] [--workers=N] [--max-flows=N] [--transport=tcp|uring]\n"
-          "  [--uring-multishot=0|1] [--uring-sqpoll=0|1]\n"
           "  [--host=H] [--port=P] [--connections=N] [--threads=N] [--requests=N]\n"
           "  [--pipeline=N] [--seed=N] [--rate=RPS] [--duration-ms=N] [--warmup-ms=N]\n"
           "  [--churn-ms=N] [--arrivals=poisson|fixed]")) {
@@ -551,7 +527,7 @@ int Main(int argc, char** argv) {
   }
 
   auto server =
-      StartServer(workers, max_flows, spec, load.port, transport_name, uring_features);
+      StartServer(workers, max_flows, spec, load.port, transport_name);
 
   if (mode == "serve") {
     std::signal(SIGINT, OnSignal);

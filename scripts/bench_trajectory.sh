@@ -150,15 +150,15 @@ run_gated() {
   done
 }
 
-# --- fig6_live: the LIVE runtime under open-loop load, all transports + uring ladder --
+# --- fig6_live: the LIVE runtime under open-loop load, all three transports ---------
 # tcp leads the transport list so the
 # calibrated rate list comes from a socket backend and every transport then sweeps
-# the same absolute rates (matched-load uring-vs-epoll and rung-vs-rung cells); the
+# the same absolute rates (matched-load uring-vs-epoll cells); the
 # headline value is tcp's zygos peak-load p99 (params.headline_transport). The
 # sleep-mode service keeps the scheduling policies distinguishable on CI hosts with
 # fewer hardware threads than workers (see src/loadgen/spin_service.h). A host
-# without io_uring drops those legs (the binary prints `# skip:` per rung, likewise
-# for rungs whose feature the kernel denies) and every uring gate holds vacuously.
+# without io_uring drops the uring leg (the binary prints `# skip:`) and every uring
+# gate holds vacuously.
 # params.perf_counters carries per-request cycles/instructions/cache-misses when
 # perf_event_open works, with available=false + reason otherwise.
 # 3000ms/point: at the lowest swept rate (~1000 rps) a cell needs ~3k completions
@@ -173,13 +173,13 @@ run_gated() {
 # where the loadgen and the server share cores, a single scheduler stall books tens
 # of ms into one cell's p99 (CO-safe accounting must count it); the median row
 # discards the one-off without biasing the curve.
-# Transport list = epoll reference, the three io_uring ladder rungs ("uring" is the
-# rung-0 baseline with multishot and SQPOLL off: one pooled recv armed per
-# connection), and loopback. Snapshots: the live-harness acceptance record (0004),
-# the uring syscalls-per-request record (0007), the feature-ladder record (0010).
+# Transport list = epoll reference, io_uring (one pooled recv armed per connection,
+# plain SEND) and loopback. Snapshots: the live-harness acceptance record (0004) and
+# the uring syscalls-per-request record (0007). BENCH_0010.json, the deleted io_uring
+# feature ladder's record, is historical and no longer rewritten.
 LIVE_DURATION_MS="${BENCH_LIVE_DURATION_MS:-3000}"
-run_gated fig6_live "BENCH_0004.json BENCH_0007.json BENCH_0010.json" fig6_live_runtime \
-  --transport=tcp,uring,uring+ms,uring+ms+sqp,loopback \
+run_gated fig6_live "BENCH_0004.json BENCH_0007.json" fig6_live_runtime \
+  --transport=tcp,uring,loopback \
   --dist=exponential --service-us=300 --service-mode=sleep --workers=2 \
   --connections=16 --load-fractions=0.2,0.4,0.6,0.8 --cell-repeats=3 \
   --duration-ms="${LIVE_DURATION_MS}" --warmup-ms=400 --seed=3

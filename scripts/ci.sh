@@ -117,8 +117,15 @@ trap - EXIT
 echo "== smoke: kv_server serve (uring transport) -> open-loop loadgen over real TCP"
 # Same serve->loadgen pipeline on the io_uring backend. Gated on the runtime probe
 # (io_uring_setup may be denied by seccomp/container policy): an ineligible host
-# prints the skip and stays green, a capable host must pass.
-if "${BUILD_DIR}/bench/fig6_live_runtime" --probe-uring; then
+# prints the skip and stays green, a capable host must pass. The probe prints one
+# line, "io_uring: available" or "io_uring: unavailable: <reason>".
+probe_line="$("${BUILD_DIR}/bench/fig6_live_runtime" --probe-uring || true)"
+printf '%s\n' "${probe_line}"
+if ! [[ "${probe_line}" =~ ^io_uring:\ (available|unavailable:\ .+)$ ]]; then
+  echo "ci: unexpected --probe-uring output: ${probe_line}" >&2
+  exit 1
+fi
+if [[ "${probe_line}" == "io_uring: available" ]]; then
   "${BUILD_DIR}/examples/kv_server" --mode=serve --transport=uring --port=7413 \
     --workers=2 --keys=5000 &
   kv_pid=$!
@@ -131,42 +138,6 @@ if "${BUILD_DIR}/bench/fig6_live_runtime" --probe-uring; then
   trap - EXIT
 else
   echo "ci: skipping uring smoke (io_uring unavailable on this host)"
-fi
-
-echo "== smoke: uring feature ladder (per-feature, probe-gated)"
-# One in-process demo smoke per granted io_uring feature, each with ONLY that
-# feature requested, so a rung-specific regression cannot hide behind the other
-# rungs. The probe's second line must read "io_uring: features multishot=D
-# sqpoll=D"; a denied feature skips green. The smoke asserts the server's own
-# feature-engagement line echoes exactly the requested set — a silently-degraded
-# rung fails here, not in a benchmark.
-probe_features="$("${BUILD_DIR}/bench/fig6_live_runtime" --probe-uring | sed -n 2p || true)"
-if [[ -n "${probe_features}" ]] && \
-    ! [[ "${probe_features}" =~ ^io_uring:\ features\ multishot=[01]\ sqpoll=[01]$ ]]; then
-  echo "ci: unexpected --probe-uring feature line: ${probe_features}" >&2
-  exit 1
-fi
-run_uring_feature_smoke() {
-  local label="$1" ms="$2" sqp="$3"
-  if [[ "${probe_features}" == *"${label}=1"* ]]; then
-    smoke_out="$("${BUILD_DIR}/examples/kv_server" --mode=demo --transport=uring \
-      --uring-multishot="${ms}" --uring-sqpoll="${sqp}" \
-      --workers=2 --keys=2000 --requests=3000 --connections=4 --threads=2)"
-    printf '%s\n' "${smoke_out}" | grep "io syscalls"
-    if ! printf '%s\n' "${smoke_out}" | \
-        grep -q "uring features multishot=${ms} sqpoll=${sqp}$"; then
-      echo "ci: uring ${label} smoke did not engage the requested feature set" >&2
-      exit 1
-    fi
-  else
-    echo "ci: skipping uring ${label} smoke (kernel denies ${label})"
-  fi
-}
-if [[ -n "${probe_features}" ]]; then
-  run_uring_feature_smoke multishot 1 0
-  run_uring_feature_smoke sqpoll 0 1
-else
-  echo "ci: skipping uring feature smokes (io_uring unavailable on this host)"
 fi
 
 echo "== smoke: silo_tpcc serve -> TPC-C open-loop loadgen -> SIGTERM over real TCP"
@@ -196,11 +167,10 @@ echo "== AddressSanitizer: runtime + loadgen + chaos + transport suites (${BUILD
 # touches recycled memory. chaos_test rides along: the proxy's kill/stall paths
 # destroy connections with chunks still parked in the timing wheel, and its replay
 # determinism (SameSeedReplaysIdenticalDelaySchedule) is asserted under ASan too.
-# transport_conformance_test runs the same lifecycle battery over all backends —
-# including the full uring feature matrix (multishot x sqpoll, kernel-supported
-# combos only); for uring that is the gate that a kernel-owned completion
-# (multishot recv into a buffer-ring slot, pooled recv, straggler send) never
-# lands in freed buffers after a sever or shutdown. overload_test rides along:
+# transport_conformance_test runs the same lifecycle battery over all backends
+# (loopback, tcp, uring); for uring that is the gate that a kernel-owned completion
+# (pooled recv, straggler send) never lands in freed buffers after a sever or
+# shutdown. overload_test rides along:
 # a shed reply is a TX buffer for a request that never reached the handler, and the
 # gated-handler test holds a shed in flight across a flow recycle — the exact window
 # where a refused event's buffer could be freed twice or leak. tpcc_test + net_test
@@ -234,6 +204,17 @@ cmake -B "${BUILD_DIR}-ubsan" -S . -DZYGOS_BUILD_BENCH=OFF -DZYGOS_BUILD_EXAMPLE
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
 cmake --build "${BUILD_DIR}-ubsan" -j "${JOBS}" --target net_test tpcc_test kvstore_test
 ctest --test-dir "${BUILD_DIR}-ubsan" -R 'net_test|tpcc_test|kvstore_test' \
+  --output-on-failure -j "${JOBS}"
+
+echo "== ThreadSanitizer: lock-free queues + core scheduler (${BUILD_DIR}-tsan)"
+# The work-stealing deque, the MPMC/SPSC rings and the core scheduler are where a
+# missing acquire/release or a plain access racing an atomic one would hide: a
+# normal build on x86 forgives most of them. No suppressions: any report fails the
+# suite (TSan exits non-zero when it reported a race).
+cmake -B "${BUILD_DIR}-tsan" -S . -DZYGOS_BUILD_BENCH=OFF -DZYGOS_BUILD_EXAMPLES=OFF \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread" -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" --target concurrency_test core_test
+ctest --test-dir "${BUILD_DIR}-tsan" -R 'concurrency_test|core_test' \
   --output-on-failure -j "${JOBS}"
 
 echo "CI OK"

@@ -105,15 +105,6 @@ class IoBuf {
     slab_ = nullptr;
   }
 
-  // Handles currently sharing the slab (racy snapshot under concurrency; exact when
-  // only this thread holds references). The uring transport's multishot buffer
-  // ring uses unique() to decide when a slot's bytes are no longer aliased by any
-  // in-flight Segment/parser view and the slot can go back to the kernel.
-  uint32_t use_count() const {
-    return slab_ == nullptr ? 0 : slab_->refs.load(std::memory_order_acquire);
-  }
-  bool unique() const { return use_count() == 1; }
-
  private:
   void Retain() {
     if (slab_ != nullptr) {

@@ -11,8 +11,14 @@
 //
 // Bounded: capacity fixed at construction (power of two). PushBottom fails when full
 // rather than growing — the runtime's queues are all bounded (NIC-ring discipline).
-// Contract: PushBottom/PopBottom from the single owner thread only; TrySteal from any
+// Contract: PushBottom/PopBottom from the single owner thread only; Steal from any
 // thread. Bounded; PushBottom fails when full.
+//
+// Slots are std::atomic<T> accessed with relaxed loads and stores, as in Lê et al.:
+// a thief reads a slot before its CAS on top decides whether the value is its to
+// keep, so that read can overlap the owner's write of a recycled slot. The ordering
+// comes from top/bottom; the atomic slot only makes the overlapping access defined.
+// T must therefore be trivially copyable.
 #ifndef ZYGOS_CONCURRENCY_WORKSTEAL_DEQUE_H_
 #define ZYGOS_CONCURRENCY_WORKSTEAL_DEQUE_H_
 
@@ -21,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "src/concurrency/cache_line.h"
@@ -29,6 +36,9 @@ namespace zygos {
 
 template <typename T>
 class WorkstealDeque {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "WorkstealDeque slots are std::atomic<T>");
+
  public:
   explicit WorkstealDeque(size_t capacity)
       : mask_(std::bit_ceil(capacity) - 1), slots_(mask_ + 1) {}
@@ -43,7 +53,7 @@ class WorkstealDeque {
     if (bottom - top > static_cast<int64_t>(mask_)) {
       return false;  // full
     }
-    slots_[static_cast<size_t>(bottom) & mask_] = std::move(value);
+    slots_[static_cast<size_t>(bottom) & mask_].store(value, std::memory_order_relaxed);
     // Publish the slot before publishing the new bottom.
     bottom_.store(bottom + 1, std::memory_order_release);
     return true;
@@ -62,7 +72,8 @@ class WorkstealDeque {
       bottom_.store(bottom + 1, std::memory_order_relaxed);
       return std::nullopt;
     }
-    T value = std::move(slots_[static_cast<size_t>(bottom) & mask_]);
+    T value =
+        slots_[static_cast<size_t>(bottom) & mask_].load(std::memory_order_relaxed);
     if (top != bottom) {
       return value;  // more than one element: no race possible
     }
@@ -86,7 +97,7 @@ class WorkstealDeque {
     }
     // Read the value before the CAS: after a successful CAS the owner may overwrite
     // the slot; after a failed CAS the value is discarded.
-    T value = slots_[static_cast<size_t>(top) & mask_];
+    T value = slots_[static_cast<size_t>(top) & mask_].load(std::memory_order_relaxed);
     if (!top_.compare_exchange_strong(top, top + 1, std::memory_order_seq_cst,
                                       std::memory_order_relaxed)) {
       return std::nullopt;  // lost the race
@@ -106,7 +117,7 @@ class WorkstealDeque {
 
  private:
   const size_t mask_;
-  std::vector<T> slots_;
+  std::vector<std::atomic<T>> slots_;
   alignas(kCacheLineSize) std::atomic<int64_t> top_{0};
   alignas(kCacheLineSize) std::atomic<int64_t> bottom_{0};
 };

@@ -19,20 +19,10 @@ bool Fail(const LiveFlags& live, const std::string& message) {
 
 // Empty when this host can serve `transport`; otherwise why not, for the skip line.
 std::string TransportDenied(const LiveTransport& transport) {
-  if (!transport.uring) {
+  if (!transport.uring || UringTransport::Available()) {
     return "";
   }
-  if (!UringTransport::Available()) {
-    return "io_uring unavailable: " + UringTransport::UnavailableReason();
-  }
-  const UringProbe& probe = ProbeUring();
-  if (transport.multishot && !(probe.buf_ring && probe.multishot)) {
-    return "kernel denies multishot recv / provided-buffer ring";
-  }
-  if (transport.sqpoll && !probe.sqpoll) {
-    return "kernel denies SQPOLL";
-  }
-  return "";
+  return "io_uring unavailable: " + UringTransport::UnavailableReason();
 }
 
 // Per-request hardware-counter rates from the cell's summed worker counters. The
@@ -172,8 +162,8 @@ std::optional<LiveTransport> ParseLiveTransport(const std::string& name) {
   if (name == "tcp") {
     return LiveTransport{name, /*socket=*/true};
   }
-  if (name == "uring" || name == "uring+ms" || name == "uring+ms+sqp") {
-    return LiveTransport{name, true, true, name != "uring", name == "uring+ms+sqp"};
+  if (name == "uring") {
+    return LiveTransport{name, /*socket=*/true, /*uring=*/true};
   }
   return std::nullopt;
 }
@@ -262,10 +252,7 @@ LiveCellResult RunLiveCell(const LiveSweep& sweep, const LiveTransport& transpor
   if (transport.socket) {
     std::unique_ptr<SocketTransportBase> backend;
     if (transport.uring) {
-      UringTransportOptions uring(TcpOptionsFor(options));
-      uring.multishot = transport.multishot;
-      uring.sqpoll = transport.sqpoll;
-      backend = std::make_unique<UringTransport>(uring);
+      backend = std::make_unique<UringTransport>(TcpOptionsFor(options));
     } else {
       backend = std::make_unique<TcpTransport>(TcpOptionsFor(options));
     }
@@ -517,7 +504,6 @@ JsonObject LiveCurves(const std::vector<LivePoint>& points, bool with_syscalls) 
     }
     std::string key = multi_transport ? config + "-" + transport : config;
     std::replace(key.begin(), key.end(), '-', '_');
-    std::replace(key.begin(), key.end(), '+', '_');
     curves.Object(key, object);
   }
   return curves;

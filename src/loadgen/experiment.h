@@ -83,17 +83,12 @@ std::optional<LiveConfig> ParseLiveConfig(const std::string& name);
 // the list is empty.
 std::optional<std::vector<LiveConfig>> ParseLiveConfigs(const std::string& csv);
 
-// A transport by name: "loopback" (in-process Runtime::Inject), "tcp" (epoll) or an
-// io_uring feature-ladder rung. Rung 0 ("uring") turns every ladder feature off — the
-// pooled-recv re-arm baseline — so the historical "uring" curve and the uring-vs-epoll
-// predicates keyed on it keep measuring the same thing; "uring+ms" adds multishot recv
-// over a provided-buffer ring, "uring+ms+sqp" adds SQPOLL.
+// A transport by name: "loopback" (in-process Runtime::Inject), "tcp" (epoll) or
+// "uring" (io_uring).
 struct LiveTransport {
   std::string name;
   bool socket = false;  // tcp or uring: served over real loopback-interface sockets
   bool uring = false;
-  bool multishot = false;
-  bool sqpoll = false;
 };
 std::optional<LiveTransport> ParseLiveTransport(const std::string& name);
 
@@ -126,9 +121,8 @@ bool ParseLiveSweep(const Flags& flags, LiveSweep& sweep);
 
 // Resolves sweep.transport_csv (names ParseLiveSweep accepted) into sweep.transports,
 // in order and without duplicates.
-// A transport this host cannot serve (no io_uring, or a ladder feature the kernel
-// denies) is dropped with a `# skip:` line: a ladder column must measure the feature
-// it is named after. Returns false, after a `# skip:` note, when nothing is left to
+// A transport this host cannot serve (uring without io_uring) is dropped with a
+// `# skip:` line. Returns false, after a `# skip:` note, when nothing is left to
 // sweep (the binary then exits 0).
 bool SelectTransports(LiveSweep& sweep);
 
@@ -295,7 +289,7 @@ BenchReport LiveSweepReport(const std::string& metric, const LiveSweep& sweep,
 // One curve object per (config, transport) in first-appearance order, each holding
 // offered_rps, achieved_rps, p50_us, p99_us, p999_us (+ syscalls_per_req) arrays. Keys
 // are the config name — suffixed with the transport when several were swept — with
-// '-' and '+' mapped to '_' ("zygos" + "uring+ms" -> "zygos_uring_ms").
+// '-' mapped to '_' ("no-steal" + "uring" -> "no_steal_uring").
 JsonObject LiveCurves(const std::vector<LivePoint>& points, bool with_syscalls);
 
 }  // namespace zygos

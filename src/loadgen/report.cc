@@ -88,15 +88,6 @@ constexpr double kP99NoiseTolerance = 0.8;
 
 bool ZygosP99MonotoneInLoad(const std::vector<LivePoint>& points) {
   for (const std::string& transport : TransportsOf(points)) {
-    // SQPOLL rungs are exempt: the kernel poller thread claims a core of its
-    // own, so on a host without one to spare every cell's tail is dominated by
-    // poller-vs-worker scheduling, not by queueing — the p99-vs-load *shape* is
-    // no longer the signal there (the rung's contract is the exact syscall
-    // counters, gated by the ladder predicates below). The epoll-parity gate is
-    // keyed on rung-0 "uring", which stays covered here.
-    if (transport.find("sqp") != std::string::npos) {
-      continue;
-    }
     std::vector<const LivePoint*> zygos = PointsOf(points, "zygos", transport);
     // Each point must stay within noise of the running maximum (not just its
     // neighbor): pairwise slack would let a curve drift steadily DOWNWARD across
@@ -135,31 +126,6 @@ bool UringP99LeqEpollAtPeak(const std::vector<LivePoint>& points) {
 bool UringSyscallsBelowEpoll(const std::vector<LivePoint>& points) {
   auto [uring, epoll] = AtCommonPeak(points, "zygos", "uring", "zygos", "tcp");
   return uring == nullptr || uring->syscalls_per_req < epoll->syscalls_per_req;
-}
-
-bool UringLadderSyscallsStrictlyDecreasing(const std::vector<LivePoint>& points) {
-  // syscalls_per_req is counter-exact (no sampling noise), hence the strict <.
-  static const char* const kChain[] = {"uring", "uring+ms", "uring+ms+sqp"};
-  double prev = 0;
-  bool have_prev = false;
-  for (const char* rung : kChain) {
-    const LivePoint* peak = PeakPoint(points, "zygos", rung);
-    if (peak == nullptr) {
-      continue;
-    }
-    double syscalls = peak->syscalls_per_req;
-    if (have_prev && syscalls >= prev) {
-      return false;
-    }
-    prev = syscalls;
-    have_prev = true;
-  }
-  return true;
-}
-
-bool UringFullLadderSyscallsLeq0p1(const std::vector<LivePoint>& points) {
-  const LivePoint* full = PeakPoint(points, "zygos", "uring+ms+sqp");
-  return full == nullptr || full->syscalls_per_req <= 0.1;
 }
 
 const LivePoint* PeakPoint(const std::vector<LivePoint>& points,

@@ -5,24 +5,12 @@
 //   zygos_p99_monotone_in_load : ZygOS p99 never drops below 0.8x its running max
 //                                as offered load rises (one-sided estimator-noise
 //                                tolerance — a cell's p99 rests on a few dozen tail
-//                                samples and flips 10-20% between identical cells).
-//                                SQPOLL ladder rungs (transport name contains
-//                                "sqp") are exempt: without a spare core for the
-//                                kernel poller the tail is scheduling-dominated
-//                                and the shape carries no signal — those rungs
-//                                are gated on their exact syscall counters
-//                                instead
+//                                samples and flips 10-20% between identical cells)
 //   steal_leq_no_steal_at_peak : ZygOS p99 <= no-steal p99 at the highest common load
 //   uring_p99_leq_epoll_at_peak : uring p99 <= epoll p99 at the highest matched load
 //                                (same 0.8x noise tolerance)
 //   uring_syscalls_below_epoll  : uring syscalls/request strictly below epoll's
 //                                (counter-exact, no tolerance)
-//   uring_ladder_syscalls_strictly_decreasing : syscalls/request at peak load falls
-//                                strictly at each feature rung of the io_uring ladder
-//                                that was swept ("uring" baseline -> "uring+ms" ->
-//                                "uring+ms+sqp"; counter-exact)
-//   uring_full_ladder_syscalls_leq_0p1 : the full ladder ("uring+ms+sqp") reaches
-//                                <= 0.1 syscalls/request at peak load
 //
 // Contract: not thread-safe (assemble points after the run); latencies in the CSV and
 // JSON are microseconds, rates are requests/second.
@@ -38,8 +26,7 @@ namespace zygos {
 
 // One measured sweep cell. `config` is the runtime ablation ("zygos", "no-steal",
 // "no-ipi"); load cells of one config must be appended in ascending offered_rps order.
-// `transport` is the backend that served the cell ("loopback" | "tcp" | "uring", or
-// an io_uring ladder rung like "uring+ms+sqp" — see the ladder predicates below) —
+// `transport` is the backend that served the cell ("loopback" | "tcp" | "uring") —
 // sweeps may run the same configs over several transports at matched rates.
 struct LivePoint {
   std::string config;
@@ -93,12 +80,6 @@ bool StealLeqNoStealAtPeak(const std::vector<LivePoint>& points);
 // transport's curve is absent.
 bool UringP99LeqEpollAtPeak(const std::vector<LivePoint>& points);
 bool UringSyscallsBelowEpoll(const std::vector<LivePoint>& points);
-// io_uring feature-ladder acceptance, full-ZygOS config, peak (= last) load point of
-// each rung (rung names: LiveTransport, src/loadgen/experiment.h). Both are vacuously
-// true when the relevant rungs are absent from the sweep (fewer than two rungs / no
-// full-ladder rung).
-bool UringLadderSyscallsStrictlyDecreasing(const std::vector<LivePoint>& points);
-bool UringFullLadderSyscallsLeq0p1(const std::vector<LivePoint>& points);
 
 // The last (= highest-load) point of `config` on `transport`; null when absent.
 const LivePoint* PeakPoint(const std::vector<LivePoint>& points,

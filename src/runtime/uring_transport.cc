@@ -15,10 +15,6 @@ namespace {
 // SQ depth per queue: a full TX batch (runtime kTxBatch) plus recv re-arms and
 // cancels fit with room to spare; GetSqe submits mid-pass if a pass ever outgrows it.
 constexpr unsigned kSqEntries = 256;
-// Provided-buffer ring entries per queue (multishot RX; must be a power of two).
-// Generous because ONE hot flow can consume many slots per pass — a dry ring costs
-// a -ENOBUFS terminal completion and a single-shot round trip.
-constexpr uint32_t kBufRingEntries = 256;
 // Granularity of the bounded TransmitBatch wait (mirrors the epoll backend's
 // kTxPollMillis poll() slices — same stall discipline, one syscall per slice).
 constexpr Nanos kTxWaitSlice = 10 * kMillisecond;
@@ -47,9 +43,8 @@ unsigned RoundPow2(unsigned v) {
 
 }  // namespace
 
-UringTransport::UringTransport(UringTransportOptions options)
-    : SocketTransportBase(TcpTransportOptions(options), "uring transport"),
-      uring_options_(std::move(options)) {
+UringTransport::UringTransport(TcpTransportOptions options)
+    : SocketTransportBase(std::move(options), "uring transport") {
   queues_.reserve(static_cast<size_t>(options_.num_queues));
   for (int q = 0; q < options_.num_queues; ++q) {
     queues_.push_back(std::make_unique<PerQueue>());
@@ -65,63 +60,18 @@ void UringTransport::Start() {
                  probe.reason.c_str());
     std::abort();
   }
-  // Requested rungs AND-ed with the functional probe: a denied rung degrades to the
-  // rung-0 path rather than failing Start.
-  ms_enabled_ = uring_options_.multishot && probe.buf_ring && probe.multishot;
-  sqpoll_enabled_ = uring_options_.sqpoll && probe.sqpoll;
   // CQ must absorb every in-flight op at once: an armed recv per connection plus a
   // full TX batch. Undersizing only costs overflow flushes, but size it right.
   unsigned cq_entries = RoundPow2(static_cast<unsigned>(std::min<uint64_t>(
       std::max<uint64_t>(1024, options_.max_flows + kSqEntries), 65536)));
   for (auto& pq : queues_) {
     std::string error;
-    UringRingOptions ring_opts;
-    ring_opts.sqpoll = sqpoll_enabled_;
-    if (!pq->ring.Init(kSqEntries, cq_entries, ring_opts, &error)) {
-      if (sqpoll_enabled_) {
-        // The probe's trial ring succeeded but this one didn't (rlimits, cgroup
-        // thread caps): drop the rung, keep the transport.
-        std::fprintf(stderr,
-                     "zygos: uring transport: SQPOLL degraded at Init: %s\n",
-                     error.c_str());
-        sqpoll_enabled_ = false;
-        ring_opts.sqpoll = false;
-        if (!pq->ring.Init(kSqEntries, cq_entries, ring_opts, &error)) {
-          std::fprintf(stderr, "zygos: uring transport: %s\n", error.c_str());
-          std::abort();
-        }
-      } else {
-        std::fprintf(stderr, "zygos: uring transport: %s\n", error.c_str());
-        std::abort();
-      }
-    }
-    // Multishot RX backing: permanent slabs behind the kernel's buffer ring, all
-    // slots offered up front. Failure (memlock, sandbox) drops the rung per-queue.
-    if (ms_enabled_) {
-      std::string berr;
-      if (pq->ring.SetupBufRing(kBufRingEntries, /*bgid=*/0, &berr)) {
-        pq->bring_bufs.reserve(kBufRingEntries);
-        for (uint32_t i = 0; i < kBufRingEntries; ++i) {
-          pq->bring_bufs.push_back(AllocBuffer(options_.max_segment_bytes));
-          IoBuf& buf = pq->bring_bufs.back();
-          pq->ring.BufRingAdd(
-              buf.data(),
-              static_cast<unsigned>(
-                  std::min(buf.capacity(), options_.max_segment_bytes)),
-              static_cast<uint16_t>(i));
-        }
-        pq->ring.BufRingPublish();
-        pq->ms_ok = true;
-      } else {
-        std::fprintf(stderr,
-                     "zygos: uring transport: multishot degraded at Init: %s\n",
-                     berr.c_str());
-        pq->ms_ok = false;
-      }
+    if (!pq->ring.Init(kSqEntries, cq_entries, &error)) {
+      std::fprintf(stderr, "zygos: uring transport: %s\n", error.c_str());
+      std::abort();
     }
   }
   StartListener();
-  started_ = true;
 }
 
 void UringTransport::Stop() {
@@ -132,8 +82,7 @@ void UringTransport::Stop() {
       continue;
     }
     // Reap every in-flight recv before freeing its target memory: mark all
-    // connections closing, cancel the armed recvs (single-shot AND standing
-    // multishot — both answer with a terminal CQE), and drain until the kernel has
+    // connections closing, cancel the armed recvs, and drain until the kernel has
     // handed every CQE back. FinalizeClose (via the drain) closes fds and erases.
     std::vector<uint64_t> flows;
     flows.reserve(pq.conns.size());
@@ -173,13 +122,9 @@ void UringTransport::Stop() {
     pq.conns.clear();
     pq.pending.clear();
     pq.pending_count.store(0, std::memory_order_relaxed);
-    pq.ring.Destroy();  // tears down the buffer ring registration too
-    pq.bring_bufs.clear();
-    pq.bring_out.clear();
-    pq.ms_ok = false;
+    pq.ring.Destroy();
     pq.zombie_sends.clear();
   }
-  started_ = false;
 }
 
 io_uring_sqe* UringTransport::GetSqe(PerQueue& pq) {
@@ -197,49 +142,12 @@ io_uring_sqe* UringTransport::GetSqe(PerQueue& pq) {
       Fatal("io_uring_enter(submit)");
     }
     sqe = pq.ring.GetSqe();
-    if (sqe == nullptr && pq.ring.sqpoll()) {
-      ::usleep(10);  // the kernel poller frees SQ slots; give it the CPU
-    }
   }
   return sqe;
 }
 
-void UringTransport::RecycleBufRing(PerQueue& pq) {
-  if (!pq.ring.HasBufRing() || pq.bring_out.empty()) {
-    return;
-  }
-  size_t kept = 0;
-  bool pushed = false;
-  for (uint16_t bid : pq.bring_out) {
-    IoBuf& buf = pq.bring_bufs[bid];
-    if (buf.unique()) {
-      pq.ring.BufRingAdd(buf.data(),
-                         static_cast<unsigned>(std::min(
-                             buf.capacity(), options_.max_segment_bytes)),
-                         bid);
-      pushed = true;
-    } else {
-      pq.bring_out[kept++] = bid;  // still aliased by a live Segment/parser view
-    }
-  }
-  pq.bring_out.resize(kept);
-  if (pushed) {
-    pq.ring.BufRingPublish();
-  }
-}
-
-void UringTransport::ArmRecv(PerQueue& pq, UConn* conn, bool allow_multishot) {
+void UringTransport::ArmRecv(PerQueue& pq, UConn* conn) {
   if (conn->rx_inflight || conn->closing) {
-    return;
-  }
-  const uint64_t ud = MakeUd(kUdRecv, conn->flow_id);
-  if (allow_multishot && pq.ms_ok) {
-    // Standing SQE: completions keep flowing until a terminal CQE (FIN, error,
-    // -ENOBUFS, cancel); the steady state never pays another arm for this flow.
-    io_uring_sqe* sqe = GetSqe(pq);
-    PrepRecvMultishot(sqe, conn->fd, pq.ring.BufRingBgid(), ud);
-    conn->ms_armed = true;
-    conn->rx_inflight = true;
     return;
   }
   if (!conn->rx_buf) {
@@ -247,8 +155,8 @@ void UringTransport::ArmRecv(PerQueue& pq, UConn* conn, bool allow_multishot) {
   }
   unsigned len = static_cast<unsigned>(
       std::min(conn->rx_buf.capacity(), options_.max_segment_bytes));
-  PrepRecv(GetSqe(pq), conn->fd, conn->rx_buf.data(), len, ud);
-  conn->ms_armed = false;
+  PrepRecv(GetSqe(pq), conn->fd, conn->rx_buf.data(), len,
+           MakeUd(kUdRecv, conn->flow_id));
   conn->rx_inflight = true;
 }
 
@@ -281,10 +189,9 @@ void UringTransport::CloseConn(PerQueue& pq, UConn* conn, bool purge_pending) {
   conn->closing = true;
   conn->purge_on_close = purge_pending;
   if (conn->rx_inflight) {
-    // A recv still references this connection's buffers — single-shot or standing
-    // multishot alike: cancel it and finalize only when its terminal CQE is reaped
-    // (HandleRecvCqe), so the kernel can never complete into a closed connection's
-    // memory.
+    // A recv still references this connection's buffer: cancel it and finalize only
+    // when its CQE is reaped (HandleRecvCqe), so the kernel can never complete into a
+    // closed connection's memory.
     io_uring_sqe* sqe = GetSqe(pq);
     PrepCancel(sqe, MakeUd(kUdRecv, conn->flow_id),
                MakeUd(kUdCancel, conn->flow_id));
@@ -293,53 +200,20 @@ void UringTransport::CloseConn(PerQueue& pq, UConn* conn, bool purge_pending) {
   FinalizeClose(pq, conn);
 }
 
-void UringTransport::HandleRecvCqe(PerQueue& pq, uint64_t flow_id, int res,
-                                   uint32_t flags) {
+void UringTransport::HandleRecvCqe(PerQueue& pq, uint64_t flow_id, int res) {
   auto it = pq.conns.find(flow_id);
   if (it == pq.conns.end()) {
     return;  // unreachable by construction: closes are deferred past in-flight recvs
   }
   UConn* conn = it->second.get();
-  const bool was_ms = conn->ms_armed;
-  const bool more = was_ms && (flags & IORING_CQE_F_MORE) != 0;
-
-  if (was_ms && res > 0 && (flags & IORING_CQE_F_BUFFER) != 0) {
-    // Multishot data: the kernel picked a buffer-ring slot; alias it refcounted
-    // into the FIFO and owe the slot back once the runtime drops its last view.
-    const auto bid = static_cast<uint16_t>(flags >> IORING_CQE_BUFFER_SHIFT);
-    IoBuf buf = pq.bring_bufs[bid];  // refcounted alias, zero copy
-    buf.set_size(static_cast<size_t>(res));
-    pq.bring_out.push_back(bid);
-    pq.ms_recvs++;
-    PushPending(pq,
-                PendingItem{/*is_close=*/false, flow_id, std::move(buf), NowNanos()});
-    if (more) {
-      return;  // the standing SQE is still armed
-    }
-    // Data + terminal in one CQE (kernel detached the multishot): re-arm.
-    conn->ms_armed = false;
-    conn->rx_inflight = false;
-    if (conn->closing) {
-      FinalizeClose(pq, conn);
-      return;
-    }
-    ArmRecv(pq, conn);
-    return;
-  }
-  if (more) {
-    return;  // defensive: non-terminal multishot CQE that delivered nothing
-  }
-
-  // Terminal CQE (multishot detached) or single-shot completion: the SQE is gone.
   conn->rx_inflight = false;
-  conn->ms_armed = false;
   if (conn->closing) {
     FinalizeClose(pq, conn);  // sever/teardown completed its deferred close
     return;
   }
   if (res > 0) {
-    // Single-shot data: the pooled target becomes the Segment (zero copy); the
-    // re-arm below allocates a fresh one.
+    // The pooled target becomes the Segment (zero copy); the re-arm below
+    // allocates a fresh one.
     IoBuf buf = std::move(conn->rx_buf);
     buf.set_size(static_cast<size_t>(res));
     pq.pooled_recvs++;
@@ -352,21 +226,6 @@ void UringTransport::HandleRecvCqe(PerQueue& pq, uint64_t flow_id, int res,
     ArmRecv(pq, conn);
     return;
   }
-  if (was_ms && res == -ENOBUFS) {
-    // Buffer ring ran dry: return every consumed slot we can, take ONE single-shot
-    // recv to stay armed, and retry multishot on the next completion — degraded
-    // throughput under backpressure, never a stall or a spin.
-    RecycleBufRing(pq);
-    ArmRecv(pq, conn, /*allow_multishot=*/false);
-    return;
-  }
-  if (was_ms && (res == -EINVAL || res == -EOPNOTSUPP)) {
-    // Kernel rejected multishot at completion time (probe lied / exotic socket):
-    // degrade the whole queue to the rung-0 arm-per-completion path.
-    pq.ms_ok = false;
-    ArmRecv(pq, conn);
-    return;
-  }
   // res == 0 (orderly FIN) or a hard error: close. Segments already in the FIFO
   // arrived before the hangup and stay; the close lands behind them.
   conn->purge_on_close = false;
@@ -374,12 +233,12 @@ void UringTransport::HandleRecvCqe(PerQueue& pq, uint64_t flow_id, int res,
 }
 
 void UringTransport::HandleCqe(PerQueue& pq, uint64_t user_data, int res,
-                               uint32_t flags, TxContext* tx) {
+                               TxContext* tx) {
   const uint64_t op = user_data >> kOpShift;
   const uint64_t payload = user_data & kPayloadMask;
   switch (op) {
     case kUdRecv:
-      HandleRecvCqe(pq, payload, res, flags);
+      HandleRecvCqe(pq, payload, res);
       return;
     case kUdCancel:
       return;  // cancel outcomes are implied by the target op's own CQE
@@ -430,9 +289,8 @@ void UringTransport::DrainCq(PerQueue& pq, TxContext* tx) {
   while (io_uring_cqe* cqe = pq.ring.PeekCqe()) {
     const uint64_t user_data = cqe->user_data;
     const int res = cqe->res;
-    const uint32_t flags = cqe->flags;
     pq.ring.AdvanceCqe();
-    HandleCqe(pq, user_data, res, flags, tx);
+    HandleCqe(pq, user_data, res, tx);
   }
 }
 
@@ -442,13 +300,20 @@ size_t UringTransport::PollBatch(int queue, std::span<Segment> out,
   if (!pq.ring.valid() || out.empty()) {
     return 0;
   }
-  // Buffer-ring slots consumed in earlier passes become reusable once the runtime
-  // drops its views (between passes): return them to the kernel before draining, so
-  // a hot multishot flow never starves itself into -ENOBUFS round trips.
-  RecycleBufRing(pq);
+  // Flush what earlier passes armed (re-arms, first recvs, sever cancels) that no
+  // TransmitBatch has submitted yet: ONE enter, and none at all on a quiet pass —
+  // the uring data path's idle cost is zero syscalls, vs one epoll_wait per pass for
+  // the epoll engine. Re-arms are not submitted where they are prepared: they ride
+  // the enter TransmitBatch makes anyway, which keeps a second enter off the
+  // request path. The worker loop calls PollBatch every pass, so a re-arm waits at
+  // most one pass.
+  if (pq.ring.Submit() == -EBUSY) {
+    pq.ring.FlushOverflow();
+    pq.ring.Submit();
+  }
   // Newborn connections: announce the open and arm the first recv. The recv SQE is
-  // submitted at the end of this pass, so the flow's first segment can only surface
-  // in a later batch — the open strictly precedes it.
+  // submitted after this pass, so the flow's first segment can only surface in a
+  // later batch — the open strictly precedes it.
   while (auto handed = accept_ring(queue).TryPop()) {
     auto conn = std::make_unique<UConn>();
     conn->fd = handed->fd;
@@ -486,15 +351,6 @@ size_t UringTransport::PollBatch(int queue, std::span<Segment> out,
     pq.pending.pop_front();
   }
   pq.pending_count.store(pq.pending.size(), std::memory_order_relaxed);
-  // ONE enter flushes everything this pass armed (first recvs, re-arms, cancels) —
-  // and none at all on a quiet pass: the uring data path's idle cost is zero
-  // syscalls, vs one epoll_wait per pass for the epoll engine. Under multishot the
-  // steady state arms nothing (the standing SQEs persist), and under SQPOLL even a
-  // busy pass costs at most a poller wakeup.
-  if (pq.ring.Submit() == -EBUSY) {
-    pq.ring.FlushOverflow();
-    pq.ring.Submit();
-  }
   return produced;
 }
 
@@ -590,11 +446,7 @@ size_t UringTransport::TransmitBatch(int queue, std::span<TxSegment> batch) {
     }
     NotifyComplete(batch[i]);
   }
-  // Flush anything the drain armed (recv re-arms, sever cancels) in one enter.
-  if (pq.ring.Submit() == -EBUSY) {
-    pq.ring.FlushOverflow();
-    pq.ring.Submit();
-  }
+  // Re-arms and sever cancels the drain prepared ride the next PollBatch's flush.
   return batch.size();
 }
 
@@ -621,8 +473,7 @@ bool UringTransport::ApproxNonEmpty(int queue) const {
     return true;
   }
   // CQ occupancy is the uring analogue of the epoll backend's zero-timeout
-  // epoll_wait peek — and unlike it, costs no syscall: the rings are shared memory
-  // in every mode, SQPOLL included.
+  // epoll_wait peek — and unlike it, costs no syscall: the rings are shared memory.
   return pq.ring.CqReady();
 }
 
@@ -638,14 +489,6 @@ uint64_t UringTransport::PooledRecvs() const {
   uint64_t total = 0;
   for (const auto& pq : queues_) {
     total += pq->pooled_recvs;
-  }
-  return total;
-}
-
-uint64_t UringTransport::MultishotRecvs() const {
-  uint64_t total = 0;
-  for (const auto& pq : queues_) {
-    total += pq->ms_recvs;
   }
   return total;
 }

@@ -638,11 +638,15 @@ TEST(LiveConfigTest, ParsesTheConfigTableAndRejectsUnknownNames) {
   EXPECT_FALSE(ParseLiveConfigs("zygos,bogus").has_value());
   EXPECT_FALSE(ParseLiveConfigs("").has_value());
 
-  std::optional<LiveTransport> rung = ParseLiveTransport("uring+ms");
-  ASSERT_TRUE(rung.has_value());
-  EXPECT_TRUE(rung->socket && rung->uring && rung->multishot);
-  EXPECT_FALSE(rung->sqpoll);
+  std::optional<LiveTransport> uring = ParseLiveTransport("uring");
+  ASSERT_TRUE(uring.has_value());
+  EXPECT_TRUE(uring->socket && uring->uring);
+  EXPECT_TRUE(ParseLiveTransport("tcp")->socket);
+  EXPECT_FALSE(ParseLiveTransport("tcp")->uring);
   EXPECT_FALSE(ParseLiveTransport("loopback")->socket);
+  // The deleted io_uring feature-ladder names are rejected like any unknown name.
+  EXPECT_FALSE(ParseLiveTransport("uring+ms").has_value());
+  EXPECT_FALSE(ParseLiveTransport("uring+ms+sqp").has_value());
   EXPECT_FALSE(ParseLiveTransport("uring+ms+sqp+zc").has_value());
 }
 
@@ -741,50 +745,6 @@ TEST(LiveReportTest, MonotonePredicateEvaluatesEachTransportSeparately) {
   EXPECT_TRUE(ZygosP99MonotoneInLoad(points));
   points.push_back(PointT("zygos", "uring", 300, 5));  // real dip inside one transport
   EXPECT_FALSE(ZygosP99MonotoneInLoad(points));
-}
-
-TEST(LiveReportTest, MonotonePredicateExemptsSqpollRungs) {
-  // SQPOLL rungs burn a core on the kernel poller; on hosts without one to spare
-  // the p99-vs-load shape is scheduling noise, so those transports are excluded
-  // from the monotone gate (their contract is the exact syscall counters).
-  std::vector<LivePoint> points = {PointT("zygos", "uring+ms+sqp", 100, 400000),
-                                   PointT("zygos", "uring+ms+sqp", 200, 50000)};
-  EXPECT_TRUE(ZygosP99MonotoneInLoad(points));
-  // Non-SQPOLL rungs stay covered.
-  points.push_back(PointT("zygos", "uring+ms", 100, 50));
-  points.push_back(PointT("zygos", "uring+ms", 200, 10));
-  EXPECT_FALSE(ZygosP99MonotoneInLoad(points));
-}
-
-TEST(LiveReportTest, LadderSyscallsMustStrictlyDecreaseAcrossPresentRungs) {
-  // The chain is uring -> uring+ms -> uring+ms+sqp, compared at each rung's peak
-  // (last) cell; counters are exact so there is NO noise tolerance here.
-  std::vector<LivePoint> points = {PointT("zygos", "uring", 100, 10, 0.7),
-                                   PointT("zygos", "uring", 200, 12, 0.74),
-                                   PointT("zygos", "uring+ms", 200, 12, 0.43),
-                                   PointT("zygos", "uring+ms+sqp", 200, 13, 0.01)};
-  EXPECT_TRUE(UringLadderSyscallsStrictlyDecreasing(points));
-  points[2].syscalls_per_req = 0.74;  // equality with the previous rung fails
-  EXPECT_FALSE(UringLadderSyscallsStrictlyDecreasing(points));
-  points[2].syscalls_per_req = 0.43;
-  points[3].syscalls_per_req = 0.50;  // regression above an earlier rung fails
-  EXPECT_FALSE(UringLadderSyscallsStrictlyDecreasing(points));
-  // Vacuously true when fewer than two chain rungs were swept (e.g. a probe
-  // denied multishot), and an absent middle rung just shortens the chain.
-  EXPECT_TRUE(UringLadderSyscallsStrictlyDecreasing(
-      {PointT("zygos", "uring", 100, 10, 0.7)}));
-}
-
-TEST(LiveReportTest, FullLadderSyscallBudgetIsTenthOfARequest) {
-  std::vector<LivePoint> points = {
-      PointT("zygos", "uring+ms+sqp", 100, 10, 0.30),
-      PointT("zygos", "uring+ms+sqp", 200, 12, 0.06)};
-  EXPECT_TRUE(UringFullLadderSyscallsLeq0p1(points));  // peak cell decides
-  points[1].syscalls_per_req = 0.11;
-  EXPECT_FALSE(UringFullLadderSyscallsLeq0p1(points));
-  // Vacuously true when the full-ladder rung was not swept (probe denied a rung).
-  EXPECT_TRUE(
-      UringFullLadderSyscallsLeq0p1({PointT("zygos", "uring", 100, 10, 0.7)}));
 }
 
 TEST(LiveReportTest, UringP99ComparedToEpollAtLastCommonPointWithNoiseTolerance) {

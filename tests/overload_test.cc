@@ -376,9 +376,16 @@ TEST(OverloadRuntimeTest, AdaptiveAdmissionRefusesIngressUnderPersistentQueueing
   // A 1 ns target is unreachable — every observed queueing delay exceeds it — so
   // after the first 256 observations the controller must leave full admission and
   // start refusing a deterministic fraction of ingress.
+  //
+  // The admission decision is made by the flow's home core, but the queueing
+  // observations feed the controller of whichever core runs the event. With
+  // stealing on, the other core could run most events and starve the home
+  // controller of the observations it needs for its first decrease, so the test
+  // turns stealing off: every observation then reaches the deciding controller.
   RuntimeOptions options = OverloadRuntimeOptions();
   options.overload.adaptive = true;
   options.overload.adaptive_target = 1;  // 1 ns: unattainable by construction
+  options.enable_stealing = false;
 
   LoopbackTransport* loopback = nullptr;
   auto runtime = MakeLoopbackRuntime(
@@ -391,8 +398,8 @@ TEST(OverloadRuntimeTest, AdaptiveAdmissionRefusesIngressUnderPersistentQueueing
 
   constexpr uint64_t kRequests = 4096;
   for (uint64_t id = 0; id < kRequests; ++id) {
-    // Spread over two flows so both cores' controllers see traffic; retry on a
-    // momentarily full ring (the workers are draining concurrently).
+    // Two flows; both hash to core 1 of 2, so core 0 stays idle. Retry on a
+    // momentarily full ring (the worker is draining concurrently).
     uint64_t flow = id % 2;
     ASSERT_TRUE(WaitFor([&] { return runtime->Inject(flow, id, "q"); }));
   }

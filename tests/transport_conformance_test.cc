@@ -2,14 +2,9 @@
 // ordering, sever, stall-drop and slot-recycling assertions through every Transport
 // backend — LoopbackTransport (in-process rings), TcpTransport (epoll sockets) and
 // UringTransport (batched io_uring) — so a new backend cannot pass by implementing a
-// private dialect of the contract (src/runtime/transport.h). The uring backend is
-// instantiated across its full feature matrix (multishot × sqpoll): every rung
-// combination must satisfy the identical contract, including severance with a
-// standing multishot SQE in flight. The uring instantiations skip
-// themselves via the runtime capability probe when the kernel/sandbox denies
-// io_uring_setup or a requested rung (ci.sh surfaces the skip); everything else must
-// pass everywhere. A dedicated forced-fallback test pins byte-identical echo through
-// the pooled single-shot recv path when every rung is explicitly denied.
+// private dialect of the contract (src/runtime/transport.h). The uring instantiation
+// skips itself via the runtime capability probe when the kernel/sandbox denies
+// io_uring_setup (ci.sh surfaces the skip); everything else must pass everywhere.
 //
 // All assertions are functional (counts, orderings, invariants), never timing-based —
 // the host may have a single hardware thread.
@@ -42,24 +37,17 @@ namespace {
 
 enum class Backend { kLoopback, kTcp, kUring };
 
-// One instantiation of the suite: a backend plus (for uring) a requested rung set
-// from the ISSUE 10 feature ladder. The contract must hold for every combination.
+// One instantiation of the suite. The contract must hold for every backend.
 struct BackendVariant {
   Backend backend;
-  bool multishot = false;
-  bool sqpoll = false;
   const char* name = "?";
 };
 
 std::vector<BackendVariant> AllVariants() {
   return {
-      {Backend::kLoopback, false, false, "loopback"},
-      {Backend::kTcp, false, false, "tcp"},
-      // Full uring feature matrix: rung 0, each rung alone, both.
-      {Backend::kUring, false, false, "uring"},
-      {Backend::kUring, true, false, "uring_ms"},
-      {Backend::kUring, false, true, "uring_sqp"},
-      {Backend::kUring, true, true, "uring_ms_sqp"},
+      {Backend::kLoopback, "loopback"},
+      {Backend::kTcp, "tcp"},
+      {Backend::kUring, "uring"},
   };
 }
 
@@ -250,10 +238,7 @@ std::unique_ptr<Runtime> MakeRuntime(const BackendVariant& variant,
     *sock_out = tcp_transport.get();
     transport = std::move(tcp_transport);
   } else {
-    UringTransportOptions uopts(tcp);
-    uopts.multishot = variant.multishot;
-    uopts.sqpoll = variant.sqpoll;
-    auto uring = std::make_unique<UringTransport>(uopts);
+    auto uring = std::make_unique<UringTransport>(tcp);
     *sock_out = uring.get();
     transport = std::move(uring);
   }
@@ -264,22 +249,9 @@ std::unique_ptr<Runtime> MakeRuntime(const BackendVariant& variant,
 class TransportConformance : public ::testing::TestWithParam<BackendVariant> {
  protected:
   void SetUp() override {
-    const BackendVariant& v = GetParam();
-    if (v.backend != Backend::kUring) {
-      return;
-    }
-    if (!UringTransport::Available()) {
+    if (GetParam().backend == Backend::kUring && !UringTransport::Available()) {
       GTEST_SKIP() << "io_uring unavailable on this host: "
                    << UringTransport::UnavailableReason();
-    }
-    // A combo whose rung the kernel denies is skipped, not silently degraded: a
-    // degraded run would retest rung 0 under a misleading name.
-    const UringProbe& probe = ProbeUring();
-    if (v.multishot && !(probe.buf_ring && probe.multishot)) {
-      GTEST_SKIP() << "multishot/buffer-ring rung denied by kernel probe";
-    }
-    if (v.sqpoll && !probe.sqpoll) {
-      GTEST_SKIP() << "SQPOLL rung denied by kernel probe";
     }
   }
 
@@ -328,6 +300,10 @@ TEST_P(TransportConformance, EchoesInPerFlowOrder) {
   runtime->Shutdown();
   EXPECT_EQ(runtime->Completed(), 2 * kPerFlow);
   EXPECT_EQ(log.total(), 2 * kPerFlow);
+  if (GetParam().backend == Backend::kUring) {
+    EXPECT_GT(static_cast<UringTransport*>(sock)->PooledRecvs(), 0u)
+        << "uring must receive through its pooled RECV path";
+  }
 }
 
 TEST_P(TransportConformance, PathologicalSegmentationKeepsFlowOrdered) {
@@ -518,8 +494,7 @@ TEST_P(TransportConformance, StalledPeerIsDroppedAfterDeadline) {
         << "TX to a deaf peer never tripped the stall deadline";
   }
   // Teardown after a stall drop is asynchronous (uring defers the close behind
-  // ASYNC_CANCEL; under SQPOLL the final CQE additionally waits on the poller
-  // thread's next quantum) — wait for the kFlowClosed to land before stopping.
+  // ASYNC_CANCEL) — wait for the kFlowClosed to land before stopping.
   ASSERT_TRUE(
       WaitFor([&] { return runtime->TotalStats().flows_closed >= 1; }))
       << "the stall drop must tear the connection down";
@@ -556,85 +531,6 @@ TEST_P(TransportConformance, EveryRxSegmentCarriesATransportArrivalStamp) {
   EXPECT_GT(total.rx_segments, 0u);
   EXPECT_EQ(total.rx_unstamped, 0u)
       << GetParam().name << " delivered segments with rx_nanos == 0";
-}
-
-// Uring-only: the rungs a variant requested (and the probe granted — SetUp skips
-// otherwise) must actually engage, visible in the transport's own counters. This
-// catches a rung silently degrading to rung 0 and the matrix retesting nothing.
-TEST_P(TransportConformance, RequestedFeatureRungsActuallyEngage) {
-  const BackendVariant& v = GetParam();
-  if (v.backend != Backend::kUring) {
-    GTEST_SKIP() << "feature rungs are a uring concept";
-  }
-  RuntimeOptions options = Options(/*workers=*/2, /*flows=*/8);
-  CompletionLog log;
-  SocketTransportBase* sock = nullptr;
-  LoopbackTransport* loop = nullptr;
-  auto runtime = MakeRuntime(GetParam(), options, TcpOptionsFor(options),
-                             log.Handler(), &sock, &loop);
-  auto* uring = static_cast<UringTransport*>(sock);
-  runtime->Start();
-  EXPECT_EQ(uring->MultishotEnabled(), v.multishot);
-  EXPECT_EQ(uring->SqpollEnabled(), v.sqpoll);
-  EXPECT_FALSE(uring->SendZcEnabled()) << "zero-copy send was removed";
-  {
-    TestTcpClient client(sock->port());
-    ASSERT_TRUE(client.ok());
-    EXPECT_TRUE(RunEchoExchange(client, /*requests=*/50, /*window=*/4, "f"));
-  }
-  if (v.multishot) {
-    EXPECT_GT(uring->MultishotRecvs(), 0u)
-        << "multishot requested+granted but no buffer-ring completion landed";
-  } else {
-    EXPECT_EQ(uring->MultishotRecvs(), 0u);
-    EXPECT_GT(uring->PooledRecvs(), 0u);
-  }
-  runtime->Shutdown();
-}
-
-// Forced fallback: every rung explicitly denied must reproduce rung 0 exactly —
-// byte-identical echo across binary payloads covering all 256 byte values, served
-// by the pooled single-shot recv path, and no rung counter may tick.
-TEST(UringForcedFallback, AllRungsDeniedEchoesByteIdentically) {
-  if (!UringTransport::Available()) {
-    GTEST_SKIP() << "io_uring unavailable on this host: "
-                 << UringTransport::UnavailableReason();
-  }
-  RuntimeOptions options;
-  options.num_workers = 2;
-  options.mode = RuntimeMode::kZygos;
-  options.num_flows = 8;
-  UringTransportOptions uopts(TcpOptionsFor(options));
-  uopts.multishot = false;
-  uopts.sqpoll = false;
-  auto uring = std::make_unique<UringTransport>(uopts);
-  UringTransport* sock = uring.get();
-  auto runtime =
-      std::make_unique<Runtime>(options, std::move(uring), EchoHandler());
-  runtime->Start();
-  EXPECT_FALSE(sock->MultishotEnabled());
-  EXPECT_FALSE(sock->SqpollEnabled());
-  EXPECT_FALSE(sock->SendZcEnabled());
-  {
-    TestTcpClient client(sock->port());
-    ASSERT_TRUE(client.ok());
-    std::string all_bytes(256, '\0');
-    for (int b = 0; b < 256; ++b) {
-      all_bytes[static_cast<size_t>(b)] = static_cast<char>(b);
-    }
-    for (uint64_t i = 0; i < 40; ++i) {
-      std::string payload = all_bytes + std::to_string(i);
-      ASSERT_TRUE(client.SendRequest(i, payload));
-      Message response;
-      ASSERT_TRUE(client.RecvMessage(&response));
-      EXPECT_EQ(response.request_id, i);
-      ASSERT_EQ(response.payload, "echo:" + payload)
-          << "fallback path corrupted bytes at request " << i;
-    }
-  }
-  EXPECT_EQ(sock->MultishotRecvs(), 0u);
-  EXPECT_GT(sock->PooledRecvs(), 0u) << "rung 0 must receive through pooled RECV";
-  runtime->Shutdown();
 }
 
 INSTANTIATE_TEST_SUITE_P(
