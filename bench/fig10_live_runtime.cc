@@ -7,9 +7,9 @@
 // sampled client-side (src/loadgen/tpcc_gen.h) so the request stream is a pure
 // function of --seed. Transaction service times are long and heavy-tailed — the
 // regime where work stealing matters most — so the sweep compares:
-//   zygos        full design (stealing + doorbells)
-//   no-steal     RuntimeOptions::enable_stealing = false
-//   partitioned  RuntimeMode::kPartitioned (the shared-nothing IX baseline)
+//   zygos        full design (idle cores steal ready connections)
+//   no-steal     RuntimeOptions::enable_stealing = false (the shared-nothing IX
+//                baseline: every core serves only its own flows)
 // over ascending load and prints one CSV row per (config, load) cell. The sweep is the
 // shared live harness's (src/loadgen/experiment.h: configs, transports, calibration,
 // median-of-N cells); this binary adds the TPC-C
@@ -45,8 +45,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: fig10_live_runtime [--transport=loopback|tcp|uring[,...]] [--workers=N]\n"
     "  [--connections=N] [--threads=N] [--arrivals=poisson|fixed] [--warehouses=N]\n"
-    "  [--scale=tiny|full] [--service-pad-us=F] "
-    "[--configs=zygos,no-steal,partitioned]\n"
+    "  [--scale=tiny|full] [--service-pad-us=F] [--configs=zygos,no-steal]\n"
     "  [--rates=r1,r2,...] [--load-fractions=f1,f2,...] [--calibrate-rate=R]\n"
     "  [--cell-repeats=N] [--duration-ms=N] [--warmup-ms=N] [--seed=N]\n"
     "  [--skew=BOOL] [--json=PATH]";
@@ -137,7 +136,6 @@ int Main(int argc, char** argv) {
   LiveSweep sweep;
   sweep.name = "fig10_live_runtime";
   sweep.usage = kUsage;
-  sweep.configs_csv = "zygos,no-steal,partitioned";
   sweep.payload.reset();  // requests come from the TPC-C mix
   if (!ParseLiveSweep(flags, sweep)) {
     return 2;

@@ -3,10 +3,12 @@
 // (src/loadgen) — the measured counterpart of the model-driven fig6_latency_throughput.
 //
 // Sweeps ascending load points for each requested runtime ablation:
-//   zygos        full design (stealing + doorbells)
-//   no-steal     RuntimeOptions::enable_stealing = false
-//   no-ipi       RuntimeOptions::enable_doorbells = false
-//   partitioned  RuntimeMode::kPartitioned (the shared-nothing IX baseline)
+//   zygos        full design (idle cores steal ready connections)
+//   no-steal     RuntimeOptions::enable_stealing = false (the shared-nothing IX
+//                baseline: every core serves only its own flows)
+// The IPI ablation (ZygOS vs ZygOS-no-IPI) runs only in the discrete-event model
+// (fig6_latency_throughput, ablation_design_choices section A): the live runtime
+// polls and has no interrupt to ablate.
 // and prints one CSV row per (config, load) cell; `--json=PATH` additionally writes
 // the BENCH-contract report with the acceptance booleans as gates (the shared harness,
 // src/loadgen/experiment.h; the process exits 1 iff a gate is false).
@@ -46,7 +48,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: fig6_live_runtime [--transport=loopback|tcp|uring[,...]] [--workers=N]\n"
     "  [--connections=N] [--threads=N] [--arrivals=poisson|fixed] [--dist=NAME]\n"
-    "  [--service-us=F] [--service-mode=spin|sleep] [--configs=zygos,no-steal,...]\n"
+    "  [--service-us=F] [--service-mode=spin|sleep] [--configs=zygos,no-steal]\n"
     "  [--rates=r1,r2,...] [--load-fractions=f1,f2,...] [--calibrate-rate=R]\n"
     "  [--cell-repeats=N] [--duration-ms=N] [--warmup-ms=N] [--payload=N]\n"
     "  [--seed=N] [--skew=BOOL] [--json=PATH] [--probe-uring]";

@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) for the data structures on the runtime's hot
-// paths: locks, rings, the shuffle layer, doorbells, frame parsing, RSS hashing,
+// paths: locks, rings, the shuffle layer, frame parsing, RSS hashing,
 // histograms, RNG, the KV hash table and single-threaded OCC transactions. These
 // ground the cost-model constants in DESIGN.md ("shuffle enqueue ~80 ns" etc.) against
 // what this host actually measures.
@@ -11,7 +11,6 @@
 
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
-#include "src/concurrency/doorbell.h"
 #include "src/concurrency/mpmc_queue.h"
 #include "src/concurrency/spinlock.h"
 #include "src/concurrency/spsc_ring.h"
@@ -88,15 +87,6 @@ void BM_WorkstealDequeSteal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkstealDequeSteal);
-
-void BM_DoorbellRingDrain(benchmark::State& state) {
-  Doorbell doorbell;
-  for (auto _ : state) {
-    doorbell.Ring(IpiReason::kRemoteSyscalls);
-    benchmark::DoNotOptimize(doorbell.Drain());
-  }
-}
-BENCHMARK(BM_DoorbellRingDrain);
 
 // The shuffle layer's local path: notify (idle->ready, enqueue) + dequeue
 // (ready->busy) + complete (busy->idle). This is the "shuffle enqueue/dequeue ~80 ns"

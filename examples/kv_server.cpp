@@ -358,12 +358,11 @@ void PrintServerStats(Server& server) {
   std::printf("server: in-server latency p50 %.1f us  p99 %.1f us (recv->tx)\n",
               ToMicros(latency.P50()), ToMicros(latency.P99()));
   std::printf("scheduler: %llu events (%llu stolen), %llu steals, %llu remote "
-              "syscalls, %llu doorbells sent, %llu rx batches/%llu segments\n",
+              "syscalls, %llu rx batches/%llu segments\n",
               static_cast<unsigned long long>(stats.app_events),
               static_cast<unsigned long long>(stats.stolen_events),
               static_cast<unsigned long long>(shuffle.steals),
               static_cast<unsigned long long>(stats.remote_syscalls),
-              static_cast<unsigned long long>(stats.doorbells_sent),
               static_cast<unsigned long long>(stats.rx_batches),
               static_cast<unsigned long long>(stats.rx_segments));
   std::printf("data plane: %llu pooled allocs, %llu heap misses, %llu cross-core "

@@ -1,11 +1,11 @@
 // Quickstart: a ZygOS-scheduled RPC server in ~40 lines.
 //
-// Builds a 4-worker runtime in full ZygOS mode (work stealing + doorbells), serves a
+// Builds a 4-worker runtime in full ZygOS mode (work stealing on), serves a
 // synthetic spin-handler (the paper's microbenchmark application), drives it with an
 // in-process open-loop Poisson generator (src/loadgen) for --requests / --rate
 // seconds, and prints the latency distribution — measured from each request's
 // scheduled send time, so it is coordinated-omission safe — plus the scheduler's own
-// counters (steals, remote syscalls, doorbells).
+// counters (steals, remote syscalls).
 //
 // Run:  ./quickstart [--workers=4] [--rate=20000] [--requests=50000] [--spin_us=10]
 #include <cstdio>
@@ -23,7 +23,6 @@ int Main(int argc, char** argv) {
   RuntimeOptions options;
   options.num_workers = static_cast<int>(flags.GetInt("workers", 4));
   options.num_flows = 64;
-  options.mode = RuntimeMode::kZygos;
 
   GeneratorOptions gen;
   gen.rate_rps = flags.GetDouble("rate", 20'000);
@@ -61,15 +60,13 @@ int Main(int argc, char** argv) {
   std::printf("latency: p50 %.1f us  p99 %.1f us  max %.1f us  (wall-clock; noisy on "
               "oversubscribed hosts)\n",
               ToMicros(latency.P50()), ToMicros(latency.P99()), ToMicros(latency.Max()));
-  std::printf("scheduler: %llu events, %llu stolen (%.1f%%), %llu remote syscalls, "
-              "%llu doorbells\n",
+  std::printf("scheduler: %llu events, %llu stolen (%.1f%%), %llu remote syscalls\n",
               static_cast<unsigned long long>(stats.app_events),
               static_cast<unsigned long long>(stats.stolen_events),
               stats.app_events ? 100.0 * static_cast<double>(stats.stolen_events) /
                                      static_cast<double>(stats.app_events)
                                : 0.0,
-              static_cast<unsigned long long>(stats.remote_syscalls),
-              static_cast<unsigned long long>(stats.doorbells_sent));
+              static_cast<unsigned long long>(stats.remote_syscalls));
   return 0;
 }
 

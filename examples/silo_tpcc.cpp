@@ -73,12 +73,11 @@ void PrintRuntimeStats(Runtime& runtime) {
   WorkerStats stats = runtime.TotalStats();
   ShuffleStats shuffle = runtime.TotalShuffleStats();
   std::printf("scheduler: %llu events (%llu stolen), %llu steals, %llu remote "
-              "syscalls, %llu doorbells sent\n",
+              "syscalls\n",
               static_cast<unsigned long long>(stats.app_events),
               static_cast<unsigned long long>(stats.stolen_events),
               static_cast<unsigned long long>(shuffle.steals),
-              static_cast<unsigned long long>(stats.remote_syscalls),
-              static_cast<unsigned long long>(stats.doorbells_sent));
+              static_cast<unsigned long long>(stats.remote_syscalls));
 }
 
 int Main(int argc, char** argv) {

@@ -174,7 +174,8 @@ run_gated() {
 # of ms into one cell's p99 (CO-safe accounting must count it); the median row
 # discards the one-off without biasing the curve.
 # Transport list = epoll reference, io_uring (one pooled recv armed per connection,
-# plain SEND) and loopback. Snapshots: the live-harness acceptance record (0004) and
+# plain SEND) and loopback. Configs = the binary's default, zygos and no-steal (the
+# runtime's one ablation; the IPI ablation is DES-only, fig6_latency_throughput). Snapshots: the live-harness acceptance record (0004) and
 # the uring syscalls-per-request record (0007). BENCH_0010.json, the deleted io_uring
 # feature ladder's record, is historical and no longer rewritten.
 LIVE_DURATION_MS="${BENCH_LIVE_DURATION_MS:-3000}"
@@ -208,7 +209,7 @@ run_gated overload BENCH_0008.json overload_live_runtime --workers=2 --connectio
   --threads=2 --service-us=1000 --multipliers=0.8,1,2,4,10 \
   --duration-ms="${OVERLOAD_DURATION_MS}" --warmup-ms=300 --seed=1
 
-# --- fig10_live: Silo/TPC-C as the live workload (zygos vs no-steal vs partitioned) ----
+# --- fig10_live: Silo/TPC-C as the live workload (zygos vs no-steal) -------------------
 # The binary loads a Silo/TPC-C database behind the runtime and sweeps the three
 # scheduling configs over the open-loop TPC-C loadgen. --service-pad-us=300 blocks
 # each transaction for 300 us before the OCC work, the same trick as fig6_live's
@@ -223,7 +224,7 @@ run_gated overload BENCH_0008.json overload_live_runtime --workers=2 --connectio
 # Snapshot: the second-workload (Silo/TPC-C wire service) record (0009).
 FIG10_DURATION_MS="${BENCH_FIG10_DURATION_MS:-5000}"
 run_gated fig10_live BENCH_0009.json fig10_live_runtime --transport=tcp \
-  --configs=zygos,no-steal,partitioned --workers=2 --connections=16 --threads=2 \
+  --configs=zygos,no-steal --workers=2 --connections=16 --threads=2 \
   --warehouses=1 --scale=tiny --service-pad-us=300 \
   --load-fractions=0.2,0.4,0.6,0.8 --cell-repeats=3 \
   --duration-ms="${FIG10_DURATION_MS}" --warmup-ms=400 --seed=9

@@ -2,13 +2,14 @@
 // Contract: kCacheLineSize is the alignment unit for every per-core structure; keep
 // per-core hot state in separate lines to avoid false sharing.
 //
-// Users (audit when adding per-core state): WorkerStats and Runtime::UserModeFlag
-// (src/runtime/runtime.h) — per-worker counters/flags written every scheduling pass;
-// MpmcQueue's enqueue/dequeue cursors (mpmc_queue.h); TcpTransport::PerQueue
+// Users (audit when adding per-core state): WorkerStats (src/runtime/runtime.h) —
+// per-worker counters written every scheduling pass; MpmcQueue's enqueue/dequeue
+// cursors (mpmc_queue.h); TcpTransport::PerQueue
 // (src/runtime/tcp_transport.h); LatencyCollector's histogram shards
 // (src/runtime/client.h); IoSlab's data offset (src/common/buffer_pool.h) — the
-// refcount churns cross-core, the payload bytes must not ride the same line.
-// Doorbells are already one heap object per core (src/concurrency/doorbell.h).
+// refcount churns cross-core, the payload bytes must not ride the same line. There is
+// no per-core interrupt flag: the live runtime polls, and IPIs are modelled only in
+// the discrete-event model (src/sysmodel/zygos_model.cc).
 #ifndef ZYGOS_CONCURRENCY_CACHE_LINE_H_
 #define ZYGOS_CONCURRENCY_CACHE_LINE_H_
 

@@ -2,8 +2,7 @@
 //
 // Models a NIC descriptor ring: the (simulated) NIC or a client injector produces
 // packets, exactly one core consumes them. Lock-free with acquire/release pairs and
-// cached peer indices to minimize coherence traffic — the structure an idle remote core
-// polls in step (d) of the ZygOS idle loop.
+// cached peer indices to minimize coherence traffic.
 // Contract: exactly one producer thread and one consumer thread; any thread may call
 // ApproxSize/ApproxEmpty (racy snapshot). Capacity is fixed at construction (power of
 // two).
@@ -58,8 +57,7 @@ class SpscRing {
     return value;
   }
 
-  // Racy size estimate; safe to call from any thread (the idle loop peeks at remote
-  // rings with this).
+  // Racy size estimate; safe to call from any thread.
   size_t ApproxSize() const {
     size_t head = head_.load(std::memory_order_acquire);
     size_t tail = tail_.load(std::memory_order_acquire);

@@ -66,6 +66,25 @@ Pcb* ShuffleLayer::TrySteal(int thief_core, int victim_core) {
   return pcb;
 }
 
+Pcb* ShuffleLayer::StealAny(int thief_core, Rng& rng) {
+  const int victims = num_cores_ - 1;
+  if (victims <= 0) {
+    return nullptr;
+  }
+  const int first = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(victims)));
+  for (int i = 0; i < victims; ++i) {
+    // Offsets 1..num_cores_-1 from the thief enumerate exactly the other cores.
+    int victim = (thief_core + 1 + (first + i) % victims) % num_cores_;
+    if (ApproxEmpty(victim)) {
+      continue;
+    }
+    if (Pcb* pcb = TrySteal(thief_core, victim)) {
+      return pcb;
+    }
+  }
+  return nullptr;
+}
+
 bool ShuffleLayer::CompleteExecution(Pcb* pcb) {
   PerCore& pc = *per_core_[static_cast<size_t>(pcb->home_core())];
   Spinlock::Guard guard(pc.lock);

@@ -10,6 +10,8 @@
 // Locking matches the paper's implementation: one spinlock per core guards both that
 // core's queue and the scheduling-state transitions of sockets homed there. Local
 // operations take the lock; steals use TryLock so a contended victim is simply skipped.
+// StealAny is the idle loop's steal step (§5 step (b)) for the real-thread runtime;
+// the discrete-event model keeps its own costed scan (src/sysmodel/zygos_model.cc).
 //
 // Contract: every method is thread-safe and may be called from any core; ApproxEmpty/
 // ApproxSize/StatsFor are unsynchronized reads (exact only at quiescence). A Pcb passed
@@ -22,6 +24,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/concurrency/cache_line.h"
 #include "src/concurrency/spinlock.h"
 #include "src/net/pcb.h"
@@ -55,6 +58,13 @@ class ShuffleLayer {
   // Steal attempt: thief `thief_core` tries to take the oldest ready connection homed
   // on `victim_core`. Uses TryLock; returns nullptr on contention or empty queue.
   Pcb* TrySteal(int thief_core, int victim_core);
+
+  // Idle-loop steal: probes every other core's shuffle queue at most once, in a random
+  // victim order (a random first victim, then the rest in rotation: allocation-free,
+  // and idle cores do not all convoy on one victim), skipping queues that look empty,
+  // and returns the first connection TrySteal claims for `thief_core`. nullptr when
+  // no remote queue yielded one.
+  Pcb* StealAny(int thief_core, Rng& rng);
 
   // Called by the execution path once the connection's current event has been fully
   // processed *including* all of its (possibly remote) system calls. Re-enqueues the

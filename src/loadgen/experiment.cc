@@ -130,10 +130,8 @@ TcpLoadgenOptions LiveLoadgenOptions(const LiveFlags& live, uint16_t port,
 
 std::optional<LiveConfig> ParseLiveConfig(const std::string& name) {
   static const LiveConfig kConfigs[] = {
-      {"zygos", RuntimeMode::kZygos, true, true},
-      {"no-steal", RuntimeMode::kZygos, false, true},
-      {"no-ipi", RuntimeMode::kZygos, true, false},
-      {"partitioned", RuntimeMode::kPartitioned, false, false},
+      {"zygos", true},
+      {"no-steal", false},
   };
   for (const LiveConfig& config : kConfigs) {
     if (config.name == name) {
@@ -233,10 +231,8 @@ LiveCellResult RunLiveCell(const LiveSweep& sweep, const LiveTransport& transpor
                            const LiveConfig& config, double rate, ViewHandler handler) {
   RuntimeOptions options;
   options.num_workers = sweep.workers;
-  options.mode = config.mode;
   options.num_flows = sweep.connections;
   options.enable_stealing = config.stealing;
-  options.enable_doorbells = config.doorbells;
 
   LiveCellResult cell;
   LivePoint& point = cell.point;
@@ -328,7 +324,6 @@ LiveCellResult RunLiveCell(const LiveSweep& sweep, const LiveTransport& transpor
   point.max_us = ToMicros(latency.Max());
   WorkerStats stats = runtime->TotalStats();
   point.steals = runtime->TotalShuffleStats().steals;
-  point.doorbells_sent = stats.doorbells_sent;
   point.sheds = stats.sheds_deadline + stats.sheds_fairness + stats.sheds_admission;
   cell.runtime_completed = runtime->Completed();
   // Data-path syscalls amortized over every completed request of the run (warmup

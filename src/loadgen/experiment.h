@@ -70,13 +70,11 @@ TcpLoadgenOptions LiveLoadgenOptions(const LiveFlags& live, uint16_t port,
 
 // --- Configs and transports -----------------------------------------------------------
 
-// A runtime ablation by name: "zygos" (stealing + doorbells), "no-steal", "no-ipi"
-// (doorbells off) or "partitioned" (the shared-nothing IX baseline).
+// A runtime ablation by name: "zygos" (full design) or "no-steal"
+// (RuntimeOptions::enable_stealing = false, the shared-nothing IX baseline).
 struct LiveConfig {
   std::string name;
-  RuntimeMode mode = RuntimeMode::kZygos;
   bool stealing = true;
-  bool doorbells = true;
 };
 std::optional<LiveConfig> ParseLiveConfig(const std::string& name);
 // Every name of a comma-separated list, in order; nullopt when a name is unknown or
@@ -96,7 +94,7 @@ std::optional<LiveTransport> ParseLiveTransport(const std::string& name);
 
 struct LiveSweep : LiveFlags {
   std::string transport_csv = "loopback";                // --transport
-  std::string configs_csv = "zygos,no-steal,no-ipi";     // --configs
+  std::string configs_csv = "zygos,no-steal";            // --configs
   std::string load_fractions_csv = "0.25,0.5,0.75,0.95";  // --load-fractions
   double calibrate_rate = 0;  // --calibrate-rate (0: the binary's default probe rate)
   int cell_repeats = 1;       // --cell-repeats

@@ -24,8 +24,8 @@
 
 namespace zygos {
 
-// One measured sweep cell. `config` is the runtime ablation ("zygos", "no-steal",
-// "no-ipi"); load cells of one config must be appended in ascending offered_rps order.
+// One measured sweep cell. `config` is the runtime ablation ("zygos", "no-steal");
+// load cells of one config must be appended in ascending offered_rps order.
 // `transport` is the backend that served the cell ("loopback" | "tcp" | "uring") —
 // sweeps may run the same configs over several transports at matched rates.
 struct LivePoint {
@@ -43,7 +43,6 @@ struct LivePoint {
   double max_us = 0;
   double send_lag_max_us = 0;  // generator lateness (see GeneratorResult::max_send_lag)
   uint64_t steals = 0;
-  uint64_t doorbells_sent = 0;
   // Data-path syscalls per completed request (Transport::IoSyscalls over completions;
   // see bench/README.md "syscalls_per_request"). 0 for loopback. The headline the
   // uring backend exists to lower: epoll pays ~2+/req, batched uring well under 1.
@@ -64,7 +63,7 @@ struct LivePoint {
 // `config` stays the FIRST column (harnesses grep `^zygos,`); new columns are only
 // ever appended at the end.
 //   config,offered_rps,achieved_rps,p50_us,p99_us,p999_us,mean_us,max_us,
-//   measured,sent,dropped,send_lag_max_us,steals,doorbells,syscalls_per_req,transport,
+//   measured,sent,dropped,send_lag_max_us,steals,syscalls_per_req,transport,
 //   sheds,cycles_per_req,insns_per_req,cache_misses_per_req
 void PrintLiveCsvHeader(FILE* out);
 void PrintLiveCsvRow(FILE* out, const LivePoint& point);

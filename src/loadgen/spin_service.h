@@ -8,9 +8,9 @@
 //   kSleep  block in nanosleep (an I/O-bound stand-in). On hosts with fewer hardware
 //           threads than workers — like CI containers — kSpin degenerates into pure
 //           timesharing noise, while kSleep keeps concurrent requests genuinely
-//           overlappable, so the scheduling policies under test (stealing, doorbells)
-//           remain distinguishable. The OS timer adds ~50 µs of slack per sleep; use
-//           mean service times well above that.
+//           overlappable, so stealing and no-steal remain distinguishable. The OS
+//           timer adds ~50 µs of slack per sleep; use mean service times well above
+//           that.
 //
 // The response echoes the request payload.
 //

@@ -5,8 +5,7 @@
 // to its home core's receive ring, exactly like hardware flow steering. Rings are
 // bounded (a full ring drops the segment and counts it, as a NIC would) and
 // multi-producer (any client thread) / single-consumer (the home core drains its ring
-// in one batched pass — but any core may *poll* occupancy, which is what the ZygOS
-// idle loop does). Transmission is a loopback: the response never serializes onto a
+// in one batched pass; any thread may *poll* occupancy). Transmission is a loopback: the response never serializes onto a
 // wire, it completes straight into the completion callback.
 //
 // Connection lifecycle is test-drivable: OpenFlow/CloseFlowFromClient enqueue

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "src/core/idle_policy.h"
 #include "src/hw/perf_counters.h"
 #include "src/runtime/loopback_transport.h"
 
@@ -31,40 +30,6 @@ ViewHandler WrapStringHandler(RequestHandler handler) {
     response.Append(handler(flow_id, std::string(request)));
   };
 }
-
-// Snapshot of remotely observable state for the shared idle-loop policy.
-class Runtime::WorkerView final : public IdleLoopView {
- public:
-  explicit WorkerView(const Runtime& runtime) : runtime_(runtime) {}
-
-  int NumCores() const override { return runtime_.options_.num_workers; }
-  bool OwnHwRingNonEmpty(int self) const override {
-    return runtime_.transport_->ApproxNonEmpty(self);
-  }
-  bool ShuffleNonEmpty(int core) const override {
-    // Stealing disabled: remote shuffle queues look empty to the idle policy, so it
-    // never proposes a steal and falls through to the IPI scan instead (the local
-    // queue is drained directly by WorkerLoop, not through this view).
-    if (!runtime_.options_.enable_stealing) {
-      return false;
-    }
-    return !runtime_.shuffle_.ApproxEmpty(core);
-  }
-  bool SoftwareQueueNonEmpty(int core) const override {
-    (void)core;
-    return false;  // the runtime parses segments immediately; no staging queue
-  }
-  bool HwRingNonEmpty(int core) const override {
-    return runtime_.transport_->ApproxNonEmpty(core);
-  }
-  bool InUserMode(int core) const override {
-    return runtime_.in_user_mode_[static_cast<size_t>(core)]->value.load(
-        std::memory_order_acquire);
-  }
-
- private:
-  const Runtime& runtime_;
-};
 
 Runtime::Runtime(RuntimeOptions options, ViewHandler handler,
                  CompletionHandler on_complete)
@@ -111,9 +76,7 @@ Runtime::Runtime(RuntimeOptions options, std::unique_ptr<Transport> transport,
     }
     remote_queues_.push_back(std::make_unique<MpmcQueue<RemoteSyscall>>(
         options_.ring_capacity));
-    doorbells_.push_back(std::make_unique<Doorbell>());
     stats_.push_back(std::make_unique<WorkerStats>());
-    in_user_mode_.push_back(std::make_unique<UserModeFlag>());
     worker_rngs_.push_back(seeder.Fork());
   }
 }
@@ -202,8 +165,6 @@ WorkerStats Runtime::TotalStats() const {
     total.app_events += stats->app_events;
     total.stolen_events += stats->stolen_events;
     total.remote_syscalls += stats->remote_syscalls;
-    total.doorbells_sent += stats->doorbells_sent;
-    total.doorbells_received += stats->doorbells_received;
     total.pool_hits += stats->pool_hits;
     total.pool_misses += stats->pool_misses;
     total.pool_remote_frees += stats->pool_remote_frees;
@@ -227,8 +188,6 @@ ShuffleStats Runtime::TotalShuffleStats() const { return shuffle_.TotalStats(); 
 
 void Runtime::WorkerLoop(int core) {
   WorkerStats& stats = *stats_[static_cast<size_t>(core)];
-  WorkerView view(*this);
-  IdlePolicy policy;
   Rng& rng = worker_rngs_[static_cast<size_t>(core)];
   // This worker's thread-local buffer pool; its counters are mirrored into
   // WorkerStats every pass so per-core allocation behaviour is observable from
@@ -246,9 +205,6 @@ void Runtime::WorkerLoop(int core) {
   perf.Open();
 
   while (true) {
-    if (doorbells_[static_cast<size_t>(core)]->Drain() != 0) {
-      stats.doorbells_received++;
-    }
     bool worked = false;
     // Priority 1: remote batched syscalls (they hold socket ownership and directly
     // add to RPC latency, §4.5).
@@ -269,28 +225,16 @@ void Runtime::WorkerLoop(int core) {
       mirror_pool_stats();
       continue;
     }
-    // Priority 4: the idle loop (ZygOS mode only; partitioned cores just spin on
-    // their own work sources, the shared-nothing baseline).
-    if (options_.mode == RuntimeMode::kZygos) {
-      IdleAction action = policy.Next(core, view, rng);
-      switch (action.kind) {
-        case IdleActionKind::kProcessOwnRing:
-          continue;  // top of loop will pick it up at priority 2
-        case IdleActionKind::kSteal:
-          if (Pcb* pcb = shuffle_.TrySteal(core, action.target_core)) {
-            ExecuteConnection(core, pcb, /*stolen=*/true);
-            continue;
-          }
-          break;  // lost the race; fall through to park
-        case IdleActionKind::kSendIpi:
-          if (options_.enable_doorbells &&
-              doorbells_[static_cast<size_t>(action.target_core)]->Ring(
-                  IpiReason::kPendingPackets)) {
-            stats.doorbells_sent++;
-          }
-          break;
-        case IdleActionKind::kNone:
-          break;
+    // Priority 4: the idle loop (§5). (a) Packets on the own receive queue: the top
+    // of the loop picks them up at priority 2.
+    if (transport_->ApproxNonEmpty(core)) {
+      continue;
+    }
+    // (b) Steal a ready connection from a remote shuffle queue.
+    if (options_.enable_stealing) {
+      if (Pcb* pcb = shuffle_.StealAny(core, rng)) {
+        ExecuteConnection(core, pcb, /*stolen=*/true);
+        continue;
       }
     }
     if (stop_.load(std::memory_order_acquire)) {
@@ -574,7 +518,6 @@ uint64_t Runtime::ExecuteConnection(int core, Pcb* pcb, bool stolen) {
   while (auto event = pcb->PopEvent()) {
     events.push_back(std::move(*event));
   }
-  in_user_mode_[static_cast<size_t>(core)]->value.store(true, std::memory_order_release);
   const OverloadOptions& overload = options_.overload;
   AdmissionController& admission = admission_[static_cast<size_t>(core)]->controller;
   static thread_local std::vector<TxSegment> responses;
@@ -624,7 +567,6 @@ uint64_t Runtime::ExecuteConnection(int core, Pcb* pcb, bool stolen) {
     }
     responses.push_back(std::move(response));
   }
-  in_user_mode_[static_cast<size_t>(core)]->value.store(false, std::memory_order_release);
 
   if (!stolen || responses.empty()) {
     // Home-core path (or a raced-to-empty claim): transmit directly, release ownership.
@@ -649,10 +591,6 @@ uint64_t Runtime::ExecuteConnection(int core, Pcb* pcb, bool stolen) {
     while (!remote_queues_[static_cast<size_t>(home)]->TryPushRef(call)) {
       std::this_thread::yield();
     }
-  }
-  if (options_.enable_doorbells &&
-      doorbells_[static_cast<size_t>(home)]->Ring(IpiReason::kRemoteSyscalls)) {
-    stats.doorbells_sent++;
   }
   size_t executed = events.size();
   responses.clear();  // elements were moved into the remote queue; drop the husks

@@ -24,17 +24,16 @@
 // unbounded; the table caps only concurrency. See docs/ARCHITECTURE.md "Connection
 // lifecycle".
 //
-// Work conservation comes from the idle loop (§5): an idle worker scans — own ring,
-// remote shuffle queues (steal), remote rings (doorbell the home core). IPIs are
-// modelled by Doorbells: a software substitute for Dune's posted interrupts that the
-// receiving worker notices at its next scheduling boundary rather than mid-handler
-// (documented substitution — user-mode code cannot be preempted safely in-process;
-// the DES models true preemption, this runtime demonstrates the mechanism).
-//
-// Modes:
-//   kZygos        — full design: stealing + doorbells.
-//   kPartitioned  — layer 2 disabled across cores (every core serves only its own
-//                   flows, run-to-completion): the IX/shared-nothing baseline.
+// Work conservation comes from the idle loop (§5): a worker with no local work peeks
+// its own receive queue (step (a)), then, with RuntimeOptions::enable_stealing set,
+// steals one ready connection from a remote shuffle queue (step (b),
+// ShuffleLayer::StealAny). A worker reads no other core's receive queue. The runtime
+// polls: every pass runs the remote-syscall drain and one RX batch, so there is no IPI
+// (§4.5) to send — a home core busy in a long handler serves its shipped responses
+// and packets when the handler returns. IPIs and their ablation are modelled only in
+// the discrete-event model (src/sysmodel/zygos_model.cc); docs/ARCHITECTURE.md
+// "Deleted: live doorbell and partitioned mode" records the measurement that retired
+// the live flag.
 //
 // Contract: all timestamps are wall-clock Nanos (std::steady_clock based). Inject/
 // InjectBytes are thread-safe (any client thread, any time between Start and Shutdown;
@@ -61,7 +60,6 @@
 #include "src/common/rng.h"
 #include "src/common/time_units.h"
 #include "src/concurrency/cache_line.h"
-#include "src/concurrency/doorbell.h"
 #include "src/concurrency/mpmc_queue.h"
 #include "src/core/shuffle_layer.h"
 #include "src/net/message.h"
@@ -72,7 +70,8 @@
 
 namespace zygos {
 
-enum class RuntimeMode { kZygos, kPartitioned };
+// Read only by frozen perfbench/bench.cc: the runtime has one mode.
+enum class RuntimeMode { kZygos };
 
 // Application request handler, zero-copy form: the request is a view into pooled RX
 // memory (valid only for the duration of the call) and the response payload is
@@ -95,6 +94,7 @@ ViewHandler WrapStringHandler(RequestHandler handler);
 
 struct RuntimeOptions {
   int num_workers = 4;
+  // Read only by frozen perfbench/bench.cc; the runtime never reads it.
   RuntimeMode mode = RuntimeMode::kZygos;
   int num_flows = 64;
   int num_flow_groups = 128;
@@ -103,17 +103,11 @@ struct RuntimeOptions {
   // transports that mint flow ids dynamically, like TcpTransport, must stay below it).
   // 0 means max(num_flows, 4096).
   size_t max_flows = 0;
-  // Ablation knobs for the live-runtime experiments (kZygos mode only; kPartitioned
-  // never runs the idle loop). Both default to the full ZygOS design.
-  //   enable_stealing = false  -> the idle loop skips step (b): remote shuffle queues
-  //                               are never scanned, so no connection is ever claimed
-  //                               off its home core ("ZygOS-no-steal").
-  //   enable_doorbells = false -> no doorbell is ever rung (neither the idle loop's
-  //                               pending-packet IPI nor the thief's remote-syscall
-  //                               IPI); home cores discover work only by polling
-  //                               (the paper's "ZygOS (no interrupts)" line).
+  // The live runtime's one scheduling ablation. false skips the idle loop's steal
+  // step: no connection is ever claimed off its home core, so every core serves only
+  // its own flows run-to-completion ("ZygOS-no-steal", the shared-nothing IX
+  // baseline).
   bool enable_stealing = true;
-  bool enable_doorbells = true;
   // Overload control (src/overload/admission.h): deadline shedding, per-flow
   // fairness caps, adaptive admission. Disabled by default — the data path is
   // bit-identical to the pre-overload runtime unless a harness opts in.
@@ -139,8 +133,7 @@ struct alignas(kCacheLineSize) WorkerStats {
   uint64_t app_events = 0;        // requests executed on this core
   uint64_t stolen_events = 0;     // requests this core executed for another home core
   uint64_t remote_syscalls = 0;   // responses executed here on behalf of thieves
-  uint64_t doorbells_sent = 0;
-  uint64_t doorbells_received = 0;
+  uint64_t doorbells_sent = 0;    // always 0; read only by frozen perfbench/bench.cc
   // Buffer-pool observability (this worker's thread pool, refreshed every pass):
   // heap allocations per request on this core == pool_misses / app_events; flat
   // pool_misses after warmup is the allocation-free steady state.
@@ -298,8 +291,6 @@ class Runtime {
     AdmissionController controller;
   };
 
-  class WorkerView;
-
   // RX/TX batch sizes per scheduling pass.
   static constexpr size_t kRxBatch = 64;
   static constexpr size_t kTxBatch = 64;
@@ -331,13 +322,6 @@ class Runtime {
   // flow id back to the transport. Returns the number of slots recycled.
   uint64_t ProcessClosing(int core);
 
-  // Cache-line isolated per-core flag: remote cores poll it from the idle loop while
-  // the owner toggles it around every handler invocation — sharing a line with any
-  // other hot state would make each toggle a cross-core invalidation.
-  struct alignas(kCacheLineSize) UserModeFlag {
-    std::atomic<bool> value{false};
-  };
-
   RuntimeOptions options_;
   ViewHandler handler_;
   std::unique_ptr<Transport> transport_;
@@ -353,9 +337,7 @@ class Runtime {
   double flow_rate_rps_ = 0.0;
   double flow_burst_ = 0.0;
   std::vector<std::unique_ptr<MpmcQueue<RemoteSyscall>>> remote_queues_;
-  std::vector<std::unique_ptr<Doorbell>> doorbells_;
   std::vector<std::unique_ptr<WorkerStats>> stats_;
-  std::vector<std::unique_ptr<UserModeFlag>> in_user_mode_;
   std::vector<std::thread> workers_;
   std::vector<Rng> worker_rngs_;
   std::atomic<bool> stop_{false};

@@ -98,8 +98,9 @@ class SocketTransportBase : public Transport {
   // Data-path syscalls made inside PollBatch/TransmitBatch across all queues:
   // epoll_wait/recv/send/poll for the epoll backend, io_uring_enter for the uring
   // backend. Deliberately EXCLUDES the acceptor thread's poll/accept (control plane)
-  // and ApproxNonEmpty peeks (the idle loop's any-thread observer would otherwise
-  // swamp the metric at low load) — see bench/README.md "syscalls_per_request".
+  // and ApproxNonEmpty peeks (the idle loop's own-queue peek runs every idle pass and
+  // would otherwise swamp the metric at low load) — see bench/README.md
+  // "syscalls_per_request".
   uint64_t IoSyscalls() const override;
 
   // Drops() decomposed (both are also counted in the aggregate):

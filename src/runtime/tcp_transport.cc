@@ -220,10 +220,9 @@ bool TcpTransport::ApproxNonEmpty(int queue) const {
   if (!accept_ring(queue).ApproxEmpty()) {
     return true;
   }
-  // Zero-timeout peek: level-triggered readiness is not consumed by observing it, so
-  // any idle core may ask "does this home core have pending packets?" — the remote-
-  // ring polling step of the ZygOS idle loop. (Deliberately NOT counted in
-  // IoSyscalls: it is the observer's cost, not the data path's.)
+  // Zero-timeout peek: level-triggered readiness is not consumed by observing it —
+  // the idle loop's own-queue step (a). (Deliberately NOT counted in IoSyscalls: it
+  // is the idle spin's cost, not the data path's.)
   epoll_event ev;
   return ::epoll_wait(pq.epfd, &ev, 1, 0) > 0;
 }

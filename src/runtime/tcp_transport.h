@@ -30,9 +30,10 @@
 // payloads, counted per queue and reported through IoSyscalls() so the live benches
 // can print syscalls_per_request for both backends side by side.
 //
-// ApproxNonEmpty peeks the queue's epoll set with a zero-timeout wait from any thread
-// (level-triggered readiness is not consumed by observers) and the accept ring, which
-// is what lets the ZygOS idle loop notice a busy core's backlog and doorbell it.
+// ApproxNonEmpty peeks the queue's epoll set with a zero-timeout wait (level-triggered
+// readiness is not consumed by observers) and the accept ring. The idle loop peeks
+// only its own queue: the live runtime polls, so no core watches another's backlog
+// to send it an IPI (IPIs are modelled only in the discrete-event model).
 //
 // Contract: Start binds/listens and launches the acceptor; port() is valid after
 // Start (bind to port 0 for an ephemeral port). Stop joins the acceptor and closes

@@ -148,7 +148,8 @@ class Transport {
   // socket). Home-core-only: `queue` must be QueueOf(flow) for every element.
   virtual size_t TransmitBatch(int queue, std::span<TxSegment> batch) = 0;
 
-  // Racy occupancy peek: the remote-ring polling step of the ZygOS idle loop.
+  // Racy occupancy peek, safe from any thread. The runtime's idle loop peeks only the
+  // calling worker's own queue (§5 step (a)).
   virtual bool ApproxNonEmpty(int queue) const = 0;
 
   // Severs a flow at the transport level (poisoned frame stream, unserviceable flow

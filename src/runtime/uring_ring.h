@@ -5,8 +5,8 @@
 // mmaps (honoring IORING_FEAT_SINGLE_MMAP), SQE acquisition against the kernel's
 // consumer head, a submit path that counts every io_uring_enter (the
 // syscalls-per-request metric the benches report), CQE peek/advance for the
-// single-consumer home core, and an any-thread CQ occupancy probe for the ZygOS idle
-// loop's remote-ring polling step.
+// single-consumer home core, and an any-thread CQ occupancy probe behind
+// ApproxNonEmpty (the idle loop's own-queue step).
 //
 // Deliberate simplifications vs liburing:
 //   - No kernel SQ poller thread, no provided-buffer rings and no standing
@@ -15,9 +15,10 @@
 //     benchmark and removed (docs/ARCHITECTURE.md, "Deleted rungs").
 //   - No IORING_SETUP_DEFER_TASKRUN/SINGLE_ISSUER: deferred task running makes CQEs
 //     invisible to *other* threads until the issuer enters the kernel, which would
-//     blind ApproxNonEmpty (the idle loop's doorbell trigger) — a documented
-//     substitution, the same trade the epoll backend makes by using level-triggered
-//     readiness as its any-thread peek.
+//     break the Transport contract's any-thread ApproxNonEmpty — the same trade the
+//     epoll backend makes by using level-triggered readiness as its peek. The live
+//     runtime itself peeks only a worker's own ring: it polls and sends no IPIs
+//     (they are modelled only in the discrete-event model).
 //   - The SQ index array is identity-mapped once at Init; SQEs are used in ring
 //     order, which is all a batch-submit transport needs.
 //

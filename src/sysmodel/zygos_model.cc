@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/idle_policy.h"
 #include "src/core/shuffle_layer.h"
 #include "src/hw/packet.h"
 #include "src/net/pcb.h"

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/concurrency/doorbell.h"
 #include "src/concurrency/mpmc_queue.h"
 #include "src/concurrency/spinlock.h"
 #include "src/concurrency/spsc_ring.h"
@@ -312,45 +311,6 @@ TEST(MpmcQueueTest, TryPopBatchConcurrentWithSingleConsumers) {
     t.join();
   }
   EXPECT_EQ(sum.load(), kTotal * (kTotal + 1) / 2);
-}
-
-TEST(DoorbellTest, RingReportsFirstRinger) {
-  Doorbell bell;
-  EXPECT_TRUE(bell.Ring(IpiReason::kPendingPackets));
-  EXPECT_FALSE(bell.Ring(IpiReason::kRemoteSyscalls)) << "already pending";
-  EXPECT_TRUE(bell.AnyPending());
-  EXPECT_TRUE(bell.IsPending(IpiReason::kPendingPackets));
-  EXPECT_TRUE(bell.IsPending(IpiReason::kRemoteSyscalls));
-}
-
-TEST(DoorbellTest, DrainReturnsAndClearsAllBits) {
-  Doorbell bell;
-  bell.Ring(IpiReason::kPendingPackets);
-  bell.Ring(IpiReason::kRemoteSyscalls);
-  uint32_t bits = bell.Drain();
-  EXPECT_EQ(bits, static_cast<uint32_t>(IpiReason::kPendingPackets) |
-                      static_cast<uint32_t>(IpiReason::kRemoteSyscalls));
-  EXPECT_FALSE(bell.AnyPending());
-  EXPECT_EQ(bell.Drain(), 0u);
-}
-
-TEST(DoorbellTest, ConcurrentRingersExactlyOneSeesIdle) {
-  for (int round = 0; round < 200; ++round) {
-    Doorbell bell;
-    std::atomic<int> saw_idle{0};
-    std::vector<std::thread> ringers;
-    for (int t = 0; t < 4; ++t) {
-      ringers.emplace_back([&] {
-        if (bell.Ring(IpiReason::kPendingPackets)) {
-          saw_idle.fetch_add(1);
-        }
-      });
-    }
-    for (auto& t : ringers) {
-      t.join();
-    }
-    EXPECT_EQ(saw_idle.load(), 1);
-  }
 }
 
 // --- Chase-Lev work-stealing deque ------------------------------------------------------

@@ -1,17 +1,40 @@
-// Tests for the shuffle layer (state machine, stealing, ordering invariants) and the
-// idle-loop policy — the paper's core contribution (§4.3–§4.5, §5).
+// Tests for the shuffle layer (state machine, stealing, ordering invariants) and its
+// idle-loop steal, StealAny — the paper's core contribution (§4.3–§4.5, §5).
 #include <atomic>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/core/idle_policy.h"
+#include "src/common/rng.h"
 #include "src/core/shuffle_layer.h"
 #include "src/net/pcb.h"
+
+// Global allocation counter (the idiom of bench/micro_dataplane.cc): the idle steal
+// runs on every idle pass and must never reach the heap.
+namespace {
+std::atomic<uint64_t> g_allocs{0};
+}  // namespace
+
+// Out of line, both sides: once inlined, GCC pairs the malloc/free inside with the
+// caller's new/delete expressions and reports -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void* operator new[](size_t size) { return operator new(size); }
+void operator delete(void* p, size_t) noexcept { operator delete(p); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete[](void* p, size_t) noexcept { operator delete(p); }
 
 namespace zygos {
 namespace {
@@ -191,122 +214,96 @@ TEST(ShuffleLayerStressTest, ExclusiveOwnershipAndNoLostEvents) {
                                                      shuffle.TotalStats().steals);
 }
 
-// --- Idle policy -----------------------------------------------------------------------
+// --- Idle-loop steal (StealAny) ------------------------------------------------------
 
-class FakeView : public IdleLoopView {
- public:
-  explicit FakeView(int cores) : n_(cores) {
-    own_ring.resize(static_cast<size_t>(cores), false);
-    shuffle.resize(static_cast<size_t>(cores), false);
-    sw_queue.resize(static_cast<size_t>(cores), false);
-    hw_ring.resize(static_cast<size_t>(cores), false);
-    user_mode.resize(static_cast<size_t>(cores), true);
+// One ready connection homed on each core in `homes`.
+std::vector<std::unique_ptr<Pcb>> ReadyPcbs(ShuffleLayer& shuffle, std::vector<int> homes) {
+  std::vector<std::unique_ptr<Pcb>> pcbs;
+  for (int home : homes) {
+    pcbs.push_back(std::make_unique<Pcb>(pcbs.size(), home));
+    pcbs.back()->PushEvent(Ev(1));
+    shuffle.NotifyPending(pcbs.back().get());
   }
-  int NumCores() const override { return n_; }
-  bool OwnHwRingNonEmpty(int self) const override { return own_ring[static_cast<size_t>(self)]; }
-  bool ShuffleNonEmpty(int c) const override { return shuffle[static_cast<size_t>(c)]; }
-  bool SoftwareQueueNonEmpty(int c) const override { return sw_queue[static_cast<size_t>(c)]; }
-  bool HwRingNonEmpty(int c) const override { return hw_ring[static_cast<size_t>(c)]; }
-  bool InUserMode(int c) const override { return user_mode[static_cast<size_t>(c)]; }
+  return pcbs;
+}
 
-  int n_;
-  std::vector<bool> own_ring, shuffle, sw_queue, hw_ring, user_mode;
-};
+// Hands a stolen connection back ready (a fresh event, then release), so repeated
+// StealAny calls keep seeing the same stealable layout.
+void Requeue(ShuffleLayer& shuffle, Pcb* pcb) {
+  pcb->PopEvent();
+  pcb->PushEvent(Ev(2));
+  shuffle.CompleteExecution(pcb);
+}
 
-TEST(IdlePolicyTest, OwnRingHasTopPriority) {
-  FakeView view(4);
-  view.own_ring[0] = true;
-  view.shuffle[2] = true;  // even with stealable work elsewhere
-  IdlePolicy policy;
+TEST(StealAnyTest, StealsFromNonEmptyShuffleQueue) {
+  ShuffleLayer shuffle(4);
+  auto pcbs = ReadyPcbs(shuffle, {2});
   Rng rng(1);
-  auto action = policy.Next(0, view, rng);
-  EXPECT_EQ(action.kind, IdleActionKind::kProcessOwnRing);
+  Pcb* got = shuffle.StealAny(/*thief_core=*/0, rng);
+  ASSERT_EQ(got, pcbs[0].get());
+  EXPECT_EQ(got->sched_state(), PcbState::kBusy);
+  EXPECT_EQ(got->owner_core(), 0);
+  EXPECT_EQ(shuffle.StatsFor(0).steals, 1u);
+  EXPECT_EQ(shuffle.StatsFor(0).failed_steal_probes, 0u) << "empty victims are skipped";
 }
 
-TEST(IdlePolicyTest, StealsFromNonEmptyShuffleQueue) {
-  FakeView view(4);
-  view.shuffle[2] = true;
-  IdlePolicy policy;
-  Rng rng(1);
-  auto action = policy.Next(0, view, rng);
-  EXPECT_EQ(action.kind, IdleActionKind::kSteal);
-  EXPECT_EQ(action.target_core, 2);
-}
-
-TEST(IdlePolicyTest, ShuffleBeatsRawPackets) {
-  // (b) outranks (c)/(d): ready work is preferred over forcing network processing.
-  FakeView view(4);
-  view.shuffle[1] = true;
-  view.sw_queue[2] = true;
-  view.hw_ring[3] = true;
-  IdlePolicy policy;
-  Rng rng(7);
-  for (int i = 0; i < 20; ++i) {
-    auto action = policy.Next(0, view, rng);
-    EXPECT_EQ(action.kind, IdleActionKind::kSteal);
-    EXPECT_EQ(action.target_core, 1);
-  }
-}
-
-TEST(IdlePolicyTest, SendsIpiForRemotePacketsOnlyInUserMode) {
-  FakeView view(2);
-  view.hw_ring[1] = true;
-  view.user_mode[1] = false;  // home core already in kernel: it will drain on its own
-  IdlePolicy policy;
-  Rng rng(3);
-  EXPECT_EQ(policy.Next(0, view, rng).kind, IdleActionKind::kNone);
-  view.user_mode[1] = true;
-  auto action = policy.Next(0, view, rng);
-  EXPECT_EQ(action.kind, IdleActionKind::kSendIpi);
-  EXPECT_EQ(action.target_core, 1);
-}
-
-TEST(IdlePolicyTest, SoftwareQueueOutranksHardwareRing) {
-  FakeView view(3);
-  view.sw_queue[1] = true;
-  view.hw_ring[2] = true;
-  IdlePolicy policy;
-  Rng rng(5);
-  for (int i = 0; i < 20; ++i) {
-    auto action = policy.Next(0, view, rng);
-    EXPECT_EQ(action.kind, IdleActionKind::kSendIpi);
-    EXPECT_EQ(action.target_core, 1);
-  }
-}
-
-TEST(IdlePolicyTest, NothingAnywhereReturnsNone) {
-  FakeView view(8);
-  IdlePolicy policy;
+TEST(StealAnyTest, NothingAnywhereReturnsNone) {
+  ShuffleLayer shuffle(8);
   Rng rng(9);
-  EXPECT_EQ(policy.Next(3, view, rng).kind, IdleActionKind::kNone);
+  EXPECT_EQ(shuffle.StealAny(3, rng), nullptr);
+  EXPECT_EQ(shuffle.StatsFor(3).failed_steal_probes, 0u);
+  ShuffleLayer single(1);
+  EXPECT_EQ(single.StealAny(0, rng), nullptr);
 }
 
-TEST(IdlePolicyTest, VictimSelectionIsRandomized) {
-  // With two equally loaded victims, both must be chosen over repeated polls.
-  FakeView view(3);
-  view.shuffle[1] = true;
-  view.shuffle[2] = true;
-  IdlePolicy policy;
+TEST(StealAnyTest, VictimSelectionIsRandomized) {
+  // With two equally loaded victims, both must be chosen over repeated steals.
+  ShuffleLayer shuffle(3);
+  auto pcbs = ReadyPcbs(shuffle, {1, 2});
   Rng rng(11);
   std::set<int> victims;
   for (int i = 0; i < 100; ++i) {
-    victims.insert(policy.Next(0, view, rng).target_core);
+    Pcb* got = shuffle.StealAny(0, rng);
+    ASSERT_NE(got, nullptr);
+    victims.insert(got->home_core());
+    Requeue(shuffle, got);
   }
   EXPECT_EQ(victims, (std::set<int>{1, 2}));
 }
 
-TEST(IdlePolicyTest, NeverTargetsSelf) {
-  FakeView view(4);
-  for (int c = 0; c < 4; ++c) {
-    view.shuffle[static_cast<size_t>(c)] = true;
-    view.sw_queue[static_cast<size_t>(c)] = true;
-  }
-  IdlePolicy policy;
+TEST(StealAnyTest, NeverTargetsSelf) {
+  ShuffleLayer shuffle(4);
+  auto pcbs = ReadyPcbs(shuffle, {0, 1, 2, 3});
   Rng rng(13);
   for (int i = 0; i < 100; ++i) {
-    auto action = policy.Next(2, view, rng);
-    EXPECT_NE(action.target_core, 2);
+    Pcb* got = shuffle.StealAny(2, rng);
+    ASSERT_NE(got, nullptr);
+    EXPECT_NE(got->home_core(), 2);
+    Requeue(shuffle, got);
   }
+  // Only the thief's own queue holds work: nothing to steal.
+  ShuffleLayer own_only(4);
+  auto own = ReadyPcbs(own_only, {2});
+  EXPECT_EQ(own_only.StealAny(2, rng), nullptr);
+}
+
+TEST(StealAnyTest, PerformsNoHeapAllocation) {
+  ShuffleLayer shuffle(8);
+  auto pcbs = ReadyPcbs(shuffle, {1, 3, 5, 7});
+  ShuffleLayer empty(8);
+  Rng rng(17);
+  uint64_t allocs = 0;
+  for (int i = 0; i < 1000; ++i) {
+    uint64_t before = g_allocs.load();
+    Pcb* got = shuffle.StealAny(i % 8, rng);
+    Pcb* none = empty.StealAny(i % 8, rng);
+    allocs += g_allocs.load() - before;
+    EXPECT_EQ(none, nullptr);
+    if (got != nullptr) {
+      Requeue(shuffle, got);  // may grow the deque: outside the measured window
+    }
+  }
+  EXPECT_EQ(allocs, 0u);
 }
 
 }  // namespace

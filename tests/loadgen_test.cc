@@ -623,12 +623,15 @@ TEST(MedianOfNTest, KeepsTheWholeMedianRunForOddAndEvenCounts) {
 }
 
 TEST(LiveConfigTest, ParsesTheConfigTableAndRejectsUnknownNames) {
-  std::optional<LiveConfig> no_ipi = ParseLiveConfig("no-ipi");
-  ASSERT_TRUE(no_ipi.has_value());
-  EXPECT_TRUE(no_ipi->stealing);
-  EXPECT_FALSE(no_ipi->doorbells);
-  EXPECT_EQ(ParseLiveConfig("partitioned")->mode, RuntimeMode::kPartitioned);
+  std::optional<LiveConfig> zygos = ParseLiveConfig("zygos");
+  ASSERT_TRUE(zygos.has_value());
+  EXPECT_TRUE(zygos->stealing);
   EXPECT_FALSE(ParseLiveConfig("zygos-turbo").has_value());
+  // The deleted live doorbell and partitioned configs are rejected like any unknown
+  // name; "no-steal" is the one ablation.
+  EXPECT_FALSE(ParseLiveConfig("no-ipi").has_value());
+  EXPECT_FALSE(ParseLiveConfig("partitioned").has_value());
+  EXPECT_FALSE(ParseLiveConfigs("zygos,no-ipi").has_value());
 
   std::optional<std::vector<LiveConfig>> configs = ParseLiveConfigs("zygos,no-steal");
   ASSERT_TRUE(configs.has_value());

@@ -1,12 +1,12 @@
 // Tests for the real-thread runtime: completion of every accepted request, the §4.3
 // per-connection ordering guarantee under stealing, exclusive socket ownership
 // (handlers for one flow never run concurrently), work stealing under skewed RSS
-// layouts, partitioned-mode isolation, frame reassembly, and clean shutdown — all
-// exercised through the Transport interface with BOTH backends: LoopbackTransport
-// (in-process rings) and TcpTransport (real epoll sockets over the loopback
-// interface). The TCP tests assert that stealing, remote batched syscalls and
-// doorbells remain observable in WorkerStats when traffic arrives from real I/O, and
-// that pathological 1-byte segmentation cannot reorder a flow's responses.
+// layouts, no-steal isolation, the idle loop's own-queue-only peeks, frame
+// reassembly, and clean shutdown — all exercised through the Transport interface with
+// BOTH backends: LoopbackTransport (in-process rings) and TcpTransport (real epoll
+// sockets over the loopback interface). The TCP tests assert that stealing and remote
+// batched syscalls remain observable in WorkerStats when traffic arrives from real
+// I/O, and that pathological 1-byte segmentation cannot reorder a flow's responses.
 //
 // All assertions are functional (counts, orderings, invariants), never timing-based —
 // the host may have a single hardware thread.
@@ -81,10 +81,9 @@ class CompletionLog {
   uint64_t total_ = 0;
 };
 
-RuntimeOptions SmallOptions(RuntimeMode mode, int workers = 3, int flows = 16) {
+RuntimeOptions SmallOptions(int workers = 3, int flows = 16) {
   RuntimeOptions options;
   options.num_workers = workers;
-  options.mode = mode;
   options.num_flows = flows;
   return options;
 }
@@ -234,7 +233,7 @@ bool RunEchoExchange(TestTcpClient& client, uint64_t requests, int window,
 
 TEST(RuntimeTest, EchoesEveryRequestExactlyOnce) {
   CompletionLog log;
-  Runtime runtime(SmallOptions(RuntimeMode::kZygos), EchoHandler(), log.Handler());
+  Runtime runtime(SmallOptions(), EchoHandler(), log.Handler());
   runtime.Start();
   constexpr uint64_t kRequests = 2000;
   for (uint64_t i = 0; i < kRequests; ++i) {
@@ -258,8 +257,7 @@ TEST(RuntimeTest, PerFlowResponsesStayInOrderUnderStealing) {
     }
     return request;
   };
-  Runtime runtime(SmallOptions(RuntimeMode::kZygos, /*workers=*/4, /*flows=*/4), handler,
-                  log.Handler());
+  Runtime runtime(SmallOptions(/*workers=*/4, /*flows=*/4), handler, log.Handler());
   runtime.Start();
   constexpr uint64_t kPerFlow = 500;
   for (uint64_t i = 0; i < kPerFlow; ++i) {
@@ -294,8 +292,7 @@ TEST(RuntimeTest, HandlersForOneFlowNeverRunConcurrently) {
     return request;
   };
   CompletionLog log;
-  Runtime runtime(SmallOptions(RuntimeMode::kZygos, /*workers=*/4, kFlows), handler,
-                  log.Handler());
+  Runtime runtime(SmallOptions(/*workers=*/4, kFlows), handler, log.Handler());
   runtime.Start();
   for (uint64_t i = 0; i < 3000; ++i) {
     ASSERT_TRUE(runtime.Inject(i % kFlows, i, "x"));
@@ -306,7 +303,7 @@ TEST(RuntimeTest, HandlersForOneFlowNeverRunConcurrently) {
 
 TEST(RuntimeTest, SkewedRssTriggersStealing) {
   // Home every flow group on core 0: without stealing, cores 1..3 would stay idle.
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/4, /*flows=*/32);
+  RuntimeOptions options = SmallOptions(/*workers=*/4, /*flows=*/32);
   CompletionLog log;
   // Busy-ish handler so core 0 cannot drain everything between injections.
   Runtime runtime(options, BusyEchoHandler(), log.Handler());
@@ -348,32 +345,13 @@ TEST(RuntimeTest, SkewedRssTriggersStealing) {
   EXPECT_GT(runtime.StatsFor(0).remote_syscalls, 0u);
 }
 
-TEST(RuntimeTest, PartitionedModeNeverSteals) {
-  RuntimeOptions options =
-      SmallOptions(RuntimeMode::kPartitioned, /*workers=*/3, /*flows=*/32);
-  CompletionLog log;
-  Runtime runtime(options, EchoHandler(), log.Handler());
-  // Same pathological skew: partitioned mode must *not* rebalance.
-  runtime.mutable_rss().SetIndirection(
-      std::vector<int>(static_cast<size_t>(options.num_flow_groups), 0));
-  runtime.Start();
-  for (uint64_t i = 0; i < 1500; ++i) {
-    ASSERT_TRUE(runtime.Inject(i % 32, i, "x"));
-  }
-  runtime.Shutdown();
-  WorkerStats total = runtime.TotalStats();
-  EXPECT_EQ(total.app_events, 1500u);
-  EXPECT_EQ(total.stolen_events, 0u);
-  EXPECT_EQ(runtime.StatsFor(0).app_events, 1500u) << "all events on the home core";
-  EXPECT_EQ(runtime.TotalShuffleStats().steals, 0u);
-}
-
 // The no-steal ablation knob (RuntimeOptions::enable_stealing = false) must keep the
 // idle loop from ever claiming remote work, even under the most steal-inviting layout
 // possible: every flow group homed on core 0 with a busy handler and a sustained
-// backlog. This is what bench/fig6_live_runtime.cc's "no-steal" configuration runs.
+// backlog. This is what bench/fig6_live_runtime.cc's "no-steal" configuration runs,
+// and the runtime's only shared-nothing mode: every event runs on its home core.
 TEST(RuntimeTest, StealingDisabledRecordsZeroStealsUnderSkewedRss) {
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/4, /*flows=*/32);
+  RuntimeOptions options = SmallOptions(/*workers=*/4, /*flows=*/32);
   options.enable_stealing = false;
   CompletionLog log;
   Runtime runtime(options, BusyEchoHandler(), log.Handler());
@@ -399,21 +377,65 @@ TEST(RuntimeTest, StealingDisabledRecordsZeroStealsUnderSkewedRss) {
   EXPECT_EQ(runtime.TotalShuffleStats().steals, 0u);
   EXPECT_EQ(runtime.StatsFor(0).app_events, injected) << "all events on the home core";
   EXPECT_EQ(total.remote_syscalls, 0u) << "no thieves, so nothing to ship home";
+  EXPECT_EQ(log.total(), injected);
 }
 
-// The no-IPI knob (enable_doorbells = false): stealing still works — the idle loop
-// polls — but no doorbell is ever rung, neither for pending packets nor for remote
-// syscalls (the home core discovers shipped responses purely by polling).
-TEST(RuntimeTest, DoorbellsDisabledSendNoDoorbells) {
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/4, /*flows=*/32);
-  options.enable_doorbells = false;
-  CompletionLog log;
-  Runtime runtime(options, BusyEchoHandler(), log.Handler());
+// Forwards to a LoopbackTransport and records which thread polls each queue (a worker
+// polls exactly its own). Each ApproxNonEmpty(q) is counted as an own peek when q's
+// poller makes it and as a foreign peek (a worker peeking another core's receive
+// queue) otherwise.
+class PeekRecordingTransport final : public Transport {
+ public:
+  PeekRecordingTransport(int queues, int flow_groups, size_t ring_capacity)
+      : inner_(queues, flow_groups, ring_capacity),
+        pollers_(static_cast<size_t>(queues)) {}
+
+  int num_queues() const override { return inner_.num_queues(); }
+  int QueueOf(uint64_t flow_id) const override { return inner_.QueueOf(flow_id); }
+  const RssTable& rss() const override { return inner_.rss(); }
+  RssTable& mutable_rss() override { return inner_.mutable_rss(); }
+  size_t PollBatch(int queue, std::span<Segment> out,
+                   std::vector<ControlEvent>& control) override {
+    pollers_[static_cast<size_t>(queue)].store(std::this_thread::get_id());
+    return inner_.PollBatch(queue, out, control);
+  }
+  size_t TransmitBatch(int queue, std::span<TxSegment> batch) override {
+    return inner_.TransmitBatch(queue, batch);
+  }
+  bool ApproxNonEmpty(int queue) const override {
+    bool own = pollers_[static_cast<size_t>(queue)].load() == std::this_thread::get_id();
+    (own ? own_peeks_ : foreign_peeks_).fetch_add(1);
+    return inner_.ApproxNonEmpty(queue);
+  }
+  bool Inject(Segment segment) override { return inner_.Inject(std::move(segment)); }
+
+  uint64_t own_peeks() const { return own_peeks_.load(); }
+  uint64_t foreign_peeks() const { return foreign_peeks_.load(); }
+
+ private:
+  LoopbackTransport inner_;
+  std::vector<std::atomic<std::thread::id>> pollers_;
+  mutable std::atomic<uint64_t> own_peeks_{0};
+  mutable std::atomic<uint64_t> foreign_peeks_{0};
+};
+
+// The idle loop reads only its own receive queue (§5 step (a), ahead of any steal) and
+// remote shuffle queues: a worker never peeks another core's receive queue, even while
+// every flow is homed on core 0 and the other three workers idle-loop and steal.
+TEST(RuntimeTest, IdleWorkersNeverPeekRemoteReceiveQueues) {
+  RuntimeOptions options = SmallOptions(/*workers=*/4, /*flows=*/32);
+  auto owned = std::make_unique<PeekRecordingTransport>(
+      options.num_workers, options.num_flow_groups, options.ring_capacity);
+  PeekRecordingTransport* transport = owned.get();
+  Runtime runtime(options, std::move(owned), BusyEchoHandler());
   runtime.mutable_rss().SetIndirection(
       std::vector<int>(static_cast<size_t>(options.num_flow_groups), 0));
   runtime.Start();
   uint64_t injected = 0;
-  for (int wave = 0; wave < 12; ++wave) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(8);
+  for (int wave = 0; wave < 12 || (runtime.TotalShuffleStats().steals == 0 &&
+                                   std::chrono::steady_clock::now() < deadline);
+       ++wave) {
     for (int burst = 0; burst < 500; ++burst) {
       if (runtime.Inject(injected % 32, injected, "x")) {
         injected++;
@@ -423,16 +445,16 @@ TEST(RuntimeTest, DoorbellsDisabledSendNoDoorbells) {
     }
   }
   runtime.Shutdown();
-  WorkerStats total = runtime.TotalStats();
-  EXPECT_EQ(total.app_events, injected);
-  EXPECT_EQ(total.doorbells_sent, 0u) << "enable_doorbells=false still rang doorbells";
-  EXPECT_EQ(total.doorbells_received, 0u);
-  EXPECT_EQ(log.total(), injected) << "polling alone must still complete everything";
+  EXPECT_EQ(runtime.TotalStats().app_events, injected);
+  EXPECT_GT(runtime.TotalShuffleStats().steals, 0u) << "the idle loop never ran a steal";
+  EXPECT_GT(transport->own_peeks(), 0u) << "idle workers skipped their own-queue peek";
+  EXPECT_EQ(transport->foreign_peeks(), 0u)
+      << "a worker peeked a receive queue it does not poll";
 }
 
 TEST(RuntimeTest, FramesSplitAcrossSegmentsReassemble) {
   CompletionLog log;
-  Runtime runtime(SmallOptions(RuntimeMode::kZygos, /*workers=*/2, /*flows=*/2),
+  Runtime runtime(SmallOptions(/*workers=*/2, /*flows=*/2),
                   EchoHandler(), log.Handler());
   runtime.Start();
 
@@ -465,7 +487,7 @@ TEST(RuntimeTest, PipelinedBurstsAreImplicitlyBatched) {
   // Back-to-back requests on one flow are claimed together under one ownership grab
   // (the §6.2 implicit batching); functionally: all complete, in order.
   CompletionLog log;
-  Runtime runtime(SmallOptions(RuntimeMode::kZygos, /*workers=*/2, /*flows=*/1),
+  Runtime runtime(SmallOptions(/*workers=*/2, /*flows=*/1),
                   EchoHandler(), log.Handler());
   runtime.Start();
   std::string burst;
@@ -482,7 +504,7 @@ TEST(RuntimeTest, PipelinedBurstsAreImplicitlyBatched) {
 }
 
 TEST(RuntimeTest, ShutdownWithNoTrafficIsClean) {
-  Runtime runtime(SmallOptions(RuntimeMode::kZygos), EchoHandler(), nullptr);
+  Runtime runtime(SmallOptions(), EchoHandler(), nullptr);
   runtime.Start();
   runtime.Shutdown();
   EXPECT_EQ(runtime.Completed(), 0u);
@@ -490,7 +512,7 @@ TEST(RuntimeTest, ShutdownWithNoTrafficIsClean) {
 
 TEST(RuntimeTest, ConcurrentInjectorsAreSafe) {
   CompletionLog log;
-  Runtime runtime(SmallOptions(RuntimeMode::kZygos, /*workers=*/2, /*flows=*/64),
+  Runtime runtime(SmallOptions(/*workers=*/2, /*flows=*/64),
                   EchoHandler(), log.Handler());
   runtime.Start();
   constexpr int kInjectors = 3;
@@ -517,7 +539,7 @@ TEST(RuntimeTest, ConcurrentInjectorsAreSafe) {
 
 TEST(RuntimeTest, LatencyCollectorRecordsEveryCompletion) {
   LatencyCollector collector;
-  Runtime runtime(SmallOptions(RuntimeMode::kZygos, /*workers=*/2, /*flows=*/8),
+  Runtime runtime(SmallOptions(/*workers=*/2, /*flows=*/8),
                   EchoHandler(), collector.Handler());
   runtime.Start();
   for (uint64_t i = 0; i < 500; ++i) {
@@ -533,7 +555,7 @@ TEST(RuntimeTest, LatencyCollectorRecordsEveryCompletion) {
 TEST(RuntimeTest, RingBackpressureDropsAreCountedNotLost) {
   // A tiny ring with a stalled runtime (not started yet) must reject the overflow and
   // report it, mirroring NIC drop counters.
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/1, /*flows=*/1);
+  RuntimeOptions options = SmallOptions(/*workers=*/1, /*flows=*/1);
   options.ring_capacity = 8;
   Runtime runtime(options, EchoHandler(), nullptr);
   uint64_t accepted = 0;
@@ -553,13 +575,13 @@ TEST(RuntimeTest, RingBackpressureDropsAreCountedNotLost) {
 
 TEST(RuntimeTest, MutableRssRequiresQuiescence) {
   // Reprogramming before Start is the supported path...
-  Runtime runtime(SmallOptions(RuntimeMode::kZygos), EchoHandler(), nullptr);
+  Runtime runtime(SmallOptions(), EchoHandler(), nullptr);
   runtime.mutable_rss().SetGroupCore(0, 1);
   // ...and doing it while the runtime is live must abort rather than race Inject.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Runtime live(SmallOptions(RuntimeMode::kZygos, /*workers=*/1), EchoHandler(),
+        Runtime live(SmallOptions(/*workers=*/1), EchoHandler(),
                      nullptr);
         live.Start();
         live.mutable_rss();
@@ -568,7 +590,7 @@ TEST(RuntimeTest, MutableRssRequiresQuiescence) {
 }
 
 TEST(RuntimeTest, MutableRssUsableAgainAfterShutdown) {
-  Runtime runtime(SmallOptions(RuntimeMode::kZygos, /*workers=*/2), EchoHandler(),
+  Runtime runtime(SmallOptions(/*workers=*/2), EchoHandler(),
                   nullptr);
   runtime.Start();
   ASSERT_TRUE(runtime.Inject(0, 0, "x"));
@@ -603,7 +625,7 @@ TEST(RuntimeTest, OneByteSegmentsStayOrderedUnderStealingLoopback) {
   // §4.3 under the worst framing the transport seam allows: every byte of the probe
   // flow arrives as its own segment while bulk flows force the steal path (all flow
   // groups homed on core 0).
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/3, /*flows=*/8);
+  RuntimeOptions options = SmallOptions(/*workers=*/3, /*flows=*/8);
   CompletionLog log;
   Runtime runtime(options, BusyEchoHandler(), log.Handler());
   runtime.mutable_rss().SetIndirection(
@@ -667,7 +689,7 @@ TEST(RuntimeTest, ZeroCopyHandlerServesRequests) {
     out.Append("echo:");
     out.Append(request);
   };
-  Runtime runtime(SmallOptions(RuntimeMode::kZygos), std::move(handler), log.Handler());
+  Runtime runtime(SmallOptions(), std::move(handler), log.Handler());
   runtime.Start();
   constexpr uint64_t kRequests = 1000;
   for (uint64_t i = 0; i < kRequests; ++i) {
@@ -694,7 +716,7 @@ TEST(RuntimeTest, SteadyStateEchoPerformsZeroPoolMissesPerRequest) {
   ViewHandler handler = [](uint64_t, std::string_view request, ResponseBuilder& out) {
     out.Append(request);
   };
-  Runtime runtime(SmallOptions(RuntimeMode::kZygos, /*workers=*/2, /*flows=*/16),
+  Runtime runtime(SmallOptions(/*workers=*/2, /*flows=*/16),
                   std::move(handler), nullptr);
   runtime.Start();
   uint64_t sent = 0;
@@ -740,7 +762,7 @@ TEST(RuntimeTest, SteadyStateEchoPerformsZeroPoolMissesPerRequest) {
 
 TEST(RuntimeTcpTest, EchoRoundTripOverRealSockets) {
   TcpTransport* transport = nullptr;
-  auto runtime = MakeTcpRuntime(SmallOptions(RuntimeMode::kZygos, /*workers=*/2),
+  auto runtime = MakeTcpRuntime(SmallOptions(/*workers=*/2),
                                 BusyEchoHandler(/*spins=*/0), nullptr, &transport);
   runtime->Start();
   ASSERT_GT(transport->port(), 0);
@@ -764,9 +786,9 @@ TEST(RuntimeTcpTest, EchoRoundTripOverRealSockets) {
 
 TEST(RuntimeTcpTest, SkewedRssStealsAndShipsRemoteSyscallsOverTcp) {
   // The acceptance bar for the transport refactor: with every connection homed on
-  // core 0, stealing, remote batched syscalls and doorbells must all remain
-  // observable in WorkerStats when the traffic arrives over real TCP.
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/4);
+  // core 0, stealing and remote batched syscalls must both remain observable in
+  // WorkerStats when the traffic arrives over real TCP.
+  RuntimeOptions options = SmallOptions(/*workers=*/4);
   TcpTransport* transport = nullptr;
   auto runtime =
       MakeTcpRuntime(options, BusyEchoHandler(), nullptr, &transport);
@@ -807,7 +829,6 @@ TEST(RuntimeTcpTest, SkewedRssStealsAndShipsRemoteSyscallsOverTcp) {
   EXPECT_GT(runtime->TotalShuffleStats().steals, 0u);
   EXPECT_GT(runtime->StatsFor(0).remote_syscalls, 0u)
       << "stolen responses were not shipped home";
-  EXPECT_GT(total.doorbells_sent, 0u);
   // Every connection was homed on core 0: remote cores never polled segments.
   EXPECT_EQ(runtime->StatsFor(0).rx_segments, total.rx_segments);
 }
@@ -816,7 +837,7 @@ TEST(RuntimeTcpTest, OneByteWireSegmentsStayOrderedUnderStealing) {
   // The §4.3 test at the real socket boundary: one probe connection dribbles its
   // requests a byte per send() while bulk connections keep the (skewed) home core
   // saturated, so stolen executions interleave with half-received frames.
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/3);
+  RuntimeOptions options = SmallOptions(/*workers=*/3);
   TcpTransport* transport = nullptr;
   auto runtime = MakeTcpRuntime(options, BusyEchoHandler(), nullptr, &transport);
   runtime->mutable_rss().SetIndirection(
@@ -900,7 +921,7 @@ TEST(RuntimeTcpTest, MalformedFrameSeversOnlyTheOffendingConnection) {
   // the runtime must drop that connection at the transport (remote garbage cannot pin
   // a core or hold a socket open forever) while other connections keep being served.
   TcpTransport* transport = nullptr;
-  auto runtime = MakeTcpRuntime(SmallOptions(RuntimeMode::kZygos, /*workers=*/2),
+  auto runtime = MakeTcpRuntime(SmallOptions(/*workers=*/2),
                                 BusyEchoHandler(/*spins=*/0), nullptr, &transport);
   runtime->Start();
 
@@ -925,7 +946,7 @@ TEST(RuntimeTcpTest, RefusesConnectionsBeyondFlowCap) {
   // max_flows caps *concurrent* connections: while both live connections hold their
   // ids, a third must be refused (closed at accept) instead of overrunning the
   // runtime's table — and the refusal lands in CapacityRefusals(), not StallDrops().
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/2);
+  RuntimeOptions options = SmallOptions(/*workers=*/2);
   options.num_flows = 2;
   options.max_flows = 2;
   auto transport = std::make_unique<TcpTransport>(TcpOptionsFor(options));
@@ -952,8 +973,9 @@ TEST(RuntimeTcpTest, RefusesConnectionsBeyondFlowCap) {
   EXPECT_EQ(raw->StallDrops(), 0u);
 }
 
-TEST(RuntimeTcpTest, PartitionedModeServesTcpWithoutStealing) {
-  RuntimeOptions options = SmallOptions(RuntimeMode::kPartitioned, /*workers=*/2);
+TEST(RuntimeTcpTest, StealingDisabledServesTcpWithoutStealing) {
+  RuntimeOptions options = SmallOptions(/*workers=*/2);
+  options.enable_stealing = false;
   TcpTransport* transport = nullptr;
   auto runtime =
       MakeTcpRuntime(options, BusyEchoHandler(/*spins=*/0), nullptr, &transport);
@@ -1021,7 +1043,7 @@ TEST(RuntimeTest, TcpOptionsForDerivesFlowCapFromRuntimeOptions) {
 }
 
 TEST(RuntimeTest, LoopbackControlEventsBindAndRecycleSlots) {
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/2, /*flows=*/8);
+  RuntimeOptions options = SmallOptions(/*workers=*/2, /*flows=*/8);
   LoopbackTransport* loopback = nullptr;
   CompletionLog log;
   auto runtime = MakeLoopbackRuntime(
@@ -1051,7 +1073,7 @@ TEST(RuntimeTest, SlotRecycleResetsParserStateForReusedFlowId) {
   // CloseFlow-then-reuse of the same slot must round-trip fresh parser state: the
   // predecessor dies mid-frame, and without the in-place FrameParser reset its
   // stale half-header would corrupt the reincarnated flow's first frame.
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/2, /*flows=*/4);
+  RuntimeOptions options = SmallOptions(/*workers=*/2, /*flows=*/4);
   LoopbackTransport* loopback = nullptr;
   CompletionLog log;
   auto runtime = MakeLoopbackRuntime(
@@ -1083,7 +1105,7 @@ TEST(RuntimeTest, CloseWhileExecutingNeverRecyclesEarly) {
   // thief) is executing the connection, a close must defer recycling — asserted via
   // the slot's generation tag, which may only bump after the in-flight request
   // completes.
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/2, /*flows=*/8);
+  RuntimeOptions options = SmallOptions(/*workers=*/2, /*flows=*/8);
   LoopbackTransport* loopback = nullptr;
   CompletionLog log;
   std::atomic<bool> gate{false};
@@ -1123,7 +1145,7 @@ TEST(RuntimeTcpTest, StalledPeerIsDroppedAfterConfigurableDeadline) {
   // A peer that stops reading must cost its home core at most the configured stall
   // deadline, land in StallDrops() (distinct from capacity refusals), and have its
   // connection torn down like any other close.
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/2);
+  RuntimeOptions options = SmallOptions(/*workers=*/2);
   TcpTransportOptions tcp = TcpOptionsFor(options);
   tcp.stall_drop_deadline = 30 * kMillisecond;  // keep the test fast
   auto transport = std::make_unique<TcpTransport>(tcp);
@@ -1159,7 +1181,7 @@ TEST(RuntimeTcpTest, RecyclesFlowIdsToServeMoreConnectionsThanTableCapacity) {
   // THE churn proof: a table of 4 slots serves 12 distinct connections with zero
   // capacity refusals, flat occupancy, and — after the table's worth of warmup —
   // zero pool misses per request (allocation-free recycling).
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/2);
+  RuntimeOptions options = SmallOptions(/*workers=*/2);
   options.num_flows = 4;
   options.max_flows = 4;
   auto transport = std::make_unique<TcpTransport>(TcpOptionsFor(options));
@@ -1215,7 +1237,7 @@ TEST(RuntimeTcpTest, ChurnUnderSkewedRssWithStealingTearsDownCleanly) {
   // handlers force thieves to claim them. A flow closed while stolen must complete
   // or drop cleanly and never recycle early — violations surface as lost responses
   // (failures), unbalanced lifecycle counters, or ASan reports.
-  RuntimeOptions options = SmallOptions(RuntimeMode::kZygos, /*workers=*/4);
+  RuntimeOptions options = SmallOptions(/*workers=*/4);
   options.num_flows = 16;
   options.max_flows = 16;
   TcpTransport* transport = nullptr;
@@ -1277,16 +1299,18 @@ TEST(RuntimeTcpTest, ChurnUnderSkewedRssWithStealingTearsDownCleanly) {
       << "slot generations disagree with completed teardowns";
 }
 
-// --- Parameterized sweep: every mode x worker count upholds the core guarantees --------
+// --- Parameterized sweep: stealing on/off x worker count upholds the core guarantees -
 
-using RuntimeSweepParam = std::tuple<RuntimeMode, int>;  // (mode, workers)
+using RuntimeSweepParam = std::tuple<bool, int>;  // (enable_stealing, workers)
 
 class RuntimeSweep : public ::testing::TestWithParam<RuntimeSweepParam> {};
 
 TEST_P(RuntimeSweep, CompletionAndPerFlowOrderHold) {
-  auto [mode, workers] = GetParam();
+  auto [stealing, workers] = GetParam();
   CompletionLog log;
-  Runtime runtime(SmallOptions(mode, workers, /*flows=*/8), EchoHandler(), log.Handler());
+  RuntimeOptions options = SmallOptions(workers, /*flows=*/8);
+  options.enable_stealing = stealing;
+  Runtime runtime(options, EchoHandler(), log.Handler());
   runtime.Start();
   constexpr uint64_t kPerFlow = 150;
   for (uint64_t i = 0; i < kPerFlow; ++i) {
@@ -1300,22 +1324,19 @@ TEST_P(RuntimeSweep, CompletionAndPerFlowOrderHold) {
     auto order = log.FlowOrder(flow);
     ASSERT_EQ(order.size(), kPerFlow);
     EXPECT_TRUE(std::is_sorted(order.begin(), order.end()))
-        << "mode=" << static_cast<int>(mode) << " workers=" << workers
-        << " flow=" << flow;
+        << "stealing=" << stealing << " workers=" << workers << " flow=" << flow;
   }
-  if (mode == RuntimeMode::kPartitioned) {
+  if (!stealing) {
     EXPECT_EQ(runtime.TotalStats().stolen_events, 0u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ModesAndWorkerCounts, RuntimeSweep,
-    ::testing::Combine(::testing::Values(RuntimeMode::kZygos, RuntimeMode::kPartitioned),
-                       ::testing::Values(1, 2, 4, 6)),
+    StealingAndWorkerCounts, RuntimeSweep,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 2, 4, 6)),
     [](const ::testing::TestParamInfo<RuntimeSweepParam>& info) {
-      return std::string(std::get<0>(info.param) == RuntimeMode::kZygos ? "zygos"
-                                                                        : "partitioned") +
-             "_w" + std::to_string(std::get<1>(info.param));
+      return std::string(std::get<0>(info.param) ? "zygos" : "no_steal") + "_w" +
+             std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace

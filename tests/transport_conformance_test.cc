@@ -262,7 +262,6 @@ class TransportConformance : public ::testing::TestWithParam<BackendVariant> {
   RuntimeOptions Options(int workers, int flows) {
     RuntimeOptions options;
     options.num_workers = workers;
-    options.mode = RuntimeMode::kZygos;
     options.num_flows = flows;
     return options;
   }
