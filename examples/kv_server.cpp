@@ -91,6 +91,7 @@ struct LoadTotals {
   std::atomic<uint64_t> miss{0};
   std::atomic<uint64_t> error{0};
   std::atomic<uint64_t> order_violations{0};
+  Nanos elapsed = 0;  // wall time of the whole closed-loop run
 };
 
 int ConnectTo(const std::string& host, uint16_t port) {
@@ -245,6 +246,7 @@ bool DriveConnections(const LoadConfig& config, std::vector<ClientConn>& conns,
 // Fans the load out over `config.threads` client threads; returns true when every
 // thread completed cleanly.
 bool RunLoad(const LoadConfig& config, LatencyCollector& latency, LoadTotals& totals) {
+  const Nanos start = NowNanos();
   int threads = std::max(1, std::min(config.threads, config.connections));
   std::vector<std::thread> workers;
   std::atomic<bool> failed{false};
@@ -280,6 +282,7 @@ bool RunLoad(const LoadConfig& config, LatencyCollector& latency, LoadTotals& to
   for (auto& worker : workers) {
     worker.join();
   }
+  totals.elapsed = NowNanos() - start;
   return !failed.load();
 }
 
@@ -405,6 +408,10 @@ void PrintClientStats(const LatencyCollector& latency, const LoadTotals& totals)
   std::printf("client: end-to-end latency p50 %.1f us  p99 %.1f us  p999 %.1f us "
               "(over real TCP)\n",
               ToMicros(hist.P50()), ToMicros(hist.P99()), ToMicros(hist.P999()));
+  const double seconds = static_cast<double>(totals.elapsed) / 1e9;
+  std::printf("client: throughput %.0f req/s (%llu responses in %.3f s, closed loop)\n",
+              seconds > 0 ? static_cast<double>(totals.received.load()) / seconds : 0.0,
+              static_cast<unsigned long long>(totals.received.load()), seconds);
 }
 
 int Main(int argc, char** argv) {

@@ -93,6 +93,13 @@ smoke_live overload_live_runtime '^zygos,2\.00,' --workers=2 --connections=8 \
   --threads=2 --service-us=1000 --multipliers=0.8,2 --duration-ms=1200 \
   --warmup-ms=150 --seed=7
 
+echo "== smoke: kv_server demo, pipelined (--pipeline=32), epoll transport"
+# 32 requests in flight per connection make TX batches carry several responses per
+# flow, which the transport sends as one gather op; the demo exits non-zero on any
+# order violation or missing response.
+"${BUILD_DIR}/examples/kv_server" --requests=20000 --connections=8 --threads=2 \
+  --pipeline=32 --transport=tcp
+
 echo "== smoke: kv_server serve -> chaos_proxy -> open-loop loadgen over real TCP"
 # The full degraded-network pipeline as three separate processes: the loadgen dials
 # the PROXY port, every byte crosses the injected jitter, and the run must still
@@ -136,8 +143,11 @@ if [[ "${probe_line}" == "io_uring: available" ]]; then
   kill -TERM "${kv_pid}"
   wait "${kv_pid}"
   trap - EXIT
+  echo "== smoke: kv_server demo, pipelined (--pipeline=32), uring transport"
+  "${BUILD_DIR}/examples/kv_server" --requests=20000 --connections=8 --threads=2 \
+    --pipeline=32 --transport=uring
 else
-  echo "ci: skipping uring smoke (io_uring unavailable on this host)"
+  echo "# skip: uring serve->loadgen and pipelined demo smokes (io_uring unavailable)"
 fi
 
 echo "== smoke: silo_tpcc serve -> TPC-C open-loop loadgen -> SIGTERM over real TCP"

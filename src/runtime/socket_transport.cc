@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +22,46 @@ namespace {
 constexpr int kAcceptPollMillis = 20;
 
 }  // namespace
+
+void FlowSendPlan::Build(std::span<const TxSegment> batch) {
+  order_.clear();
+  iov_.clear();
+  flows_.clear();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    order_.emplace_back(batch[i].flow_id, static_cast<uint32_t>(i));
+  }
+  // Sorting (flow, batch index) pairs groups by flow and keeps batch order within
+  // each flow.
+  std::sort(order_.begin(), order_.end());
+  for (size_t slot = 0; slot < order_.size(); ++slot) {
+    std::string_view frame = batch[order_[slot].second].frame.view();
+    iov_.push_back(iovec{const_cast<char*>(frame.data()), frame.size()});
+    if (slot == 0 || order_[slot].first != order_[slot - 1].first) {
+      flows_.push_back(Flow{.flow_id = order_[slot].first, .begin = slot,
+                            .next = slot});
+    }
+    flows_.back().end = slot + 1;
+  }
+}
+
+msghdr* FlowSendPlan::NextOp(Flow& flow) {
+  flow.msg = msghdr{};
+  flow.msg.msg_iov = &iov_[flow.next];
+  flow.msg.msg_iovlen = std::min<size_t>(flow.unsent(), IOV_MAX);
+  return &flow.msg;
+}
+
+void FlowSendPlan::Advance(Flow& flow, size_t bytes) {
+  while (flow.next < flow.end && iov_[flow.next].iov_len <= bytes) {
+    bytes -= iov_[flow.next].iov_len;
+    flow.next++;
+  }
+  if (bytes > 0) {
+    iovec& partial = iov_[flow.next];
+    partial.iov_base = static_cast<char*>(partial.iov_base) + bytes;
+    partial.iov_len -= bytes;
+  }
+}
 
 SocketTransportBase::SocketTransportBase(TcpTransportOptions options,
                                          const char* backend_name)

@@ -13,9 +13,13 @@
 //   - the per-queue data-path syscall counters behind Transport::IoSyscalls(), the
 //     numerator of the syscalls_per_request metric the live benches report.
 //
+//   - the TX send plan (FlowSendPlan): a TxSegment batch grouped by flow into one
+//     iovec array with a per-flow send cursor, so each backend sends a flow's
+//     responses as one op.
+//
 // What stays backend-specific is exactly the per-queue I/O engine: how a ready
-// socket's bytes become Segments (epoll_wait+recv vs a CQ drain) and how a TxSegment
-// batch leaves (send loop vs one batched io_uring_enter). Derived classes drain
+// socket's bytes become Segments (epoll_wait+recv vs a CQ drain) and how a flow's
+// send op is issued (sendmsg vs an IORING_OP_SENDMSG SQE). Derived classes drain
 // `accept_ring(q)` at the top of their PollBatch, announce kFlowOpened, and register
 // the fd with their engine.
 //
@@ -25,12 +29,17 @@
 #ifndef ZYGOS_RUNTIME_SOCKET_TRANSPORT_H_
 #define ZYGOS_RUNTIME_SOCKET_TRANSPORT_H_
 
+#include <sys/socket.h>
+#include <sys/uio.h>
+
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/time_units.h"
@@ -61,9 +70,10 @@ struct TcpTransportOptions {
   // connection-table size — derive with TcpOptionsFor instead of setting it by hand.
   uint64_t max_flows = 4096;
   // A peer that stops reading stalls its home core's TX — and every flow homed there
-  // behind it. TX to one connection blocks at most this long in total before the
-  // response is dropped AND the connection severed (counted in StallDrops()), so one
-  // misbehaving client costs the core a bounded stall once, not per response.
+  // behind it. A TX batch's send to one connection blocks at most this long in total
+  // before its unsent responses are dropped (one StallDrops() count each) AND the
+  // connection severed, so one misbehaving client costs the core a bounded stall
+  // once, not per response.
   Nanos stall_drop_deadline = 50 * kMillisecond;
 };
 
@@ -81,6 +91,47 @@ inline TcpTransportOptions TcpOptionsFor(const RuntimeOptions& runtime_options,
   tcp.max_flows = ResolvedMaxFlows(runtime_options);
   return tcp;
 }
+
+// One TransmitBatch's send plan: the batch's frames as one iovec array grouped by
+// flow, with one send cursor per flow. Grouping is stable — a flow's responses keep
+// their batch order even when two thieves' remote syscalls interleave in the home
+// core's queue — so a flow's responses leave as one send op, not one per response.
+// A backend keeps at most one op in flight per flow: NextOp points the flow's msghdr
+// at no more than IOV_MAX iovecs from the cursor, and Advance consumes what that op
+// wrote, so a short write's remainder (or the part past IOV_MAX) goes out on the
+// flow's next op, never beside the one before it.
+class FlowSendPlan {
+ public:
+  struct Flow {
+    uint64_t flow_id = 0;
+    size_t begin = 0;  // [begin, end): the flow's slots, in batch order
+    size_t end = 0;
+    size_t next = 0;       // first slot not yet fully written
+    bool failed = false;   // the unsent responses are dropped, the flow severed
+    bool stalled = false;  // the peer stopped reading past stall_drop_deadline
+    msghdr msg{};          // the flow's current op (NextOp)
+
+    bool done() const { return next == end; }
+    size_t unsent() const { return end - next; }
+  };
+
+  // Replans for `batch`. Scratch capacity persists, so steady state allocates
+  // nothing.
+  void Build(std::span<const TxSegment> batch);
+  std::span<Flow> flows() { return flows_; }
+  // The flow's next op: at most IOV_MAX iovecs from its cursor.
+  msghdr* NextOp(Flow& flow);
+  // Consumes `bytes` written by the flow's op: whole frames advance the cursor, a
+  // partly written frame resumes mid-frame on the next op.
+  void Advance(Flow& flow, size_t bytes);
+  // Batch index of the response in plan slot `slot`.
+  size_t BatchIndex(size_t slot) const { return order_[slot].second; }
+
+ private:
+  std::vector<std::pair<uint64_t, uint32_t>> order_;  // (flow id, batch index)
+  std::vector<iovec> iov_;
+  std::vector<Flow> flows_;
+};
 
 class SocketTransportBase : public Transport {
  public:
@@ -157,9 +208,13 @@ class SocketTransportBase : public Transport {
   }
 
   void CountDrop() { drops_.fetch_add(1, std::memory_order_relaxed); }
-  void CountStallDrop() {
-    stall_drops_.fetch_add(1, std::memory_order_relaxed);
-    drops_.fetch_add(1, std::memory_order_relaxed);
+  // A failed flow send: one drop (a stall drop if the peer stopped reading) per
+  // response it did not fully send.
+  void CountUnsent(const FlowSendPlan::Flow& flow) {
+    if (flow.stalled) {
+      stall_drops_.fetch_add(flow.unsent(), std::memory_order_relaxed);
+    }
+    drops_.fetch_add(flow.unsent(), std::memory_order_relaxed);
   }
 
   [[noreturn]] void Fatal(const char* what) const;

@@ -14,8 +14,9 @@ namespace zygos {
 namespace {
 
 constexpr int kMaxEpollEvents = 64;
-// Granularity of the bounded TX wait: the stall deadline (a TcpTransportOptions
-// field) is split into poll() slices this long.
+// Granularity of the bounded TX wait: a flow's send blocks in poll() slices this
+// long until it progresses or its stall deadline (a TcpTransportOptions field)
+// passes.
 constexpr int kTxPollMillis = 10;
 
 }  // namespace
@@ -137,66 +138,58 @@ size_t TcpTransport::PollBatch(int queue, std::span<Segment> out,
 
 size_t TcpTransport::TransmitBatch(int queue, std::span<TxSegment> batch) {
   PerQueue& pq = *queues_[static_cast<size_t>(queue)];
-  // One pass resolves every flow in the batch. No lock: `conns` is home-worker-only
-  // now that the acceptor hands connections over the ring, and this IS the home
-  // worker (the transmit discipline the runtime enforces).
-  std::unordered_map<uint64_t, Conn*>& resolved = pq.tx_resolved;
-  resolved.clear();
-  for (const TxSegment& tx : batch) {
-    auto it = pq.conns.find(tx.flow_id);
-    resolved[tx.flow_id] = it == pq.conns.end() ? nullptr : it->second.get();
-  }
-  const int max_tx_retries = static_cast<int>(
-      std::max<Nanos>(options_.stall_drop_deadline, kMillisecond) /
-      (kTxPollMillis * kMillisecond));
-  for (const TxSegment& tx : batch) {
-    Conn* conn = resolved[tx.flow_id];
-    if (conn == nullptr) {
-      // Connection hung up before its response: the TX hits the floor, as a NIC would
-      // drop a frame for a dead link. Completion still fires (the request retired).
-      CountDrop();
-      NotifyComplete(tx);
+  // One sendmsg per flow carries all of that flow's responses in batch order. No
+  // lock: `conns` is home-worker-only now that the acceptor hands connections over
+  // the ring, and this IS the home worker (the transmit discipline the runtime
+  // enforces).
+  FlowSendPlan& plan = pq.tx_plan;
+  plan.Build(batch);
+  const Nanos stall_budget =
+      std::max<Nanos>(options_.stall_drop_deadline, kMillisecond);
+  for (FlowSendPlan::Flow& flow : plan.flows()) {
+    auto it = pq.conns.find(flow.flow_id);
+    if (it == pq.conns.end()) {
+      // Connection hung up before its responses: they hit the floor, as a NIC would
+      // drop frames for a dead link. Completions still fire (the requests retired).
+      CountUnsent(flow);
       continue;
     }
-    // The frame was built in place by the executing core (possibly a thief); TX is a
-    // straight write from pooled memory — no encoding, no scratch, no copy.
-    std::string_view frame = tx.frame.view();
-    size_t sent = 0;
-    int retries = 0;
-    while (sent < frame.size()) {
-      ssize_t w =
-          ::send(conn->fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
+    Conn* conn = it->second.get();
+    // The frames were built in place by the executing cores (possibly thieves); TX
+    // is a gather-write from pooled memory — no encoding, no scratch, no copy.
+    Nanos stall_deadline = 0;  // armed by the first EAGAIN
+    while (!flow.done()) {
+      ssize_t w = ::sendmsg(conn->fd, plan.NextOp(flow), MSG_NOSIGNAL);
       CountSyscalls(queue, 1);
       if (w > 0) {
-        sent += static_cast<size_t>(w);
-        continue;
-      }
-      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        if (++retries > max_tx_retries) {
-          break;  // peer stopped reading past the stall deadline; give up below
-        }
-        pollfd pfd{conn->fd, POLLOUT, 0};
-        ::poll(&pfd, 1, kTxPollMillis);
-        CountSyscalls(queue, 1);
+        plan.Advance(flow, static_cast<size_t>(w));
         continue;
       }
       if (w < 0 && errno == EINTR) {
         continue;
       }
-      break;  // EPIPE/ECONNRESET etc.
-    }
-    if (sent < frame.size()) {
-      // Failed or timed-out TX: drop the response AND the connection, so a stalled
-      // peer cannot head-of-line-block the rest of this core's flows response after
-      // response.
-      if (retries > max_tx_retries) {
-        CountStallDrop();
-      } else {
-        CountDrop();
+      if (w == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+        break;  // EPIPE/ECONNRESET etc.
       }
-      resolved[tx.flow_id] = nullptr;  // later responses in this batch see it gone
+      Nanos now = NowNanos();
+      if (stall_deadline == 0) {
+        stall_deadline = now + stall_budget;
+      } else if (now >= stall_deadline) {
+        flow.stalled = true;  // peer stopped reading past the stall deadline
+        break;
+      }
+      pollfd pfd{conn->fd, POLLOUT, 0};
+      ::poll(&pfd, 1, kTxPollMillis);
+      CountSyscalls(queue, 1);
+    }
+    if (!flow.done()) {
+      // Failed or timed-out TX: drop the unsent responses AND the connection, so a
+      // stalled peer cannot head-of-line-block the rest of this core's flows.
+      CountUnsent(flow);
       CloseConn(pq, conn);
     }
+  }
+  for (const TxSegment& tx : batch) {
     NotifyComplete(tx);
   }
   return batch.size();

@@ -19,16 +19,23 @@
 //       the connection and surface as kFlowClosed control events.
 //   TX  TransmitBatch(q) is called only by the flow's home worker: each TxSegment
 //       already carries its complete wire frame (built in place by the executing
-//       core's ResponseBuilder), so TX is a single send() from pooled memory —
-//       preserving the home-core-only TX discipline: a thief never touches a socket,
-//       it ships the finished frame home over the remote-syscall queue and the home
-//       core makes one batched pass here.
+//       core's ResponseBuilder). The batch is grouped by flow (FlowSendPlan, stable:
+//       a flow's responses keep their batch order), and each flow's responses leave
+//       as ONE sendmsg over an iovec array of their pooled frames — the runtime's
+//       per-flow batching (a claimed connection's whole pipelined backlog executes in
+//       one go) carried down to the socket. A short write advances the flow's iovec
+//       cursor and the remainder follows on the next sendmsg. This preserves the
+//       home-core-only TX discipline: a thief never touches a socket, it ships the
+//       finished frame home over the remote-syscall queue and the home core makes
+//       one batched pass here.
 //
 // The syscall bill of this engine is what the io_uring backend exists to amortize:
 // every PollBatch pays one epoll_wait plus one recv per ready connection, every
-// TransmitBatch one send per response — ≈2+ data-path syscalls per request at small
-// payloads, counted per queue and reported through IoSyscalls() so the live benches
-// can print syscalls_per_request for both backends side by side.
+// TransmitBatch one sendmsg per flow in the batch. With one request in flight per
+// connection that is still ≈2+ data-path syscalls per request at small payloads; a
+// connection that pipelines k requests into one batch pays one sendmsg for all k.
+// Syscalls are counted per queue and reported through IoSyscalls() so the live
+// benches can print syscalls_per_request for both backends side by side.
 //
 // ApproxNonEmpty peeks the queue's epoll set with a zero-timeout wait (level-triggered
 // readiness is not consumed by observers) and the accept ring. The idle loop peeks
@@ -39,7 +46,9 @@
 // Start (bind to port 0 for an ephemeral port). Stop joins the acceptor and closes
 // every socket; Poll/Transmit must not be in flight. Per-queue calls are single-caller
 // (the owning worker). Connections that hang up are closed on their home core's next
-// poll; responses to closed connections complete into the drop counter.
+// poll; responses to closed connections complete into the drop counter. A flow whose
+// send blocks past stall_drop_deadline has its unsent responses stall-dropped and is
+// severed.
 #ifndef ZYGOS_RUNTIME_TCP_TRANSPORT_H_
 #define ZYGOS_RUNTIME_TCP_TRANSPORT_H_
 
@@ -88,7 +97,7 @@ class TcpTransport final : public SocketTransportBase {
     // Home-core-only spare RX buffer: allocated before recv(), consumed only when
     // bytes actually arrive, so an idle poll pass costs zero pool traffic.
     IoBuf rx_spare;
-    std::unordered_map<uint64_t, Conn*> tx_resolved;  // home-core-only batch scratch
+    FlowSendPlan tx_plan;  // home-core-only TransmitBatch scratch
   };
 
   // Home-core hangup/error path: deregister, close, forget, announce kFlowClosed.

@@ -81,9 +81,15 @@ inline const UringProbe& ProbeUring() {
       p.reason = std::string("io_uring_setup: ") + std::strerror(errno);
       return p;
     }
+    ::close(fd);
+    // The transport's SENDMSG ops point at per-batch msghdr/iovec scratch: the kernel
+    // must have copied it by the time the SQE is consumed.
+    if ((params.features & IORING_FEAT_SUBMIT_STABLE) == 0) {
+      p.reason = "io_uring lacks IORING_FEAT_SUBMIT_STABLE";
+      return p;
+    }
     p.available = true;
     p.features = params.features;
-    ::close(fd);
     return p;
   }();
   return probe;
@@ -349,12 +355,15 @@ inline void PrepRecv(io_uring_sqe* sqe, int fd, void* buf, unsigned len,
   sqe->user_data = user_data;
 }
 
-inline void PrepSend(io_uring_sqe* sqe, int fd, const void* buf, unsigned len,
-                     uint64_t user_data) {
-  sqe->opcode = IORING_OP_SEND;
+// Gather send of `msg`'s iovecs. The kernel reads the msghdr and iovec array while
+// consuming the SQE (IORING_FEAT_SUBMIT_STABLE), so only the bytes they point at must
+// outlive the op.
+inline void PrepSendmsg(io_uring_sqe* sqe, int fd, const msghdr* msg,
+                        uint64_t user_data) {
+  sqe->opcode = IORING_OP_SENDMSG;
   sqe->fd = fd;
-  sqe->addr = reinterpret_cast<uint64_t>(buf);
-  sqe->len = len;
+  sqe->addr = reinterpret_cast<uint64_t>(msg);
+  sqe->len = 1;
   sqe->msg_flags = MSG_NOSIGNAL;
   sqe->user_data = user_data;
 }

@@ -12,8 +12,9 @@ namespace zygos {
 
 namespace {
 
-// SQ depth per queue: a full TX batch (runtime kTxBatch) plus recv re-arms and
-// cancels fit with room to spare; GetSqe submits mid-pass if a pass ever outgrows it.
+// SQ depth per queue: a full TX batch (runtime kTxBatch, at most one SQE per flow)
+// plus recv re-arms and cancels fit with room to spare; GetSqe submits mid-pass if a
+// pass ever outgrows it.
 constexpr unsigned kSqEntries = 256;
 // Granularity of the bounded TransmitBatch wait (mirrors the epoll backend's
 // kTxPollMillis poll() slices — same stall discipline, one syscall per slice).
@@ -146,6 +147,11 @@ io_uring_sqe* UringTransport::GetSqe(PerQueue& pq) {
   return sqe;
 }
 
+UringTransport::UConn* UringTransport::LiveConn(PerQueue& pq, uint64_t flow_id) {
+  auto it = pq.conns.find(flow_id);
+  return it != pq.conns.end() && !it->second->closing ? it->second.get() : nullptr;
+}
+
 void UringTransport::ArmRecv(PerQueue& pq, UConn* conn) {
   if (conn->rx_inflight || conn->closing) {
     return;
@@ -248,41 +254,34 @@ void UringTransport::HandleCqe(PerQueue& pq, uint64_t user_data, int res,
       return;
   }
   if (tx == nullptr || payload < tx->token_base ||
-      payload - tx->token_base >= tx->batch.size()) {
-    // Straggler from an abandoned batch: the kernel is done with the frame now.
+      payload - tx->token_base >= tx->plan->flows().size()) {
+    // Straggler from an abandoned batch: the kernel is done with every frame the op
+    // referenced now.
     pq.zombie_sends.erase(payload);
     return;
   }
-  const size_t i = static_cast<size_t>(payload - tx->token_base);
-  TxState& st = (*tx->state)[i];
-  if (st.done) {
-    return;
-  }
-  const TxSegment& seg = tx->batch[i];
-  std::string_view frame = seg.frame.view();
+  FlowSendPlan::Flow& flow = tx->plan->flows()[payload - tx->token_base];
   if (res > 0) {
-    st.sent += static_cast<size_t>(res);
-    if (st.sent >= frame.size()) {
-      st.done = true;
+    tx->plan->Advance(flow, static_cast<size_t>(res));
+    if (flow.done()) {
       tx->outstanding--;
       return;
     }
   } else if (res != -EAGAIN && res != -EINTR) {
-    st.done = true;
-    st.failed = true;
+    flow.failed = true;
     tx->outstanding--;
     return;
   }
-  // Short send or EAGAIN/EINTR: resubmit the remainder (same token).
-  auto it = pq.conns.find(seg.flow_id);
-  if (it == pq.conns.end() || it->second->closing) {
-    st.done = true;
-    st.failed = true;
+  // Short send, an op capped at IOV_MAX, or EAGAIN/EINTR: the remainder goes out as
+  // the flow's next op, issued only now that the previous one completed (same
+  // token). Not after the stall cancel, and not into a closing connection.
+  UConn* conn = LiveConn(pq, flow.flow_id);
+  if (conn == nullptr || flow.stalled) {
+    flow.failed = true;
     tx->outstanding--;
     return;
   }
-  PrepSend(GetSqe(pq), it->second->fd, frame.data() + st.sent,
-           static_cast<unsigned>(frame.size() - st.sent), MakeUd(kUdSend, payload));
+  PrepSendmsg(GetSqe(pq), conn->fd, tx->plan->NextOp(flow), user_data);
 }
 
 void UringTransport::DrainCq(PerQueue& pq, TxContext* tx) {
@@ -359,31 +358,30 @@ size_t UringTransport::TransmitBatch(int queue, std::span<TxSegment> batch) {
   if (!pq.ring.valid() || batch.empty()) {
     return 0;
   }
-  const uint64_t base = pq.next_send_token;
-  pq.next_send_token += batch.size();
-  std::vector<TxState>& state = pq.tx_state;
-  state.assign(batch.size(), TxState{});
+  FlowSendPlan& plan = pq.tx_plan;
+  plan.Build(batch);
+  std::span<FlowSendPlan::Flow> flows = plan.flows();
   TxContext ctx;
-  ctx.batch = batch;
-  ctx.state = &state;
-  ctx.token_base = base;
-  // One SEND SQE per response; the whole batch leaves with a single
-  // submit-and-wait enter below. Responses to dead/closing flows hit the floor like
-  // a TX on a downed link (completion still fires — the request retired).
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto it = pq.conns.find(batch[i].flow_id);
-    UConn* conn =
-        (it != pq.conns.end() && !it->second->closing) ? it->second.get() : nullptr;
+  ctx.plan = &plan;
+  ctx.token_base = pq.next_send_token;
+  pq.next_send_token += flows.size();
+  // One SENDMSG SQE per flow carries all of that flow's responses; the whole batch
+  // leaves with a single submit-and-wait enter below. Responses to dead/closing
+  // flows hit the floor like a TX on a downed link (completion still fires — the
+  // request retired).
+  for (size_t f = 0; f < flows.size(); ++f) {
+    UConn* conn = LiveConn(pq, flows[f].flow_id);
     if (conn == nullptr) {
-      state[i].done = true;
-      state[i].failed = true;
+      flows[f].failed = true;
       continue;
     }
-    std::string_view frame = batch[i].frame.view();
-    PrepSend(GetSqe(pq), conn->fd, frame.data(), static_cast<unsigned>(frame.size()),
-             MakeUd(kUdSend, base + i));
+    PrepSendmsg(GetSqe(pq), conn->fd, plan.NextOp(flows[f]),
+                MakeUd(kUdSend, ctx.token_base + f));
     ctx.outstanding++;
   }
+  auto in_flight = [](const FlowSendPlan::Flow& flow) {
+    return !flow.done() && !flow.failed;
+  };
   // Reap every completion before returning (the runtime's shutdown accounting needs
   // completions to fire inside TransmitBatch), with the same bounded-stall
   // discipline as the epoll backend: past the deadline, cancel the laggards.
@@ -408,43 +406,47 @@ size_t UringTransport::TransmitBatch(int queue, std::span<TxSegment> batch) {
       continue;
     }
     if (!cancelled) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!state[i].done) {
-          state[i].stalled = true;
-          io_uring_sqe* sqe = GetSqe(pq);
-          PrepCancel(sqe, MakeUd(kUdSend, base + i), MakeUd(kUdCancel, base + i));
+      for (size_t f = 0; f < flows.size(); ++f) {
+        if (in_flight(flows[f])) {
+          flows[f].stalled = true;
+          PrepCancel(GetSqe(pq), MakeUd(kUdSend, ctx.token_base + f),
+                     MakeUd(kUdCancel, ctx.token_base + f));
         }
       }
       cancelled = true;
       deadline = now + kCancelGrace;
       continue;
     }
-    // Even the cancels went unanswered (pathological). Park the frame refs so the
-    // kernel op can never read recycled slab bytes, and move on.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!state[i].done) {
-        pq.zombie_sends.emplace(base + i, batch[i].frame);
-        state[i].done = true;
-        state[i].failed = true;
-        ctx.outstanding--;
+    // Even the cancels went unanswered (pathological). Park every frame the op in
+    // flight references, so the kernel can never read recycled slab bytes, and move
+    // on.
+    for (size_t f = 0; f < flows.size(); ++f) {
+      FlowSendPlan::Flow& flow = flows[f];
+      if (!in_flight(flow)) {
+        continue;
       }
+      for (size_t slot = flow.next; slot < flow.next + flow.msg.msg_iovlen; ++slot) {
+        pq.zombie_sends.emplace(ctx.token_base + f,
+                                batch[plan.BatchIndex(slot)].frame);
+      }
+      flow.failed = true;
+      ctx.outstanding--;
     }
   }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (state[i].failed) {
-      if (state[i].stalled) {
-        CountStallDrop();
-      } else {
-        CountDrop();
-      }
-      // Failed or timed-out TX severs the connection, so a stalled peer cannot
-      // head-of-line-block the rest of this core's flows response after response.
-      auto it = pq.conns.find(batch[i].flow_id);
-      if (it != pq.conns.end()) {
-        CloseConn(pq, it->second.get(), /*purge_pending=*/true);
-      }
+  for (const FlowSendPlan::Flow& flow : flows) {
+    if (!flow.failed) {
+      continue;
     }
-    NotifyComplete(batch[i]);
+    CountUnsent(flow);
+    // Failed or timed-out TX severs the connection, so a stalled peer cannot
+    // head-of-line-block the rest of this core's flows batch after batch.
+    auto it = pq.conns.find(flow.flow_id);
+    if (it != pq.conns.end()) {
+      CloseConn(pq, it->second.get(), /*purge_pending=*/true);
+    }
+  }
+  for (const TxSegment& tx : batch) {
+    NotifyComplete(tx);
   }
   // Re-arms and sever cancels the drain prepared ride the next PollBatch's flush.
   return batch.size();

@@ -12,14 +12,18 @@
 //       views) and re-arms at once with a fresh pooled buffer. All re-arm SQEs of a
 //       pass go out with ONE io_uring_enter: the next TransmitBatch's, or, when no
 //       response follows, the next PollBatch's (PooledRecvs counts completions).
-//   TX  TransmitBatch queues one IORING_OP_SEND SQE per TxSegment and submits the
-//       whole batch with a single io_uring_enter (submit-and-wait): N responses cost
-//       ~1 syscall instead of N sends. Short sends are resubmitted; a peer that stops
-//       reading past stall_drop_deadline gets its SQE cancelled
-//       (IORING_OP_ASYNC_CANCEL), the response dropped and the connection severed —
-//       the same bounded-stall discipline as the epoll backend. TX completions are
-//       reaped before returning (the runtime's Shutdown accounting requires
-//       completions to fire synchronously inside TransmitBatch).
+//   TX  TransmitBatch groups the batch by flow (FlowSendPlan, stable: a flow's
+//       responses keep their batch order) and queues ONE IORING_OP_SENDMSG SQE per
+//       flow over an iovec array of its pooled frames; the whole batch is submitted
+//       with a single io_uring_enter (submit-and-wait). A flow never has more than
+//       one send op in flight: a short send advances its iovec cursor and the
+//       remainder is resubmitted only once the previous op's CQE is reaped, so two
+//       ops can never interleave bytes on one socket. A peer that stops reading past
+//       stall_drop_deadline gets its op cancelled (IORING_OP_ASYNC_CANCEL), its
+//       unsent responses dropped and the connection severed — the same bounded-stall
+//       discipline as the epoll backend. TX completions are reaped before returning
+//       (the runtime's Shutdown accounting requires completions to fire
+//       synchronously inside TransmitBatch).
 //
 // There is deliberately no zero-copy send, no registered-buffer receive arena, no
 // kernel SQ poller and no provided-buffer ring: each was measured on the served
@@ -35,12 +39,14 @@
 // kernel can never complete into a closed connection's buffer.
 //
 // The headline metric: the epoll engine pays one epoll_wait per poll pass plus one
-// recv per segment and one send per response (≈2+ data-path syscalls/request at
-// small payloads); this engine pays one io_uring_enter per TransmitBatch, which also
-// carries the pass's re-arms, plus one per PollBatch that finds SQEs no TransmitBatch
-// submitted — about 1 syscall/request, and less once TX batches carry several
-// responses. IoSyscalls() reports the measured count (io_uring_enter only; CQ/SQ
-// traffic is shared memory).
+// recv per segment and one sendmsg per flow per TX batch; this engine pays one
+// io_uring_enter per TransmitBatch, which also carries the pass's re-arms, plus one
+// per PollBatch that finds SQEs no TransmitBatch submitted — about 1 syscall per
+// request with one request in flight per connection, and less once TX batches carry
+// several responses. What both engines share is that a pipelined connection's
+// responses cost the kernel one send op per batch, not one per response.
+// IoSyscalls() reports the measured count (io_uring_enter only; CQ/SQ traffic is
+// shared memory).
 //
 // Capability: io_uring may be denied wholesale (seccomp/sandbox). Check
 // UringTransport::Available() BEFORE constructing; Start aborts with the probe's
@@ -120,23 +126,14 @@ class UringTransport final : public SocketTransportBase {
     Nanos arrival = 0;
   };
 
-  // TransmitBatch bookkeeping for one in-flight SEND.
-  struct TxState {
-    size_t sent = 0;
-    bool done = false;
-    bool failed = false;
-    bool stalled = false;
-  };
-
   // TX context threaded through the CQ dispatcher while TransmitBatch waits; null
   // during PollBatch (where a kSend CQE can only belong to a zombie send). Send
-  // user_data payloads are `token_base + index`, so batch membership is one range
-  // check and stale tokens (prior batches' zombies) fall out of range.
+  // user_data payloads are `token_base + flow index` in the plan, so batch membership
+  // is one range check and stale tokens (prior batches' zombies) fall out of range.
   struct TxContext {
-    std::span<TxSegment> batch;
-    std::vector<TxState>* state = nullptr;
+    FlowSendPlan* plan = nullptr;
     uint64_t token_base = 0;
-    size_t outstanding = 0;
+    size_t outstanding = 0;  // flows with a send op in flight
   };
 
   struct alignas(kCacheLineSize) PerQueue {
@@ -148,16 +145,18 @@ class UringTransport final : public SocketTransportBase {
     std::deque<PendingItem> pending;
     std::atomic<size_t> pending_count{0};
     uint64_t pooled_recvs = 0;
-    // Sends abandoned after a cancel outwaited its grace period: the frame ref is
-    // parked here, keyed by send token, so the slab cannot be recycled while the
-    // kernel op may still read it. Reaped when the straggler CQE finally lands.
-    std::unordered_map<uint64_t, IoBuf> zombie_sends;
+    // Sends abandoned after a cancel outwaited its grace period: every frame the op
+    // references is parked here under its send token, so no slab can be recycled
+    // while the kernel op may still read it. Reaped when the straggler CQE lands.
+    std::unordered_multimap<uint64_t, IoBuf> zombie_sends;
     uint64_t next_send_token = 0;
-    std::vector<TxState> tx_state;        // per-batch scratch
+    FlowSendPlan tx_plan;                   // per-batch scratch
     std::vector<uint64_t> emitted_scratch;  // flows given segments this PollBatch
   };
 
   io_uring_sqe* GetSqe(PerQueue& pq);
+  // The flow's connection, or null when it is gone or closing (no new sends).
+  static UConn* LiveConn(PerQueue& pq, uint64_t flow_id);
   void ArmRecv(PerQueue& pq, UConn* conn);
   // Drains every available CQE through HandleCqe. tx may be null.
   void DrainCq(PerQueue& pq, TxContext* tx);

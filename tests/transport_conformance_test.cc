@@ -16,10 +16,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -502,6 +504,60 @@ TEST_P(TransportConformance, StalledPeerIsDroppedAfterDeadline) {
   EXPECT_EQ(sock->CapacityRefusals(), 0u);
 }
 
+TEST_P(TransportConformance, ShortWritesKeepPipelinedResponsesIntactAndOrdered) {
+  // A pipelined flow's batches of 8 KB responses meet a peer that reads slowly
+  // through a small receive window, so the server's sends come back short. The rest
+  // of a short send must follow the bytes already written, never go out beside a
+  // later op of the same flow: every response arrives intact and in request order,
+  // and the slow but live reader is never stall-dropped.
+  if (!IsSocketBackend()) {
+    GTEST_SKIP() << "loopback has no socket backpressure to write short against";
+  }
+  RuntimeOptions options = Options(/*workers=*/2, /*flows=*/8);
+  TcpTransportOptions tcp = TcpOptionsFor(options);
+  // Several whole requests per recv, so one executed batch carries several of the
+  // flow's responses.
+  tcp.max_segment_bytes = 64 * 1024;
+  tcp.stall_drop_deadline = 5 * kSecond;  // the reader is slow, never stalled
+  SocketTransportBase* sock = nullptr;
+  LoopbackTransport* loop = nullptr;
+  auto runtime = MakeRuntime(GetParam(), options, tcp, nullptr, &sock, &loop);
+  runtime->Start();
+  // 8 MB of responses: twice the 4 MB a Linux loopback socket's send buffer
+  // autotunes up to by default (tcp_wmem), so sends must go short.
+  constexpr uint64_t kRequests = 1024;
+  auto payload = [](uint64_t i) {
+    return std::to_string(i) + std::string(8 * 1024, static_cast<char>('a' + i % 26));
+  };
+  {
+    TestTcpClient client(sock->port(), /*rcvbuf=*/4096);
+    ASSERT_TRUE(client.ok());
+    std::thread sender([&] {
+      for (uint64_t i = 0; i < kRequests; ++i) {
+        if (!client.SendRequest(i, payload(i))) {
+          return;
+        }
+      }
+    });
+    uint64_t received = 0;
+    Message response;
+    while (received < kRequests && client.RecvMessage(&response)) {
+      if (response.request_id != received ||
+          response.payload != "echo:" + payload(received)) {
+        break;
+      }
+      received++;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));  // read slowly
+    }
+    sender.join();
+    EXPECT_EQ(received, kRequests) << "response " << received
+                                   << " arrived corrupt, out of order or not at all";
+  }
+  runtime->Shutdown();
+  EXPECT_EQ(sock->StallDrops(), 0u);
+  EXPECT_EQ(runtime->Completed(), kRequests);
+}
+
 TEST_P(TransportConformance, EveryRxSegmentCarriesATransportArrivalStamp) {
   // Segment::rx_nanos is the clock overload control sheds against (queueing delay =
   // dispatch - rx_nanos), so every backend must stamp it at transport arrival. The
@@ -530,6 +586,106 @@ TEST_P(TransportConformance, EveryRxSegmentCarriesATransportArrivalStamp) {
   EXPECT_GT(total.rx_segments, 0u);
   EXPECT_EQ(total.rx_unstamped, 0u)
       << GetParam().name << " delivered segments with rx_nanos == 0";
+}
+
+// The send plan both socket backends share: a batch in which two flows' responses
+// interleave (as two thieves' remote syscalls can in a home core's queue) groups into
+// one run per flow in batch order, and one flow's op never carries more than IOV_MAX
+// iovecs; a short write resumes mid-frame and the tail past IOV_MAX follows next.
+TEST(FlowSendPlanTest, GroupsFlowsStablyAndCursorsAcrossShortWritesAndIovMax) {
+  constexpr uint64_t kFlowA = 7;
+  constexpr uint64_t kFlowB = 3;
+  const size_t a_responses = IOV_MAX + 3;
+  std::vector<TxSegment> batch;
+  for (size_t i = 0; i < a_responses; ++i) {
+    batch.push_back(TxSegment{kFlowA, i, 0, EncodeFrame(i, "a" + std::to_string(i))});
+    if (i % 3 == 0) {
+      batch.push_back(TxSegment{kFlowB, i, 0, EncodeFrame(i, "b")});
+    }
+  }
+  FlowSendPlan plan;
+  plan.Build(batch);
+  ASSERT_EQ(plan.flows().size(), 2u);
+  FlowSendPlan::Flow* a = nullptr;
+  for (FlowSendPlan::Flow& flow : plan.flows()) {
+    for (size_t slot = flow.begin; slot < flow.end; ++slot) {
+      EXPECT_EQ(batch[plan.BatchIndex(slot)].flow_id, flow.flow_id);
+      if (slot > flow.begin) {
+        EXPECT_LT(plan.BatchIndex(slot - 1), plan.BatchIndex(slot)) << "unstable";
+      }
+    }
+    if (flow.flow_id == kFlowA) {
+      a = &flow;
+    }
+  }
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->unsent(), a_responses);
+  auto frame = [&](size_t slot) { return batch[plan.BatchIndex(slot)].frame.view(); };
+  msghdr* op = plan.NextOp(*a);
+  ASSERT_EQ(op->msg_iovlen, static_cast<size_t>(IOV_MAX));
+  // Short write: the first frame and two bytes of the second.
+  plan.Advance(*a, frame(a->begin).size() + 2);
+  EXPECT_EQ(a->next, a->begin + 1);
+  op = plan.NextOp(*a);
+  ASSERT_EQ(op->msg_iovlen, static_cast<size_t>(IOV_MAX));
+  EXPECT_EQ(op->msg_iov[0].iov_base, frame(a->begin + 1).data() + 2);
+  EXPECT_EQ(op->msg_iov[0].iov_len, frame(a->begin + 1).size() - 2);
+  // The op completes in full; the two responses past IOV_MAX are the next op.
+  size_t op_bytes = 0;
+  for (size_t v = 0; v < op->msg_iovlen; ++v) {
+    op_bytes += op->msg_iov[v].iov_len;
+  }
+  plan.Advance(*a, op_bytes);
+  EXPECT_EQ(a->unsent(), 2u);
+  op = plan.NextOp(*a);
+  ASSERT_EQ(op->msg_iovlen, 2u);
+  EXPECT_EQ(op->msg_iov[0].iov_base, frame(a->end - 2).data());
+  plan.Advance(*a, frame(a->end - 2).size() + frame(a->end - 1).size());
+  EXPECT_TRUE(a->done());
+}
+
+// Epoll TX without a runtime: a batch of 32 responses for one flow leaves as exactly
+// one data-path syscall (one sendmsg over 32 iovecs), and the client reads all 32
+// frames in batch order.
+TEST(TcpTransportTx, OneFlowsBatchLeavesAsOneSendmsg) {
+  TcpTransportOptions options;
+  options.num_queues = 1;
+  options.max_flows = 4;
+  TcpTransport transport(options);
+  transport.Start();
+  TestTcpClient client(transport.port());
+  ASSERT_TRUE(client.ok());
+  std::vector<Segment> segments(8);
+  std::vector<ControlEvent> control;
+  std::optional<uint64_t> flow;
+  ASSERT_TRUE(WaitFor([&] {
+    control.clear();
+    transport.PollBatch(0, segments, control);
+    for (const ControlEvent& event : control) {
+      if (event.kind == ControlEventKind::kFlowOpened) {
+        flow = event.flow_id;
+      }
+    }
+    return flow.has_value();
+  })) << "the connection never surfaced as kFlowOpened";
+  constexpr uint64_t kResponses = 32;
+  std::vector<TxSegment> batch(kResponses);
+  for (uint64_t i = 0; i < kResponses; ++i) {
+    batch[i].flow_id = *flow;
+    batch[i].request_id = i;
+    batch[i].frame = EncodeFrame(i, "r" + std::to_string(i));
+  }
+  const uint64_t before = transport.IoSyscalls();
+  EXPECT_EQ(transport.TransmitBatch(0, batch), kResponses);
+  EXPECT_EQ(transport.IoSyscalls() - before, 1u);
+  for (uint64_t i = 0; i < kResponses; ++i) {
+    Message response;
+    ASSERT_TRUE(client.RecvMessage(&response));
+    EXPECT_EQ(response.request_id, i);
+    EXPECT_EQ(response.payload, "r" + std::to_string(i));
+  }
+  EXPECT_EQ(transport.Drops(), 0u);
+  transport.Stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(
