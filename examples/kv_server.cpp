@@ -160,26 +160,38 @@ struct ClientConn {
 bool DriveConnections(const LoadConfig& config, std::vector<ClientConn>& conns,
                       LatencyCollector& latency, LoadTotals& totals, Rng& rng) {
   KvWorkload workload(config.spec, config.seed);  // one generator per thread
-  std::string frame;
-  auto send_one = [&](ClientConn& conn) {
-    frame.clear();
-    EncodeMessage(conn.next_id, workload.SampleRequest(rng), frame);
-    if (!SendAll(conn.fd, frame)) {
+  std::string frames;
+  // Tops the connection's window back up to `pipeline` requests with one send():
+  // a request per send() would bill the client a syscall per request and hide the
+  // server's per-batch TX saving behind the client's own cost.
+  auto refill = [&](ClientConn& conn) {
+    frames.clear();
+    uint64_t first_id = conn.next_id;
+    while (conn.quota > 0 &&
+           conn.in_flight.size() + (conn.next_id - first_id) <
+               static_cast<size_t>(config.pipeline)) {
+      EncodeMessage(conn.next_id, workload.SampleRequest(rng), frames);
+      conn.next_id++;
+      conn.quota--;
+    }
+    if (frames.empty()) {
+      return true;
+    }
+    Nanos sent_at = NowNanos();
+    if (!SendAll(conn.fd, frames)) {
       return false;
     }
-    conn.in_flight.emplace_back(conn.next_id, NowNanos());
-    conn.next_id++;
-    conn.quota--;
-    totals.sent.fetch_add(1, std::memory_order_relaxed);
+    for (uint64_t id = first_id; id < conn.next_id; ++id) {
+      conn.in_flight.emplace_back(id, sent_at);
+    }
+    totals.sent.fetch_add(conn.next_id - first_id, std::memory_order_relaxed);
     return true;
   };
 
   // Prime every connection's pipeline.
   for (ClientConn& conn : conns) {
-    for (int i = 0; i < config.pipeline && conn.quota > 0; ++i) {
-      if (!send_one(conn)) {
-        return false;
-      }
+    if (!refill(conn)) {
+      return false;
     }
   }
 
@@ -235,9 +247,9 @@ bool DriveConnections(const LoadConfig& config, std::vector<ClientConn>& conns,
         } else {
           totals.miss.fetch_add(1, std::memory_order_relaxed);
         }
-        if (conn.quota > 0 && !send_one(conn)) {
-          return false;
-        }
+      }
+      if (!refill(conn)) {
+        return false;
       }
     }
   }

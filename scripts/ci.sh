@@ -187,11 +187,13 @@ echo "== AddressSanitizer: runtime + loadgen + chaos + transport suites (${BUILD
 # ride along for the TPC-C wire service: the consistency battery drives concurrent
 # OCC commits through pooled executors (read-set pointers into recycled records), and
 # the decode fuzz sweep must prove DecodeTpccRequest never reads out of bounds.
+# db_test rides along for the Silo layer's unlocked scans: record pointers and keys
+# handed out of a released index chunk must stay valid across concurrent erases.
 cmake -B "${BUILD_DIR}-asan" -S . -DZYGOS_BUILD_BENCH=OFF -DZYGOS_BUILD_EXAMPLES=OFF \
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
 cmake --build "${BUILD_DIR}-asan" -j "${JOBS}" --target runtime_test loadgen_test \
-  chaos_test transport_conformance_test overload_test tpcc_test net_test
+  chaos_test transport_conformance_test overload_test tpcc_test net_test db_test
 # Leak checking stays ON; only the by-design thread-pool leak is suppressed
 # (scripts/lsan.supp) — a leaked connection or socket wrapper still fails.
 # --repeat until-pass:2: ASan slows the whole pipeline severalfold, which puts
@@ -200,7 +202,7 @@ cmake --build "${BUILD_DIR}-asan" -j "${JOBS}" --target runtime_test loadgen_tes
 # One retry absorbs a single stall; a deterministic regression fails both runs.
 LSAN_OPTIONS="suppressions=$(pwd)/scripts/lsan.supp" \
   ctest --test-dir "${BUILD_DIR}-asan" \
-  -R 'runtime_test|loadgen_test|chaos_test|transport_conformance_test|overload_test|tpcc_test|net_test' \
+  -R 'runtime_test|loadgen_test|chaos_test|transport_conformance_test|overload_test|tpcc_test|net_test|db_test' \
   --output-on-failure -j "${JOBS}" --repeat until-pass:2
 
 echo "== UndefinedBehaviorSanitizer: wire-decoder suites (${BUILD_DIR}-ubsan)"
@@ -216,15 +218,19 @@ cmake --build "${BUILD_DIR}-ubsan" -j "${JOBS}" --target net_test tpcc_test kvst
 ctest --test-dir "${BUILD_DIR}-ubsan" -R 'net_test|tpcc_test|kvstore_test' \
   --output-on-failure -j "${JOBS}"
 
-echo "== ThreadSanitizer: lock-free queues + core scheduler (${BUILD_DIR}-tsan)"
+echo "== ThreadSanitizer: lock-free queues, core scheduler, Silo layer (${BUILD_DIR}-tsan)"
 # The work-stealing deque, the MPMC/SPSC rings and the core scheduler are where a
 # missing acquire/release or a plain access racing an atomic one would hide: a
-# normal build on x86 forgives most of them. No suppressions: any report fails the
-# suite (TSan exits non-zero when it reported a race).
+# normal build on x86 forgives most of them. db_test and tpcc_test cover the Silo
+# layer two workers share: the index's spin RW lock and unlocked chunked scans, the
+# record's TID seqlock and value-slot bit, and concurrent OCC commits. No
+# suppressions: any report fails the suite (TSan exits non-zero when it reported a
+# race).
 cmake -B "${BUILD_DIR}-tsan" -S . -DZYGOS_BUILD_BENCH=OFF -DZYGOS_BUILD_EXAMPLES=OFF \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" --target concurrency_test core_test
-ctest --test-dir "${BUILD_DIR}-tsan" -R 'concurrency_test|core_test' \
+cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" --target concurrency_test core_test \
+  db_test tpcc_test
+ctest --test-dir "${BUILD_DIR}-tsan" -R 'concurrency_test|core_test|db_test|tpcc_test' \
   --output-on-failure -j "${JOBS}"
 
 echo "CI OK"

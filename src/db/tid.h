@@ -4,7 +4,8 @@
 //
 //   bit  0       lock     — record is write-locked by a committing transaction
 //   bit  1       absent   — record is logically deleted / not yet committed-inserted
-//   bit  2       reserved (Silo uses a third bit for latest-version chaining)
+//   bit  2       unlinked — record was structurally erased from its index (it lives on
+//                in the graveyard, absent, and must never be written again)
 //   bits 3..33   sequence — per-epoch counter, chosen at commit
 //   bits 34..63  epoch    — global epoch number at commit time
 //
@@ -21,6 +22,7 @@ class TidWord {
  public:
   static constexpr uint64_t kLockBit = 1ull << 0;
   static constexpr uint64_t kAbsentBit = 1ull << 1;
+  static constexpr uint64_t kUnlinkedBit = 1ull << 2;
   static constexpr int kSequenceShift = 3;
   static constexpr int kEpochShift = 34;
   static constexpr uint64_t kStatusMask = (1ull << kSequenceShift) - 1;
@@ -28,6 +30,7 @@ class TidWord {
 
   static bool Locked(uint64_t tid) { return (tid & kLockBit) != 0; }
   static bool Absent(uint64_t tid) { return (tid & kAbsentBit) != 0; }
+  static bool Unlinked(uint64_t tid) { return (tid & kUnlinkedBit) != 0; }
 
   // The orderable portion (epoch + sequence), with status bits stripped.
   static uint64_t Version(uint64_t tid) { return tid & ~kStatusMask; }

@@ -1,7 +1,6 @@
 #include "src/db/txn.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "src/db/tid.h"
 
@@ -28,33 +27,51 @@ uint64_t Transaction::HashKey(uint64_t h, std::string_view key) {
   return Fnv1aMix(h, key.data(), key.size());
 }
 
-Transaction::WriteEntry* Transaction::FindWrite(TableId table, std::string_view key) {
+Transaction::WriteEntry* Transaction::FindWrite(const Record* record) {
   for (auto& write : writes_) {
-    if (write.table == table && write.key == key) {
+    if (write.record == record) {
       return &write;
     }
   }
   return nullptr;
 }
 
+Transaction::WriteEntry& Transaction::WriteFor(Record* record) {
+  if (WriteEntry* write = FindWrite(record)) {
+    return *write;
+  }
+  writes_.push_back(WriteEntry{});
+  writes_.back().record = record;
+  return writes_.back();
+}
+
 void Transaction::AddRead(Record* record, uint64_t observed_tid) {
   reads_.push_back(ReadEntry{record, observed_tid});
 }
 
+bool Transaction::InReadSet(const Record* record) const {
+  return std::any_of(reads_.begin(), reads_.end(),
+                     [record](const ReadEntry& read) { return read.record == record; });
+}
+
+bool Transaction::LockedByUs(const Record* record) const {
+  return std::binary_search(locked_.begin(), locked_.end(), record);
+}
+
 std::optional<std::string> Transaction::Read(TableId table, std::string_view key) {
-  // Read-own-writes.
-  if (WriteEntry* write = FindWrite(table, key)) {
-    if (write->is_delete || write->value == nullptr) {
-      return std::nullopt;
-    }
-    return *write->value;
-  }
   Record* record = db_.table(table).Get(key);
   if (record == nullptr) {
     // Structurally missing keys cannot be version-validated; they are covered only by
     // scan fingerprints. TPC-C reads always target loaded keys, so this is a miss path
     // for genuinely unknown keys.
     return std::nullopt;
+  }
+  // Read-own-writes.
+  if (const WriteEntry* write = FindWrite(record)) {
+    if (write->value == nullptr) {
+      return std::nullopt;
+    }
+    return *write->value;
   }
   Record::ReadResult snapshot = record->StableRead();
   AddRead(record, snapshot.tid);
@@ -65,16 +82,9 @@ std::optional<std::string> Transaction::Read(TableId table, std::string_view key
 }
 
 void Transaction::Write(TableId table, std::string key, std::string value) {
-  if (WriteEntry* write = FindWrite(table, key)) {
-    write->value = std::make_shared<const std::string>(std::move(value));
-    write->is_delete = false;
-    return;
-  }
-  WriteEntry entry;
-  entry.table = table;
-  entry.key = std::move(key);
-  entry.value = std::make_shared<const std::string>(std::move(value));
-  writes_.push_back(std::move(entry));
+  WriteEntry& write = WriteFor(db_.table(table).GetOrInsert(key).first);
+  write.value = std::make_shared<const std::string>(std::move(value));
+  write.erase_after = false;
 }
 
 bool Transaction::Insert(TableId table, std::string key, std::string value) {
@@ -88,28 +98,20 @@ bool Transaction::Insert(TableId table, std::string key, std::string value) {
     // Reusing a dead/claimed slot: validate it is still absent at commit.
     AddRead(record, TidWord::Version(tid) | TidWord::kAbsentBit);
   }
-  WriteEntry entry;
-  entry.table = table;
-  entry.key = std::move(key);
-  entry.value = std::make_shared<const std::string>(std::move(value));
-  entry.record = record;
-  writes_.push_back(std::move(entry));
+  WriteEntry& write = WriteFor(record);
+  write.value = std::make_shared<const std::string>(std::move(value));
+  write.erase_after = false;
   return true;
 }
 
 void Transaction::Delete(TableId table, std::string key, bool erase) {
-  if (WriteEntry* write = FindWrite(table, key)) {
-    write->value = nullptr;
-    write->is_delete = true;
-    write->erase_after = erase;
-    return;
+  WriteEntry& write = WriteFor(db_.table(table).GetOrInsert(key).first);
+  write.value = nullptr;
+  write.erase_after = erase;
+  if (erase) {
+    write.table = table;
+    write.key = std::move(key);
   }
-  WriteEntry entry;
-  entry.table = table;
-  entry.key = std::move(key);
-  entry.is_delete = true;
-  entry.erase_after = erase;
-  writes_.push_back(std::move(entry));
 }
 
 void Transaction::Scan(
@@ -121,6 +123,7 @@ void Transaction::Scan(
   scan.lo = std::string(lo);
   scan.hi = std::string(hi);
   scan.descending = descending;
+  scan.erases = db_.table(table).EraseCount();
   uint64_t fingerprint = 14695981039346656037ull;
   uint64_t visited = 0;
   std::string effective_bound;
@@ -129,26 +132,16 @@ void Transaction::Scan(
   db_.table(table).Scan(lo, hi, descending, [&](const std::string& key, Record* record) {
     Record::ReadResult snapshot = record->StableRead();
     AddRead(record, snapshot.tid);
-    const WriteEntry* own = nullptr;
-    for (const auto& write : writes_) {
-      if (write.record == record ||
-          (write.table == table && write.key == key)) {
-        own = &write;
-        break;
-      }
-    }
     // Fingerprint the *committed-visible* key set (own pending inserts stay absent
     // until commit, so validation recomputes the same set).
     if (snapshot.value != nullptr) {
       fingerprint = HashKey(fingerprint, key);
     }
-    // Row visibility for the callback applies own writes on top.
-    const std::string* row = nullptr;
-    if (own != nullptr) {
-      row = own->is_delete ? nullptr : own->value.get();
-    } else if (snapshot.value != nullptr) {
-      row = snapshot.value.get();
-    }
+    // Row visibility for the callback applies own writes on top. The row is held by
+    // value: `fn` may overwrite this very entry.
+    const WriteEntry* own = FindWrite(record);
+    std::shared_ptr<const std::string> row =
+        own != nullptr ? own->value : std::move(snapshot.value);
     if (row == nullptr) {
       return true;  // not visible; keep walking
     }
@@ -176,25 +169,32 @@ void Transaction::Scan(
   scans_.push_back(std::move(scan));
 }
 
-bool Transaction::ValidateScan(const ScanEntry& scan,
-                               const std::vector<Record*>& locked_by_us) const {
+bool Transaction::ValidateScan(const ScanEntry& scan) const {
+  // The visible-key fingerprint alone is not monotonic: a key inserted behind the
+  // scan cursor and deleted again before this walk restores it, although a read
+  // validated earlier may have seen the insert (a counter of the range's keys, say).
+  // Every key the scan visited is in the read set, whose TIDs only grow, so such a
+  // key is one this scan never visited: it is caught as an absent record outside the
+  // read set that was committed at some point (version != 0), or, if it was unlinked
+  // too, by the table's erase count.
+  const OrderedIndex& index = db_.table(scan.table);
   uint64_t fingerprint = 14695981039346656037ull;
   bool conflict = false;
-  db_.table(scan.table)
-      .Scan(scan.lo, scan.hi, scan.descending, [&](const std::string& key, Record* record) {
-        uint64_t tid = record->LoadTid();
-        if (TidWord::Locked(tid) &&
-            std::find(locked_by_us.begin(), locked_by_us.end(), record) ==
-                locked_by_us.end()) {
-          conflict = true;  // another committer is mutating the range
-          return false;
-        }
-        if (!TidWord::Absent(tid)) {
-          fingerprint = HashKey(fingerprint, key);
-        }
-        return true;
-      });
-  return !conflict && fingerprint == scan.fingerprint;
+  index.Scan(scan.lo, scan.hi, scan.descending, [&](const std::string& key, Record* record) {
+    uint64_t tid = record->LoadTid();
+    if (TidWord::Locked(tid) && !LockedByUs(record)) {
+      conflict = true;  // another committer is mutating the range
+      return false;
+    }
+    if (!TidWord::Absent(tid)) {
+      fingerprint = HashKey(fingerprint, key);
+    } else if (TidWord::Version(tid) != 0 && !InReadSet(record)) {
+      conflict = true;  // committed and deleted since the scan passed its key
+      return false;
+    }
+    return true;
+  });
+  return !conflict && fingerprint == scan.fingerprint && index.EraseCount() == scan.erases;
 }
 
 TxnStatus Transaction::Commit(uint64_t* last_tid) {
@@ -202,33 +202,32 @@ TxnStatus Transaction::Commit(uint64_t* last_tid) {
     Abort();
     return TxnStatus::kDuplicate;
   }
-  // Read-only fast path: validate reads and scans without locking anything.
-  // Phase 1: resolve and lock the write set in global (record-address) order.
-  for (auto& write : writes_) {
-    if (write.record == nullptr) {
-      auto [record, created] = db_.table(write.table).GetOrInsert(write.key);
-      write.record = record;
-      (void)created;
-    }
-  }
-  std::vector<Record*> locked;
-  locked.reserve(writes_.size());
+  // Phase 1: lock the write set in global (record-address) order. Entries are unique
+  // per record, so the sorted vector has no duplicates.
+  locked_.clear();
   for (const auto& write : writes_) {
-    locked.push_back(write.record);
+    locked_.push_back(write.record);
   }
-  std::sort(locked.begin(), locked.end());
-  locked.erase(std::unique(locked.begin(), locked.end()), locked.end());
-  for (Record* record : locked) {
+  std::sort(locked_.begin(), locked_.end());
+  for (Record* record : locked_) {
     record->Lock();
   }
 
-  // Phase 2: serialization point + validation.
+  // Phase 2: serialization point + validation. A write-set record erased from its
+  // index since it was resolved must not be written (the write would be lost in the
+  // graveyard); re-execution resolves the key afresh.
   uint64_t epoch = db_.epochs().Current();
-  std::unordered_set<const Record*> own(locked.begin(), locked.end());
   bool valid = true;
-  for (const auto& read : reads_) {
+  for (Record* record : locked_) {
+    if (TidWord::Unlinked(record->LoadTid())) {
+      valid = false;
+      break;
+    }
+  }
+  for (size_t i = 0; valid && i < reads_.size(); ++i) {
+    const ReadEntry& read = reads_[i];
     uint64_t current = read.record->LoadTid();
-    if (TidWord::Locked(current) && own.find(read.record) == own.end()) {
+    if (TidWord::Locked(current) && !LockedByUs(read.record)) {
       valid = false;  // locked by a concurrent committer
       break;
     }
@@ -242,14 +241,14 @@ TxnStatus Transaction::Commit(uint64_t* last_tid) {
   }
   if (valid) {
     for (const auto& scan : scans_) {
-      if (!ValidateScan(scan, locked)) {
+      if (!ValidateScan(scan)) {
         valid = false;
         break;
       }
     }
   }
   if (!valid) {
-    for (Record* record : locked) {
+    for (Record* record : locked_) {
       record->Unlock();
     }
     Abort();
@@ -261,33 +260,24 @@ TxnStatus Transaction::Commit(uint64_t* last_tid) {
   for (const auto& read : reads_) {
     max_seen = std::max(max_seen, TidWord::Version(read.observed_tid));
   }
-  for (Record* record : locked) {
+  for (Record* record : locked_) {
     max_seen = std::max(max_seen, TidWord::Version(record->LoadTid()));
   }
   uint64_t commit_tid = TidWord::NextAfter(max_seen, epoch);
   *last_tid = commit_tid;
   committed_tid_ = commit_tid;
 
-  // A record may have several write entries (write-after-write); install the last one.
-  // Walk in reverse, installing the first entry seen per record.
-  std::unordered_set<const Record*> installed;
-  for (auto it = writes_.rbegin(); it != writes_.rend(); ++it) {
-    if (!installed.insert(it->record).second) {
-      continue;
-    }
-    it->record->Install(commit_tid, it->is_delete ? nullptr : it->value, it->is_delete);
-  }
-  // Structural unlinks happen only after every record lock has been released by
-  // Install: a concurrent scanner may spin on a locked record while holding the shared
-  // index lock, which Erase's unique lock would deadlock against.
-  for (const auto& write : writes_) {
-    if (write.is_delete && write.erase_after) {
+  for (auto& write : writes_) {
+    // A structural unlink happens under the record lock, so no other committer can
+    // revive the record in between (no index lock holder ever waits on a record lock,
+    // so taking the index lock here cannot deadlock).
+    if (write.erase_after) {
       db_.table(write.table).Erase(write.key);
     }
+    bool absent = write.value == nullptr;
+    write.record->Install(commit_tid, std::move(write.value), absent);
   }
-  reads_.clear();
-  writes_.clear();
-  scans_.clear();
+  Abort();  // clears the sets for the next transaction
   return TxnStatus::kCommitted;
 }
 
@@ -295,17 +285,17 @@ void Transaction::Abort() {
   reads_.clear();
   writes_.clear();
   scans_.clear();
+  poisoned_duplicate_ = false;
 }
 
 TxnStatus TxnExecutor::Run(const std::function<bool(Transaction&)>& body) {
   while (true) {
-    Transaction txn(db_);
-    if (!body(txn)) {
-      txn.Abort();
+    if (!body(txn_)) {
+      txn_.Abort();
       user_aborts_++;
       return TxnStatus::kAborted;
     }
-    TxnStatus status = txn.Commit(&last_tid_);
+    TxnStatus status = txn_.Commit(&last_tid_);
     if (status == TxnStatus::kCommitted) {
       commits_++;
       return status;

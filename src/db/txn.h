@@ -2,19 +2,30 @@
 // (Tu et al., SOSP'13 §4):
 //
 //   execution   — reads record versions optimistically (TID-validated snapshots) into a
-//                 read set; writes are buffered in a write set; inserts place absent
-//                 records into the index immediately and claim them via the read set;
-//                 range scans additionally capture a key fingerprint for phantom checks.
+//                 read set; writes are buffered in a write set keyed by record: every
+//                 Write/Insert/Delete resolves its Record* when it is buffered (an
+//                 absent key gets a fresh absent record, as an insert does), so
+//                 read-own-writes and commit match entries by pointer, one entry per
+//                 record; range scans additionally capture a key fingerprint for
+//                 phantom checks.
 //   commit (1)  — lock the write set in a global order (record address), spin locks are
 //                 deadlock-free under the ordering;
 //   commit (2)  — serialization point: read the global epoch; validate that every read
 //                 record's TID is unchanged (and not locked by others) and that every
-//                 scanned key range still fingerprints identically (no phantoms);
+//                 scanned key range still fingerprints identically and has had no key
+//                 come and go since the scan (no phantoms, see ValidateScan);
 //   commit (3)  — pick the commit TID (greater than everything observed, the thread's
 //                 previous TID, and within the current epoch), install the new values,
 //                 and release the locks.
 //
-// Aborts release locks and leave claimed-but-absent inserts in the index (harmless,
+// Lock discipline: no index lock is held across a record read, a record lock or a
+// scan callback (OrderedIndex::Scan runs callbacks with no lock held), and every lock
+// on this path spins rather than sleeps, so two workers sharing one Database never
+// put each other to sleep. Record locks are taken only in phase 1, in address order;
+// a committer holding them may still take an index lock (scan validation, and the
+// structural erase in phase 3), never the reverse.
+//
+// Aborts release locks and leave claimed-but-absent records in the index (harmless,
 // equivalent to Silo's pre-GC state; the paper benchmarks with GC disabled).
 // Contract: one Txn per worker thread at a time; a Txn is not thread-safe but
 // different threads' transactions may run concurrently against the same Database.
@@ -54,7 +65,7 @@ class Transaction {
   std::optional<std::string> Read(TableId table, std::string_view key);
 
   // Buffers an update. The key should exist (Read/Scan normally precedes it); writing a
-  // missing key silently upgrades to an insert at commit.
+  // missing key places an absent record now and installs it as an insert at commit.
   void Write(TableId table, std::string key, std::string value);
 
   // Inserts a new key. Returns false (and poisons the transaction into kDuplicate) if
@@ -70,18 +81,20 @@ class Transaction {
   // Ordered scan of lo..hi (inclusive, descending optional), visiting at most `limit`
   // visible rows (0 = unlimited). `fn` returns false to stop early. Rows reflect this
   // transaction's own pending writes. The visited range is fingerprinted for phantom
-  // validation at commit.
+  // validation at commit. `fn` runs with no index lock held, so it may Read, Write,
+  // Insert, Delete or Scan on this transaction, the scanned table included.
   void Scan(TableId table, std::string_view lo, std::string_view hi, bool descending,
             uint64_t limit,
             const std::function<bool(const std::string& key, const std::string& value)>& fn);
 
   // Runs the commit protocol. `last_tid` is the calling thread's most recent commit TID
   // (in/out — threads own one, see TxnExecutor). After kCommitted, committed_tid() is
-  // valid. After any result the transaction object is finished (create a new one).
+  // valid. After any result the sets are empty and the object can run the next
+  // transaction (TxnExecutor reuses one, keeping the sets' capacity).
   TxnStatus Commit(uint64_t* last_tid);
 
   // Discards all buffered state (user abort / rollback). No locks are held outside
-  // Commit, so this only clears the sets.
+  // Commit, so this only clears the sets (keeping their capacity).
   void Abort();
 
   uint64_t committed_tid() const { return committed_tid_; }
@@ -97,12 +110,11 @@ class Transaction {
     uint64_t observed_tid = 0;
   };
   struct WriteEntry {
-    TableId table = 0;
-    std::string key;
+    Record* record = nullptr;                  // resolved when the write is buffered
     std::shared_ptr<const std::string> value;  // null for delete
-    Record* record = nullptr;                  // resolved at buffering or commit time
-    bool is_delete = false;
     bool erase_after = false;  // structural unlink after install (deletes only)
+    TableId table = 0;         // table and key are kept only for erase_after
+    std::string key;
   };
   struct ScanEntry {
     TableId table = 0;
@@ -111,32 +123,39 @@ class Transaction {
     bool descending = false;
     uint64_t fingerprint = 0;
     uint64_t count = 0;
+    uint64_t erases = 0;  // the table's EraseCount() before the walk
   };
 
-  WriteEntry* FindWrite(TableId table, std::string_view key);
+  WriteEntry* FindWrite(const Record* record);
+  // The write entry for `record`, appended if the write set has none yet.
+  WriteEntry& WriteFor(Record* record);
   void AddRead(Record* record, uint64_t observed_tid);
+  bool LockedByUs(const Record* record) const;
 
   // Order-dependent hash of the visible keys in a range (phantom detection).
   static uint64_t HashKey(uint64_t h, std::string_view key);
 
-  // Re-walks a scanned range and returns false if its visible-key fingerprint changed.
-  bool ValidateScan(const ScanEntry& scan,
-                    const std::vector<Record*>& locked_by_us) const;
+  // Re-walks a scanned range and returns false if its visible-key fingerprint changed,
+  // or if a key could have appeared in it and vanished again since the scan.
+  bool ValidateScan(const ScanEntry& scan) const;
+  bool InReadSet(const Record* record) const;
 
   Database& db_;
   std::vector<ReadEntry> reads_;
   std::vector<WriteEntry> writes_;
   std::vector<ScanEntry> scans_;
+  std::vector<Record*> locked_;  // commit's write-set records, sorted by address
   uint64_t committed_tid_ = 0;
   bool poisoned_duplicate_ = false;
 };
 
-// Per-thread transaction runner: owns the thread's last-commit TID and the retry loop.
+// Per-thread transaction runner: owns the thread's last-commit TID, the retry loop and
+// one Transaction whose sets are reused across retries and transactions.
 class TxnExecutor {
  public:
-  explicit TxnExecutor(Database& db) : db_(db) {}
+  explicit TxnExecutor(Database& db) : db_(db), txn_(db) {}
 
-  // Runs `body` in a fresh transaction, retrying on validation aborts until it commits
+  // Runs `body` in an empty transaction, retrying on validation aborts until it commits
   // or `body` requests rollback by returning false (user abort, e.g. TPC-C's 1%
   // NewOrder rollback). Returns the final status: kCommitted, or kAborted for a user
   // abort, or kDuplicate if an insert failed.
@@ -151,6 +170,7 @@ class TxnExecutor {
 
  private:
   Database& db_;
+  Transaction txn_;
   uint64_t last_tid_ = 0;
   uint64_t commits_ = 0;
   uint64_t retries_ = 0;

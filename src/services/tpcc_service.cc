@@ -283,7 +283,7 @@ std::optional<TpccResponse> DecodeTpccResponse(std::string_view payload) {
 
 std::unique_ptr<TxnExecutor> TpccService::AcquireExecutor() {
   {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
+    Spinlock::Guard guard(pool_lock_);
     if (!executor_pool_.empty()) {
       auto executor = std::move(executor_pool_.back());
       executor_pool_.pop_back();
@@ -294,7 +294,7 @@ std::unique_ptr<TxnExecutor> TpccService::AcquireExecutor() {
 }
 
 void TpccService::ReleaseExecutor(std::unique_ptr<TxnExecutor> executor) {
-  std::lock_guard<std::mutex> lock(pool_mutex_);
+  Spinlock::Guard guard(pool_lock_);
   executor_pool_.push_back(std::move(executor));
 }
 

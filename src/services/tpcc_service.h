@@ -44,12 +44,12 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/concurrency/spinlock.h"
 #include "src/db/database.h"
 #include "src/db/tpcc_loader.h"
 #include "src/db/tpcc_txns.h"
@@ -143,13 +143,15 @@ class TpccService {
  private:
   // Pops a pooled per-call executor (each owns its thread-local-style last-commit
   // TID; Silo only needs per-executor TID monotonicity, so pooling across worker
-  // threads is sound). Pool depth ≤ peak concurrent handler calls (≤ workers).
+  // threads is sound). Pool depth ≤ peak concurrent handler calls (≤ workers). The
+  // pool lock spins: a handler must not sleep in the kernel (it could neither serve its
+  // queue nor steal), and the critical section is a vector push or pop.
   std::unique_ptr<TxnExecutor> AcquireExecutor();
   void ReleaseExecutor(std::unique_ptr<TxnExecutor> executor);
 
   Database& db_;
   TpccWorkload workload_;
-  std::mutex pool_mutex_;
+  Spinlock pool_lock_;
   std::vector<std::unique_ptr<TxnExecutor>> executor_pool_;
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> user_aborts_{0};

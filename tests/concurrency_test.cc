@@ -1,6 +1,7 @@
 // Unit and multi-threaded stress tests for the concurrency primitives.
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <span>
@@ -44,6 +45,65 @@ TEST(SpinlockTest, TryLockFailsWhenHeld) {
   lock.Unlock();
   EXPECT_TRUE(lock.TryLock());
   lock.Unlock();
+}
+
+TEST(RwSpinlockTest, WritersExcludeReadersAndEachOther) {
+  RwSpinlock lock;
+  int64_t a = 0;
+  int64_t b = 0;  // writers keep a == b; a reader must never see them differ
+  std::atomic<int> torn{0};
+  constexpr int kIterations = 20000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIterations; ++i) {
+        RwSpinlock::Guard guard(lock);
+        a++;
+        b++;
+      }
+    });
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIterations; ++i) {
+        RwSpinlock::SharedGuard guard(lock);
+        if (a != b) {
+          torn.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(a, 2 * kIterations);
+}
+
+TEST(RwSpinlockTest, ReaderIsAdmittedWhileAWriterWaits) {
+  // Reader preference: a waiting writer must not hold back a new reader, or a reader
+  // that waits on something the first reader's thread owns would deadlock.
+  RwSpinlock lock;
+  lock.LockShared();
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    RwSpinlock::Guard guard(lock);
+    writer_done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // writer is spinning
+  std::atomic<bool> reader_in{false};
+  std::thread reader([&] {
+    RwSpinlock::SharedGuard guard(lock);
+    reader_in.store(true);
+  });
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!reader_in.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(reader_in.load());
+  EXPECT_FALSE(writer_done.load());
+  lock.UnlockShared();
+  reader.join();
+  writer.join();
+  EXPECT_TRUE(writer_done.load());
 }
 
 TEST(SpscRingTest, FifoOrderSingleThread) {

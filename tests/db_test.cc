@@ -2,6 +2,10 @@
 // transaction semantics (read-own-writes, deletes, duplicates), conflict validation,
 // phantom detection, and multi-threaded serializability smoke tests.
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <deque>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -144,6 +148,66 @@ TEST(OrderedIndexTest, EmptyAndInvertedRanges) {
     return true;
   });
   EXPECT_EQ(visits, 0);
+}
+
+TEST(OrderedIndexTest, ChunkedScanVisitsEachKeyOnceAcrossConcurrentChanges) {
+  // A range several chunks wide, changed by the callback itself (no index lock is held
+  // while it runs): keys behind the cursor are inserted, keys ahead are erased. Each
+  // key is visited at most once, in strict order, in both directions, and every key
+  // that was never erased is visited.
+  constexpr int kKeys = 5 * static_cast<int>(OrderedIndex::kMaxScanChunk);
+  auto key_of = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%05d", i);
+    return std::string(buf);
+  };
+  for (bool descending : {false, true}) {
+    OrderedIndex index;
+    for (int i = 0; i < kKeys; i += 2) {
+      index.GetOrInsert(key_of(i));
+    }
+    std::vector<std::string> seen;
+    int nested_visits = 0;
+    auto visit = [&](const std::string& key, Record*) {
+      seen.push_back(key);
+      int i = std::stoi(key.substr(1));
+      int behind = descending ? i + 1 : i - 1;  // odd: never present before
+      int ahead = descending ? i - 4 : i + 4;
+      index.GetOrInsert(key_of(behind));
+      if (ahead % 8 == 0) {
+        index.Erase(key_of(ahead));
+      }
+      // Callbacks may scan the same index (per-thread chunk buffers nest).
+      index.Scan(key_of(i), key_of(i + 1), false, [&](const std::string&, Record*) {
+        nested_visits++;
+        return true;
+      });
+      return true;
+    };
+    index.Scan(key_of(0), key_of(kKeys), descending, visit);
+    ASSERT_FALSE(seen.empty());
+    for (size_t j = 1; j < seen.size(); ++j) {
+      if (descending) {
+        ASSERT_GT(seen[j - 1], seen[j]);
+      } else {
+        ASSERT_LT(seen[j - 1], seen[j]);
+      }
+    }
+    for (const std::string& key : seen) {
+      EXPECT_EQ(std::stoi(key.substr(1)) % 2, 0) << key;  // no inserted key visited
+    }
+    // An erased key may or may not be visited, depending on whether its chunk was
+    // copied before the erase.
+    std::set<std::string> visited(seen.begin(), seen.end());
+    int never_erased = 0;
+    for (int i = 2; i < kKeys; i += 2) {
+      if (i % 8 != 0) {
+        never_erased++;
+        EXPECT_EQ(visited.count(key_of(i)), 1u) << key_of(i);
+      }
+    }
+    EXPECT_GE(nested_visits, never_erased);
+  }
 }
 
 // --- Epochs ---------------------------------------------------------------------------
@@ -394,6 +458,30 @@ TEST_F(TxnTest, DeleteInScannedRangeAborts) {
   EXPECT_EQ(scanner.Commit(&last), TxnStatus::kAborted);
 }
 
+TEST_F(TxnTest, KeyInsertedAndDeletedAfterTheScanAbortsTheScanner) {
+  // The range looks the same at commit as at the scan, but a key came and went in
+  // between. A read validated before the range walk could have seen it (a counter of
+  // the range's keys, say), so the scanner must not commit. Both deletes: a tombstone
+  // and a structural erase.
+  for (bool erase : {false, true}) {
+    const std::string key = erase ? "r-e" : "r-t";
+    Put("r-a", "1");
+    Transaction scanner(db_);
+    scanner.Scan(table_, "r-a", "r-z", false, 0,
+                 [](const std::string&, const std::string&) { return true; });
+    Put(key, "came");
+    TxnExecutor executor(db_);
+    ASSERT_EQ(executor.Run([&](Transaction& txn) {
+      txn.Delete(table_, key, erase);
+      return true;
+    }),
+              TxnStatus::kCommitted);
+    scanner.Write(table_, "out", "v");
+    uint64_t last = 0;
+    EXPECT_EQ(scanner.Commit(&last), TxnStatus::kAborted) << "erase=" << erase;
+  }
+}
+
 TEST_F(TxnTest, InsertBeyondLimitedScanDoesNotAbort) {
   Put("r-a", "1");
   Put("r-b", "2");
@@ -427,6 +515,32 @@ TEST_F(TxnTest, ScanAppliesOwnPendingWrites) {
   ASSERT_EQ(values.size(), 1u);
   EXPECT_EQ(values[0], "pending");
   txn.Abort();
+}
+
+TEST_F(TxnTest, ScanCallbackMayWriteAndInsertIntoTheScannedTable) {
+  // The index lock is not held while a scan callback runs, so writing the scanned
+  // rows and inserting new keys into the same table from inside it cannot deadlock.
+  constexpr int kRows = 3 * static_cast<int>(OrderedIndex::kMaxScanChunk);
+  for (int i = 0; i < kRows; ++i) {
+    Put("row-" + std::to_string(1000 + i), "v");
+  }
+  TxnExecutor executor(db_);
+  int visited = 0;
+  TxnStatus status = executor.Run([&](Transaction& txn) {
+    visited = 0;
+    txn.Scan(table_, "row-", "row-~", false, 0,
+             [&](const std::string& key, const std::string& value) {
+               visited++;
+               txn.Write(table_, key, value + "+");
+               txn.Insert(table_, "new-" + key, "inserted");
+               return true;
+             });
+    return true;
+  });
+  EXPECT_EQ(status, TxnStatus::kCommitted);
+  EXPECT_EQ(visited, kRows);
+  EXPECT_EQ(Get("row-1000").value_or("?"), "v+");
+  EXPECT_EQ(Get("new-row-1000").value_or("?"), "inserted");
 }
 
 // --- Multi-threaded serializability smoke tests ---------------------------------------
@@ -518,6 +632,142 @@ TEST_F(TxnTest, ConcurrentInsertsOfSameKeyAdmitExactlyOne) {
   EXPECT_TRUE(Get("contested").has_value());
 }
 
+TEST_F(TxnTest, ConcurrentScansMatchTheCounterTheyRead) {
+  // Two mutators change a range several scan chunks wide and keep a counter row equal
+  // to the number of live keys in it, in the same transaction: a toggler inserts and
+  // deletes (half of them structurally) a fixed set of slot keys; an inserter adds
+  // keys that never existed and deletes them again once it has kFresh. Scanners count
+  // the range (ascending and descending) and read the counter in one transaction:
+  // every committed scan must match its counter.
+  constexpr int kSlots = 4 * static_cast<int>(OrderedIndex::kMaxScanChunk);
+  auto key_of = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "c-%05d", i);
+    return std::string(buf);
+  };
+  int live = 0;
+  for (int i = 0; i < kSlots; i += 2) {
+    Put(key_of(i), "x");
+    live++;
+  }
+  Put("counter", std::to_string(live));
+
+  std::atomic<int> mutators_running{2};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> committed_scans{0};
+  // Mutators keep going until scans have committed alongside them (on a loaded or
+  // single-CPU host they could otherwise finish before a scanner is scheduled), and
+  // pause between bursts while no scan commits (a slow, e.g. sanitized, scan would
+  // otherwise always find its range changed).
+  constexpr int kMinScans = 20;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      const bool toggler = t == 0;
+      constexpr size_t kFresh = 32;
+      std::deque<std::string> fresh;  // the inserter's live keys, oldest first
+      TxnExecutor executor(db_);
+      Rng rng(static_cast<uint64_t>(t) + 7);
+      int scans_seen = 0;
+      for (int op = 0; op < 4000 || (committed_scans.load() < kMinScans &&
+                                     std::chrono::steady_clock::now() < deadline);
+           ++op) {
+        if (op % 64 == 63) {
+          // No scan committed during the last burst: pause until one does (bounded).
+          const auto pause_end =
+              std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+          while (committed_scans.load() == scans_seen &&
+                 std::chrono::steady_clock::now() < pause_end) {
+            std::this_thread::yield();
+          }
+          scans_seen = committed_scans.load();
+        }
+        std::string key = key_of(static_cast<int>(rng.NextBounded(kSlots)));
+        if (!toggler) {
+          if (fresh.size() < kFresh) {
+            key += "." + std::to_string(op);  // inside the range, never seen before
+            fresh.push_back(key);
+          } else {
+            key = fresh.front();
+            fresh.pop_front();
+          }
+        }
+        const bool erase = rng.NextBounded(2) == 0;
+        executor.Run([&](Transaction& txn) {
+          int count = std::stoi(txn.Read(table_, "counter").value_or("0"));
+          if (txn.Read(table_, key).has_value()) {
+            txn.Delete(table_, key, erase);
+            count--;
+          } else {
+            EXPECT_TRUE(txn.Insert(table_, key, "x"));  // only this thread writes `key`
+            count++;
+          }
+          txn.Write(table_, "counter", std::to_string(count));
+          return true;
+        });
+      }
+      mutators_running.fetch_sub(1);
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      TxnExecutor executor(db_);
+      bool descending = t == 1;
+      int round = 0;
+      while (mutators_running.load() > 0) {
+        // Counter read after the scan on odd rounds: then only range validation can
+        // catch a key inserted behind the scan cursor before the counter read.
+        const bool counter_first = (round++ % 2) == 0;
+        int counter = -1;
+        int rows = 0;
+        TxnStatus status = executor.Run([&](Transaction& txn) {
+          auto read_counter = [&] {
+            counter = std::stoi(txn.Read(table_, "counter").value_or("-1"));
+          };
+          if (counter_first) {
+            read_counter();
+          }
+          rows = 0;
+          txn.Scan(table_, key_of(0), key_of(kSlots), descending, 0,
+                   [&rows](const std::string&, const std::string&) {
+                     rows++;
+                     return true;
+                   });
+          if (!counter_first) {
+            read_counter();
+          }
+          return true;
+        });
+        if (status == TxnStatus::kCommitted) {
+          committed_scans.fetch_add(1);
+          if (rows != counter) {
+            mismatches.fetch_add(1);
+          }
+        }
+        if (round % 2 == 0) {
+          descending = !descending;
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(committed_scans.load(), kMinScans);
+  // The final state agrees too.
+  Transaction txn(db_);
+  int rows = 0;
+  txn.Scan(table_, key_of(0), key_of(kSlots), false, 0,
+           [&rows](const std::string&, const std::string&) {
+             rows++;
+             return true;
+           });
+  EXPECT_EQ(std::to_string(rows), txn.Read(table_, "counter").value_or("?"));
+  txn.Abort();
+}
+
 // --- Structural erase (Masstree-style delete, GC-disabled graveyard) -------------------
 
 TEST(OrderedIndexTest, EraseUnlinksKeyButKeepsRecordAlive) {
@@ -575,6 +825,31 @@ TEST_F(TxnTest, EraseInScannedRangeStillAbortsTheScanner) {
   scanner.Write(table_, "out", "v");
   uint64_t last = 0;
   EXPECT_EQ(scanner.Commit(&last), TxnStatus::kAborted);
+}
+
+TEST_F(TxnTest, WriteToARecordErasedBeforeCommitRetriesOnTheFreshKey) {
+  // The write set holds Record pointers. A record unlinked from the index after this
+  // transaction resolved it must not receive the write (it would be lost in the
+  // graveyard): commit aborts, and the retry resolves the key afresh.
+  Put("e-w", "old");
+  TxnExecutor writer(db_);
+  TxnExecutor eraser(db_);
+  bool erased = false;
+  EXPECT_EQ(writer.Run([&](Transaction& txn) {
+    txn.Write(table_, "e-w", "new");
+    if (!erased) {
+      erased = true;
+      EXPECT_EQ(eraser.Run([&](Transaction& other) {
+        other.Delete(table_, "e-w", /*erase=*/true);
+        return true;
+      }),
+                TxnStatus::kCommitted);
+    }
+    return true;
+  }),
+            TxnStatus::kCommitted);
+  EXPECT_EQ(writer.retries(), 1u);
+  EXPECT_EQ(Get("e-w").value_or("?"), "new");
 }
 
 TEST_F(TxnTest, InsertAfterEraseCreatesFreshRecord) {
