@@ -14,7 +14,6 @@
 #include "src/concurrency/mpmc_queue.h"
 #include "src/concurrency/spinlock.h"
 #include "src/concurrency/spsc_ring.h"
-#include "src/concurrency/worksteal_deque.h"
 #include "src/core/shuffle_layer.h"
 #include "src/db/database.h"
 #include "src/db/tpcc_loader.h"
@@ -65,28 +64,6 @@ void BM_MpmcQueuePushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MpmcQueuePushPop);
-
-// Chase-Lev owner path vs. the spinlock'd shuffle queue (BM_ShuffleLocalCycle): the
-// classic application-level work-stealing substrate as a comparison point.
-void BM_WorkstealDequePushPop(benchmark::State& state) {
-  WorkstealDeque<uint64_t> deque(1024);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    deque.PushBottom(i++);
-    benchmark::DoNotOptimize(deque.PopBottom());
-  }
-}
-BENCHMARK(BM_WorkstealDequePushPop);
-
-void BM_WorkstealDequeSteal(benchmark::State& state) {
-  WorkstealDeque<uint64_t> deque(1024);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    deque.PushBottom(i++);
-    benchmark::DoNotOptimize(deque.Steal());
-  }
-}
-BENCHMARK(BM_WorkstealDequeSteal);
 
 // The shuffle layer's local path: notify (idle->ready, enqueue) + dequeue
 // (ready->busy) + complete (busy->idle). This is the "shuffle enqueue/dequeue ~80 ns"

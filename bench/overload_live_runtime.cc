@@ -80,7 +80,6 @@ struct Cell {
   uint64_t shed = 0;
   uint64_t lost = 0;
   uint64_t sheds_deadline = 0;
-  uint64_t sheds_fairness = 0;
   uint64_t sheds_admission = 0;
   bool clean = false;
   bool ledger_ok = false;
@@ -101,15 +100,13 @@ ViewHandler SleepEcho(Nanos service) {
   };
 }
 
-RawCell RunRaw(const Experiment& exp, bool overload_on, double rate, Nanos budget,
-               Nanos slo, uint64_t seed_salt) {
+// `budget` is RuntimeOptions::deadline_budget: > 0 turns on deadline shedding and
+// adaptive admission (target budget / 2), 0 is the no-shed server.
+RawCell RunRaw(const Experiment& exp, double rate, Nanos budget, uint64_t seed_salt) {
   RuntimeOptions options;
   options.num_workers = exp.workers;
   options.num_flows = std::max(64, exp.connections);
-  options.overload.enabled = overload_on;
-  options.overload.slo = slo;
-  options.overload.deadline_budget = budget;
-  options.overload.adaptive = overload_on;  // target derives to budget/2
+  options.deadline_budget = budget;
   auto transport = std::make_unique<TcpTransport>(TcpOptionsFor(options));
   TcpTransport* tcp = transport.get();
   Runtime runtime(options, std::move(transport), SleepEcho(exp.service));
@@ -151,7 +148,6 @@ Cell FinishCell(const std::string& config, double multiplier, double rate,
       r.sent > 0 ? static_cast<double>(r.shed) / static_cast<double>(r.sent) : 0.0;
   cell.predicted_shed = PredictedShedFraction(multiplier);
   cell.sheds_deadline = raw.stats.sheds_deadline;
-  cell.sheds_fairness = raw.stats.sheds_fairness;
   cell.sheds_admission = raw.stats.sheds_admission;
   cell.clean = r.clean;
   cell.ledger_ok = r.completed + r.shed + r.lost == r.sent;
@@ -160,7 +156,7 @@ Cell FinishCell(const std::string& config, double multiplier, double rate,
 
 void PrintCell(const Cell& cell) {
   std::printf("%s,%.2f,%.0f,%.0f,%.0f,%.1f,%llu,%llu,%llu,%llu,%.4f,%.4f,"
-              "%llu,%llu,%llu,%d,%d\n",
+              "%llu,%llu,%d,%d\n",
               cell.config.c_str(), cell.multiplier, cell.offered_rps,
               cell.achieved_rps, cell.goodput_rps, cell.p99_admitted_us,
               static_cast<unsigned long long>(cell.sent),
@@ -169,7 +165,6 @@ void PrintCell(const Cell& cell) {
               static_cast<unsigned long long>(cell.lost), cell.shed_fraction,
               cell.predicted_shed,
               static_cast<unsigned long long>(cell.sheds_deadline),
-              static_cast<unsigned long long>(cell.sheds_fairness),
               static_cast<unsigned long long>(cell.sheds_admission),
               cell.clean ? 1 : 0, cell.ledger_ok ? 1 : 0);
   std::fflush(stdout);
@@ -212,9 +207,7 @@ int Main(int argc, char** argv) {
   Nanos provisional_budget = std::max<Nanos>(20 * exp.service, 50 * kMillisecond);
   std::printf("# calibrating peak at 3x nominal (%.0f rps)...\n", 3 * nominal_rps);
   std::fflush(stdout);
-  RawCell calib = RunRaw(exp, /*overload_on=*/true, 3 * nominal_rps,
-                         provisional_budget, 4 * provisional_budget,
-                         /*seed_salt=*/7001);
+  RawCell calib = RunRaw(exp, 3 * nominal_rps, provisional_budget, /*seed_salt=*/7001);
   double peak_rps = calib.result.achieved_rps();
   if (peak_rps <= 0) {
     std::fprintf(stderr, "overload_live_runtime: calibration served nothing\n");
@@ -225,14 +218,12 @@ int Main(int argc, char** argv) {
   // doubles as the no-shed 0.8x sweep cell.
   std::printf("# baseline no-shed at 0.8x peak (%.0f rps)...\n", 0.8 * peak_rps);
   std::fflush(stdout);
-  RawCell baseline = RunRaw(exp, /*overload_on=*/false, 0.8 * peak_rps, 0, 0,
-                            /*seed_salt=*/7002);
+  RawCell baseline = RunRaw(exp, 0.8 * peak_rps, /*budget=*/0, /*seed_salt=*/7002);
   Nanos p99_base = baseline.result.latency.P99();
   Nanos max_base = baseline.result.latency.Max();
   // Analytic floor: M/M/c p99 waiting time at the baseline operating point (rates
   // in events/ns, src/queueing/analytic.h) — the slo_search-style seed the adaptive
-  // controller's target ultimately derives from (target = budget/2 via the
-  // resolver).
+  // controller's target ultimately derives from (target = budget / 2).
   double mu = 1.0 / static_cast<double>(exp.service);
   double lambda_base = 0.8 * peak_rps / 1e9;
   double analytic_wait =
@@ -257,7 +248,7 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(exp.seed));
   std::printf("config,multiplier,offered_rps,achieved_rps,goodput_rps,"
               "p99_admitted_us,sent,completed,shed,lost,shed_fraction,"
-              "predicted_shed,sheds_deadline,sheds_fairness,sheds_admission,"
+              "predicted_shed,sheds_deadline,sheds_admission,"
               "clean,ledger_ok\n");
 
   // 3. The sweep: both configs over every multiplier, ascending, zygos first per
@@ -266,15 +257,13 @@ int Main(int argc, char** argv) {
   for (size_t i = 0; i < multipliers.size(); ++i) {
     double m = multipliers[i];
     double rate = m * peak_rps;
-    RawCell zygos_raw = RunRaw(exp, /*overload_on=*/true, rate, budget, slo,
-                               /*seed_salt=*/100 + i);
+    RawCell zygos_raw = RunRaw(exp, rate, budget, /*seed_salt=*/100 + i);
     cells.push_back(FinishCell("zygos", m, rate, zygos_raw, slo));
     PrintCell(cells.back());
     if (std::abs(m - 0.8) < 1e-9) {
       cells.push_back(FinishCell("no-shed", m, rate, baseline, slo));
     } else {
-      RawCell no_shed_raw = RunRaw(exp, /*overload_on=*/false, rate, 0, 0,
-                                   /*seed_salt=*/200 + i);
+      RawCell no_shed_raw = RunRaw(exp, rate, /*budget=*/0, /*seed_salt=*/200 + i);
       cells.push_back(FinishCell("no-shed", m, rate, no_shed_raw, slo));
     }
     PrintCell(cells.back());
@@ -327,7 +316,6 @@ int Main(int argc, char** argv) {
     if (cell.multiplier < 1.0 - 1e-9) {
       zero_sheds_below_saturation = zero_sheds_below_saturation && cell.shed == 0 &&
                                     cell.sheds_deadline == 0 &&
-                                    cell.sheds_fairness == 0 &&
                                     cell.sheds_admission == 0;
     }
     if (cell.multiplier >= 2.0 - 1e-9) {

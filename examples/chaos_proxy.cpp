@@ -17,8 +17,7 @@
 //
 // Example — 1 ms median lognormal jitter on responses, 0.1% connection kills:
 //   kv_server --mode=serve --port=7117 &
-//   chaos_proxy --listen-port=7200 --upstream-port=7117 \
-//       --s2c=lognormal:1000:0.8 --kill-p=0.001 --seed=42 &
+//   chaos_proxy --listen-port=7200 --upstream-port=7117 --s2c=lognormal:1000:0.8 --kill-p=0.001 --seed=42 &
 //   kv_server --mode=loadgen --port=7200 --rate=20000
 #include <chrono>
 #include <csignal>

@@ -32,12 +32,15 @@ int Main(int argc, char** argv) {
   const auto spin_us = flags.GetInt("spin_us", 10);
 
   // The application: spin for ~spin_us of CPU per request, echo the payload.
-  RequestHandler handler = [spin_us](uint64_t, const std::string& request) {
+  // The request is a view into pooled RX memory; the reply is written straight
+  // into the pooled TX frame.
+  ViewHandler handler = [spin_us](uint64_t, std::string_view request,
+                                  ResponseBuilder& response) {
     volatile uint64_t sink = 0;
     for (int64_t i = 0; i < spin_us * 300; ++i) {
       sink = sink + static_cast<uint64_t>(i);
     }
-    return request;
+    response.Append(request);
   };
 
   MeasuredCompletion completion;

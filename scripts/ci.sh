@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, run every test suite, smoke-test the
-# end-to-end runtime (loopback harness AND the real-TCP kv_server), and re-configure
-# the transport layer with warnings-as-errors. This is the gate every PR must keep
-# green.
+# end-to-end runtime (loopback harness AND the real-TCP kv_server), and rebuild the
+# whole tree (libraries, tests, benches, examples) with warnings-as-errors. This is
+# the gate every PR must keep green.
 #
 # Usage:
 #   scripts/ci.sh                 # Release build in ./build
@@ -165,10 +165,9 @@ kill -TERM "${tpcc_pid}"
 wait "${tpcc_pid}"
 trap - EXIT
 
-echo "== warnings-as-errors configure of the transport layer (${BUILD_DIR}-werror)"
-cmake -B "${BUILD_DIR}-werror" -S . -DZYGOS_WERROR=ON \
-  -DZYGOS_BUILD_BENCH=OFF -DZYGOS_BUILD_EXAMPLES=OFF -DZYGOS_BUILD_TESTS=OFF
-cmake --build "${BUILD_DIR}-werror" -j "${JOBS}" --target zygos_runtime
+echo "== warnings-as-errors build of the whole tree (${BUILD_DIR}-werror)"
+cmake -B "${BUILD_DIR}-werror" -S . -DZYGOS_WERROR=ON
+cmake --build "${BUILD_DIR}-werror" -j "${JOBS}"
 
 echo "== AddressSanitizer: runtime + loadgen + chaos + transport suites (${BUILD_DIR}-asan)"
 # Lifecycle refactors are use-after-free factories: the connection slot table hands
@@ -219,13 +218,12 @@ ctest --test-dir "${BUILD_DIR}-ubsan" -R 'net_test|tpcc_test|kvstore_test' \
   --output-on-failure -j "${JOBS}"
 
 echo "== ThreadSanitizer: lock-free queues, core scheduler, Silo layer (${BUILD_DIR}-tsan)"
-# The work-stealing deque, the MPMC/SPSC rings and the core scheduler are where a
-# missing acquire/release or a plain access racing an atomic one would hide: a
-# normal build on x86 forgives most of them. db_test and tpcc_test cover the Silo
-# layer two workers share: the index's spin RW lock and unlocked chunked scans, the
-# record's TID seqlock and value-slot bit, and concurrent OCC commits. No
-# suppressions: any report fails the suite (TSan exits non-zero when it reported a
-# race).
+# The MPMC/SPSC rings and the core scheduler are where a missing acquire/release or
+# a plain access racing an atomic one would hide: a normal build on x86 forgives
+# most of them. db_test and tpcc_test cover the Silo layer two workers share: the
+# index's spin RW lock and unlocked chunked scans, the record's TID seqlock and
+# value-slot bit, and concurrent OCC commits. No suppressions: any report fails the
+# suite (TSan exits non-zero when it reported a race).
 cmake -B "${BUILD_DIR}-tsan" -S . -DZYGOS_BUILD_BENCH=OFF -DZYGOS_BUILD_EXAMPLES=OFF \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" --target concurrency_test core_test \

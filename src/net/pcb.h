@@ -35,16 +35,6 @@ namespace zygos {
 
 enum class PcbState : uint8_t { kIdle, kReady, kBusy };
 
-// Why overload control refused a request (attached to its PcbEvent so the shed
-// *reply* still flows through the PCB in per-flow FIFO order — replying at ingress
-// would overtake earlier queued responses and break the §4.3 ordering clients rely
-// on). kDeadline is decided at dispatch, not ingress, so it never appears here.
-enum class ShedKind : uint8_t {
-  kNone = 0,       // admitted
-  kFairness = 1,   // per-flow token bucket refused at ingress
-  kAdmission = 2,  // adaptive admission controller refused at ingress
-};
-
 // One parsed request waiting for application execution.
 struct PcbEvent {
   uint64_t request_id = 0;
@@ -58,9 +48,12 @@ struct PcbEvent {
   // against. 0 in the system models and legacy harnesses (deadline checks fall back
   // to `arrival`).
   Nanos rx_nanos = 0;
-  // Ingress shed verdict; the executing core emits the shed reply instead of
-  // running the handler.
-  ShedKind shed_kind = ShedKind::kNone;
+  // Refused at ingress by admission control: the executing core emits the shed
+  // reply instead of running the handler. The verdict rides the event, not an
+  // ingress-time reply, so the shed reply still flows through the PCB in per-flow
+  // FIFO order — replying at ingress would overtake earlier queued responses and
+  // break the §4.3 ordering clients rely on.
+  bool shed = false;
 };
 
 class Pcb {

@@ -4,30 +4,6 @@
 
 namespace zygos {
 
-Nanos ResolveDeadlineBudget(const OverloadOptions& options) {
-  if (options.deadline_budget > 0) {
-    return options.deadline_budget;
-  }
-  return options.slo / 2;
-}
-
-double ResolveFlowBurst(const OverloadOptions& options) {
-  if (options.flow_rate_rps <= 0.0) {
-    return 0.0;
-  }
-  if (options.flow_burst > 0.0) {
-    return options.flow_burst;
-  }
-  return std::max(16.0, options.flow_rate_rps * 0.010);
-}
-
-Nanos ResolveAdaptiveTarget(const OverloadOptions& options) {
-  if (options.adaptive_target > 0) {
-    return options.adaptive_target;
-  }
-  return ResolveDeadlineBudget(options) / 2;
-}
-
 double PredictedShedFraction(double load_multiplier) {
   if (load_multiplier <= 1.0) {
     return 0.0;

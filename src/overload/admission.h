@@ -1,32 +1,31 @@
-// Overload-control policy: options, the adaptive admission controller, and the
-// analytic shed-curve prediction the benches compare against.
+// Overload-control policy: the adaptive admission controller and the analytic
+// shed-curve prediction the benches compare against.
 //
 // ZygOS (§3, Fig. 2) shows what happens without overload control: past saturation,
 // queues grow without bound, tail latency leaves the SLO envelope, and *goodput*
 // (completions inside the SLO) collapses even though raw throughput plateaus. This
-// subsystem adds the standard remedy on top of the runtime's layers 1–2:
+// subsystem adds the standard remedy on top of the runtime's layers 1–2, switched on
+// by one value, RuntimeOptions::deadline_budget (0 = off):
 //
 //   deadline shedding   a request whose server-side queueing delay (dispatch time
-//                       minus Segment::rx_nanos) already consumed the SLO budget is
+//                       minus Segment::rx_nanos) already exceeds the budget is
 //                       answered with a wire-level shed status instead of being
 //                       executed — work that can no longer meet its deadline is
 //                       refused early, keeping the server at its operating point.
-//   fairness capping    a per-flow token bucket (src/overload/token_bucket.h) caps
-//                       any one flow's admitted rate so a hot client cannot starve
-//                       the rest.
 //   adaptive admission  a per-core controller (this file) tracks recent queueing
-//                       delay against a target and probabilistically refuses ingress
-//                       when the core is persistently behind — the proactive leg that
-//                       keeps queues short enough for deadline shedding to be rare.
+//                       delay against a target of budget / 2 and refuses a share of
+//                       ingress while the core is persistently behind — the
+//                       proactive leg that keeps queues short enough for deadline
+//                       shedding to be rare.
 //
 // Under an open-loop offered load of m × capacity, an ideal controller serves
 // capacity and sheds the rest: shed fraction max(0, 1 - 1/m). That analytic curve
 // (PredictedShedFraction) is the reference the overload bench plots measured sheds
 // against, the same measured-vs-analytic discipline as bench/fig2_qmodel.
 //
-// Contract: AdmissionController is single-threaded per core (ingress decisions on
-// the home-core netstack; ObserveQueueing from the executing core is routed back via
-// the owning worker's stats, see src/runtime/runtime.cc). All times are Nanos.
+// Contract: AdmissionController is single-threaded per core: core c's controller
+// takes ingress decisions from c's netstack and observations from the events c
+// executes, stolen ones included (src/runtime/runtime.cc). All times are Nanos.
 #ifndef ZYGOS_OVERLOAD_ADMISSION_H_
 #define ZYGOS_OVERLOAD_ADMISSION_H_
 
@@ -35,39 +34,6 @@
 #include "src/common/time_units.h"
 
 namespace zygos {
-
-// Overload-control knobs, carried in RuntimeOptions. Disabled by default: the
-// runtime's behaviour is bit-identical to the pre-overload tree unless a harness
-// opts in.
-struct OverloadOptions {
-  // Master switch for all three legs.
-  bool enabled = false;
-
-  // End-to-end SLO the server defends (informational; the budget below is what the
-  // data path enforces). 0 = unset.
-  Nanos slo = 0;
-
-  // Deadline-shedding budget: a request is shed at dispatch when its queueing delay
-  // (now - rx_nanos) exceeds this. 0 derives slo/2 (half the SLO spent queueing
-  // means the reply would bust the SLO after service + TX anyway).
-  Nanos deadline_budget = 0;
-
-  // Fairness cap: per-flow admitted requests/sec. 0 disables the token bucket.
-  double flow_rate_rps = 0.0;
-  // Bucket depth; 0 derives max(16, flow_rate_rps * 10ms) — enough burst that a
-  // well-behaved open-loop client never trips it.
-  double flow_burst = 0.0;
-
-  // Adaptive admission leg.
-  bool adaptive = false;
-  // Queueing-delay target the controller steers to; 0 derives deadline_budget/2.
-  Nanos adaptive_target = 0;
-};
-
-// Resolved knobs (zeros replaced by their derived defaults).
-Nanos ResolveDeadlineBudget(const OverloadOptions& options);
-double ResolveFlowBurst(const OverloadOptions& options);
-Nanos ResolveAdaptiveTarget(const OverloadOptions& options);
 
 // Ideal open-loop shed fraction at offered load m × capacity: serve capacity, shed
 // the rest. The analytic reference curve for BENCH_overload.json.
@@ -88,7 +54,7 @@ class AdmissionController {
 
   void set_target(Nanos target) { target_ = target; }
 
-  // Ingress decision for one parsed request. False = shed (ShedKind::kAdmission).
+  // Ingress decision for one parsed request. False = shed.
   bool AdmitIngress();
 
   // Feeds one admitted request's measured queueing delay (dispatch - rx_nanos).

@@ -24,26 +24,10 @@ std::unique_ptr<Transport> MakeLoopbackTransport(const RuntimeOptions& options,
 
 }  // namespace
 
-ViewHandler WrapStringHandler(RequestHandler handler) {
-  return [handler = std::move(handler)](uint64_t flow_id, std::string_view request,
-                                        ResponseBuilder& response) {
-    response.Append(handler(flow_id, std::string(request)));
-  };
-}
-
 Runtime::Runtime(RuntimeOptions options, ViewHandler handler,
                  CompletionHandler on_complete)
     : Runtime(options, MakeLoopbackTransport(options, std::move(on_complete)),
               std::move(handler)) {}
-
-Runtime::Runtime(RuntimeOptions options, RequestHandler handler,
-                 CompletionHandler on_complete)
-    : Runtime(options, MakeLoopbackTransport(options, std::move(on_complete)),
-              WrapStringHandler(std::move(handler))) {}
-
-Runtime::Runtime(RuntimeOptions options, std::unique_ptr<Transport> transport,
-                 RequestHandler handler)
-    : Runtime(options, std::move(transport), WrapStringHandler(std::move(handler))) {}
 
 Runtime::Runtime(RuntimeOptions options, std::unique_ptr<Transport> transport,
                  ViewHandler handler)
@@ -61,19 +45,11 @@ Runtime::Runtime(RuntimeOptions options, std::unique_ptr<Transport> transport,
                  transport_->num_queues(), options_.num_workers);
     std::abort();
   }
-  if (options_.overload.enabled) {
-    deadline_budget_ = ResolveDeadlineBudget(options_.overload);
-    flow_rate_rps_ = options_.overload.flow_rate_rps;
-    flow_burst_ = ResolveFlowBurst(options_.overload);
-  }
   Rng seeder(0x2e67a5u);
   for (int c = 0; c < options_.num_workers; ++c) {
     lifecycle_.push_back(std::make_unique<CoreLifecycle>());
     admission_.push_back(std::make_unique<CoreAdmission>());
-    if (options_.overload.enabled && options_.overload.adaptive) {
-      admission_.back()->controller.set_target(
-          ResolveAdaptiveTarget(options_.overload));
-    }
+    admission_.back()->controller.set_target(options_.deadline_budget / 2);
     remote_queues_.push_back(std::make_unique<MpmcQueue<RemoteSyscall>>(
         options_.ring_capacity));
     stats_.push_back(std::make_unique<WorkerStats>());
@@ -173,7 +149,6 @@ WorkerStats Runtime::TotalStats() const {
     total.flows_recycled += stats->flows_recycled;
     total.events_refused += stats->events_refused;
     total.sheds_deadline += stats->sheds_deadline;
-    total.sheds_fairness += stats->sheds_fairness;
     total.sheds_admission += stats->sheds_admission;
     total.rx_unstamped += stats->rx_unstamped;
     total.perf_cycles += stats->perf_cycles;
@@ -309,7 +284,7 @@ uint64_t Runtime::NetstackRx(int core) {
   }
   stats.rx_batches++;
   stats.rx_segments += n;
-  const OverloadOptions& overload = options_.overload;
+  const bool overload = options_.deadline_budget > 0;
   AdmissionController& admission = admission_[static_cast<size_t>(core)]->controller;
   static thread_local std::vector<MessageView> scratch;  // per-worker, never nested
   for (size_t i = 0; i < n; ++i) {
@@ -341,26 +316,18 @@ uint64_t Runtime::NetstackRx(int core) {
       size_t accepted = scratch.size();
       for (MessageView& view : scratch) {
         uint64_t request_id = view.request_id;
-        // Ingress overload verdicts (home core only, like everything layer-1). A
+        // Ingress admission verdict (home core only, like everything layer-1). A
         // refused request still becomes a PcbEvent — its shed *reply* must flow
         // through the PCB so per-flow response FIFO holds — but the payload ref is
         // dropped right here: a shed never reads it, and pinning RX memory behind a
         // refusal would defeat the point of refusing.
-        ShedKind kind = ShedKind::kNone;
-        if (overload.enabled) {
-          if (flow_rate_rps_ > 0.0 && !conn->bucket.TryTake(segment.rx_nanos)) {
-            kind = ShedKind::kFairness;
-            stats.sheds_fairness++;
-          } else if (overload.adaptive && !admission.AdmitIngress()) {
-            kind = ShedKind::kAdmission;
-            stats.sheds_admission++;
-          }
-          if (kind != ShedKind::kNone) {
-            view = MessageView();
-          }
+        bool refused = overload && !admission.AdmitIngress();
+        if (refused) {
+          stats.sheds_admission++;
+          view = MessageView();
         }
         conn->pcb.PushEvent(PcbEvent{request_id, segment.arrival, 0, std::move(view),
-                                     segment.rx_nanos, kind});
+                                     segment.rx_nanos, refused});
       }
       accepted_.fetch_add(accepted, std::memory_order_release);
       if (conn->pcb.HasPendingEvents()) {
@@ -423,9 +390,6 @@ Runtime::Connection* Runtime::BindFlow(uint64_t flow_id, int core) {
   } else {
     slot.conn = std::make_unique<Connection>(flow_id, core);
   }
-  // Fresh fairness budget for the (possibly reincarnated) flow: a recycled slot
-  // must not inherit its predecessor's token debt. No-op rate when overload is off.
-  slot.conn->bucket.Reset(flow_rate_rps_, flow_burst_, NowNanos());
   stats_[static_cast<size_t>(core)]->flows_opened++;
   uint64_t open = open_flows_.fetch_add(1, std::memory_order_relaxed) + 1;
   uint64_t peak = peak_open_flows_.load(std::memory_order_relaxed);
@@ -518,7 +482,7 @@ uint64_t Runtime::ExecuteConnection(int core, Pcb* pcb, bool stolen) {
   while (auto event = pcb->PopEvent()) {
     events.push_back(std::move(*event));
   }
-  const OverloadOptions& overload = options_.overload;
+  const Nanos budget = options_.deadline_budget;
   AdmissionController& admission = admission_[static_cast<size_t>(core)]->controller;
   static thread_local std::vector<TxSegment> responses;
   responses.clear();
@@ -528,19 +492,19 @@ uint64_t Runtime::ExecuteConnection(int core, Pcb* pcb, bool stolen) {
     response.flow_id = pcb->flow_id();
     response.request_id = event.request_id;
     response.arrival = event.arrival;
-    // Overload control at dispatch. Ingress verdicts (fairness/admission) arrive on
-    // the event; the deadline check happens here, with a fresh clock read per event —
+    // Overload control at dispatch. The ingress admission verdict arrives on the
+    // event; the deadline check happens here, with a fresh clock read per event —
     // within one pipelined batch an earlier handler's service time must push later
     // requests past their deadline, or the gated-handler determinism tests (and real
     // stalls) would slip through on a stale batch timestamp.
-    bool shed = event.shed_kind != ShedKind::kNone;
-    if (overload.enabled && !shed) {
+    bool shed = event.shed;
+    if (budget > 0 && !shed) {
       Nanos rx = event.rx_nanos != 0 ? event.rx_nanos : event.arrival;
       Nanos waited = NowNanos() - rx;
-      if (deadline_budget_ > 0 && waited > deadline_budget_) {
+      if (waited > budget) {
         shed = true;
         stats.sheds_deadline++;
-      } else if (overload.adaptive) {
+      } else {
         admission.ObserveQueueing(waited);
       }
     }

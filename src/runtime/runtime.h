@@ -5,7 +5,8 @@
 //            steered by RSS, batch-polled by each worker; frames are reassembled into
 //            per-connection (PCB) event queues — coherency-free, home-core-only, like
 //            the paper's lwIP-on-RSS layer 1. Backends: LoopbackTransport (in-process
-//            harness) and TcpTransport (real epoll sockets).
+//            harness), TcpTransport (real epoll sockets) and UringTransport
+//            (io_uring sockets).
 //   layer 2  shuffle layer: ready connections enter the home core's shuffle queue
 //            (src/core/shuffle_layer.h); the home core or any idle remote core
 //            atomically claims exclusive socket ownership (idle→ready→busy machine).
@@ -65,7 +66,6 @@
 #include "src/net/message.h"
 #include "src/net/pcb.h"
 #include "src/overload/admission.h"
-#include "src/overload/token_bucket.h"
 #include "src/runtime/transport.h"
 
 namespace zygos {
@@ -81,16 +81,6 @@ enum class RuntimeMode { kZygos };
 // guarantee).
 using ViewHandler = std::function<void(uint64_t flow_id, std::string_view request,
                                        ResponseBuilder& response)>;
-
-// Legacy string-based handler: one string materialization per request on each side.
-// Kept as a compatibility surface; the runtime wraps it in a ViewHandler shim
-// (WrapStringHandler). Prefer ViewHandler on hot paths.
-using RequestHandler =
-    std::function<std::string(uint64_t flow_id, const std::string& request)>;
-
-// Adapts a legacy string handler onto the zero-copy contract (costs the two copies
-// the old data plane always paid: request materialization and response append).
-ViewHandler WrapStringHandler(RequestHandler handler);
 
 struct RuntimeOptions {
   int num_workers = 4;
@@ -108,10 +98,11 @@ struct RuntimeOptions {
   // its own flows run-to-completion ("ZygOS-no-steal", the shared-nothing IX
   // baseline).
   bool enable_stealing = true;
-  // Overload control (src/overload/admission.h): deadline shedding, per-flow
-  // fairness caps, adaptive admission. Disabled by default — the data path is
-  // bit-identical to the pre-overload runtime unless a harness opts in.
-  OverloadOptions overload;
+  // Overload control (src/overload/admission.h), the one knob: a request whose
+  // queueing delay (dispatch time - rx_nanos) exceeds this budget is shed at
+  // dispatch, and each core's AdmissionController refuses ingress while its
+  // queueing delay stays above budget / 2. 0 (the default) runs no overload code.
+  Nanos deadline_budget = 0;
 };
 
 // Connection-table capacity implied by `options` — the single source of truth for
@@ -145,9 +136,8 @@ struct alignas(kCacheLineSize) WorkerStats {
   uint64_t flows_closed = 0;      // kFlowClosed control events processed
   uint64_t flows_recycled = 0;    // slots fully torn down and returned to the freelist
   uint64_t events_refused = 0;    // accepted events drained unexecuted at teardown
-  // Overload control (zero unless RuntimeOptions::overload.enabled):
+  // Overload control (zero unless RuntimeOptions::deadline_budget > 0):
   uint64_t sheds_deadline = 0;    // shed at dispatch: queueing delay ate the budget
-  uint64_t sheds_fairness = 0;    // shed at ingress: per-flow token bucket refused
   uint64_t sheds_admission = 0;   // shed at ingress: adaptive controller refused
   // Segments that arrived with rx_nanos == 0 (transport failed to stamp; the runtime
   // backfills with its own clock). The conformance suite gates this to zero for
@@ -168,15 +158,12 @@ class Runtime {
   // Loopback-backed runtime: builds a LoopbackTransport sized from `options` and wires
   // `on_complete` as its completion handler (the historical harness constructor).
   Runtime(RuntimeOptions options, ViewHandler handler, CompletionHandler on_complete);
-  Runtime(RuntimeOptions options, RequestHandler handler, CompletionHandler on_complete);
 
   // Transport-agnostic form: the runtime drives whatever layer-1 substrate it is
   // given. `transport->num_queues()` must equal options.num_workers. The completion
   // handler is the transport's property — set it there before Start.
   Runtime(RuntimeOptions options, std::unique_ptr<Transport> transport,
           ViewHandler handler);
-  Runtime(RuntimeOptions options, std::unique_ptr<Transport> transport,
-          RequestHandler handler);
 
   ~Runtime();
 
@@ -256,10 +243,6 @@ class Runtime {
     explicit Connection(uint64_t flow_id, int home_core) : pcb(flow_id, home_core) {}
     Pcb pcb;
     FrameParser parser;  // touched only by the home core (layer-1 isolation)
-    // Fairness cap (overload control): reset by BindFlow on every bind, so a
-    // recycled slot never inherits its predecessor's token debt. Touched only by the
-    // home core, like the parser.
-    TokenBucket bucket;
     // kFlowClosed seen; awaiting scheduler quiescence (TryRetire) to recycle. While
     // set, further segments/closes for the flow are refused/ignored.
     bool closing = false;
@@ -331,11 +314,6 @@ class Runtime {
   std::vector<Slot> connections_;
   std::vector<std::unique_ptr<CoreLifecycle>> lifecycle_;
   std::vector<std::unique_ptr<CoreAdmission>> admission_;
-  // Overload knobs resolved once at construction (zeros replaced by derived
-  // defaults, src/overload/admission.h); all zero when overload is disabled.
-  Nanos deadline_budget_ = 0;
-  double flow_rate_rps_ = 0.0;
-  double flow_burst_ = 0.0;
   std::vector<std::unique_ptr<MpmcQueue<RemoteSyscall>>> remote_queues_;
   std::vector<std::unique_ptr<WorkerStats>> stats_;
   std::vector<std::thread> workers_;

@@ -23,7 +23,8 @@
 //        the completion callback is a property of the transport, not the runtime.
 //
 // Backends: LoopbackTransport (src/runtime/loopback_transport.h) for in-process
-// harnesses, TcpTransport (src/runtime/tcp_transport.h) for real sockets.
+// harnesses, TcpTransport (src/runtime/tcp_transport.h) for real sockets over epoll,
+// UringTransport (src/runtime/uring_transport.h) for real sockets over io_uring.
 //
 // Contract: PollBatch(q)/TransmitBatch(q) are single-caller per queue (the worker that
 // owns queue q; callers serialize per queue). ApproxNonEmpty/QueueOf are thread-safe

@@ -13,7 +13,6 @@
 #include "src/concurrency/mpmc_queue.h"
 #include "src/concurrency/spinlock.h"
 #include "src/concurrency/spsc_ring.h"
-#include "src/concurrency/worksteal_deque.h"
 
 namespace zygos {
 namespace {
@@ -371,108 +370,6 @@ TEST(MpmcQueueTest, TryPopBatchConcurrentWithSingleConsumers) {
     t.join();
   }
   EXPECT_EQ(sum.load(), kTotal * (kTotal + 1) / 2);
-}
-
-// --- Chase-Lev work-stealing deque ------------------------------------------------------
-
-TEST(WorkstealDequeTest, OwnerLifoWhenAlone) {
-  WorkstealDeque<int> deque(64);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(deque.PushBottom(i));
-  }
-  for (int i = 4; i >= 0; --i) {
-    auto value = deque.PopBottom();
-    ASSERT_TRUE(value.has_value());
-    EXPECT_EQ(*value, i);
-  }
-  EXPECT_FALSE(deque.PopBottom().has_value());
-}
-
-TEST(WorkstealDequeTest, ThievesTakeFifoFromTheTop) {
-  WorkstealDeque<int> deque(64);
-  for (int i = 0; i < 5; ++i) {
-    deque.PushBottom(i);
-  }
-  for (int i = 0; i < 5; ++i) {
-    auto value = deque.Steal();
-    ASSERT_TRUE(value.has_value());
-    EXPECT_EQ(*value, i);
-  }
-  EXPECT_FALSE(deque.Steal().has_value());
-}
-
-TEST(WorkstealDequeTest, BoundedPushFailsWhenFull) {
-  WorkstealDeque<int> deque(4);
-  EXPECT_EQ(deque.Capacity(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(deque.PushBottom(i));
-  }
-  EXPECT_FALSE(deque.PushBottom(99));
-  // Stealing one frees a slot.
-  EXPECT_TRUE(deque.Steal().has_value());
-  EXPECT_TRUE(deque.PushBottom(99));
-}
-
-TEST(WorkstealDequeTest, SingleElementRaceAdmitsExactlyOneWinner) {
-  for (int round = 0; round < 500; ++round) {
-    WorkstealDeque<int> deque(8);
-    deque.PushBottom(7);
-    std::atomic<int> got{0};
-    std::thread thief([&] {
-      if (deque.Steal().has_value()) {
-        got.fetch_add(1);
-      }
-    });
-    if (deque.PopBottom().has_value()) {
-      got.fetch_add(1);
-    }
-    thief.join();
-    EXPECT_EQ(got.load(), 1);
-  }
-}
-
-TEST(WorkstealDequeTest, OwnerAndThievesLoseNothingDuplicateNothing) {
-  constexpr int kItems = 20000;
-  constexpr int kThieves = 3;
-  WorkstealDeque<int> deque(1024);
-  std::vector<std::atomic<int>> seen(kItems);
-  std::atomic<bool> done{false};
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        if (auto value = deque.Steal()) {
-          seen[static_cast<size_t>(*value)].fetch_add(1);
-        }
-      }
-      // Final drain.
-      while (auto value = deque.Steal()) {
-        seen[static_cast<size_t>(*value)].fetch_add(1);
-      }
-    });
-  }
-  // Owner: push everything, popping intermittently (mixed LIFO work).
-  int pushed = 0;
-  while (pushed < kItems) {
-    if (deque.PushBottom(pushed)) {
-      pushed++;
-    }
-    if (pushed % 7 == 0) {
-      if (auto value = deque.PopBottom()) {
-        seen[static_cast<size_t>(*value)].fetch_add(1);
-      }
-    }
-  }
-  while (auto value = deque.PopBottom()) {
-    seen[static_cast<size_t>(*value)].fetch_add(1);
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& thief : thieves) {
-    thief.join();
-  }
-  for (int i = 0; i < kItems; ++i) {
-    EXPECT_EQ(seen[static_cast<size_t>(i)].load(), 1) << "item " << i;
-  }
 }
 
 }  // namespace

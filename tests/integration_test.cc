@@ -32,13 +32,11 @@ TEST(KvOverRuntimeTest, ServesGetsAndSetsThroughTheScheduler) {
   workload.Populate(service);
 
   std::atomic<uint64_t> hits{0};
-  RequestHandler handler = [&service, &hits](uint64_t, const std::string& request) {
-    std::string response = service.Handle(request);
-    auto decoded = DecodeKvResponse(response);
-    if (decoded.has_value() && decoded->status == KvStatus::kOk) {
+  ViewHandler handler = [&service, &hits](uint64_t, std::string_view request,
+                                          ResponseBuilder& response) {
+    if (service.HandleView(request, response) == KvStatus::kOk) {
       hits.fetch_add(1, std::memory_order_relaxed);
     }
-    return response;
   };
 
   std::mutex mutex;
@@ -88,16 +86,17 @@ TEST(TpccOverRuntimeTest, RunsTheMixAndPreservesConsistency) {
   TpccWorkload workload(db, tables, loader_options);
 
   std::atomic<uint64_t> committed{0};
-  RequestHandler handler = [&](uint64_t, const std::string& request) {
+  ViewHandler handler = [&](uint64_t, std::string_view request, ResponseBuilder& response) {
     static thread_local TxnExecutor executor(db);
     static thread_local TpccRandom random(
         0x515u ^ std::hash<std::thread::id>{}(std::this_thread::get_id()));
     auto type = static_cast<TpccTxnType>(request.empty() ? 0 : request[0] % kTpccTxnTypes);
     if (workload.Run(type, executor, random) == TxnStatus::kCommitted) {
       committed.fetch_add(1, std::memory_order_relaxed);
-      return std::string("ok");
+      response.Append("ok");
+      return;
     }
-    return std::string("rollback");
+    response.Append("rollback");
   };
 
   RuntimeOptions options;

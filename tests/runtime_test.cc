@@ -38,10 +38,10 @@
 namespace zygos {
 namespace {
 
-RequestHandler EchoHandler() {
-  return [](uint64_t flow_id, const std::string& request) {
-    (void)flow_id;
-    return "echo:" + request;
+ViewHandler EchoHandler() {
+  return [](uint64_t, std::string_view request, ResponseBuilder& response) {
+    response.Append("echo:");
+    response.Append(request);
   };
 }
 
@@ -90,13 +90,13 @@ RuntimeOptions SmallOptions(int workers = 3, int flows = 16) {
 
 // A handler busy enough that the home core cannot drain its backlog alone, forcing
 // the shuffle layer's steal path under skewed layouts.
-RequestHandler BusyEchoHandler(int spins = 2000) {
-  return [spins](uint64_t, const std::string& request) {
+ViewHandler BusyEchoHandler(int spins = 2000) {
+  return [spins](uint64_t, std::string_view request, ResponseBuilder& response) {
     volatile int sink = 0;
     for (int i = 0; i < spins; ++i) {
       sink = sink + i;
     }
-    return request;
+    response.Append(request);
   };
 }
 
@@ -104,7 +104,7 @@ RequestHandler BusyEchoHandler(int spins = 2000) {
 
 // Builds a Runtime on a TcpTransport listening on an ephemeral loopback port.
 // `transport_out` stays valid for the runtime's lifetime (the runtime owns it).
-std::unique_ptr<Runtime> MakeTcpRuntime(RuntimeOptions options, RequestHandler handler,
+std::unique_ptr<Runtime> MakeTcpRuntime(RuntimeOptions options, ViewHandler handler,
                                         CompletionHandler on_complete,
                                         TcpTransport** transport_out) {
   auto transport = std::make_unique<TcpTransport>(TcpOptionsFor(options));
@@ -250,12 +250,12 @@ TEST(RuntimeTest, EchoesEveryRequestExactlyOnce) {
 TEST(RuntimeTest, PerFlowResponsesStayInOrderUnderStealing) {
   CompletionLog log;
   // A slow-ish handler plus a single hot flow maximizes steal interleavings.
-  RequestHandler handler = [](uint64_t, const std::string& request) {
+  ViewHandler handler = [](uint64_t, std::string_view request, ResponseBuilder& response) {
     volatile int sink = 0;
     for (int i = 0; i < 500; ++i) {
       sink = sink + i;
     }
-    return request;
+    response.Append(request);
   };
   Runtime runtime(SmallOptions(/*workers=*/4, /*flows=*/4), handler, log.Handler());
   runtime.Start();
@@ -282,14 +282,15 @@ TEST(RuntimeTest, HandlersForOneFlowNeverRunConcurrently) {
   constexpr int kFlows = 4;
   std::array<std::atomic<int>, kFlows> in_flight{};
   std::atomic<int> violations{0};
-  RequestHandler handler = [&](uint64_t flow_id, const std::string& request) {
+  ViewHandler handler = [&](uint64_t flow_id, std::string_view request,
+                            ResponseBuilder& response) {
     int now = in_flight[flow_id].fetch_add(1) + 1;
     if (now > 1) {
       violations.fetch_add(1);
     }
     std::this_thread::yield();  // widen the race window
     in_flight[flow_id].fetch_sub(1);
-    return request;
+    response.Append(request);
   };
   CompletionLog log;
   Runtime runtime(SmallOptions(/*workers=*/4, kFlows), handler, log.Handler());
@@ -1047,7 +1048,7 @@ TEST(RuntimeTest, LoopbackControlEventsBindAndRecycleSlots) {
   LoopbackTransport* loopback = nullptr;
   CompletionLog log;
   auto runtime = MakeLoopbackRuntime(
-      options, WrapStringHandler(EchoHandler()), log.Handler(), &loopback);
+      options, EchoHandler(), log.Handler(), &loopback);
   runtime->Start();
 
   ASSERT_TRUE(loopback->OpenFlow(5));
@@ -1077,7 +1078,7 @@ TEST(RuntimeTest, SlotRecycleResetsParserStateForReusedFlowId) {
   LoopbackTransport* loopback = nullptr;
   CompletionLog log;
   auto runtime = MakeLoopbackRuntime(
-      options, WrapStringHandler(EchoHandler()), log.Handler(), &loopback);
+      options, EchoHandler(), log.Handler(), &loopback);
   runtime->Start();
 
   std::string frame;

@@ -53,10 +53,10 @@ std::vector<BackendVariant> AllVariants() {
   };
 }
 
-RequestHandler EchoHandler() {
-  return [](uint64_t flow_id, const std::string& request) {
-    (void)flow_id;
-    return "echo:" + request;
+ViewHandler EchoHandler() {
+  return [](uint64_t, std::string_view request, ResponseBuilder& response) {
+    response.Append("echo:");
+    response.Append(request);
   };
 }
 
