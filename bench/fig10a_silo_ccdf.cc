@@ -6,8 +6,10 @@
 // Output: per-type sample counts, mean/median/p99 (the paper quotes mix mean 33 µs,
 // median 20 µs, p99 203 µs on their Xeon — absolute values differ on other hosts, the
 // multi-modal *shape* and type ordering are the reproduction target), the achieved
-// single-thread transaction rate, and a CCDF table (service time at survival
-// probabilities 1e0..1e-4, matching the figure's y-axis).
+// single-thread transaction rate, the rate of two threads sharing the database (with
+// their OCC retries and voluntary context switches: a worker that sleeps in the kernel
+// shows there), and a CCDF table (service time at survival probabilities 1e0..1e-4,
+// matching the figure's y-axis).
 //
 // Usage: fig10a_silo_ccdf [--txns=N] [--warmup=N] [--warehouses=W] [--quick]
 #include <array>
@@ -45,6 +47,11 @@ int Main(int argc, char** argv) {
   std::printf("# NewOrder rollbacks: %llu, OCC retries: %llu\n",
               static_cast<unsigned long long>(measurement.user_aborts),
               static_cast<unsigned long long>(measurement.occ_retries));
+  TpccMeasurement shared = driver.RunConcurrent(/*threads=*/2, txns, /*seed=*/202);
+  std::printf("# 2-thread rate: %.0f TPS, OCC retries: %llu, voluntary context "
+              "switches: %llu\n",
+              shared.throughput_tps, static_cast<unsigned long long>(shared.occ_retries),
+              static_cast<unsigned long long>(shared.voluntary_switches));
 
   // Per-type summary plus the mix.
   std::printf("\ntype,count,mean_us,p50_us,p99_us,max_us\n");

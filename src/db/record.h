@@ -1,25 +1,34 @@
-// Versioned record: one row version with a Silo-style TID word and a swappable value.
+// Versioned record: one row with a Silo-style TID word, read under Silo's own protocol
+// (Tu et al., SOSP'13 §4).
 //
-// Readers use an optimistic seqlock-like protocol: read the TID, copy the value
-// pointer, re-read the TID, and retry if it moved or was locked. The TID tells the
-// reader which version it observed; the value itself is a reference-counted immutable
-// string, so a snapshot stays valid after a later install replaces it.
+// Each record owns one row buffer of 64-bit words, allocated at its first install. A
+// reader loads the TID, copies the row word by word, loads the TID again, and retries
+// if the TID was locked or moved: the TID tells it which version it copied, and it
+// writes nothing shared. A committer copies the new row into the same buffer while it
+// holds the TID lock. Only a row longer than the buffer allocates a new one; the
+// replaced buffer stays allocated until ~Record, so a reader racing the install never
+// touches freed memory (its second TID load then sends it round again).
 //
-// The value slot is a plain std::shared_ptr guarded by its own one-word spin bit
-// (acquire to take, release to drop), held only for the pointer copy or swap. This is
-// what std::atomic<std::shared_ptr> does internally, but with the release ordering
-// spelled out: libstdc++ 12 releases that internal bit with a relaxed store on load,
-// which ThreadSanitizer reports as a race between Install and StableRead.
+// Ordering uses no standalone fence (ThreadSanitizer does not model them): the data
+// words are release stores that follow the lock CAS, and the reader's acquire loads of
+// them precede its second TID load. A reader that copies any word of an install in
+// flight therefore sees that install's lock in its second TID load. A new buffer is
+// published with a release store of its pointer and loaded with acquire. On x86 every
+// one of these is a plain MOV.
 // Contract: StableRead and LoadTid from any thread; Lock/TryLock/Unlock/Install by a
 // committer (Install and Unlock only while holding the TID lock). Nothing here sleeps:
 // a reader spins only across an install in flight.
 #ifndef ZYGOS_DB_RECORD_H_
 #define ZYGOS_DB_RECORD_H_
 
+#include <algorithm>
 #include <atomic>
-#include <memory>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <new>
 #include <string>
-#include <utility>
+#include <string_view>
 
 #include "src/concurrency/cache_line.h"
 #include "src/db/tid.h"
@@ -32,6 +41,15 @@ class Record {
   // makes it visible.
   Record() : tid_(TidWord::kAbsentBit) {}
 
+  ~Record() {
+    RowBuffer* buffer = buffer_.load(std::memory_order_relaxed);
+    while (buffer != nullptr) {
+      RowBuffer* replaced = buffer->replaced;
+      ::operator delete(buffer);
+      buffer = replaced;
+    }
+  }
+
   Record(const Record&) = delete;
   Record& operator=(const Record&) = delete;
 
@@ -39,24 +57,56 @@ class Record {
 
   struct ReadResult {
     uint64_t tid = 0;  // observed version (unlocked; may carry the absent bit)
-    std::shared_ptr<const std::string> value;  // null iff absent
+    size_t size = 0;   // the row's length; 0 when absent
   };
 
-  // Returns a consistent (tid, value) snapshot, spinning across in-flight writers.
-  ReadResult StableRead() const {
+  // Copies a consistent snapshot of the row's first min(size, capacity) bytes into
+  // `dst`, spinning across in-flight writers. Allocates nothing.
+  ReadResult StableRead(void* dst, size_t capacity) const {
+    auto* out = static_cast<unsigned char*>(dst);
     while (true) {
       uint64_t t1 = tid_.load(std::memory_order_acquire);
       if (TidWord::Locked(t1)) {
         CpuRelax();
         continue;
       }
-      std::shared_ptr<const std::string> value = LoadValue();
+      size_t size = 0;
+      if (!TidWord::Absent(t1)) {
+        const RowBuffer* buffer = buffer_.load(std::memory_order_acquire);
+        size = size_.load(std::memory_order_acquire);
+        if (buffer != nullptr) {
+          // The clamp to the buffer matters only when an install raced the loads
+          // above: the second TID load then rejects whatever was copied.
+          size_t n = std::min({size, capacity, buffer->words * 8});
+          const std::atomic<uint64_t>* words = buffer->data();
+          size_t i = 0;
+          for (; (i + 1) * 8 <= n; ++i) {
+            uint64_t word = words[i].load(std::memory_order_acquire);
+            std::memcpy(out + i * 8, &word, 8);
+          }
+          if (i * 8 < n) {
+            uint64_t word = words[i].load(std::memory_order_acquire);
+            std::memcpy(out + i * 8, &word, n - i * 8);
+          }
+        }
+      }
       uint64_t t2 = tid_.load(std::memory_order_acquire);
       if (t1 == t2) {
-        if (TidWord::Absent(t1)) {
-          value.reset();
-        }
-        return ReadResult{t1, std::move(value)};
+        return ReadResult{t1, size};
+      }
+    }
+  }
+
+  // The same snapshot into a string sized to the row. Allocates only when `out`'s
+  // capacity is smaller than the row.
+  uint64_t StableRead(std::string* out) const {
+    out->resize(out->capacity());
+    while (true) {
+      ReadResult result = StableRead(out->data(), out->size());
+      bool fits = result.size <= out->size();
+      out->resize(result.size);
+      if (fits) {
+        return result.tid;
       }
     }
   }
@@ -99,39 +149,58 @@ class Record {
   void MarkUnlinked() { tid_.fetch_or(TidWord::kUnlinkedBit, std::memory_order_release); }
 
   // Installs a new committed version and releases the lock. Caller must hold the lock.
-  // `value` may be null only together with `absent` (logical delete).
-  void Install(uint64_t commit_tid, std::shared_ptr<const std::string> value,
-               bool absent = false) {
-    LockValue();
-    value_.swap(value);
-    UnlockValue();
+  // An `absent` install (logical delete) leaves the buffer as it is; readers of an
+  // absent TID copy nothing.
+  void Install(uint64_t commit_tid, std::string_view row, bool absent = false) {
+    if (!absent) {
+      StoreRow(row);
+    }
     uint64_t tid = TidWord::Version(commit_tid) | (absent ? TidWord::kAbsentBit : 0) |
                    (tid_.load(std::memory_order_relaxed) & TidWord::kUnlinkedBit);
     tid_.store(tid, std::memory_order_release);
-    // `value` now holds the replaced version; it is released here, outside the bit.
   }
 
  private:
-  std::shared_ptr<const std::string> LoadValue() const {
-    LockValue();
-    std::shared_ptr<const std::string> value = value_;
-    UnlockValue();
-    return value;
-  }
+  // One allocation: this header, then `words` atomic row words.
+  struct RowBuffer {
+    size_t words = 0;
+    RowBuffer* replaced = nullptr;  // the smaller buffer this one replaced
 
-  // Test-and-test-and-set on the value slot's bit (see the header comment).
-  void LockValue() const {
-    while (value_locked_.exchange(true, std::memory_order_acquire)) {
-      while (value_locked_.load(std::memory_order_relaxed)) {
-        CpuRelax();
+    std::atomic<uint64_t>* data() { return reinterpret_cast<std::atomic<uint64_t>*>(this + 1); }
+    const std::atomic<uint64_t>* data() const {
+      return reinterpret_cast<const std::atomic<uint64_t>*>(this + 1);
+    }
+  };
+  static_assert(sizeof(RowBuffer) % alignof(std::atomic<uint64_t>) == 0);
+
+  // Copies `row` into the buffer (a larger one first if it does not fit). Caller holds
+  // the lock, so readers that copy any of these words retry.
+  void StoreRow(std::string_view row) {
+    size_t words = (row.size() + 7) / 8;
+    RowBuffer* buffer = buffer_.load(std::memory_order_relaxed);
+    bool grow = buffer == nullptr || buffer->words < words;
+    if (grow) {
+      void* memory = ::operator new(sizeof(RowBuffer) + words * sizeof(uint64_t));
+      buffer = new (memory) RowBuffer{words, buffer};
+      for (size_t i = 0; i < words; ++i) {
+        new (&buffer->data()[i]) std::atomic<uint64_t>(0);
       }
     }
+    std::atomic<uint64_t>* out = buffer->data();
+    for (size_t i = 0; i < words; ++i) {
+      uint64_t word = 0;
+      std::memcpy(&word, row.data() + i * 8, std::min<size_t>(8, row.size() - i * 8));
+      out[i].store(word, std::memory_order_release);
+    }
+    if (grow) {
+      buffer_.store(buffer, std::memory_order_release);
+    }
+    size_.store(row.size(), std::memory_order_release);
   }
-  void UnlockValue() const { value_locked_.store(false, std::memory_order_release); }
 
   std::atomic<uint64_t> tid_;
-  mutable std::atomic<bool> value_locked_{false};
-  std::shared_ptr<const std::string> value_;  // guarded by value_locked_
+  std::atomic<size_t> size_{0};              // written under the TID lock
+  std::atomic<RowBuffer*> buffer_{nullptr};  // grows under the TID lock
 };
 
 }  // namespace zygos

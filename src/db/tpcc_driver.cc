@@ -1,9 +1,21 @@
 #include "src/db/tpcc_driver.h"
 
-#include <chrono>
+#include <sys/resource.h>
+
 #include <thread>
 
 namespace zygos {
+
+namespace {
+
+// The calling thread's voluntary context switches so far.
+uint64_t ThreadVoluntarySwitches() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return static_cast<uint64_t>(usage.ru_nvcsw);
+}
+
+}  // namespace
 
 TpccMeasurement TpccDriver::Measure(uint64_t count, uint64_t warmup, uint64_t seed) {
   TpccMeasurement result;
@@ -15,6 +27,7 @@ TpccMeasurement TpccDriver::Measure(uint64_t count, uint64_t warmup, uint64_t se
   uint64_t retries_before = executor.retries();
   uint64_t aborts_before = executor.user_aborts();
   result.mix.reserve(count);
+  uint64_t switches_before = ThreadVoluntarySwitches();
   Nanos run_start = NowNanos();
   for (uint64_t i = 0; i < count; ++i) {
     TpccTxnType type = workload_.SampleType(random);
@@ -28,6 +41,7 @@ TpccMeasurement TpccDriver::Measure(uint64_t count, uint64_t warmup, uint64_t se
     }
   }
   Nanos run_end = NowNanos();
+  result.voluntary_switches = ThreadVoluntarySwitches() - switches_before;
   result.user_aborts = executor.user_aborts() - aborts_before;
   result.occ_retries = executor.retries() - retries_before;
   result.throughput_tps =
@@ -46,6 +60,7 @@ TpccMeasurement TpccDriver::RunConcurrent(int threads, uint64_t count, uint64_t 
       TxnExecutor executor(db_);
       TpccRandom random(seed + static_cast<uint64_t>(t) * 7919);
       TpccMeasurement& partial = partials[static_cast<size_t>(t)];
+      uint64_t switches_before = ThreadVoluntarySwitches();
       for (uint64_t i = 0; i < per_thread; ++i) {
         TpccTxnType type = workload_.SampleType(random);
         TxnStatus status = workload_.Run(type, executor, random);
@@ -53,6 +68,7 @@ TpccMeasurement TpccDriver::RunConcurrent(int threads, uint64_t count, uint64_t 
           partial.committed++;
         }
       }
+      partial.voluntary_switches = ThreadVoluntarySwitches() - switches_before;
       partial.user_aborts = executor.user_aborts();
       partial.occ_retries = executor.retries();
     });
@@ -65,6 +81,7 @@ TpccMeasurement TpccDriver::RunConcurrent(int threads, uint64_t count, uint64_t 
     result.committed += partial.committed;
     result.user_aborts += partial.user_aborts;
     result.occ_retries += partial.occ_retries;
+    result.voluntary_switches += partial.voluntary_switches;
   }
   result.throughput_tps = static_cast<double>(per_thread) *
                           static_cast<double>(threads) * 1e9 /

@@ -26,6 +26,9 @@ struct TpccMeasurement {
   uint64_t user_aborts = 0;  // NewOrder's intentional 1% rollbacks
   uint64_t occ_retries = 0;
   double throughput_tps = 0.0;  // committed+rolled-back interactions per second
+  // Voluntary context switches of the measuring threads (getrusage RUSAGE_THREAD):
+  // the times a worker slept in the kernel, e.g. on an allocator lock.
+  uint64_t voluntary_switches = 0;
 
   const std::vector<Nanos>& ForType(TpccTxnType type) const {
     return per_type[static_cast<size_t>(type)];

@@ -46,12 +46,12 @@ class Loader {
   }
 
  private:
-  // Direct committed insert, bypassing the transaction layer (bulk load).
-  void Put(TableId table, const std::string& key, std::string value) {
-    auto [record, created] = db_.table(table).GetOrInsert(key);
-    (void)created;
-    record->Install(TidWord::Make(db_.epochs().Current(), 1),
-                    std::make_shared<const std::string>(std::move(value)));
+  // Direct committed insert, bypassing the transaction layer (bulk load). The record
+  // copies `row` into the one buffer it allocates at this first install.
+  void Put(TableId table, const std::string& key, std::string_view row) {
+    Record* record = db_.table(table).GetOrInsert(key).first;
+    record->Lock();
+    record->Install(TidWord::Make(db_.epochs().Current(), 1), row);
   }
 
   void LoadItems() {
@@ -68,7 +68,7 @@ class Loader {
         data.replace(pos, 8, "ORIGINAL");
       }
       SetField(item.i_data, data);
-      Put(tables_.item, ItemKey(i), EncodeRow(item));
+      Put(tables_.item, ItemKey(i), RowBytes(item));
     }
   }
 
@@ -83,7 +83,7 @@ class Loader {
     SetField(warehouse.w_city, random_.AString(10, 20));
     SetField(warehouse.w_state, random_.AString(2, 2));
     SetField(warehouse.w_zip, random_.NString(4) + "11111");
-    Put(tables_.warehouse, WarehouseKey(w), EncodeRow(warehouse));
+    Put(tables_.warehouse, WarehouseKey(w), RowBytes(warehouse));
 
     LoadStock(w);
     for (int d = 1; d <= kTpccDistrictsPerWarehouse; ++d) {
@@ -109,7 +109,7 @@ class Loader {
         data.replace(pos, 8, "ORIGINAL");
       }
       SetField(stock.s_data, data);
-      Put(tables_.stock, StockKey(w, i), EncodeRow(stock));
+      Put(tables_.stock, StockKey(w, i), RowBytes(stock));
     }
   }
 
@@ -126,7 +126,7 @@ class Loader {
     SetField(district.d_city, random_.AString(10, 20));
     SetField(district.d_state, random_.AString(2, 2));
     SetField(district.d_zip, random_.NString(4) + "11111");
-    Put(tables_.district, DistrictKey(w, d), EncodeRow(district));
+    Put(tables_.district, DistrictKey(w, d), RowBytes(district));
 
     LoadCustomers(w, d);
     LoadOrders(w, d);
@@ -159,7 +159,7 @@ class Loader {
       SetField(customer.c_phone, random_.NString(16));
       customer.c_since = 0;
       SetField(customer.c_data, random_.AString(200, 300));
-      Put(tables_.customer, CustomerKey(w, d, c), EncodeRow(customer));
+      Put(tables_.customer, CustomerKey(w, d, c), RowBytes(customer));
 
       // Secondary index entry; value carries the primary customer id.
       std::string idx_value;
@@ -175,7 +175,7 @@ class Loader {
       history.h_amount_cents = 1000;
       SetField(history.h_data, random_.AString(12, 24));
       Put(tables_.history, HistoryKey(w, d, c, static_cast<uint64_t>(c)),
-          EncodeRow(history));
+          RowBytes(history));
     }
   }
 
@@ -202,12 +202,12 @@ class Loader {
       order.o_ol_cnt = random_.Uniform(5, 15);
       order.o_all_local = 1;
       order.o_entry_d = 1;
-      Put(tables_.order, OrderKey(w, d, o), EncodeRow(order));
+      Put(tables_.order, OrderKey(w, d, o), RowBytes(order));
       Put(tables_.order_customer_idx, OrderCustomerKey(w, d, order.o_c_id, o), "");
 
       if (!delivered) {
         NewOrderRow new_order{w, d, o};
-        Put(tables_.new_order, NewOrderKey(w, d, o), EncodeRow(new_order));
+        Put(tables_.new_order, NewOrderKey(w, d, o), RowBytes(new_order));
       }
 
       for (int line = 1; line <= order.o_ol_cnt; ++line) {
@@ -222,7 +222,7 @@ class Loader {
         ol.ol_quantity = 5;
         ol.ol_amount_cents = delivered ? 0 : random_.Uniform(1, 999999);
         SetField(ol.ol_dist_info, random_.AString(24, 24));
-        Put(tables_.order_line, OrderLineKey(w, d, o, line), EncodeRow(ol));
+        Put(tables_.order_line, OrderLineKey(w, d, o, line), RowBytes(ol));
       }
     }
   }

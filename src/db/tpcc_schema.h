@@ -143,10 +143,16 @@ struct StockRow {
 
 // --- Row (de)serialization ------------------------------------------------------------
 
+// The stored bytes of `row`, without a copy; valid while `row` lives.
+template <typename Row>
+std::string_view RowBytes(const Row& row) {
+  static_assert(std::is_trivially_copyable_v<Row>);
+  return std::string_view(reinterpret_cast<const char*>(&row), sizeof(Row));
+}
+
 template <typename Row>
 std::string EncodeRow(const Row& row) {
-  static_assert(std::is_trivially_copyable_v<Row>);
-  return std::string(reinterpret_cast<const char*>(&row), sizeof(Row));
+  return std::string(RowBytes(row));
 }
 
 template <typename Row>

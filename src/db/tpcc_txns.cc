@@ -183,26 +183,23 @@ TxnStatus TpccWorkload::NewOrder(TxnExecutor& executor, const NewOrderParams& pa
   }
 
   return executor.Run([&](Transaction& txn) {
-    auto warehouse_raw = txn.Read(tables_.warehouse, WarehouseKey(w));
-    if (!warehouse_raw.has_value()) {
+    WarehouseRow warehouse;
+    if (!txn.ReadRow(tables_.warehouse, WarehouseKey(w), &warehouse)) {
       return false;
     }
-    auto warehouse = DecodeRow<WarehouseRow>(*warehouse_raw);
 
-    auto district_raw = txn.Read(tables_.district, DistrictKey(w, d));
-    if (!district_raw.has_value()) {
+    DistrictRow district;
+    if (!txn.ReadRow(tables_.district, DistrictKey(w, d), &district)) {
       return false;
     }
-    auto district = DecodeRow<DistrictRow>(*district_raw);
     const int32_t o_id = district.d_next_o_id;
     district.d_next_o_id++;
     txn.Write(tables_.district, DistrictKey(w, d), EncodeRow(district));
 
-    auto customer_raw = txn.Read(tables_.customer, CustomerKey(w, d, c));
-    if (!customer_raw.has_value()) {
+    CustomerRow customer;
+    if (!txn.ReadRow(tables_.customer, CustomerKey(w, d, c), &customer)) {
       return false;
     }
-    auto customer = DecodeRow<CustomerRow>(*customer_raw);
 
     OrderRow order;
     order.o_w_id = w;
@@ -221,17 +218,15 @@ TxnStatus TpccWorkload::NewOrder(TxnExecutor& executor, const NewOrderParams& pa
     int64_t total_cents = 0;
     for (int32_t index = 0; index < ol_cnt; ++index) {
       const NewOrderLineInput& input = params.lines[static_cast<size_t>(index)];
-      auto item_raw = txn.Read(tables_.item, ItemKey(input.i_id));
-      if (!item_raw.has_value()) {
+      ItemRow item;
+      if (!txn.ReadRow(tables_.item, ItemKey(input.i_id), &item)) {
         return false;  // the 1% intentional rollback path
       }
-      auto item = DecodeRow<ItemRow>(*item_raw);
 
-      auto stock_raw = txn.Read(tables_.stock, StockKey(input.supply_w, input.i_id));
-      if (!stock_raw.has_value()) {
+      StockRow stock;
+      if (!txn.ReadRow(tables_.stock, StockKey(input.supply_w, input.i_id), &stock)) {
         return false;
       }
-      auto stock = DecodeRow<StockRow>(*stock_raw);
       if (stock.s_quantity >= input.quantity + 10) {
         stock.s_quantity -= input.quantity;
       } else {
@@ -277,19 +272,17 @@ TxnStatus TpccWorkload::Payment(TxnExecutor& executor, const PaymentParams& para
   const uint64_t h_seq = history_seq_.fetch_add(1, std::memory_order_relaxed);
 
   return executor.Run([&](Transaction& txn) {
-    auto warehouse_raw = txn.Read(tables_.warehouse, WarehouseKey(w));
-    if (!warehouse_raw.has_value()) {
+    WarehouseRow warehouse;
+    if (!txn.ReadRow(tables_.warehouse, WarehouseKey(w), &warehouse)) {
       return false;
     }
-    auto warehouse = DecodeRow<WarehouseRow>(*warehouse_raw);
     warehouse.w_ytd_cents += amount_cents;
     txn.Write(tables_.warehouse, WarehouseKey(w), EncodeRow(warehouse));
 
-    auto district_raw = txn.Read(tables_.district, DistrictKey(w, d));
-    if (!district_raw.has_value()) {
+    DistrictRow district;
+    if (!txn.ReadRow(tables_.district, DistrictKey(w, d), &district)) {
       return false;
     }
-    auto district = DecodeRow<DistrictRow>(*district_raw);
     district.d_ytd_cents += amount_cents;
     txn.Write(tables_.district, DistrictKey(w, d), EncodeRow(district));
 
@@ -300,11 +293,10 @@ TxnStatus TpccWorkload::Payment(TxnExecutor& executor, const PaymentParams& para
         c_id = params.c_id;  // no such name at this (test) scale; fall back to by-id
       }
     }
-    auto customer_raw = txn.Read(tables_.customer, CustomerKey(c_w, c_d, c_id));
-    if (!customer_raw.has_value()) {
+    CustomerRow customer;
+    if (!txn.ReadRow(tables_.customer, CustomerKey(c_w, c_d, c_id), &customer)) {
       return false;
     }
-    auto customer = DecodeRow<CustomerRow>(*customer_raw);
     customer.c_balance_cents -= amount_cents;
     customer.c_ytd_payment_cents += amount_cents;
     customer.c_payment_cnt++;
@@ -344,8 +336,8 @@ TxnStatus TpccWorkload::OrderStatus(TxnExecutor& executor,
         c_id = params.c_id;
       }
     }
-    auto customer_raw = txn.Read(tables_.customer, CustomerKey(w, d, c_id));
-    if (!customer_raw.has_value()) {
+    CustomerRow customer;
+    if (!txn.ReadRow(tables_.customer, CustomerKey(w, d, c_id), &customer)) {
       return false;
     }
 
@@ -366,11 +358,10 @@ TxnStatus TpccWorkload::OrderStatus(TxnExecutor& executor,
     if (o_id == 0) {
       return true;  // customer without orders (possible at tiny scales): empty status
     }
-    auto order_raw = txn.Read(tables_.order, OrderKey(w, d, o_id));
-    if (!order_raw.has_value()) {
+    OrderRow order;
+    if (!txn.ReadRow(tables_.order, OrderKey(w, d, o_id), &order)) {
       return false;
     }
-    auto order = DecodeRow<OrderRow>(*order_raw);
     int64_t checksum = 0;
     txn.Scan(tables_.order_line, OrderLineKey(w, d, o_id, 0),
              OrderLineKey(w, d, o_id, INT32_MAX), /*descending=*/false, /*limit=*/0,
@@ -412,11 +403,10 @@ TxnStatus TpccWorkload::Delivery(TxnExecutor& executor, const DeliveryParams& pa
       // would make this min-scan O(delivered-so-far) — Masstree deletes keys, so do we.
       txn.Delete(tables_.new_order, NewOrderKey(w, d, o_id), /*erase=*/true);
 
-      auto order_raw = txn.Read(tables_.order, OrderKey(w, d, o_id));
-      if (!order_raw.has_value()) {
+      OrderRow order;
+      if (!txn.ReadRow(tables_.order, OrderKey(w, d, o_id), &order)) {
         return false;
       }
-      auto order = DecodeRow<OrderRow>(*order_raw);
       order.o_carrier_id = carrier;
       txn.Write(tables_.order, OrderKey(w, d, o_id), EncodeRow(order));
 
@@ -434,11 +424,10 @@ TxnStatus TpccWorkload::Delivery(TxnExecutor& executor, const DeliveryParams& pa
         txn.Write(tables_.order_line, key, EncodeRow(ol));
       }
 
-      auto customer_raw = txn.Read(tables_.customer, CustomerKey(w, d, order.o_c_id));
-      if (!customer_raw.has_value()) {
+      CustomerRow customer;
+      if (!txn.ReadRow(tables_.customer, CustomerKey(w, d, order.o_c_id), &customer)) {
         return false;
       }
-      auto customer = DecodeRow<CustomerRow>(*customer_raw);
       customer.c_balance_cents += total_cents;
       customer.c_delivery_cnt++;
       txn.Write(tables_.customer, CustomerKey(w, d, order.o_c_id), EncodeRow(customer));
@@ -454,11 +443,10 @@ TxnStatus TpccWorkload::StockLevel(TxnExecutor& executor,
   const int32_t threshold = params.threshold;
 
   return executor.Run([&](Transaction& txn) {
-    auto district_raw = txn.Read(tables_.district, DistrictKey(w, d));
-    if (!district_raw.has_value()) {
+    DistrictRow district;
+    if (!txn.ReadRow(tables_.district, DistrictKey(w, d), &district)) {
       return false;
     }
-    auto district = DecodeRow<DistrictRow>(*district_raw);
     const int32_t next = district.d_next_o_id;
     const int32_t lo_order = std::max(1, next - 20);
 
@@ -473,11 +461,11 @@ TxnStatus TpccWorkload::StockLevel(TxnExecutor& executor,
              });
     int low_stock = 0;
     for (int32_t i_id : items) {
-      auto stock_raw = txn.Read(tables_.stock, StockKey(w, i_id));
-      if (!stock_raw.has_value()) {
+      StockRow stock;
+      if (!txn.ReadRow(tables_.stock, StockKey(w, i_id), &stock)) {
         continue;
       }
-      if (DecodeRow<StockRow>(*stock_raw).s_quantity < threshold) {
+      if (stock.s_quantity < threshold) {
         low_stock++;
       }
     }

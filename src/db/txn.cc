@@ -1,6 +1,7 @@
 #include "src/db/txn.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/db/tid.h"
 
@@ -58,7 +59,8 @@ bool Transaction::LockedByUs(const Record* record) const {
   return std::binary_search(locked_.begin(), locked_.end(), record);
 }
 
-std::optional<std::string> Transaction::Read(TableId table, std::string_view key) {
+std::optional<size_t> Transaction::ReadInto(TableId table, std::string_view key,
+                                            void* dst, size_t capacity) {
   Record* record = db_.table(table).Get(key);
   if (record == nullptr) {
     // Structurally missing keys cannot be version-validated; they are covered only by
@@ -68,22 +70,43 @@ std::optional<std::string> Transaction::Read(TableId table, std::string_view key
   }
   // Read-own-writes.
   if (const WriteEntry* write = FindWrite(record)) {
-    if (write->value == nullptr) {
+    if (write->deleted) {
       return std::nullopt;
     }
-    return *write->value;
+    size_t n = std::min(capacity, write->value.size());
+    if (n > 0) {
+      std::memcpy(dst, write->value.data(), n);
+    }
+    return write->value.size();
   }
-  Record::ReadResult snapshot = record->StableRead();
+  Record::ReadResult snapshot = record->StableRead(dst, capacity);
   AddRead(record, snapshot.tid);
-  if (snapshot.value == nullptr) {
+  if (TidWord::Absent(snapshot.tid)) {
     return std::nullopt;  // logically absent; the TID is validated so the miss is stable
   }
-  return *snapshot.value;
+  return snapshot.size;
+}
+
+std::optional<std::string> Transaction::Read(TableId table, std::string_view key) {
+  std::string row;
+  row.resize(row.capacity());  // the inline buffer: short rows take one read
+  std::optional<size_t> size = ReadInto(table, key, row.data(), row.size());
+  // A longer row is read again into a buffer of its size; both reads are validated.
+  while (size.has_value() && *size > row.size()) {
+    row.resize(*size);
+    size = ReadInto(table, key, row.data(), row.size());
+  }
+  if (!size.has_value()) {
+    return std::nullopt;
+  }
+  row.resize(*size);
+  return row;
 }
 
 void Transaction::Write(TableId table, std::string key, std::string value) {
   WriteEntry& write = WriteFor(db_.table(table).GetOrInsert(key).first);
-  write.value = std::make_shared<const std::string>(std::move(value));
+  write.value = std::move(value);
+  write.deleted = false;
   write.erase_after = false;
 }
 
@@ -99,14 +122,16 @@ bool Transaction::Insert(TableId table, std::string key, std::string value) {
     AddRead(record, TidWord::Version(tid) | TidWord::kAbsentBit);
   }
   WriteEntry& write = WriteFor(record);
-  write.value = std::make_shared<const std::string>(std::move(value));
+  write.value = std::move(value);
+  write.deleted = false;
   write.erase_after = false;
   return true;
 }
 
 void Transaction::Delete(TableId table, std::string key, bool erase) {
   WriteEntry& write = WriteFor(db_.table(table).GetOrInsert(key).first);
-  write.value = nullptr;
+  write.value.clear();
+  write.deleted = true;
   write.erase_after = erase;
   if (erase) {
     write.table = table;
@@ -129,24 +154,27 @@ void Transaction::Scan(
   std::string effective_bound;
   bool stopped_early = false;
 
+  std::string row;  // every row handed to `fn` is copied here
   db_.table(table).Scan(lo, hi, descending, [&](const std::string& key, Record* record) {
-    Record::ReadResult snapshot = record->StableRead();
-    AddRead(record, snapshot.tid);
+    uint64_t tid = record->StableRead(&row);
+    AddRead(record, tid);
+    bool visible = !TidWord::Absent(tid);
     // Fingerprint the *committed-visible* key set (own pending inserts stay absent
     // until commit, so validation recomputes the same set).
-    if (snapshot.value != nullptr) {
+    if (visible) {
       fingerprint = HashKey(fingerprint, key);
     }
-    // Row visibility for the callback applies own writes on top. The row is held by
-    // value: `fn` may overwrite this very entry.
-    const WriteEntry* own = FindWrite(record);
-    std::shared_ptr<const std::string> row =
-        own != nullptr ? own->value : std::move(snapshot.value);
-    if (row == nullptr) {
-      return true;  // not visible; keep walking
+    // Row visibility for the callback applies own writes on top. An own row is copied:
+    // `fn` may overwrite this very entry.
+    if (const WriteEntry* own = FindWrite(record)) {
+      visible = !own->deleted;
+      row = own->value;
+    }
+    if (!visible) {
+      return true;  // keep walking
     }
     visited++;
-    bool keep_going = fn(key, *row);
+    bool keep_going = fn(key, row);
     if (!keep_going || (limit != 0 && visited >= limit)) {
       stopped_early = true;
       effective_bound = key;
@@ -274,8 +302,7 @@ TxnStatus Transaction::Commit(uint64_t* last_tid) {
     if (write.erase_after) {
       db_.table(write.table).Erase(write.key);
     }
-    bool absent = write.value == nullptr;
-    write.record->Install(commit_tid, std::move(write.value), absent);
+    write.record->Install(commit_tid, write.value, write.deleted);
   }
   Abort();  // clears the sets for the next transaction
   return TxnStatus::kCommitted;

@@ -1,8 +1,9 @@
 // Optimistic concurrency control transaction, following Silo's commit protocol
 // (Tu et al., SOSP'13 §4):
 //
-//   execution   — reads record versions optimistically (TID-validated snapshots) into a
-//                 read set; writes are buffered in a write set keyed by record: every
+//   execution   — reads record versions optimistically (TID-validated copies of the
+//                 row, see Record) into a read set; writes are buffered in a write set
+//                 keyed by record, each entry owning its row bytes: every
 //                 Write/Insert/Delete resolves its Record* when it is buffered (an
 //                 absent key gets a fresh absent record, as an insert does), so
 //                 read-own-writes and commit match entries by pointer, one entry per
@@ -35,10 +36,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/db/database.h"
@@ -59,9 +60,23 @@ class Transaction {
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
 
-  // Reads the committed value of `key` (applying this transaction's own pending
-  // writes). Returns nullopt if the key is missing or logically deleted. Records the
-  // observed version for validation even on misses that found an absent record.
+  // Copies the committed row of `key` (applying this transaction's own pending writes)
+  // into `dst`, at most `capacity` bytes, and returns the row's full length. Returns
+  // nullopt if the key is missing or logically deleted. Records the observed version
+  // for validation even on misses that found an absent record. Allocates nothing once
+  // the read set has grown to the transaction's size.
+  std::optional<size_t> ReadInto(TableId table, std::string_view key, void* dst,
+                                 size_t capacity);
+
+  // ReadInto a trivially copyable row struct: bytes past the stored row keep `*row`'s
+  // values. False iff the key is missing or deleted.
+  template <typename Row>
+  bool ReadRow(TableId table, std::string_view key, Row* row) {
+    static_assert(std::is_trivially_copyable_v<Row>);
+    return ReadInto(table, key, row, sizeof(Row)).has_value();
+  }
+
+  // ReadInto a string sized to the row (tests and ad-hoc callers).
   std::optional<std::string> Read(TableId table, std::string_view key);
 
   // Buffers an update. The key should exist (Read/Scan normally precedes it); writing a
@@ -80,7 +95,8 @@ class Transaction {
 
   // Ordered scan of lo..hi (inclusive, descending optional), visiting at most `limit`
   // visible rows (0 = unlimited). `fn` returns false to stop early. Rows reflect this
-  // transaction's own pending writes. The visited range is fingerprinted for phantom
+  // transaction's own pending writes; `value` is one buffer the scan reuses for every
+  // row, valid only during the call. The visited range is fingerprinted for phantom
   // validation at commit. `fn` runs with no index lock held, so it may Read, Write,
   // Insert, Delete or Scan on this transaction, the scanned table included.
   void Scan(TableId table, std::string_view lo, std::string_view hi, bool descending,
@@ -110,8 +126,9 @@ class Transaction {
     uint64_t observed_tid = 0;
   };
   struct WriteEntry {
-    Record* record = nullptr;                  // resolved when the write is buffered
-    std::shared_ptr<const std::string> value;  // null for delete
+    Record* record = nullptr;  // resolved when the write is buffered
+    std::string value;         // the row to install (empty for a delete)
+    bool deleted = false;
     bool erase_after = false;  // structural unlink after install (deletes only)
     TableId table = 0;         // table and key are kept only for erase_after
     std::string key;

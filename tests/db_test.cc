@@ -4,13 +4,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include "src/common/rng.h"
 #include "src/db/database.h"
@@ -18,6 +21,27 @@
 #include "src/db/record.h"
 #include "src/db/tid.h"
 #include "src/db/txn.h"
+
+// Global allocation counter (the idiom of core_test.cc): a warmed row read and a
+// same-size install must never reach the heap.
+namespace {
+std::atomic<uint64_t> g_allocs{0};
+}  // namespace
+
+// Out of line, both sides: once inlined, GCC pairs the malloc/free inside with the
+// caller's new/delete expressions and reports -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void* operator new[](size_t size) { return operator new(size); }
+void operator delete(void* p, size_t) noexcept { operator delete(p); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete[](void* p, size_t) noexcept { operator delete(p); }
 
 namespace zygos {
 namespace {
@@ -54,19 +78,41 @@ TEST(TidWordTest, VersionOrderingIsEpochMajor) {
 
 TEST(RecordTest, NewRecordIsAbsent) {
   Record record;
-  auto snapshot = record.StableRead();
-  EXPECT_TRUE(TidWord::Absent(snapshot.tid));
-  EXPECT_EQ(snapshot.value, nullptr);
+  std::string row = "stale";
+  uint64_t tid = record.StableRead(&row);
+  EXPECT_TRUE(TidWord::Absent(tid));
+  EXPECT_EQ(row, "");
 }
 
 TEST(RecordTest, InstallMakesValueVisible) {
   Record record;
   record.Lock();
-  record.Install(TidWord::Make(1, 1), std::make_shared<const std::string>("hello"));
-  auto snapshot = record.StableRead();
-  EXPECT_FALSE(TidWord::Absent(snapshot.tid));
-  ASSERT_NE(snapshot.value, nullptr);
-  EXPECT_EQ(*snapshot.value, "hello");
+  record.Install(TidWord::Make(1, 1), "hello");
+  std::string row;
+  uint64_t tid = record.StableRead(&row);
+  EXPECT_FALSE(TidWord::Absent(tid));
+  EXPECT_EQ(row, "hello");
+}
+
+TEST(RecordTest, InstallsGrowAndShrinkTheRow) {
+  Record record;
+  const std::string long_row(100, 'x');
+  record.Lock();
+  record.Install(TidWord::Make(1, 1), "short");
+  record.Lock();
+  record.Install(TidWord::Make(1, 2), long_row);
+  std::string row;
+  record.StableRead(&row);
+  EXPECT_EQ(row, long_row);
+  record.Lock();
+  record.Install(TidWord::Make(1, 3), "tiny");
+  record.StableRead(&row);
+  EXPECT_EQ(row, "tiny");
+  // A raw read copies at most `capacity` bytes and reports the full length.
+  char prefix[8] = {};
+  Record::ReadResult result = record.StableRead(prefix, 2);
+  EXPECT_EQ(result.size, 4u);
+  EXPECT_EQ(std::string(prefix), "ti");
 }
 
 TEST(RecordTest, TryLockExcludes) {
@@ -81,12 +127,102 @@ TEST(RecordTest, TryLockExcludes) {
 TEST(RecordTest, InstallAbsentActsAsDelete) {
   Record record;
   record.Lock();
-  record.Install(TidWord::Make(1, 1), std::make_shared<const std::string>("x"));
+  record.Install(TidWord::Make(1, 1), "x");
   record.Lock();
-  record.Install(TidWord::Make(1, 2), nullptr, /*absent=*/true);
-  auto snapshot = record.StableRead();
-  EXPECT_TRUE(TidWord::Absent(snapshot.tid));
-  EXPECT_EQ(snapshot.value, nullptr);
+  record.Install(TidWord::Make(1, 2), {}, /*absent=*/true);
+  std::string row;
+  uint64_t tid = record.StableRead(&row);
+  EXPECT_TRUE(TidWord::Absent(tid));
+  EXPECT_EQ(row, "");
+}
+
+// Row `version` of the torn-read test: every byte is the version's low byte, and the
+// length moves with the version too (so installs both grow the buffer and reuse it).
+size_t TornTestLength(uint64_t version) { return 500 + (version % 7) * 61; }
+
+// One writer installs rows while two readers copy them, in lockstep: the writer
+// installs as soon as a reader starts a read, and a reader starts its next read once
+// the writer has installed again (so neither starves the other of a shared CPU). Each
+// copy stalls in the middle: the destination page was dropped (MADV_DONTNEED), so the
+// first store into it takes a page fault, during which the writer can lock the record
+// and rewrite the row. A reader that returned that copy without comparing the TID
+// again would see a torn row.
+TEST(RecordTest, ConcurrentInstallsNeverYieldATornRow) {
+  constexpr uint64_t kInstalls = 5000;
+  constexpr size_t kPage = 4096;
+  Record record;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> reads_started{0};
+  std::atomic<uint64_t> installs{0};
+  std::atomic<uint64_t> torn{0};
+  auto reader = [&] {
+    alignas(kPage) unsigned char row[2 * kPage];
+    uint64_t installs_seen = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      madvise(row, sizeof(row), MADV_DONTNEED);
+      reads_started.fetch_add(1, std::memory_order_release);
+      Record::ReadResult result = record.StableRead(row, sizeof(row));
+      if (!TidWord::Absent(result.tid)) {  // absent before the first install
+        uint64_t version = TidWord::SequenceOf(result.tid);
+        bool ok = result.size == TornTestLength(version);
+        for (size_t i = 0; ok && i < result.size; ++i) {
+          ok = row[i] == static_cast<unsigned char>(version);
+        }
+        if (!ok) {
+          torn.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      while (installs.load(std::memory_order_acquire) == installs_seen &&
+             !done.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      installs_seen = installs.load(std::memory_order_acquire);
+    }
+  };
+  std::thread reader_a(reader);
+  std::thread reader_b(reader);
+  std::string row;
+  uint64_t seen = 0;
+  for (uint64_t version = 1; version <= kInstalls; ++version) {
+    row.assign(TornTestLength(version), static_cast<char>(version));
+    // Spin first, so the install lands inside the read; yield later, in case the
+    // readers share this CPU.
+    for (int spins = 0; reads_started.load(std::memory_order_acquire) == seen; ++spins) {
+      if (spins < 10000) {
+        CpuRelax();
+      } else {
+        std::this_thread::yield();
+      }
+    }
+    seen = reads_started.load(std::memory_order_acquire);
+    record.Lock();
+    record.Install(TidWord::Make(1, version), row);
+    installs.store(version, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  reader_a.join();
+  reader_b.join();
+  EXPECT_EQ(torn.load(), 0u);
+}
+
+TEST(RecordTest, WarmedReadsAndSameSizeInstallsAllocateNothing) {
+  Record record;
+  const std::string first(100, 'a');
+  const std::string second(100, 'b');
+  record.Lock();
+  record.Install(TidWord::Make(1, 1), first);  // allocates the row buffer
+  std::string row;
+  record.StableRead(&row);  // sizes the reused string
+  char raw[128];
+  uint64_t before = g_allocs.load();
+  for (uint64_t version = 2; version < 100; ++version) {
+    record.Lock();
+    record.Install(TidWord::Make(1, version), version % 2 == 0 ? second : first);
+    record.StableRead(&row);
+    record.StableRead(raw, sizeof(raw));
+  }
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(row, first);
 }
 
 // --- OrderedIndex ---------------------------------------------------------------------
@@ -259,6 +395,21 @@ class TxnTest : public ::testing::Test {
   Database db_;
   TableId table_ = 0;
 };
+
+TEST_F(TxnTest, WarmedReadIntoACallerBufferAllocatesNothing) {
+  Put("k", std::string(100, 'v'));
+  Transaction txn(db_);
+  char row[128];
+  ASSERT_EQ(txn.ReadInto(table_, "k", row, sizeof(row)), 100u);  // grows the read set
+  txn.Abort();
+  uint64_t before = g_allocs.load();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(txn.ReadInto(table_, "k", row, sizeof(row)), 100u);
+    txn.Abort();
+  }
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(std::string(row, 100), std::string(100, 'v'));
+}
 
 TEST_F(TxnTest, InsertThenReadBack) {
   TxnExecutor executor(db_);
@@ -775,14 +926,14 @@ TEST(OrderedIndexTest, EraseUnlinksKeyButKeepsRecordAlive) {
   auto [record, created] = index.GetOrInsert("k");
   ASSERT_TRUE(created);
   record->Lock();
-  record->Install(TidWord::Make(1, 1), std::make_shared<const std::string>("v"));
+  record->Install(TidWord::Make(1, 1), "v");
   EXPECT_TRUE(index.Erase("k"));
   EXPECT_EQ(index.Get("k"), nullptr);
   EXPECT_EQ(index.GraveyardSize(), 1u);
   // The graveyard keeps the record valid: pointers held elsewhere still read it.
-  auto snapshot = record->StableRead();
-  ASSERT_NE(snapshot.value, nullptr);
-  EXPECT_EQ(*snapshot.value, "v");
+  std::string row;
+  EXPECT_FALSE(TidWord::Absent(record->StableRead(&row)));
+  EXPECT_EQ(row, "v");
   EXPECT_FALSE(index.Erase("k"));  // idempotence: already gone
 }
 

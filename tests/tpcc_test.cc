@@ -490,7 +490,7 @@ class TpccLiveServiceFixture : public TpccFixture {
     db_.table(table).Scan(
         std::string(1, '\0'), std::string(64, '\xff'), false,
         [&tids](const std::string& key, Record* record) {
-          tids[key] = TidWord::Version(record->StableRead().tid);
+          tids[key] = TidWord::Version(record->StableRead(nullptr, 0).tid);
           return true;
         });
     return tids;
