@@ -1,10 +1,11 @@
 // Microbenchmarks (google-benchmark) for the data structures on the runtime's hot
-// paths: locks, rings, the shuffle layer, frame parsing, RSS hashing,
-// histograms, RNG, the KV hash table and single-threaded OCC transactions. These
+// paths: locks, rings, the shuffle layer, frame parsing, RSS hashing, histograms, RNG,
+// the KV hash table, the Silo table index and single-threaded OCC transactions. These
 // ground the cost-model constants in DESIGN.md ("shuffle enqueue ~80 ns" etc.) against
 // what this host actually measures.
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "src/concurrency/spsc_ring.h"
 #include "src/core/shuffle_layer.h"
 #include "src/db/database.h"
+#include "src/db/index.h"
 #include "src/db/tpcc_loader.h"
 #include "src/db/tpcc_txns.h"
 #include "src/db/txn.h"
@@ -169,6 +171,86 @@ void BM_KvHashTableSet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KvHashTableSet);
+
+// OrderedIndex (the Silo table index) at state.range(0) keys of 16 bytes each. Key i
+// leads with a multiplicative hash of i, so keys land all over the tree; the index
+// holds the even ones and the odd ones are fresh.
+struct IndexKeys {
+  explicit IndexKeys(size_t count) : bytes(count * kSize) {
+    for (uint64_t i = 0; i < count; ++i) {
+      uint64_t words[2] = {i * 0x9e3779b97f4a7c15ull, i};
+      for (size_t w = 0; w < 2; ++w) {
+        for (size_t b = 0; b < 8; ++b) {
+          bytes[i * kSize + w * 8 + b] = static_cast<char>(words[w] >> (56 - 8 * b));
+        }
+      }
+    }
+  }
+  std::string_view operator[](uint64_t i) const { return {&bytes[i * kSize], kSize}; }
+
+  static constexpr size_t kSize = 16;
+  std::vector<char> bytes;
+};
+
+void FillIndex(OrderedIndex& index, const IndexKeys& keys, size_t count) {
+  for (uint64_t i = 0; i < count; ++i) {
+    index.GetOrInsert(keys[2 * i]);
+  }
+}
+
+void BM_OrderedIndexGetHit(benchmark::State& state) {
+  const auto count = static_cast<uint64_t>(state.range(0));
+  IndexKeys keys(2 * count);
+  OrderedIndex index;
+  FillIndex(index, keys, count);
+  Rng rng(11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.Get(keys[2 * rng.NextBounded(count)]));
+  }
+}
+BENCHMARK(BM_OrderedIndexGetHit)->Arg(1'000)->Arg(1'000'000);
+
+// A fresh key per iteration, at the given size: every 1000 inserts are erased again
+// with the clock stopped (erased records stay allocated, as in the database).
+void BM_OrderedIndexInsertFresh(benchmark::State& state) {
+  const auto count = static_cast<uint64_t>(state.range(0));
+  constexpr uint64_t kBatch = 1000;
+  IndexKeys keys(2 * count);
+  OrderedIndex index;
+  FillIndex(index, keys, count);
+  Rng rng(13);
+  std::vector<uint64_t> batch;
+  for (auto _ : state) {
+    uint64_t fresh = 2 * rng.NextBounded(count) + 1;
+    benchmark::DoNotOptimize(index.GetOrInsert(keys[fresh]));
+    batch.push_back(fresh);
+    if (batch.size() == kBatch) {
+      state.PauseTiming();
+      for (uint64_t key : batch) {
+        index.Erase(keys[key]);
+      }
+      batch.clear();
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_OrderedIndexInsertFresh)->Arg(1'000)->Arg(1'000'000);
+
+void BM_OrderedIndexScan10(benchmark::State& state) {
+  const auto count = static_cast<uint64_t>(state.range(0));
+  IndexKeys keys(2 * count);
+  OrderedIndex index;
+  FillIndex(index, keys, count);
+  const std::string hi(IndexKeys::kSize, '\xff');
+  Rng rng(17);
+  for (auto _ : state) {
+    int rows = 0;
+    index.Scan(keys[2 * rng.NextBounded(count)], hi, /*descending=*/false,
+               [&rows](const std::string&, Record*) { return ++rows < 10; });
+    benchmark::DoNotOptimize(rows);
+  }
+}
+BENCHMARK(BM_OrderedIndexScan10)->Arg(1'000)->Arg(1'000'000);
 
 void BM_OccReadOnlyTxn(benchmark::State& state) {
   Database db;

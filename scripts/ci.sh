@@ -165,6 +165,14 @@ kill -TERM "${tpcc_pid}"
 wait "${tpcc_pid}"
 trap - EXIT
 
+echo "== smoke: bench/fig10a_silo_ccdf --quick (full-scale TPC-C, one and two threads)"
+# The Silo index on a full-scale 1-warehouse database whose tables keep growing, not
+# only on unit-test sizes: a single-thread run, then two threads sharing the tables.
+fig10a_out="$("${BUILD_DIR}/bench/fig10a_silo_ccdf" --quick)"
+printf '%s\n' "${fig10a_out}"
+printf '%s\n' "${fig10a_out}" | grep -q '^# 2-thread rate' || {
+    echo "ci: fig10a_silo_ccdf printed no 2-thread rate" >&2; exit 1; }
+
 echo "== warnings-as-errors build of the whole tree (${BUILD_DIR}-werror)"
 cmake -B "${BUILD_DIR}-werror" -S . -DZYGOS_WERROR=ON
 cmake --build "${BUILD_DIR}-werror" -j "${JOBS}"

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <set>
+#include <string_view>
 #include <vector>
 
 namespace zygos {
@@ -11,7 +11,7 @@ namespace zygos {
 namespace {
 
 template <size_t N>
-void SetField(char (&field)[N], const std::string& text) {
+void SetField(char (&field)[N], std::string_view text) {
   size_t n = std::min(text.size(), N - 1);
   std::memcpy(field, text.data(), n);
   field[n] = '\0';
@@ -249,7 +249,7 @@ TxnStatus TpccWorkload::NewOrder(TxnExecutor& executor, const NewOrderParams& pa
       ol.ol_delivery_d = 0;
       ol.ol_quantity = input.quantity;
       ol.ol_amount_cents = static_cast<int64_t>(input.quantity) * item.i_price_cents;
-      SetField(ol.ol_dist_info, std::string(stock.s_dist[d - 1]));
+      SetField(ol.ol_dist_info, stock.s_dist[d - 1]);
       txn.Insert(tables_.order_line, OrderLineKey(w, d, o_id, ol.ol_number),
                  EncodeRow(ol));
       total_cents += ol.ol_amount_cents;
@@ -380,6 +380,13 @@ TxnStatus TpccWorkload::OrderStatus(TxnExecutor& executor,
 TxnStatus TpccWorkload::Delivery(TxnExecutor& executor, const DeliveryParams& params) {
   const int32_t w = params.w;
   const int32_t carrier = params.carrier;
+  // One buffer for every district's order lines, kept by the thread across
+  // transactions: its entries keep their key strings' capacity.
+  struct Line {
+    std::string key;
+    OrderLineRow row;
+  };
+  static thread_local std::vector<Line> lines;
 
   return executor.Run([&](Transaction& txn) {
     for (int32_t d = 1; d <= kTpccDistrictsPerWarehouse; ++d) {
@@ -411,17 +418,23 @@ TxnStatus TpccWorkload::Delivery(TxnExecutor& executor, const DeliveryParams& pa
       txn.Write(tables_.order, OrderKey(w, d, o_id), EncodeRow(order));
 
       int64_t total_cents = 0;
-      std::vector<std::pair<std::string, OrderLineRow>> lines;
+      size_t line_count = 0;
       txn.Scan(tables_.order_line, OrderLineKey(w, d, o_id, 0),
                OrderLineKey(w, d, o_id, INT32_MAX), /*descending=*/false, /*limit=*/0,
                [&](const std::string& key, const std::string& value) {
-                 lines.emplace_back(key, DecodeRow<OrderLineRow>(value));
+                 if (line_count == lines.size()) {
+                   lines.emplace_back();
+                 }
+                 lines[line_count].key.assign(key);
+                 lines[line_count].row = DecodeRow<OrderLineRow>(value);
+                 line_count++;
                  return true;
                });
-      for (auto& [key, ol] : lines) {
+      for (size_t i = 0; i < line_count; ++i) {
+        OrderLineRow& ol = lines[i].row;
         total_cents += ol.ol_amount_cents;
         ol.ol_delivery_d = 2;  // "now"
-        txn.Write(tables_.order_line, key, EncodeRow(ol));
+        txn.Write(tables_.order_line, lines[i].key, EncodeRow(ol));
       }
 
       CustomerRow customer;
@@ -441,6 +454,7 @@ TxnStatus TpccWorkload::StockLevel(TxnExecutor& executor,
   const int32_t w = params.w;
   const int32_t d = params.d;
   const int32_t threshold = params.threshold;
+  static thread_local std::vector<int32_t> items;  // reused across transactions
 
   return executor.Run([&](Transaction& txn) {
     DistrictRow district;
@@ -451,14 +465,16 @@ TxnStatus TpccWorkload::StockLevel(TxnExecutor& executor,
     const int32_t lo_order = std::max(1, next - 20);
 
     // Distinct items in the last 20 orders' lines (clause 2.8.2.2).
-    std::set<int32_t> items;
+    items.clear();
     txn.Scan(tables_.order_line, OrderLineKey(w, d, lo_order, 0),
              OrderLineKey(w, d, next - 1, INT32_MAX), /*descending=*/false, /*limit=*/0,
-             [&items](const std::string& key, const std::string& value) {
+             [](const std::string& key, const std::string& value) {
                (void)key;
-               items.insert(DecodeRow<OrderLineRow>(value).ol_i_id);
+               items.push_back(DecodeRow<OrderLineRow>(value).ol_i_id);
                return true;
              });
+    std::sort(items.begin(), items.end());
+    items.erase(std::unique(items.begin(), items.end()), items.end());
     int low_stock = 0;
     for (int32_t i_id : items) {
       StockRow stock;

@@ -19,6 +19,15 @@ uint64_t Fnv1aMix(uint64_t h, const void* data, size_t len) {
   return h;
 }
 
+// The record of a key that usually exists already: a shared-lock lookup, and the
+// exclusive insert walk only on a miss.
+Record* Resolve(OrderedIndex& index, std::string_view key) {
+  if (Record* record = index.Get(key)) {
+    return record;
+  }
+  return index.GetOrInsert(key).first;
+}
+
 }  // namespace
 
 uint64_t Transaction::HashKey(uint64_t h, std::string_view key) {
@@ -103,14 +112,15 @@ std::optional<std::string> Transaction::Read(TableId table, std::string_view key
   return row;
 }
 
-void Transaction::Write(TableId table, std::string key, std::string value) {
-  WriteEntry& write = WriteFor(db_.table(table).GetOrInsert(key).first);
+void Transaction::Write(TableId table, std::string_view key, std::string value) {
+  WriteEntry& write = WriteFor(Resolve(db_.table(table), key));
   write.value = std::move(value);
   write.deleted = false;
   write.erase_after = false;
 }
 
-bool Transaction::Insert(TableId table, std::string key, std::string value) {
+bool Transaction::Insert(TableId table, std::string_view key, std::string value) {
+  // The key is usually fresh: straight to the insert walk, with no lookup first.
   auto [record, created] = db_.table(table).GetOrInsert(key);
   if (!created) {
     uint64_t tid = record->LoadTid();
@@ -129,7 +139,7 @@ bool Transaction::Insert(TableId table, std::string key, std::string value) {
 }
 
 void Transaction::Delete(TableId table, std::string key, bool erase) {
-  WriteEntry& write = WriteFor(db_.table(table).GetOrInsert(key).first);
+  WriteEntry& write = WriteFor(Resolve(db_.table(table), key));
   write.value.clear();
   write.deleted = true;
   write.erase_after = erase;

@@ -81,11 +81,11 @@ class Transaction {
 
   // Buffers an update. The key should exist (Read/Scan normally precedes it); writing a
   // missing key places an absent record now and installs it as an insert at commit.
-  void Write(TableId table, std::string key, std::string value);
+  void Write(TableId table, std::string_view key, std::string value);
 
   // Inserts a new key. Returns false (and poisons the transaction into kDuplicate) if
   // the key already exists live.
-  bool Insert(TableId table, std::string key, std::string value);
+  bool Insert(TableId table, std::string_view key, std::string value);
 
   // Logically deletes `key` (absent bit install at commit). With `erase` set, the key
   // is additionally unlinked from the index after the commit installs (Masstree-style

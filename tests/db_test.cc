@@ -1,15 +1,19 @@
 // Tests for the Silo-style OCC engine: TID words, records, the ordered index, epochs,
 // transaction semantics (read-own-writes, deletes, duplicates), conflict validation,
 // phantom detection, and multi-threaded serializability smoke tests.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <map>
 #include <new>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -344,6 +348,262 @@ TEST(OrderedIndexTest, ChunkedScanVisitsEachKeyOnceAcrossConcurrentChanges) {
     }
     EXPECT_GE(nested_visits, never_erased);
   }
+}
+
+// Keys for the tree tests: a 4-byte big-endian group, then one of 16 tails, so a group
+// holds keys that are prefixes of each other, keys with NUL bytes, and one key of
+// exactly OrderedIndex::kMaxKeyBytes.
+std::string TreeKey(uint64_t n) {
+  static const std::string kTails[16] = {
+      "", std::string(1, '\0'), std::string(2, '\0'), "a", "ab", std::string("a\0", 2),
+      "\xff", "\xff\xff", "b", "ba", std::string(OrderedIndex::kMaxKeyBytes - 4, 'z'),
+      std::string(OrderedIndex::kMaxKeyBytes - 5, '\0'), "c", "cc", "d\x01", "~"};
+  std::string key;
+  uint32_t group = static_cast<uint32_t>(n / 16);
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    key.push_back(static_cast<char>(group >> shift));
+  }
+  return key + kTails[n % 16];
+}
+
+// Every observable of `index` against a std::map oracle: size, point lookups of
+// present and absent keys, and scans in both directions over random ranges whose
+// bounds are present keys or fall between keys, some long enough to use every chunk
+// size and some stopped early by the callback.
+void ExpectMatchesOracle(const OrderedIndex& index,
+                         const std::map<std::string, Record*>& oracle, Rng& rng,
+                         uint64_t key_space) {
+  ASSERT_EQ(index.KeyCount(), oracle.size());
+  for (int i = 0; i < 200; ++i) {
+    std::string key = TreeKey(rng.NextBounded(key_space));
+    auto it = oracle.find(key);
+    ASSERT_EQ(index.Get(key), it == oracle.end() ? nullptr : it->second) << i;
+  }
+  auto bound = [&](uint64_t n) {
+    std::string key = TreeKey(n);
+    switch (rng.NextBounded(3)) {
+      case 0:
+        return key;
+      case 1:
+        return key + std::string(1, '\0');  // just above key(n), below its successors
+      default:
+        return key.substr(0, key.size() - 1) + "\x7f";  // between keys of a group
+    }
+  };
+  for (int i = 0; i < 60; ++i) {
+    uint64_t start = rng.NextBounded(key_space);
+    uint64_t width = i % 4 == 0 ? key_space : rng.NextBounded(1200);
+    std::string lo = bound(start);
+    std::string hi = bound(std::min(start + width, key_space));
+    bool descending = i % 2 == 1;
+    size_t stop_after = i % 3 == 2 ? 1 + rng.NextBounded(200) : SIZE_MAX;
+    std::vector<std::pair<std::string, Record*>> expected;
+    if (lo <= hi) {
+      auto first = oracle.lower_bound(lo);
+      auto last = oracle.upper_bound(hi);
+      for (auto it = first; it != last; ++it) {
+        expected.emplace_back(it->first, it->second);
+      }
+      if (descending) {
+        std::reverse(expected.begin(), expected.end());
+      }
+    }
+    if (expected.size() > stop_after) {
+      expected.resize(stop_after);
+    }
+    std::vector<std::pair<std::string, Record*>> seen;
+    index.Scan(lo, hi, descending, [&](const std::string& key, Record* record) {
+      seen.emplace_back(key, record);
+      return seen.size() < stop_after;
+    });
+    ASSERT_EQ(seen, expected) << "scan " << i << (descending ? " descending" : "");
+  }
+}
+
+TEST(OrderedIndexTest, MatchesAnOrderedMapThroughSplitsLeafRemovalsAndRegrowth) {
+  constexpr uint64_t kKeySpace = 16 * 4000;
+  // More keys than two levels can hold: the tree is at least three levels deep.
+  constexpr size_t kThreeLevels = OrderedIndex::kFanout * OrderedIndex::kFanout + 1;
+  Rng rng(20261018);
+  OrderedIndex index;
+  std::map<std::string, Record*> oracle;
+  uint64_t erased = 0;
+  auto insert = [&](uint64_t n) {
+    std::string key = TreeKey(n);
+    auto [record, created] = index.GetOrInsert(key);
+    auto [it, fresh] = oracle.try_emplace(key, record);
+    ASSERT_EQ(created, fresh) << n;
+    ASSERT_EQ(record, it->second) << n;
+  };
+  auto erase = [&](const std::string& key) {
+    bool present = oracle.erase(key) == 1;
+    ASSERT_EQ(index.Erase(key), present);
+    erased += present ? 1 : 0;
+  };
+
+  // Random inserts past three levels.
+  while (oracle.size() < 5 * kThreeLevels) {
+    insert(rng.NextBounded(kKeySpace));
+  }
+  ExpectMatchesOracle(index, oracle, rng, kKeySpace);
+
+  // Erase a contiguous run of keys: more than two inner nodes' worth of leaves
+  // (kFanout^2 keys), so whole inner nodes empty, not just leaves.
+  std::vector<std::string> run;
+  auto from = std::next(oracle.begin(), 1000);
+  for (auto it = from; run.size() < 3 * kThreeLevels; ++it) {
+    run.push_back(it->first);
+  }
+  for (const std::string& key : run) {
+    erase(key);
+  }
+  ExpectMatchesOracle(index, oracle, rng, kKeySpace);
+  // Regrow the gap, half of it in descending and half in ascending key order.
+  for (size_t i = run.size(); i-- > 0;) {
+    if (i % 2 == 0) {
+      ASSERT_TRUE(index.GetOrInsert(run[i]).second);
+      oracle.emplace(run[i], index.Get(run[i]));
+    }
+  }
+  for (size_t i = 1; i < run.size(); i += 2) {
+    ASSERT_TRUE(index.GetOrInsert(run[i]).second);
+    oracle.emplace(run[i], index.Get(run[i]));
+  }
+  ExpectMatchesOracle(index, oracle, rng, kKeySpace);
+
+  // Mixed random operations.
+  for (int round = 0; round < 10; ++round) {
+    for (int op = 0; op < 2000; ++op) {
+      uint64_t roll = rng.NextBounded(10);
+      uint64_t n = rng.NextBounded(kKeySpace);
+      if (roll < 5) {
+        insert(n);
+      } else if (roll < 8) {
+        erase(TreeKey(n));
+      } else {
+        auto it = oracle.lower_bound(TreeKey(n));  // a present key, when there is one
+        if (it != oracle.end()) {
+          erase(std::string(it->first));
+        }
+      }
+    }
+    ExpectMatchesOracle(index, oracle, rng, kKeySpace);
+  }
+
+  // Erase everything in random order (the root shrinks back to a leaf), then regrow.
+  std::vector<std::string> all;
+  for (const auto& entry : oracle) {
+    all.push_back(entry.first);
+  }
+  for (size_t i = all.size(); i > 1; --i) {
+    std::swap(all[i - 1], all[rng.NextBounded(i)]);
+  }
+  for (size_t i = 0; i < all.size(); ++i) {
+    erase(all[i]);
+    if (i % 4000 == 0) {
+      ExpectMatchesOracle(index, oracle, rng, kKeySpace);
+    }
+  }
+  ExpectMatchesOracle(index, oracle, rng, kKeySpace);
+  for (uint64_t n = 0; n < 2 * kThreeLevels; ++n) {
+    insert(n * 7 % kKeySpace);
+  }
+  ExpectMatchesOracle(index, oracle, rng, kKeySpace);
+  EXPECT_EQ(index.GraveyardSize(), erased);
+  EXPECT_EQ(index.EraseCount(), erased);
+}
+
+TEST(OrderedIndexTest, KeysUpToTheInlineCapacityAreStoredWholeAndLongerOnesRefused) {
+  OrderedIndex index;
+  std::string longest(OrderedIndex::kMaxKeyBytes, '\xee');
+  std::string shorter = longest.substr(0, longest.size() - 1);
+  auto [record, created] = index.GetOrInsert(longest);
+  ASSERT_TRUE(created);
+  EXPECT_EQ(index.Get(longest), record);
+  EXPECT_EQ(index.Get(shorter), nullptr);  // not truncated onto a shorter key
+  EXPECT_EQ(index.Get(longest + "x"), nullptr);
+  std::vector<std::string> seen;
+  index.Scan(shorter, longest + "x", false, [&seen](const std::string& key, Record*) {
+    seen.push_back(key);
+    return true;
+  });
+  EXPECT_EQ(seen, std::vector<std::string>{longest});
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(index.GetOrInsert(longest + "x"), "exceeds the 47-byte limit");
+}
+
+TEST(OrderedIndexTest, ReadersSeeEveryStableKeyWhileAWriterSplitsAndRemovesLeaves) {
+  // Stable keys, never erased, hold the tree at three or more levels. Between each pair
+  // the writer inserts a dense block of keys (leaf and inner splits) and erases it
+  // again (its leaves empty and are removed), while readers look up every stable key
+  // and scan the whole range in both directions.
+  constexpr int kStable =
+      static_cast<int>(OrderedIndex::kFanout * OrderedIndex::kFanout) + 1;
+  constexpr int kGap = 400;  // volatile keys between two stable ones
+  auto key_of = [](int n) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%09d", n);
+    return std::string(buf);
+  };
+  OrderedIndex index;
+  std::vector<Record*> stable;
+  for (int i = 0; i < kStable; ++i) {
+    stable.push_back(index.GetOrInsert(key_of(i * kGap)).first);
+  }
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    for (int round = 0; round < 120; ++round) {
+      int base = (round * 97 % (kStable - 1)) * kGap;
+      for (int j = 1; j < kGap; ++j) {
+        index.GetOrInsert(key_of(base + j));
+      }
+      for (int j = 1; j < kGap; ++j) {
+        index.Erase(key_of(base + j));
+      }
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+  auto reader = [&](bool descending) {
+    int passes = 0;
+    while (!writer_done.load(std::memory_order_acquire) || passes < 2) {
+      for (int i = 0; i < kStable; i += 7) {
+        if (index.Get(key_of(i * kGap)) != stable[static_cast<size_t>(i)]) {
+          failures.fetch_add(1);
+        }
+      }
+      std::string last;
+      int next_stable = descending ? kStable - 1 : 0;
+      index.Scan(key_of(0), key_of(kStable * kGap), descending,
+                 [&](const std::string& key, Record* record) {
+                   if (!last.empty() && (descending ? key >= last : key <= last)) {
+                     failures.fetch_add(1);  // out of order or repeated
+                   }
+                   last = key;
+                   int n = std::stoi(key);
+                   if (n % kGap == 0) {
+                     if (n != next_stable * kGap ||
+                         record != stable[static_cast<size_t>(next_stable)]) {
+                       failures.fetch_add(1);  // a stable key was skipped
+                     }
+                     next_stable += descending ? -1 : 1;
+                   }
+                   return true;
+                 });
+      if (next_stable != (descending ? -1 : kStable)) {
+        failures.fetch_add(1);
+      }
+      passes++;
+      std::this_thread::yield();
+    }
+  };
+  std::thread ascending_reader(reader, false);
+  std::thread descending_reader(reader, true);
+  writer.join();
+  ascending_reader.join();
+  descending_reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(index.KeyCount(), static_cast<size_t>(kStable));
 }
 
 // --- Epochs ---------------------------------------------------------------------------
