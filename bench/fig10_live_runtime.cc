@@ -1,7 +1,7 @@
 // Fig. 10 on the LIVE runtime: Silo/TPC-C served by the real-thread ZygOS data plane
-// (src/services/tpcc_service.h) under the open-loop, coordinated-omission-safe
-// generator (src/loadgen) — the measured counterpart of the model-driven
-// fig10a/fig10b latency benches.
+// (src/services/tpcc_service.h) over real sockets, under the open-loop,
+// coordinated-omission-safe TCP generator (src/loadgen/tcp_loadgen.h) — the measured
+// counterpart of the model-driven fig10a/fig10b latency benches.
 //
 // Each request is one transaction from the standard TPC-C mix (45/43/4/4/4), fully
 // sampled client-side (src/loadgen/tpcc_gen.h) so the request stream is a pure
@@ -18,9 +18,10 @@
 //   zygos_p99_monotone_in_load  p99 CCDF shape: never drops below 0.8x its running
 //                               max as load rises (shared predicate, report.h)
 //   steal_leq_no_steal_at_peak  stealing never hurts the tail at the peak cell
-//   ledger_balanced             every cell's transaction ledger is exact:
-//                               commits + user aborts + malformed + shed (+ lost on
-//                               TCP) == requests sent, and malformed == 0 (our own
+//   ledger_balanced             every cell's transaction ledger is exact: client
+//                               side completed + shed + lost == sent, server side
+//                               commits + user aborts + malformed + shed == the
+//                               runtime's completions, and malformed == 0 (our own
 //                               generator must never emit garbage)
 //
 // Every cell runs against a FRESH database (LoadTpcc per cell): cells are
@@ -43,7 +44,7 @@ namespace zygos {
 namespace {
 
 constexpr const char* kUsage =
-    "usage: fig10_live_runtime [--transport=loopback|tcp|uring[,...]] [--workers=N]\n"
+    "usage: fig10_live_runtime [--transport=tcp|uring[,...]] [--workers=N]\n"
     "  [--connections=N] [--threads=N] [--arrivals=poisson|fixed] [--warehouses=N]\n"
     "  [--scale=tiny|full] [--service-pad-us=F] [--configs=zygos,no-steal]\n"
     "  [--rates=r1,r2,...] [--load-fractions=f1,f2,...] [--calibrate-rate=R]\n"
@@ -76,7 +77,7 @@ struct CellLedger {
   uint64_t user_aborts = 0;
   uint64_t malformed = 0;
   uint64_t shed = 0;
-  uint64_t lost = 0;  // TCP: requests on severed connections; loopback: ring refusals
+  uint64_t lost = 0;  // requests on severed connections or unanswered at drain
   uint64_t occ_retries = 0;
   bool balanced = false;
 
@@ -97,33 +98,23 @@ struct TpccCell {
 };
 
 // The ledger hook: the service's books for one run, checked against the run's raw
-// loadgen/generator result.
-CellLedger LedgerOf(const LiveCellResult& cell, const LiveTransport& transport,
-                    const TpccService& service) {
+// loadgen result.
+CellLedger LedgerOf(const LiveCellResult& cell, const TpccService& service) {
   CellLedger ledger;
   ledger.commits = service.commits();
   ledger.user_aborts = service.user_aborts();
   ledger.malformed = service.malformed();
   ledger.occ_retries = service.occ_retries();
+  const TcpLoadgenResult& tcp = cell.tcp;
+  ledger.sent = tcp.sent;
+  ledger.shed = tcp.shed;
+  ledger.lost = tcp.lost;
+  // Client side: every scheduled request completed, was shed, or is accounted lost.
+  // Server side: every completion the runtime retired was answered by the service
+  // (or refused as shed). Both must hold.
   uint64_t answered = ledger.commits + ledger.user_aborts + ledger.malformed;
-  if (transport.socket) {
-    const TcpLoadgenResult& tcp = cell.tcp;
-    ledger.sent = tcp.sent;
-    ledger.shed = tcp.shed;
-    ledger.lost = tcp.lost;
-    // Client side: every scheduled request completed, was shed, or is accounted
-    // lost. Server side: every completion the runtime retired was answered by the
-    // service (or refused as shed). Both must hold.
-    ledger.balanced = tcp.completed + tcp.shed + tcp.lost == tcp.sent &&
-                      answered + cell.point.sheds == cell.runtime_completed;
-  } else {
-    // GeneratorResult::sent excludes the ingress-ring refusals (`dropped`), which never
-    // reached the service: every scheduled request is sent + dropped.
-    ledger.sent = cell.loopback.sent + cell.loopback.dropped;
-    ledger.shed = cell.point.sheds;
-    ledger.lost = cell.loopback.dropped;
-    ledger.balanced = answered + ledger.shed + ledger.lost == ledger.sent;
-  }
+  ledger.balanced = tcp.completed + tcp.shed + tcp.lost == tcp.sent &&
+                    answered + cell.point.sheds == cell.runtime_completed;
   return ledger;
 }
 
@@ -175,7 +166,7 @@ int Main(int argc, char** argv) {
     TpccService service(db, tables, scale);
     LiveCellResult cell =
         RunLiveCell(sweep, transport, config, rate, PaddedHandler(service, pad));
-    return TpccCell{cell.point, LedgerOf(cell, transport, service)};
+    return TpccCell{cell.point, LedgerOf(cell, service)};
   };
   // TPC-C has no closed-form service time, so calibration is always an overload
   // probe. With a blocking pad the nominal capacity is workers/pad (the pad dominates

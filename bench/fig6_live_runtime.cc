@@ -1,6 +1,7 @@
 // Fig. 6 on the LIVE runtime: p99 latency vs offered load for the real-thread ZygOS
-// data plane (src/runtime) under an open-loop, coordinated-omission-safe generator
-// (src/loadgen) — the measured counterpart of the model-driven fig6_latency_throughput.
+// data plane (src/runtime), served over real sockets and driven by the open-loop,
+// coordinated-omission-safe TCP generator (src/loadgen/tcp_loadgen.h) — the measured
+// counterpart of the model-driven fig6_latency_throughput.
 //
 // Sweeps ascending load points for each requested runtime ablation:
 //   zygos        full design (idle cores steal ready connections)
@@ -19,13 +20,13 @@
 // the synthetic spin service (src/loadgen/spin_service.h); on hosts with fewer
 // hardware threads than workers use `--service-mode=sleep` (see that header).
 //
-// `--transport` takes a comma-separated list of loopback, tcp and uring
+// `--transport` takes a comma-separated list of tcp (the default) and uring
 // (LiveTransport in src/loadgen/experiment.h); every requested transport sweeps the
 // SAME ascending rate list (calibrated once, on the first transport), so
 // uring-vs-epoll comparisons happen at matched load, and the headline value is the
-// zygos peak-load p99 on that first transport. Socket transports additionally report
+// zygos peak-load p99 on that first transport. Every cell also reports
 // syscalls_per_req (Transport::IoSyscalls over completed requests): epoll's ~2/req
-// against batched uring's ~0.7. uring on a host without io_uring is skipped with a
+// against batched uring's ~1. uring on a host without io_uring is skipped with a
 // `# skip:` note (exit 0 when nothing remains); `--probe-uring` reports availability
 // (exit 0/1) so harnesses can decide before committing to a sweep.
 #include <cstdio>
@@ -36,7 +37,6 @@
 #include "src/common/distribution.h"
 #include "src/common/flags.h"
 #include "src/common/time_units.h"
-#include "src/hw/perf_counters.h"
 #include "src/loadgen/experiment.h"
 #include "src/loadgen/report.h"
 #include "src/loadgen/spin_service.h"
@@ -46,7 +46,7 @@ namespace zygos {
 namespace {
 
 constexpr const char* kUsage =
-    "usage: fig6_live_runtime [--transport=loopback|tcp|uring[,...]] [--workers=N]\n"
+    "usage: fig6_live_runtime [--transport=tcp|uring[,...]] [--workers=N]\n"
     "  [--connections=N] [--threads=N] [--arrivals=poisson|fixed] [--dist=NAME]\n"
     "  [--service-us=F] [--service-mode=spin|sleep] [--configs=zygos,no-steal]\n"
     "  [--rates=r1,r2,...] [--load-fractions=f1,f2,...] [--calibrate-rate=R]\n"
@@ -115,13 +115,6 @@ int Main(int argc, char** argv) {
   if (!CalibrateRates(sweep, 3.0 * nominal, run_cell)) {
     return 1;
   }
-  const bool perf_available = PerfCountersAvailable();
-  const std::string perf_reason = perf_available ? "" : PerfCountersUnavailableReason();
-  if (!perf_available) {
-    std::printf("# note: perf counters unavailable (%s) — cycles/insns/miss "
-                "columns report 0\n",
-                perf_reason.c_str());
-  }
   const std::vector<LivePoint> points =
       RunLiveSweep(sweep, run_cell, [](const LiveCellResult&) {});
 
@@ -152,19 +145,7 @@ int Main(int argc, char** argv) {
       .Str("service_mode", ServiceModeName(*service_mode));
   report.Gate("uring_p99_leq_epoll_at_peak", UringP99LeqEpollAtPeak(points))
       .Gate("uring_syscalls_below_epoll", UringSyscallsBelowEpoll(points));
-  // Hardware-counter cost at the headline cell. A locked-down host reports
-  // available=false with the probe's reason and all-zero rates.
-  const LivePoint head = zygos != nullptr ? *zygos : LivePoint{};
-  JsonObject perf;
-  perf.Bool("available", perf_available)
-      .Str("reason", perf_reason)
-      .Bool("measured", head.perf_valid)
-      .Num("cycles_per_req", head.cycles_per_req, 0)
-      .Num("instructions_per_req", head.instructions_per_req, 0)
-      .Num("cache_misses_per_req", head.cache_misses_per_req, 1);
-  report.params()
-      .Object("perf_counters", perf)
-      .Object("curves", LiveCurves(points, true));
+  report.params().Object("curves", LiveCurves(points, true));
   return report.Finish(sweep.json_path);
 }
 

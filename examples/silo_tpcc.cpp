@@ -9,8 +9,9 @@
 // transaction from the TPC-C mix."
 //
 // Modes:
-//   --mode=demo    (default) loopback runtime in process, open-loop TPC-C load, print
-//                  the service ledger, mix, and CO-safe latency.
+//   --mode=demo    (default) both halves in one process: serve on an ephemeral port,
+//                  drive it with the loadgen below, print the service ledger, mix and
+//                  CO-safe latency, and check the client and server ledgers.
 //   --mode=serve   serve on --port over real TCP until SIGINT/SIGTERM.
 //   --mode=loadgen drive an external server with the open-loop TCP generator; the
 //                  request stream is a pure function of --seed.
@@ -26,7 +27,6 @@
 //                [--arrivals=poisson|fixed]
 // Example:       silo_tpcc --mode=serve --scale=tiny --port=7119 &
 //                silo_tpcc --mode=loadgen --scale=tiny --port=7119 --rate=10000
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -39,10 +39,8 @@
 #include "src/db/tpcc_loader.h"
 #include "src/db/tpcc_txns.h"
 #include "src/loadgen/arrival.h"
-#include "src/loadgen/loadgen.h"
 #include "src/loadgen/tcp_loadgen.h"
 #include "src/loadgen/tpcc_gen.h"
-#include "src/runtime/client.h"
 #include "src/runtime/runtime.h"
 #include "src/runtime/socket_transport.h"
 #include "src/runtime/tcp_transport.h"
@@ -80,6 +78,52 @@ void PrintRuntimeStats(Runtime& runtime) {
               static_cast<unsigned long long>(stats.remote_syscalls));
 }
 
+// The client half: runs the open-loop TPC-C loadgen and prints its result. True when
+// the run was clean and its ledger balanced (completed + shed + lost == sent).
+bool RunLoadgen(const TcpLoadgenOptions& gen) {
+  std::printf("silo_tpcc: open-loop %s TPC-C mix, %.0f rps offered, "
+              "%d connections, %.0f ms window (%.0f ms warmup)\n",
+              ArrivalKindName(gen.arrivals), gen.rate_rps, gen.connections,
+              static_cast<double>(gen.duration) / 1e6,
+              static_cast<double>(gen.warmup) / 1e6);
+  TcpLoadgenResult result = RunTcpLoadgen(gen);
+  std::printf("loadgen: sent %llu  completed %llu  measured %llu  shed %llu  "
+              "lost %llu  mismatches %llu  max send lag %.1f us\n",
+              static_cast<unsigned long long>(result.sent),
+              static_cast<unsigned long long>(result.completed),
+              static_cast<unsigned long long>(result.measured),
+              static_cast<unsigned long long>(result.shed),
+              static_cast<unsigned long long>(result.lost),
+              static_cast<unsigned long long>(result.mismatches),
+              ToMicros(result.max_send_lag));
+  std::printf("loadgen: achieved %.0f rps  latency p50 %.1f us  p99 %.1f us  "
+              "p999 %.1f us (scheduled-send -> response, CO-safe)\n",
+              result.achieved_rps(), ToMicros(result.latency.P50()),
+              ToMicros(result.latency.P99()), ToMicros(result.latency.P999()));
+  // Open-loop ledger: every scheduled request is accounted for.
+  bool balanced = result.completed + result.shed + result.lost == result.sent;
+  if (!balanced) {
+    std::printf("loadgen: LEDGER IMBALANCE (completed+shed+lost != sent)\n");
+  }
+  return result.clean && balanced;
+}
+
+// The server half's books after Shutdown: prints the service and scheduler counters.
+// True when every completion the runtime retired was answered by the service
+// (committed, aborted or malformed) or shed.
+bool CheckServerLedger(const TpccService& service, Runtime& runtime) {
+  PrintServiceStats(service);
+  PrintRuntimeStats(runtime);
+  WorkerStats stats = runtime.TotalStats();
+  uint64_t answered = service.commits() + service.user_aborts() + service.malformed();
+  uint64_t shed = stats.sheds_deadline + stats.sheds_admission;
+  std::printf("ledger: answered %llu + shed %llu of %llu completed\n",
+              static_cast<unsigned long long>(answered),
+              static_cast<unsigned long long>(shed),
+              static_cast<unsigned long long>(runtime.Completed()));
+  return answered + shed == runtime.Completed();
+}
+
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const std::string mode = flags.GetString("mode", "demo");
@@ -91,17 +135,20 @@ int Main(int argc, char** argv) {
   }
 
   const int workers = static_cast<int>(flags.GetInt("workers", 4));
-  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
   const std::string transport_name = flags.GetString("transport", "tcp");
-  const std::string host = flags.GetString("host", "127.0.0.1");
   const auto port =
       static_cast<uint16_t>(flags.GetInt("port", mode == "loadgen" ? 7119 : 0));
   const auto max_flows = static_cast<size_t>(flags.GetInt("max-flows", 1 << 12));
-  const int connections = static_cast<int>(flags.GetInt("connections", 16));
-  const int threads = static_cast<int>(flags.GetInt("threads", 4));
-  const double rate = flags.GetDouble("rate", 8'000);
-  const Nanos duration = flags.GetInt("duration-ms", 2000) * kMillisecond;
-  const Nanos warmup = flags.GetInt("warmup-ms", 500) * kMillisecond;
+  TcpLoadgenOptions gen;
+  gen.host = flags.GetString("host", "127.0.0.1");
+  gen.port = port;
+  gen.connections = static_cast<int>(flags.GetInt("connections", 16));
+  gen.threads = static_cast<int>(flags.GetInt("threads", 4));
+  gen.rate_rps = flags.GetDouble("rate", 8'000);
+  gen.duration = flags.GetInt("duration-ms", 2000) * kMillisecond;
+  gen.warmup = flags.GetInt("warmup-ms", 500) * kMillisecond;
+  gen.seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
+  gen.make_payload = MakeTpccPayloadFactory(scale);
   const std::string arrivals_name = flags.GetString("arrivals", "poisson");
   if (!flags.CheckUnknown(
           "usage: silo_tpcc [--mode=demo|serve|loadgen] [--workers=N]\n"
@@ -122,6 +169,7 @@ int Main(int argc, char** argv) {
                  arrivals_name.c_str());
     return 2;
   }
+  gen.arrivals = *arrivals;
   if (transport_name != "tcp" && transport_name != "uring") {
     std::fprintf(stderr, "silo_tpcc: unknown --transport=%s (expected tcp|uring)\n",
                  transport_name.c_str());
@@ -136,42 +184,7 @@ int Main(int argc, char** argv) {
   }
 
   if (mode == "loadgen") {
-    TcpLoadgenOptions gen;
-    gen.host = host;
-    gen.port = port;
-    gen.connections = connections;
-    gen.threads = threads;
-    gen.arrivals = *arrivals;
-    gen.rate_rps = rate;
-    gen.duration = duration;
-    gen.warmup = warmup;
-    gen.seed = seed;
-    gen.make_payload = MakeTpccPayloadFactory(scale);
-    std::printf("silo_tpcc: open-loop %s TPC-C mix, %.0f rps offered, "
-                "%d connections, %.0f ms window (%.0f ms warmup)\n",
-                ArrivalKindName(gen.arrivals), gen.rate_rps, gen.connections,
-                static_cast<double>(gen.duration) / 1e6,
-                static_cast<double>(gen.warmup) / 1e6);
-    TcpLoadgenResult result = RunTcpLoadgen(gen);
-    std::printf("loadgen: sent %llu  completed %llu  measured %llu  shed %llu  "
-                "lost %llu  mismatches %llu  max send lag %.1f us\n",
-                static_cast<unsigned long long>(result.sent),
-                static_cast<unsigned long long>(result.completed),
-                static_cast<unsigned long long>(result.measured),
-                static_cast<unsigned long long>(result.shed),
-                static_cast<unsigned long long>(result.lost),
-                static_cast<unsigned long long>(result.mismatches),
-                ToMicros(result.max_send_lag));
-    std::printf("loadgen: achieved %.0f rps  latency p50 %.1f us  p99 %.1f us  "
-                "p999 %.1f us (scheduled-send -> response, CO-safe)\n",
-                result.achieved_rps(), ToMicros(result.latency.P50()),
-                ToMicros(result.latency.P99()), ToMicros(result.latency.P999()));
-    // Open-loop ledger: every scheduled request is accounted for.
-    bool balanced = result.completed + result.shed + result.lost == result.sent;
-    if (!balanced) {
-      std::printf("loadgen: LEDGER IMBALANCE (completed+shed+lost != sent)\n");
-    }
-    return result.clean && balanced ? 0 : 1;
+    return RunLoadgen(gen) ? 0 : 1;
   }
 
   std::printf("silo_tpcc: loading %d warehouse(s) (%s scale)...\n",
@@ -181,23 +194,24 @@ int Main(int argc, char** argv) {
   TpccTables tables = LoadTpcc(db, scale);
   TpccService service(db, tables, scale);
 
+  RuntimeOptions options;
+  options.num_workers = workers;
+  options.max_flows = max_flows;
+  TcpTransportOptions tcp = TcpOptionsFor(options, port);
+  std::unique_ptr<SocketTransportBase> transport;
+  if (transport_name == "uring") {
+    transport = std::make_unique<UringTransport>(tcp);
+  } else {
+    transport = std::make_unique<TcpTransport>(tcp);
+  }
+  SocketTransportBase* transport_ptr = transport.get();
+  Runtime runtime(options, std::move(transport), service.Handler());
+  runtime.Start();
+  std::printf("silo_tpcc: %d workers serving TPC-C on %s:%u (%s transport)\n",
+              options.num_workers, tcp.bind_address.c_str(), transport_ptr->port(),
+              transport_name.c_str());
+
   if (mode == "serve") {
-    RuntimeOptions options;
-    options.num_workers = workers;
-    options.max_flows = max_flows;
-    TcpTransportOptions tcp = TcpOptionsFor(options, port);
-    std::unique_ptr<SocketTransportBase> transport;
-    if (transport_name == "uring") {
-      transport = std::make_unique<UringTransport>(tcp);
-    } else {
-      transport = std::make_unique<TcpTransport>(tcp);
-    }
-    SocketTransportBase* transport_ptr = transport.get();
-    Runtime runtime(options, std::move(transport), service.Handler());
-    runtime.Start();
-    std::printf("silo_tpcc: %d workers serving TPC-C on %s:%u (%s transport)\n",
-                options.num_workers, tcp.bind_address.c_str(), transport_ptr->port(),
-                transport_name.c_str());
     std::signal(SIGINT, OnSignal);
     std::signal(SIGTERM, OnSignal);
     while (g_signal == 0) {
@@ -205,63 +219,17 @@ int Main(int argc, char** argv) {
     }
     std::printf("silo_tpcc: signal %d, shutting down\n", static_cast<int>(g_signal));
     runtime.Shutdown();
-    PrintServiceStats(service);
-    PrintRuntimeStats(runtime);
-    // Server-side ledger: every answered request committed, aborted, or bounced.
-    uint64_t answered = service.commits() + service.user_aborts() + service.malformed();
-    std::printf("ledger: answered %llu of %llu completed\n",
-                static_cast<unsigned long long>(answered),
-                static_cast<unsigned long long>(runtime.Completed()));
+    CheckServerLedger(service, runtime);
     return 0;
   }
 
-  // demo: loopback runtime, open-loop generator, in process.
-  RuntimeOptions options;
-  options.num_workers = workers;
-  options.num_flows = 64;
-  MeasuredCompletion completion;
-  Runtime runtime(options, service.Handler(), completion.Handler());
-  runtime.Start();
-
-  GeneratorOptions gen;
-  gen.arrivals = *arrivals;
-  gen.rate_rps = rate;
-  gen.duration = duration;
-  gen.num_flows = options.num_flows;
-  gen.seed = seed;
-  gen.make_payload = MakeTpccPayloadFactory(scale);
-  Nanos start = NowNanos();
-  completion.set_measure_start(start + warmup);
-  OpenLoopGenerator generator(gen);
-  LoopbackSink sink(runtime);
-  std::printf("silo_tpcc: open-loop %s TPC-C mix at %.0f rps for %.0f ms...\n",
-              ArrivalKindName(gen.arrivals), gen.rate_rps,
-              static_cast<double>(gen.duration) / 1e6);
-  GeneratorResult sent = generator.RunFrom(start, sink);
-  while (runtime.Completed() < runtime.Injected()) {
-    std::this_thread::yield();
-  }
+  // demo: the loadgen above against the server above, in one process.
+  gen.port = transport_ptr->port();
+  const bool client_ok = RunLoadgen(gen);
   runtime.Shutdown();
-
-  LatencyHistogram latency = completion.Snapshot();
-  std::printf("demo: sent %llu  dropped %llu  completed %llu  measured %llu\n",
-              static_cast<unsigned long long>(sent.sent),
-              static_cast<unsigned long long>(sent.dropped),
-              static_cast<unsigned long long>(runtime.Completed()),
-              static_cast<unsigned long long>(completion.measured_count()));
-  std::printf("demo: latency p50 %.1f us  p99 %.1f us  p999 %.1f us "
-              "(scheduled-send -> TX, CO-safe)\n",
-              ToMicros(latency.P50()), ToMicros(latency.P99()),
-              ToMicros(latency.P999()));
-  PrintServiceStats(service);
-  PrintRuntimeStats(runtime);
-  uint64_t answered = service.commits() + service.user_aborts() + service.malformed();
-  bool balanced = answered == runtime.Completed();
-  if (!balanced) {
-    std::printf("silo_tpcc: LEDGER IMBALANCE (commit+abort+malformed %llu != "
-                "completed %llu)\n",
-                static_cast<unsigned long long>(answered),
-                static_cast<unsigned long long>(runtime.Completed()));
+  const bool server_ok = CheckServerLedger(service, runtime);
+  if (!server_ok) {
+    std::printf("silo_tpcc: LEDGER IMBALANCE (answered+shed != completed)\n");
   }
   if (service.malformed() != 0) {
     std::printf("silo_tpcc: FAILED (%llu malformed requests from our own "
@@ -269,7 +237,7 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(service.malformed()));
     return 1;
   }
-  return balanced ? 0 : 1;
+  return client_ok && server_ok ? 0 : 1;
 }
 
 }  // namespace

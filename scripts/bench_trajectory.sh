@@ -121,20 +121,17 @@ dp_json="$(cat <<EOF
 EOF
 )"
 printf '%s\n' "${dp_json}" > "${OUT_DIR}/BENCH_micro_dataplane.json"
-# PR-numbered snapshot: this refactor's acceptance record (pooled vs string).
-printf '%s\n' "${dp_json}" > "${OUT_DIR}/BENCH_0003.json"
 echo "   dataplane_pooled_echo_ns_per_op = ${pooled_ns} ns (string ${string_ns} ns, ${speedup}x, ${pooled_allocs} allocs/op) -> ${OUT_DIR}/BENCH_micro_dataplane.json"
 
-# run_gated <name> <snapshots> <binary> [args...]: runs one live bench, which writes
-# the BENCH-contract JSON ${OUT_DIR}/BENCH_<name>.json itself (the shared harness,
+# run_gated <name> <binary> [args...]: runs one live bench, which writes the
+# BENCH-contract JSON ${OUT_DIR}/BENCH_<name>.json itself (the shared harness,
 # src/loadgen/experiment.h), stamps the commit and prepends env_tunings to its params,
-# fails unless every gate its params.gates lists reads true (scripts/check_gates.py),
-# and copies the record to each numbered snapshot named in the space-separated
-# <snapshots>. Wall-clock values are host-dependent; the gates are the tracked
-# invariants.
+# and fails unless every gate its params.gates lists reads true
+# (scripts/check_gates.py). Wall-clock values are host-dependent; the gates are the
+# tracked invariants.
 run_gated() {
-  local json="${OUT_DIR}/BENCH_$1.json" snapshots="$2" bin="$3" status=0
-  shift 3
+  local json="${OUT_DIR}/BENCH_$1.json" bin="$2" status=0
+  shift 2
   echo "== ${bin}"
   "${BUILD_DIR}/bench/${bin}" "$@" --json="${json}" || status=$?
   [[ -f "${json}" ]] || { echo "bench_trajectory: ${bin} wrote no ${json}" >&2; exit 1; }
@@ -145,67 +142,58 @@ run_gated() {
     echo "bench_trajectory: ${bin} failed a gate — noisy host or regression; rerun or investigate" >&2
     exit 1
   fi
-  for snapshot in ${snapshots}; do
-    cp "${json}" "${OUT_DIR}/${snapshot}"
-  done
 }
 
-# --- fig6_live: the LIVE runtime under open-loop load, all three transports ---------
-# tcp leads the transport list so the
-# calibrated rate list comes from a socket backend and every transport then sweeps
-# the same absolute rates (matched-load uring-vs-epoll cells); the
-# headline value is tcp's zygos peak-load p99 (params.headline_transport). The
-# sleep-mode service keeps the scheduling policies distinguishable on CI hosts with
-# fewer hardware threads than workers (see src/loadgen/spin_service.h). A host
-# without io_uring drops the uring leg (the binary prints `# skip:`) and every uring
-# gate holds vacuously.
-# params.perf_counters carries per-request cycles/instructions/cache-misses when
-# perf_event_open works, with available=false + reason otherwise.
+# --- fig6_live: the LIVE runtime under open-loop load, both socket transports ---------
+# Every cell is served over real sockets and timed by the TCP loadgen, scheduled send
+# to response received. tcp leads the transport list so the calibrated rate list
+# comes from the epoll backend and uring then sweeps the same absolute rates
+# (matched-load uring-vs-epoll cells); the headline value is tcp's zygos peak-load
+# p99 (params.headline_transport). The sleep-mode service keeps the scheduling
+# policies distinguishable on CI hosts with fewer hardware threads than workers (see
+# src/loadgen/spin_service.h). A host without io_uring drops the uring leg (the
+# binary prints `# skip:`) and every uring gate holds vacuously.
 # 3000ms/point: at the lowest swept rate (~1000 rps) a cell needs ~3k completions
 # for the p99 to rest on ~30 samples — 1500ms cells made the monotonicity gate a
 # coin flip on oversubscribed single-CPU hosts.
 # 0.2..0.8 of the calibrated peak (not the default 0.95 top point): calibration is a
-# single overload cell whose peak estimate swings ~15% run to run, and the rate list
-# comes from the FASTEST backend (tcp) while the slowest (loopback) peaks lower — at
-# 0.95 an optimistic calibration pushes cells past saturation, where open-loop p99
-# measures queue growth, not the scheduler. 0.8 keeps every transport sub-saturated.
+# single overload cell whose peak estimate swings ~15% run to run; at 0.95 an
+# optimistic calibration pushes cells past saturation, where open-loop p99 measures
+# queue growth, not the scheduler. 0.8 keeps every cell sub-saturated.
 # --cell-repeats=3: median-of-3 per cell (and for the calibration probe). On a host
 # where the loadgen and the server share cores, a single scheduler stall books tens
 # of ms into one cell's p99 (CO-safe accounting must count it); the median row
 # discards the one-off without biasing the curve.
-# Transport list = epoll reference, io_uring (one pooled recv armed per connection,
-# plain SEND) and loopback. Configs = the binary's default, zygos and no-steal (the
-# runtime's one ablation; the IPI ablation is DES-only, fig6_latency_throughput). Snapshots: the live-harness acceptance record (0004) and
-# the uring syscalls-per-request record (0007). BENCH_0010.json, the deleted io_uring
-# feature ladder's record, is historical and no longer rewritten.
+# Transport list = epoll reference, then io_uring (one pooled recv armed per
+# connection, plain SEND). Configs = the binary's default, zygos and no-steal (the
+# runtime's one ablation; the IPI ablation is DES-only, fig6_latency_throughput).
 LIVE_DURATION_MS="${BENCH_LIVE_DURATION_MS:-3000}"
-run_gated fig6_live "BENCH_0004.json BENCH_0007.json" fig6_live_runtime \
-  --transport=tcp,uring,loopback \
+run_gated fig6_live fig6_live_runtime \
+  --transport=tcp,uring \
   --dist=exponential --service-us=300 --service-mode=sleep --workers=2 \
   --connections=16 --load-fractions=0.2,0.4,0.6,0.8 --cell-repeats=3 \
   --duration-ms="${LIVE_DURATION_MS}" --warmup-ms=400 --seed=3
 
 # --- churn_live: connection churn on the live runtime (flow-table recycling) -----------
-# Snapshot: the connection-lifecycle record (0005).
 CHURN_DURATION_MS="${BENCH_CHURN_DURATION_MS:-1200}"
-run_gated churn BENCH_0005.json churn_live_runtime --rate=2000 \
+run_gated churn churn_live_runtime --rate=2000 \
   --churn-ms=0,160,80,40,20 --duration-ms="${CHURN_DURATION_MS}" --warmup-ms=300 \
   --connections=8 --threads=2 --max-flows=32 --seed=5
 
 # --- fanout_chaos: tail-at-scale amplification through the chaos proxy -----------------
 # The amplification RATIO and the steal comparison are relative, so the gates hold
-# across hosts. Snapshot: the chaos-layer record (0006).
+# across hosts.
 FANOUT_DURATION_MS="${BENCH_FANOUT_DURATION_MS:-2500}"
-run_gated fanout BENCH_0006.json fanout_chaos --fanouts=1,2,4,8 --logical-rate=250 \
+run_gated fanout fanout_chaos --fanouts=1,2,4,8 --logical-rate=250 \
   --duration-ms="${FANOUT_DURATION_MS}" --warmup-ms=600 --steal-compare=true --seed=11
 
 # --- overload_live: goodput under overload with deadline shedding + adaptive admission -
 # The binary calibrates its own peak, derives the deadline budget from a no-shed
 # baseline and sweeps {0.8,1,2,4,10}x across zygos/no-shed configs. Its six gates are
 # calibration-relative (goodput@2x vs the host's own no-overload peak, sheds vs the
-# analytic max(0, 1 - 1/m) curve). Snapshot: the overload-control record (0008).
+# analytic max(0, 1 - 1/m) curve).
 OVERLOAD_DURATION_MS="${BENCH_OVERLOAD_DURATION_MS:-1200}"
-run_gated overload BENCH_0008.json overload_live_runtime --workers=2 --connections=8 \
+run_gated overload overload_live_runtime --workers=2 --connections=8 \
   --threads=2 --service-us=1000 --multipliers=0.8,1,2,4,10 \
   --duration-ms="${OVERLOAD_DURATION_MS}" --warmup-ms=300 --seed=1
 
@@ -221,9 +209,8 @@ run_gated overload BENCH_0008.json overload_live_runtime --workers=2 --connectio
 # the fixed 300 us sleep, so the p99 estimator needs more tail samples — a 3000ms
 # cell at the 0.4-peak rate rests its p99 on ~27 samples and the monotonicity gate
 # sat within 1% of the 0.8x noise band on a 1-CPU host; 5000ms cells double that.
-# Snapshot: the second-workload (Silo/TPC-C wire service) record (0009).
 FIG10_DURATION_MS="${BENCH_FIG10_DURATION_MS:-5000}"
-run_gated fig10_live BENCH_0009.json fig10_live_runtime --transport=tcp \
+run_gated fig10_live fig10_live_runtime --transport=tcp \
   --configs=zygos,no-steal --workers=2 --connections=16 --threads=2 \
   --warehouses=1 --scale=tiny --service-pad-us=300 \
   --load-fractions=0.2,0.4,0.6,0.8 --cell-repeats=3 \

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, run every test suite, smoke-test the
-# end-to-end runtime (loopback harness AND the real-TCP kv_server), and rebuild the
+# end-to-end runtime over real TCP (examples and live benches), and rebuild the
 # whole tree (libraries, tests, benches, examples) with warnings-as-errors. This is
 # the gate every PR must keep green.
 #
@@ -64,8 +64,8 @@ smoke_live() {
   (( status == 0 )) || { echo "ci: ${bin} exited ${status}" >&2; exit 1; }
 }
 
-# One low-load point, loopback, live runtime.
-smoke_live fig6_live_runtime '^zygos,' --transport=loopback --configs=zygos \
+# One low-load point, epoll transport, live runtime.
+smoke_live fig6_live_runtime '^zygos,' --transport=tcp --configs=zygos \
   --rates=1500 --duration-ms=400 --warmup-ms=100 --dist=exponential \
   --service-us=100 --service-mode=sleep --workers=2 --connections=8 --seed=7
 # One low churn rate, real TCP, small table.
@@ -80,7 +80,7 @@ smoke_live fanout_chaos '^proxy,' --fanouts=1,8 --logical-rate=150 \
 # exactly (commit+abort+shed+lost == sent, zero malformed) even in a 400 ms window.
 # The monotone/steal gates are vacuously true with a single rate and config; the
 # ledger gate is the real one here.
-smoke_live fig10_live_runtime '^zygos,' --transport=loopback --configs=zygos \
+smoke_live fig10_live_runtime '^zygos,' --transport=tcp --configs=zygos \
   --rates=1200 --duration-ms=400 --warmup-ms=100 --workers=2 --warehouses=1 \
   --scale=tiny --seed=7
 # Short-window overload smoke: calibrate, then a 0.8x cell (must shed nothing) and a
@@ -164,6 +164,12 @@ sleep 1
 kill -TERM "${tpcc_pid}"
 wait "${tpcc_pid}"
 trap - EXIT
+
+echo "== smoke: silo_tpcc demo (serve + TPC-C loadgen in one process)"
+# The serve and loadgen halves above in one process on an ephemeral port; exits
+# non-zero unless both ledgers balance and no request was malformed.
+"${BUILD_DIR}/examples/silo_tpcc" --scale=tiny --workers=2 --rate=2000 \
+  --duration-ms=600 --warmup-ms=200 --connections=4 --threads=2 --seed=7
 
 echo "== smoke: bench/fig10a_silo_ccdf --quick (full-scale TPC-C, one and two threads)"
 # The Silo index on a full-scale 1-warehouse database whose tables keep growing, not

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <memory>
-#include <thread>
 
 #include "src/runtime/socket_transport.h"
 #include "src/runtime/tcp_transport.h"
@@ -23,22 +22,6 @@ std::string TransportDenied(const LiveTransport& transport) {
     return "";
   }
   return "io_uring unavailable: " + UringTransport::UnavailableReason();
-}
-
-// Per-request hardware-counter rates from the cell's summed worker counters. The
-// denominator is every completion of the run (warmup included) — like
-// syscalls_per_req, a steady-state cost ratio, not a window measurement.
-void FillPerfRates(LivePoint& point, const WorkerStats& stats, uint64_t completed) {
-  if (stats.perf_workers == 0 || completed == 0) {
-    return;  // perf_event_open denied (or an idle cell): rates stay "not measured"
-  }
-  point.perf_valid = true;
-  point.cycles_per_req =
-      static_cast<double>(stats.perf_cycles) / static_cast<double>(completed);
-  point.instructions_per_req =
-      static_cast<double>(stats.perf_instructions) / static_cast<double>(completed);
-  point.cache_misses_per_req =
-      static_cast<double>(stats.perf_cache_misses) / static_cast<double>(completed);
 }
 
 std::string Quote(const std::string& text) {
@@ -154,14 +137,11 @@ std::optional<std::vector<LiveConfig>> ParseLiveConfigs(const std::string& csv) 
 }
 
 std::optional<LiveTransport> ParseLiveTransport(const std::string& name) {
-  if (name == "loopback") {
+  if (name == "tcp") {
     return LiveTransport{name};
   }
-  if (name == "tcp") {
-    return LiveTransport{name, /*socket=*/true};
-  }
   if (name == "uring") {
-    return LiveTransport{name, /*socket=*/true, /*uring=*/true};
+    return LiveTransport{name, /*uring=*/true};
   }
   return std::nullopt;
 }
@@ -240,100 +220,57 @@ LiveCellResult RunLiveCell(const LiveSweep& sweep, const LiveTransport& transpor
   point.transport = transport.name;
   point.offered_rps = rate;
 
-  // Socket transports derive their geometry from the runtime options (the single
-  // source of truth for the flow cap — see TcpOptionsFor).
-  MeasuredCompletion completion;  // loopback only; outlives the runtime it observes
-  SocketTransportBase* sock = nullptr;
-  std::unique_ptr<Runtime> runtime;
-  if (transport.socket) {
-    std::unique_ptr<SocketTransportBase> backend;
-    if (transport.uring) {
-      backend = std::make_unique<UringTransport>(TcpOptionsFor(options));
-    } else {
-      backend = std::make_unique<TcpTransport>(TcpOptionsFor(options));
-    }
-    sock = backend.get();
-    runtime =
-        std::make_unique<Runtime>(options, std::move(backend), std::move(handler));
+  // The transport derives its geometry from the runtime options (the single source of
+  // truth for the flow cap — see TcpOptionsFor).
+  std::unique_ptr<SocketTransportBase> backend;
+  if (transport.uring) {
+    backend = std::make_unique<UringTransport>(TcpOptionsFor(options));
   } else {
-    runtime =
-        std::make_unique<Runtime>(options, std::move(handler), completion.Handler());
+    backend = std::make_unique<TcpTransport>(TcpOptionsFor(options));
   }
+  SocketTransportBase* sock = backend.get();
+  Runtime runtime(options, std::move(backend), std::move(handler));
   if (sweep.skew) {
-    runtime->mutable_rss().SetIndirection(
+    runtime.mutable_rss().SetIndirection(
         std::vector<int>(static_cast<size_t>(options.num_flow_groups), 0));
   }
-  runtime->Start();
+  runtime.Start();
 
-  LatencyHistogram latency;
-  if (sock != nullptr) {
-    TcpLoadgenOptions gen = LiveLoadgenOptions(sweep, sock->port(), rate);
-    if (sweep.make_payload) {
-      gen.make_payload = sweep.make_payload;
-    }
-    cell.tcp = RunTcpLoadgen(gen);
-    const TcpLoadgenResult& result = cell.tcp;
-    runtime->Shutdown();
-    point.achieved_rps = result.achieved_rps();
-    point.sent = result.sent;
-    point.measured = result.measured;
-    point.dropped = result.lost;
-    point.send_lag_max_us = ToMicros(result.max_send_lag);
-    latency = result.latency;
-    if (!result.clean) {
-      std::fprintf(stderr,
-                   "%s: [%s/%s @ %.0f rps] unclean TCP run "
-                   "(lost=%llu mismatches=%llu)\n",
-                   sweep.name, config.name.c_str(), transport.name.c_str(), rate,
-                   static_cast<unsigned long long>(result.lost),
-                   static_cast<unsigned long long>(result.mismatches));
-    }
-  } else {
-    GeneratorOptions gen;
-    gen.arrivals = sweep.arrivals.value_or(ArrivalKind::kPoisson);
-    gen.rate_rps = rate;
-    gen.duration = sweep.duration;
-    gen.num_flows = sweep.connections;
-    gen.payload_size = sweep.payload.value_or(32);
-    gen.seed = sweep.seed;
+  TcpLoadgenOptions gen = LiveLoadgenOptions(sweep, sock->port(), rate);
+  if (sweep.make_payload) {
     gen.make_payload = sweep.make_payload;
-    LoopbackSink sink(*runtime);
-    Nanos start = NowNanos();
-    completion.set_measure_start(start + sweep.warmup);
-    cell.loopback = OpenLoopGenerator(gen).RunFrom(start, sink);
-    // Quiesce before reading the clock: achieved throughput counts the drain tail, so
-    // an overloaded point honestly reports its sustainable rate, not the offered one.
-    while (runtime->Completed() < runtime->Injected()) {
-      std::this_thread::yield();
-    }
-    Nanos window = NowNanos() - completion.measure_start();
-    runtime->Shutdown();
-    point.achieved_rps = window > 0 ? static_cast<double>(completion.measured_count()) *
-                                          1e9 / static_cast<double>(window)
-                                    : 0.0;
-    point.sent = cell.loopback.sent;
-    point.measured = completion.measured_count();
-    point.dropped = cell.loopback.dropped;
-    point.send_lag_max_us = ToMicros(cell.loopback.max_send_lag);
-    latency = completion.Snapshot();
   }
-  point.p50_us = ToMicros(latency.P50());
-  point.p99_us = ToMicros(latency.P99());
-  point.p999_us = ToMicros(latency.P999());
-  point.mean_us = latency.Mean() / 1e3;
-  point.max_us = ToMicros(latency.Max());
-  WorkerStats stats = runtime->TotalStats();
-  point.steals = runtime->TotalShuffleStats().steals;
+  cell.tcp = RunTcpLoadgen(gen);
+  const TcpLoadgenResult& result = cell.tcp;
+  runtime.Shutdown();
+  if (!result.clean) {
+    std::fprintf(stderr,
+                 "%s: [%s/%s @ %.0f rps] unclean TCP run (lost=%llu mismatches=%llu)\n",
+                 sweep.name, config.name.c_str(), transport.name.c_str(), rate,
+                 static_cast<unsigned long long>(result.lost),
+                 static_cast<unsigned long long>(result.mismatches));
+  }
+  point.achieved_rps = result.achieved_rps();
+  point.sent = result.sent;
+  point.measured = result.measured;
+  point.dropped = result.lost;
+  point.send_lag_max_us = ToMicros(result.max_send_lag);
+  point.p50_us = ToMicros(result.latency.P50());
+  point.p99_us = ToMicros(result.latency.P99());
+  point.p999_us = ToMicros(result.latency.P999());
+  point.mean_us = result.latency.Mean() / 1e3;
+  point.max_us = ToMicros(result.latency.Max());
+  WorkerStats stats = runtime.TotalStats();
+  point.steals = runtime.TotalShuffleStats().steals;
   point.sheds = stats.sheds_deadline + stats.sheds_admission;
-  cell.runtime_completed = runtime->Completed();
+  cell.runtime_completed = runtime.Completed();
   // Data-path syscalls amortized over every completed request of the run (warmup
   // included — a steady-state ratio). epoll pays recv+send per request; batched uring
-  // pays io_uring_enter per poll pass. Loopback makes none.
-  if (sock != nullptr && cell.runtime_completed > 0) {
+  // pays io_uring_enter per poll pass.
+  if (cell.runtime_completed > 0) {
     point.syscalls_per_req = static_cast<double>(sock->IoSyscalls()) /
                              static_cast<double>(cell.runtime_completed);
   }
-  FillPerfRates(point, stats, cell.runtime_completed);
   return cell;
 }
 

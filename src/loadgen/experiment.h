@@ -25,7 +25,6 @@
 #include "src/common/rng.h"
 #include "src/common/time_units.h"
 #include "src/loadgen/arrival.h"
-#include "src/loadgen/loadgen.h"
 #include "src/loadgen/report.h"
 #include "src/loadgen/tcp_loadgen.h"
 #include "src/runtime/runtime.h"
@@ -81,11 +80,10 @@ std::optional<LiveConfig> ParseLiveConfig(const std::string& name);
 // the list is empty.
 std::optional<std::vector<LiveConfig>> ParseLiveConfigs(const std::string& csv);
 
-// A transport by name: "loopback" (in-process Runtime::Inject), "tcp" (epoll) or
-// "uring" (io_uring).
+// A transport by name: "tcp" (epoll) or "uring" (io_uring). Both serve over real
+// loopback-interface sockets.
 struct LiveTransport {
   std::string name;
-  bool socket = false;  // tcp or uring: served over real loopback-interface sockets
   bool uring = false;
 };
 std::optional<LiveTransport> ParseLiveTransport(const std::string& name);
@@ -93,7 +91,7 @@ std::optional<LiveTransport> ParseLiveTransport(const std::string& name);
 // --- The p99-vs-load sweep ------------------------------------------------------------
 
 struct LiveSweep : LiveFlags {
-  std::string transport_csv = "loopback";                // --transport
+  std::string transport_csv = "tcp";                     // --transport
   std::string configs_csv = "zygos,no-steal";            // --configs
   std::string load_fractions_csv = "0.25,0.5,0.75,0.95";  // --load-fractions
   double calibrate_rate = 0;  // --calibrate-rate (0: the binary's default probe rate)
@@ -129,15 +127,13 @@ bool SelectTransports(LiveSweep& sweep);
 struct LiveCellResult {
   LivePoint point;
   uint64_t runtime_completed = 0;  // Runtime::Completed() at shutdown (served + shed)
-  TcpLoadgenResult tcp;            // socket transports
-  GeneratorResult loopback;        // loopback transport
+  TcpLoadgenResult tcp;
 };
 
 // Runs one (transport, config, rate) cell of `sweep` on a fresh runtime serving
-// `handler`, driven open-loop for sweep.duration: the in-process generator for
-// loopback, the TCP loadgen for socket transports. Fills every LivePoint field the
-// transport can measure — latencies from the warmup-trimmed window, syscalls_per_req
-// (socket transports), per-request perf counters, sheds.
+// `handler` on an ephemeral port, driven open-loop by the TCP loadgen for
+// sweep.duration. Fills every LivePoint field — latencies from the warmup-trimmed
+// window, syscalls_per_req, sheds.
 LiveCellResult RunLiveCell(const LiveSweep& sweep, const LiveTransport& transport,
                            const LiveConfig& config, double rate, ViewHandler handler);
 

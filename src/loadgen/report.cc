@@ -54,21 +54,20 @@ void PrintLiveCsvHeader(FILE* out) {
   std::fprintf(out,
                "config,offered_rps,achieved_rps,p50_us,p99_us,p999_us,mean_us,max_us,"
                "measured,sent,dropped,send_lag_max_us,steals,syscalls_per_req,transport,"
-               "sheds,cycles_per_req,insns_per_req,cache_misses_per_req\n");
+               "sheds\n");
 }
 
 void PrintLiveCsvRow(FILE* out, const LivePoint& p) {
   std::fprintf(out,
                "%s,%.0f,%.0f,%.1f,%.1f,%.1f,%.1f,%.1f,%llu,%llu,%llu,%.1f,%llu,%.3f,"
-               "%s,%llu,%.0f,%.0f,%.1f\n",
+               "%s,%llu\n",
                p.config.c_str(), p.offered_rps, p.achieved_rps, p.p50_us, p.p99_us,
                p.p999_us, p.mean_us, p.max_us,
                static_cast<unsigned long long>(p.measured),
                static_cast<unsigned long long>(p.sent),
                static_cast<unsigned long long>(p.dropped), p.send_lag_max_us,
                static_cast<unsigned long long>(p.steals), p.syscalls_per_req,
-               p.transport.c_str(), static_cast<unsigned long long>(p.sheds),
-               p.cycles_per_req, p.instructions_per_req, p.cache_misses_per_req);
+               p.transport.c_str(), static_cast<unsigned long long>(p.sheds));
 }
 
 // A cell's p99 is an order statistic over the top ~1% of its completions — a few

@@ -26,45 +26,37 @@ namespace zygos {
 
 // One measured sweep cell. `config` is the runtime ablation ("zygos", "no-steal");
 // load cells of one config must be appended in ascending offered_rps order.
-// `transport` is the backend that served the cell ("loopback" | "tcp" | "uring") —
-// sweeps may run the same configs over several transports at matched rates.
+// `transport` is the backend that served the cell ("tcp" | "uring") — sweeps may run
+// the same configs over several transports at matched rates.
 struct LivePoint {
   std::string config;
-  std::string transport = "loopback";
+  std::string transport = "tcp";
   double offered_rps = 0;
   double achieved_rps = 0;
   uint64_t sent = 0;
   uint64_t measured = 0;  // completions inside the measurement window
-  uint64_t dropped = 0;   // ingress drops (loopback ring full) or TCP losses
+  uint64_t dropped = 0;   // requests the loadgen counted lost (TcpLoadgenResult::lost)
   double p50_us = 0;
   double p99_us = 0;
   double p999_us = 0;
   double mean_us = 0;
   double max_us = 0;
-  double send_lag_max_us = 0;  // generator lateness (see GeneratorResult::max_send_lag)
+  double send_lag_max_us = 0;  // generator lateness (TcpLoadgenResult::max_send_lag)
   uint64_t steals = 0;
   // Data-path syscalls per completed request (Transport::IoSyscalls over completions;
-  // see bench/README.md "syscalls_per_request"). 0 for loopback. The headline the
-  // uring backend exists to lower: epoll pays ~2+/req, batched uring well under 1.
+  // see bench/README.md "syscalls_per_request"). The headline the uring backend
+  // exists to lower: epoll pays ~2+/req, batched uring about 1.
   double syscalls_per_req = 0;
   // Overload refusals the server issued during the cell (WorkerStats sheds_* sum).
   // 0 unless the cell ran with overload control enabled.
   uint64_t sheds = 0;
-  // Hardware-counter cost per completed request (WorkerStats perf_* sums over the
-  // cell's whole run, src/hw/perf_counters.h). perf_valid=false (rates 0) when
-  // perf_event_open is denied on the host — "not measured", never "measured zero".
-  bool perf_valid = false;
-  double cycles_per_req = 0;
-  double instructions_per_req = 0;
-  double cache_misses_per_req = 0;
 };
 
 // CSV contract (stdout): header row then one row per point, `#` lines are prose.
 // `config` stays the FIRST column (harnesses grep `^zygos,`); new columns are only
 // ever appended at the end.
 //   config,offered_rps,achieved_rps,p50_us,p99_us,p999_us,mean_us,max_us,
-//   measured,sent,dropped,send_lag_max_us,steals,syscalls_per_req,transport,
-//   sheds,cycles_per_req,insns_per_req,cache_misses_per_req
+//   measured,sent,dropped,send_lag_max_us,steals,syscalls_per_req,transport,sheds
 void PrintLiveCsvHeader(FILE* out);
 void PrintLiveCsvRow(FILE* out, const LivePoint& point);
 

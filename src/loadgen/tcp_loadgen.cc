@@ -18,7 +18,6 @@
 
 #include "src/concurrency/spinlock.h"
 #include "src/loadgen/fanout.h"
-#include "src/loadgen/loadgen.h"
 #include "src/net/message.h"
 
 namespace zygos {

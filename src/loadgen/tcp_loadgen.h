@@ -1,13 +1,22 @@
 // Open-loop load generator over real TCP sockets (the external-client role mutilate
-// plays in the paper): N connections fanned over T generator threads, each thread
-// pacing an independent arrival process of rate R/T — the superposition is a Poisson
-// process of rate R — while polling its connections for responses.
+// plays in the paper), and the only load path of every live bench and demo: N
+// connections fanned over T generator threads, each thread pacing an independent
+// arrival process of rate R/T — the superposition is a Poisson process of rate R —
+// while polling its connections for responses.
 //
-// Coordinated-omission safety is the same discipline as src/loadgen/loadgen.h: every
-// request carries its *scheduled* send time in the per-connection in-flight FIFO, and
-// latency is measured scheduled-send → response-received. A stalled server (or a
-// blocking send on a full socket buffer) therefore inflates the recorded tail rather
-// than suppressing measurements.
+// Coordinated-omission safety: each thread's send schedule (times and count) is drawn
+// from its arrival process alone, so a slow server can delay actual sends but never
+// move or thin the scheduled ones. Every request carries its *scheduled* send time in
+// the per-connection in-flight FIFO, and latency is measured scheduled-send →
+// response-received. A stalled server (or a blocking send on a full socket buffer)
+// therefore inflates the recorded tail rather than suppressing measurements
+// (TcpLoadgenFanoutTest.LogicalScheduleIsIndependentOfNetworkDegradation).
+//
+// Payload bytes and connection choices come from ONE per-thread Rng, in send order.
+// The schedule stays pure, but the connection picks depend on the payload factory:
+// a factory that draws from the Rng (TPC-C draws one u64 per request, the KV
+// workloads a per-request number) shifts every later pick compared with fixed bytes.
+// A seed still reproduces the whole run for one factory.
 //
 // Fan-out mode (fanout_n > 1) adds the tail-at-scale dimension: each scheduled
 // arrival becomes one LOGICAL request of N sub-requests on distinct connections,

@@ -35,7 +35,7 @@ std::function<void(Rng&, std::string&)> MakeTpccPayloadFactory(
     const LoaderOptions& scale) {
   return [scale](Rng& rng, std::string& out) {
     // One u64 per request: the TpccRandom is a pure function of the loadgen stream,
-    // so changing TPC-C draw counts can never shift the loadgen's own schedule.
+    // so changing TPC-C draw counts never shifts the loadgen's connection picks.
     TpccRandom tpcc_random(rng.NextU64());
     AppendTpccRequest(tpcc_random, scale, out);
   };

@@ -1,8 +1,8 @@
-// Thread-safe latency collector wired to the runtime's completion callback. The
-// open-loop load generator that drives the runtime — scheduled send times,
-// coordinated-omission-safe accounting, warmup windows, TCP support — lives in
-// src/loadgen/ (OpenLoopGenerator + LoopbackSink + MeasuredCompletion, which records
-// into a LatencyCollector).
+// Thread-safe latency collector wired to the runtime's completion callback (server-
+// side latency: arrival at the transport -> TX, as examples/kv_server.cpp reports
+// it). The open-loop load generator that drives the runtime — scheduled send times,
+// coordinated-omission-safe accounting, warmup windows — is the TCP client in
+// src/loadgen/tcp_loadgen.h.
 //
 // On hosts with fewer hardware threads than workers the wall-clock latencies include
 // OS scheduling noise — the examples print them as illustrations; the reproducible

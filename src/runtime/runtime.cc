@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "src/hw/perf_counters.h"
 #include "src/runtime/loopback_transport.h"
 
 namespace zygos {
@@ -90,14 +89,13 @@ void Runtime::Shutdown() {
   stopped_.store(true, std::memory_order_release);
 }
 
-bool Runtime::Inject(uint64_t flow_id, uint64_t request_id, const std::string& payload,
-                     Nanos arrival) {
+bool Runtime::Inject(uint64_t flow_id, uint64_t request_id, const std::string& payload) {
   // One pooled frame per request, allocated from the injecting thread's pool and
   // released (remotely) by the netstack once parsing drops the last view of it.
   Segment segment;
   segment.flow_id = flow_id;
   segment.buf = EncodeFrame(request_id, payload);
-  segment.arrival = arrival != 0 ? arrival : NowNanos();
+  segment.arrival = NowNanos();
   if (!transport_->Inject(std::move(segment))) {
     return false;
   }
@@ -151,10 +149,6 @@ WorkerStats Runtime::TotalStats() const {
     total.sheds_deadline += stats->sheds_deadline;
     total.sheds_admission += stats->sheds_admission;
     total.rx_unstamped += stats->rx_unstamped;
-    total.perf_cycles += stats->perf_cycles;
-    total.perf_instructions += stats->perf_instructions;
-    total.perf_cache_misses += stats->perf_cache_misses;
-    total.perf_workers += stats->perf_workers;
   }
   return total;
 }
@@ -174,11 +168,6 @@ void Runtime::WorkerLoop(int core) {
     stats.pool_misses = snapshot.misses();
     stats.pool_remote_frees = snapshot.remote_frees;
   };
-  // Best-effort hardware counters for this worker's whole lifetime (open-to-exit);
-  // a denied perf_event_open leaves the perf_* stats zero with perf_workers == 0.
-  PerfCounterSet perf;
-  perf.Open();
-
   while (true) {
     bool worked = false;
     // Priority 1: remote batched syscalls (they hold socket ownership and directly
@@ -214,13 +203,6 @@ void Runtime::WorkerLoop(int core) {
     }
     if (stop_.load(std::memory_order_acquire)) {
       mirror_pool_stats();  // final exact values for post-Shutdown readers
-      PerfSample sample = perf.ReadSample();
-      if (sample.valid) {
-        stats.perf_cycles = sample.cycles;
-        stats.perf_instructions = sample.instructions;
-        stats.perf_cache_misses = sample.cache_misses;
-        stats.perf_workers = 1;
-      }
       return;
     }
     // Yield the OS thread: essential on machines with fewer hardware threads than

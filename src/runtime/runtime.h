@@ -143,14 +143,6 @@ struct alignas(kCacheLineSize) WorkerStats {
   // backfills with its own clock). The conformance suite gates this to zero for
   // every backend.
   uint64_t rx_unstamped = 0;
-  // Hardware counters (src/hw/perf_counters.h), written once at worker exit —
-  // whole-thread-lifetime deltas, stable after Shutdown. All zero with
-  // perf_workers == 0 when perf_event_open is denied (hardened or virtualized
-  // hosts): "not measured", never "measured zero".
-  uint64_t perf_cycles = 0;
-  uint64_t perf_instructions = 0;
-  uint64_t perf_cache_misses = 0;
-  uint64_t perf_workers = 0;  // workers whose counter set actually opened
 };
 
 class Runtime {
@@ -180,14 +172,10 @@ class Runtime {
 
   // Client-side entry: frames `payload` as one RPC message on `flow_id` and delivers
   // the bytes to the flow's home ring. Returns false on a full ring (dropped) and
-  // always false on transports without in-process ingress (TcpTransport).
-  // `arrival` is the timestamp latency is measured from (reported back through the
-  // completion handler): 0 means "now". An open-loop generator passes the request's
-  // *scheduled* send time instead, so that generator lateness counts as latency
-  // rather than being silently absorbed (coordinated-omission safety,
-  // src/loadgen/loadgen.h).
-  bool Inject(uint64_t flow_id, uint64_t request_id, const std::string& payload,
-              Nanos arrival = 0);
+  // always false on transports without in-process ingress (TcpTransport). The
+  // segment is stamped with the injection time, which the completion handler reports
+  // back as the request's arrival.
+  bool Inject(uint64_t flow_id, uint64_t request_id, const std::string& payload);
 
   // Raw-bytes entry for tests: delivers exactly `bytes` (which may contain partial or
   // multiple frames) to the flow's home ring. `expected_messages` is the number of

@@ -57,11 +57,10 @@ struct Segment {
   IoBuf buf;
   Nanos arrival = 0;  // receive timestamp (loopback: client inject time)
   // Wall-clock time the bytes reached THIS transport (loopback: Inject; epoll: the
-  // recv that produced the segment; uring: CQE reap). Distinct from `arrival`, which
-  // an open-loop harness backdates to the scheduled send time for CO-safe latency:
-  // overload control measures server-side queueing as NowNanos() - rx_nanos, which
-  // must never include generator lag. Every backend stamps it; the runtime counts
-  // zero-stamped segments in WorkerStats::rx_unstamped (conformance-gated to 0).
+  // recv that produced the segment; uring: CQE reap). Overload control measures
+  // server-side queueing as NowNanos() - rx_nanos. Every backend stamps it; the
+  // runtime counts zero-stamped segments in WorkerStats::rx_unstamped
+  // (conformance-gated to 0).
   Nanos rx_nanos = 0;
 };
 

@@ -1,9 +1,8 @@
 // Tests for the open-loop load generator (src/loadgen): arrival-process statistics,
-// the coordinated-omission guard (the send schedule is a pure function of the seed —
-// sink latency must never shift scheduled times or thin the request count), the
-// warmup window of MeasuredCompletion, an end-to-end loopback run against the live
-// runtime, and the shared live-experiment harness (src/loadgen/experiment.h: the
-// BENCH report writer, median-of-N, the config table, one cell per transport family).
+// the TPC-C payload factory's determinism, the TCP generator's churn and fan-out
+// modes and its coordinated-omission guard (a degraded network must never thin the
+// schedule), and the shared live-experiment harness (src/loadgen/experiment.h: the
+// BENCH report writer, median-of-N, the config table, one live TCP cell).
 //
 // All assertions are functional (counts, schedules, invariants) except the live
 // round-trips, which only assert that measurement happened — never how fast: the host
@@ -26,9 +25,7 @@
 #include "src/loadgen/arrival.h"
 #include "src/loadgen/experiment.h"
 #include "src/loadgen/fanout.h"
-#include "src/loadgen/loadgen.h"
 #include "src/loadgen/report.h"
-#include "src/loadgen/spin_service.h"
 #include "src/loadgen/tcp_loadgen.h"
 #include "src/loadgen/tpcc_gen.h"
 #include "src/runtime/runtime.h"
@@ -78,233 +75,33 @@ TEST(ArrivalProcessTest, ParseAndNameRoundTrip) {
   EXPECT_STREQ(ArrivalKindName(ArrivalKind::kPoisson), "poisson");
 }
 
-// Sink that records every request it is handed, optionally stalling first — the
-// "server misbehaves" half of the coordinated-omission experiment.
-class RecordingSink final : public LoadSink {
- public:
-  explicit RecordingSink(Nanos stall = 0) : stall_(stall) {}
-
-  bool Send(uint64_t request_id, uint64_t flow_id, Nanos scheduled_send,
-            const std::string& payload) override {
-    (void)payload;
-    if (stall_ > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(stall_));
+// TPC-C determinism: the factory's bytes are a pure function of the Rng stream, so a
+// Fig. 10 run's request content is replayable from the loadgen seed.
+TEST(TpccPayloadFactoryTest, BytesAreAPureFunctionOfTheRngStream) {
+  const auto factory = MakeTpccPayloadFactory(LoaderOptions::Tiny(2));
+  auto payloads = [&factory](uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::string> out(200);
+    for (std::string& payload : out) {
+      factory(rng, payload);
     }
-    sends_.emplace_back(request_id, flow_id, scheduled_send);
-    return true;
-  }
-
-  struct Sent {
-    Sent(uint64_t id, uint64_t flow, Nanos at) : id(id), flow(flow), at(at) {}
-    uint64_t id;
-    uint64_t flow;
-    Nanos at;
-    bool operator==(const Sent&) const = default;
+    return out;
   };
-  const std::vector<Sent>& sends() const { return sends_; }
-
- private:
-  Nanos stall_;
-  std::vector<Sent> sends_;
-};
-
-// THE coordinated-omission guard: the schedule — request count, scheduled send
-// times, flow choices — must be identical whether the sink responds instantly or
-// stalls on every send. A generator whose schedule reacted to sink latency would
-// systematically omit the requests that should have landed during stalls, which is
-// exactly the bias open-loop load generation exists to avoid.
-TEST(OpenLoopGeneratorTest, ScheduleIsIndependentOfSinkDelays) {
-  GeneratorOptions options;
-  options.arrivals = ArrivalKind::kPoisson;
-  options.rate_rps = 5000;
-  options.duration = 40 * kMillisecond;  // ~200 scheduled requests
-  options.num_flows = 8;
-  options.payload_size = 4;
-  options.seed = 1234;
-
-  // A fixed start makes the two runs' absolute schedules comparable.
-  Nanos start = NowNanos();
-  RecordingSink fast;
-  GeneratorResult fast_result = OpenLoopGenerator(options).RunFrom(start, fast);
-
-  // Per-send stall chosen so the cumulative stall provably exceeds the send window:
-  // sent * 300 us >> 40 ms for the ~200-request schedule.
-  constexpr Nanos kStall = 300 * kMicrosecond;
-  RecordingSink slow(kStall);
-  GeneratorResult slow_result = OpenLoopGenerator(options).RunFrom(start, slow);
-
-  ASSERT_GT(fast.sends().size(), 100u);
-  EXPECT_EQ(fast_result.sent, slow_result.sent);
-  EXPECT_EQ(fast.sends(), slow.sends())
-      << "sink latency leaked into the send schedule (coordinated omission)";
-  // The slow run fell behind its schedule and must admit it. Deterministic bound, not
-  // a comparison against the fast run (whose lag is scheduler noise): by the last
-  // send the run has slept >= sent * kStall of stall while the last scheduled time is
-  // < duration after start, so the worst lag is at least the difference
-  // (tests/README.md: lower bounds derived from injected sleeps are safe; comparing
-  // two wall-clock measurements is not).
-  Nanos provable_lag =
-      static_cast<Nanos>(slow_result.sent) * kStall - options.duration;
-  ASSERT_GT(provable_lag, 0) << "stall too small to prove lag for this schedule";
-  EXPECT_GE(slow_result.max_send_lag, provable_lag);
-}
-
-// Sink that additionally records the request bytes — the TPC-C determinism probe.
-class PayloadRecordingSink final : public LoadSink {
- public:
-  bool Send(uint64_t request_id, uint64_t flow_id, Nanos scheduled_send,
-            const std::string& payload) override {
-    sends_.emplace_back(request_id, flow_id, scheduled_send);
-    payloads_.push_back(payload);
-    return true;
-  }
-
-  const std::vector<RecordingSink::Sent>& sends() const { return sends_; }
-  const std::vector<std::string>& payloads() const { return payloads_; }
-
- private:
-  std::vector<RecordingSink::Sent> sends_;
-  std::vector<std::string> payloads_;
-};
-
-// TPC-C determinism: same seed => identical txn-mix schedule AND identical request
-// bytes. The wire payloads are a pure function of the seed, so a Fig. 10 run is
-// replayable request-for-request (the CO guard extended to request content).
-TEST(OpenLoopGeneratorTest, TpccPayloadStreamIsAPureFunctionOfTheSeed) {
-  const LoaderOptions scale = LoaderOptions::Tiny(2);
-  GeneratorOptions options;
-  options.arrivals = ArrivalKind::kPoisson;
-  options.rate_rps = 5000;
-  options.duration = 40 * kMillisecond;
-  options.num_flows = 8;
-  options.seed = 4242;
-  options.make_payload = MakeTpccPayloadFactory(scale);
-
-  Nanos start = NowNanos();
-  PayloadRecordingSink first;
-  OpenLoopGenerator(options).RunFrom(start, first);
-  PayloadRecordingSink second;
-  OpenLoopGenerator(options).RunFrom(start, second);
-
-  ASSERT_GT(first.payloads().size(), 100u);
-  EXPECT_EQ(first.sends(), second.sends()) << "schedule not seed-deterministic";
-  EXPECT_EQ(first.payloads(), second.payloads()) << "request bytes not deterministic";
+  const std::vector<std::string> first = payloads(4242);
+  EXPECT_EQ(first, payloads(4242)) << "request bytes not deterministic";
 
   // The stream is real TPC-C: every payload decodes, and the mix has >= 2 txn types
-  // in ~200 draws (NewOrder + Payment alone cover 88% of the deck).
+  // in 200 draws (NewOrder + Payment alone cover 88% of the deck).
   std::set<TpccTxnType> types;
-  for (const std::string& payload : first.payloads()) {
+  for (const std::string& payload : first) {
     auto request = DecodeTpccRequest(payload);
-    ASSERT_TRUE(request.has_value()) << "generator emitted a malformed request";
+    ASSERT_TRUE(request.has_value()) << "factory emitted a malformed request";
     types.insert(request->type);
   }
   EXPECT_GE(types.size(), 2u);
 
-  // A different seed must shift the content stream (not merely the schedule).
-  options.seed = 4243;
-  PayloadRecordingSink other;
-  OpenLoopGenerator(options).RunFrom(start, other);
-  EXPECT_NE(first.payloads(), other.payloads());
-}
-
-// Installing the TPC-C factory must not bend the send schedule: scheduled times,
-// request ids, and flow choices are identical with and without it (the payload Rng is
-// a separate stream — ScheduleIsIndependentOfSinkDelays' guard extended to content
-// generation).
-TEST(OpenLoopGeneratorTest, TpccFactoryDoesNotShiftTheScheduleOrFlowChoices) {
-  GeneratorOptions options;
-  options.arrivals = ArrivalKind::kPoisson;
-  options.rate_rps = 5000;
-  options.duration = 40 * kMillisecond;
-  options.num_flows = 8;
-  options.payload_size = 4;
-  options.seed = 1234;
-
-  Nanos start = NowNanos();
-  PayloadRecordingSink fixed;
-  OpenLoopGenerator(options).RunFrom(start, fixed);
-
-  options.make_payload = MakeTpccPayloadFactory(LoaderOptions::Tiny(1));
-  PayloadRecordingSink tpcc;
-  OpenLoopGenerator(options).RunFrom(start, tpcc);
-
-  ASSERT_GT(fixed.sends().size(), 100u);
-  EXPECT_EQ(fixed.sends(), tpcc.sends())
-      << "payload generation leaked into the send schedule (coordinated omission)";
-  EXPECT_NE(fixed.payloads(), tpcc.payloads());  // the content did change
-}
-
-TEST(OpenLoopGeneratorTest, CountsSinkRefusalsAsDrops) {
-  class RefusingSink final : public LoadSink {
-   public:
-    bool Send(uint64_t, uint64_t, Nanos, const std::string&) override {
-      return calls_++ % 2 == 0;  // refuse every second request
-    }
-    int calls_ = 0;
-  };
-  GeneratorOptions options;
-  options.rate_rps = 50'000;
-  options.duration = 10 * kMillisecond;
-  options.seed = 5;
-  RefusingSink sink;
-  GeneratorResult result = OpenLoopGenerator(options).RunFrom(NowNanos(), sink);
-  EXPECT_GT(result.sent, 0u);
-  EXPECT_GT(result.dropped, 0u);
-  EXPECT_EQ(result.sent + result.dropped, static_cast<uint64_t>(sink.calls_));
-}
-
-TEST(MeasuredCompletionTest, WarmupWindowDiscardsEarlyCompletions) {
-  MeasuredCompletion completion;
-  completion.set_measure_start(1'000'000);
-  CompletionHandler handler = completion.Handler();
-  // Scheduled before the window: discarded.
-  handler(/*flow=*/0, /*request=*/0, "r", /*arrival=*/999'999, /*shed=*/false);
-  EXPECT_EQ(completion.measured_count(), 0u);
-  EXPECT_EQ(completion.Snapshot().Count(), 0u);
-  // Scheduled inside the window: recorded.
-  handler(0, 1, "r", NowNanos() - 5 * kMicrosecond, /*shed=*/false);
-  EXPECT_EQ(completion.measured_count(), 1u);
-  EXPECT_EQ(completion.Snapshot().Count(), 1u);
-}
-
-// End to end on the live runtime: open-loop generator -> loopback transport -> spin
-// service -> completion collector. Asserts measurement plumbing, not speed.
-TEST(LoadgenLoopbackTest, MeasuresLiveRuntimeEndToEnd) {
-  RuntimeOptions options;
-  options.num_workers = 2;
-  options.num_flows = 4;
-  auto dist = std::shared_ptr<const ServiceTimeDistribution>(
-      MakeDistribution("deterministic", 5 * kMicrosecond));
-  ASSERT_NE(dist, nullptr);
-  MeasuredCompletion completion;
-  Runtime runtime(options, MakeSpinService(dist, ServiceMode::kSpin, /*seed=*/3),
-                  completion.Handler());
-  runtime.Start();
-
-  GeneratorOptions gen;
-  gen.rate_rps = 2000;
-  gen.duration = 100 * kMillisecond;
-  gen.num_flows = options.num_flows;
-  gen.payload_size = 16;
-  gen.seed = 11;
-  Nanos start = NowNanos();
-  Nanos warmup = 20 * kMillisecond;
-  completion.set_measure_start(start + warmup);
-  LoopbackSink sink(runtime);
-  GeneratorResult result = OpenLoopGenerator(gen).RunFrom(start, sink);
-  runtime.Shutdown();
-
-  EXPECT_GT(result.sent, 0u);
-  EXPECT_EQ(result.dropped, 0u);
-  EXPECT_EQ(runtime.Completed(), result.sent);
-  // Some completions were measured, and fewer than were sent (warmup discarded the
-  // early ones — the generator ran 5x longer than the warmup window).
-  EXPECT_GT(completion.measured_count(), 0u);
-  EXPECT_LT(completion.measured_count(), result.sent);
-  // Every measured latency covers at least the deterministic 5 us spin.
-  LatencyHistogram hist = completion.Snapshot();
-  EXPECT_EQ(hist.Count(), completion.measured_count());
-  EXPECT_GE(hist.Min(), 5 * kMicrosecond);
+  // A different seed must shift the content stream.
+  EXPECT_NE(first, payloads(4243));
 }
 
 // --- Churn mode over real sockets -----------------------------------------------------
@@ -492,11 +289,9 @@ TEST(TcpLoadgenFanoutTest, LogicalLatencyCoversTheSlowestSubFlow) {
   EXPECT_LT(result.sub_latency.Min(), result.latency.Min());
 }
 
-// The fan-out CO guard: a degraded network (chaos proxy stalling one direction) must
-// not thin the LOGICAL schedule — logical_sent is a pure function of
-// (seed, rate, duration, threads), and every scheduled logical request resolves
-// exactly once as completed or lost.
-TEST(TcpLoadgenFanoutTest, LogicalScheduleIsIndependentOfNetworkDegradation) {
+// Runs the same schedule against a direct server and through a chaos proxy whose
+// server->client direction goes deaf, and checks the logical ledger of both runs.
+void ExpectScheduleSurvivesDegradation(int fanout_n) {
   ViewHandler echo = [](uint64_t, std::string_view request, ResponseBuilder& out) {
     out.Append(request);
   };
@@ -505,7 +300,7 @@ TEST(TcpLoadgenFanoutTest, LogicalScheduleIsIndependentOfNetworkDegradation) {
     gen.port = port;
     gen.connections = 4;
     gen.threads = 1;
-    gen.fanout_n = 4;
+    gen.fanout_n = fanout_n;
     gen.rate_rps = 200;
     gen.duration = 300 * kMillisecond;
     gen.warmup = 50 * kMillisecond;
@@ -560,6 +355,17 @@ TEST(TcpLoadgenFanoutTest, LogicalScheduleIsIndependentOfNetworkDegradation) {
       << "network degradation thinned the logical schedule (coordinated omission)";
   EXPECT_EQ(direct.logical_completed + direct.logical_lost, direct.logical_sent);
   EXPECT_EQ(degraded.logical_completed + degraded.logical_lost, degraded.logical_sent);
+}
+
+// The TCP generator's CO guard, plain (fanout_n = 1) and fanned out (4): a degraded
+// network (chaos proxy stalling one direction) must not thin the LOGICAL schedule —
+// logical_sent is a pure function of (seed, rate, duration, threads), and every
+// scheduled logical request resolves exactly once as completed or lost.
+TEST(TcpLoadgenFanoutTest, LogicalScheduleIsIndependentOfNetworkDegradation) {
+  for (int fanout_n : {1, 4}) {
+    SCOPED_TRACE("fanout_n=" + std::to_string(fanout_n));
+    ExpectScheduleSurvivesDegradation(fanout_n);
+  }
 }
 
 // --- The shared live-experiment harness (experiment.h) ----------------------------------
@@ -643,19 +449,20 @@ TEST(LiveConfigTest, ParsesTheConfigTableAndRejectsUnknownNames) {
 
   std::optional<LiveTransport> uring = ParseLiveTransport("uring");
   ASSERT_TRUE(uring.has_value());
-  EXPECT_TRUE(uring->socket && uring->uring);
-  EXPECT_TRUE(ParseLiveTransport("tcp")->socket);
+  EXPECT_TRUE(uring->uring);
+  ASSERT_TRUE(ParseLiveTransport("tcp").has_value());
   EXPECT_FALSE(ParseLiveTransport("tcp")->uring);
-  EXPECT_FALSE(ParseLiveTransport("loopback")->socket);
-  // The deleted io_uring feature-ladder names are rejected like any unknown name.
+  // The deleted in-process transport and io_uring feature-ladder names are rejected
+  // like any unknown name.
+  EXPECT_FALSE(ParseLiveTransport("loopback").has_value());
   EXPECT_FALSE(ParseLiveTransport("uring+ms").has_value());
   EXPECT_FALSE(ParseLiveTransport("uring+ms+sqp").has_value());
   EXPECT_FALSE(ParseLiveTransport("uring+ms+sqp+zc").has_value());
 }
 
-// One low-rate cell per transport family through the shared runner. Functional
-// assertions only (tests/README.md): the run's ledger balances and something was
-// measured — never how fast.
+// One low-rate TCP cell through the shared runner. Functional assertions only
+// (tests/README.md): the run's ledger balances and something was measured — never
+// how fast.
 LiveSweep LowRateSweep() {
   LiveSweep sweep;
   sweep.workers = 2;
@@ -670,20 +477,6 @@ ViewHandler EchoHandler() {
   return [](uint64_t, std::string_view request, ResponseBuilder& out) {
     out.Append(request);
   };
-}
-
-TEST(RunLiveCellTest, LoopbackCellRetiresEveryAcceptedRequest) {
-  LiveCellResult cell = RunLiveCell(LowRateSweep(), *ParseLiveTransport("loopback"),
-                                    *ParseLiveConfig("zygos"), 1000, EchoHandler());
-  EXPECT_GT(cell.loopback.sent, 0u);
-  // GeneratorResult::sent already excludes ingress refusals (`dropped`), so every
-  // accepted request must have retired.
-  EXPECT_EQ(cell.runtime_completed, cell.loopback.sent);
-  EXPECT_EQ(cell.point.sent, cell.loopback.sent);
-  EXPECT_EQ(cell.point.dropped, cell.loopback.dropped);
-  EXPECT_GT(cell.point.measured, 0u);
-  EXPECT_EQ(cell.point.transport, "loopback");
-  EXPECT_EQ(cell.point.syscalls_per_req, 0.0);
 }
 
 TEST(RunLiveCellTest, TcpCellLedgerBalances) {
