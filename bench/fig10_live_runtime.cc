@@ -113,8 +113,8 @@ CellLedger LedgerOf(const LiveCellResult& cell, const TpccService& service) {
   // Server side: every completion the runtime retired was answered by the service
   // (or refused as shed). Both must hold.
   uint64_t answered = ledger.commits + ledger.user_aborts + ledger.malformed;
-  ledger.balanced = tcp.completed + tcp.shed + tcp.lost == tcp.sent &&
-                    answered + cell.point.sheds == cell.runtime_completed;
+  ledger.balanced =
+      tcp.Balanced() && answered + cell.point.sheds == cell.runtime_completed;
   return ledger;
 }
 

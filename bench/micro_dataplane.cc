@@ -20,9 +20,13 @@
 // discards the one-off in either direction; a real fast-path regression shifts all
 // three runs.
 //
-// Flags: [--requests=200000] [--warmup=20000] [--payload=32] [--seed ignored]
-// Output: CSV `path,ns_per_op,allocs_per_op` plus a `# headline:` line
-// (the BENCH_*.json contract consumed by scripts/bench_trajectory.sh).
+// Flags: [--requests=200000] [--warmup=20000] [--payload=32] [--json=PATH]
+// Output: CSV `path,ns_per_op,allocs_per_op` plus a `# headline:` line; --json writes
+// the BENCH record (pooled ns/op). Two gates (the process exits 1 iff one is false):
+// the pooled path allocates nothing, and it stays at least 1.05x faster than the
+// string path. The pooled path measures 1.2-1.4x; 1.05 sits well below that, so the
+// gate catches a real fast-path regression (the pre-inline state was 0.96x) without
+// flaking on run-to-run ns/op jitter.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -201,6 +205,7 @@ int Main(int argc, char** argv) {
   const auto warmup = static_cast<uint64_t>(flags.GetInt("warmup", 20'000));
   const auto payload_size = static_cast<size_t>(flags.GetInt("payload", 32));
   const std::string payload(payload_size, 'x');
+  const std::string json_path = flags.GetString("json", "");
 
   std::printf("# micro_dataplane: %llu ops (+%llu warmup), %zu-byte echo payload\n",
               static_cast<unsigned long long>(requests),
@@ -238,7 +243,19 @@ int Main(int argc, char** argv) {
               "%.3f allocs/op (%.2fx)\n",
               pooled.ns_per_op, pooled.allocs_per_op, str.ns_per_op,
               str.allocs_per_op, speedup);
-  return 0;
+  BenchReport report("dataplane_pooled_echo_ns_per_op", pooled.ns_per_op, "ns_per_op",
+                     /*precision=*/1);
+  report.params()
+      .Int("requests", static_cast<int64_t>(requests))
+      .Int("warmup", static_cast<int64_t>(warmup))
+      .Int("payload", static_cast<int64_t>(payload_size))
+      .Num("pooled_allocs_per_op", pooled.allocs_per_op, 3)
+      .Num("string_ns_per_op", str.ns_per_op, 1)
+      .Num("string_allocs_per_op", str.allocs_per_op, 3)
+      .Num("speedup_vs_string", speedup, 2);
+  report.Gate("pooled_allocation_free", pooled.allocs_per_op == 0)
+      .Gate("pooled_speedup_vs_string_geq_1_05", speedup >= 1.05);
+  return report.Finish(json_path);
 }
 
 }  // namespace

@@ -150,7 +150,7 @@ Cell FinishCell(const std::string& config, double multiplier, double rate,
   cell.sheds_deadline = raw.stats.sheds_deadline;
   cell.sheds_admission = raw.stats.sheds_admission;
   cell.clean = r.clean;
-  cell.ledger_ok = r.completed + r.shed + r.lost == r.sent;
+  cell.ledger_ok = r.Balanced();
   return cell;
 }
 

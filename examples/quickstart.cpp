@@ -82,8 +82,8 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.remote_syscalls));
   // Client side: every scheduled request completed, was shed, or is accounted lost.
   // Server side: every completion the runtime retired was answered or shed.
-  const bool balanced = result.completed + result.shed + result.lost == result.sent &&
-                        stats.app_events + sheds == runtime.Completed();
+  const bool balanced =
+      result.Balanced() && stats.app_events + sheds == runtime.Completed();
   if (!balanced) {
     std::printf("quickstart: LEDGER IMBALANCE\n");
   }

@@ -31,6 +31,7 @@
 #include <csignal>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -39,12 +40,11 @@
 #include "src/db/tpcc_loader.h"
 #include "src/db/tpcc_txns.h"
 #include "src/loadgen/arrival.h"
+#include "src/loadgen/experiment.h"
 #include "src/loadgen/tcp_loadgen.h"
 #include "src/loadgen/tpcc_gen.h"
 #include "src/runtime/runtime.h"
 #include "src/runtime/socket_transport.h"
-#include "src/runtime/tcp_transport.h"
-#include "src/runtime/uring_transport.h"
 #include "src/services/tpcc_service.h"
 
 namespace zygos {
@@ -101,11 +101,10 @@ bool RunLoadgen(const TcpLoadgenOptions& gen) {
               result.achieved_rps(), ToMicros(result.latency.P50()),
               ToMicros(result.latency.P99()), ToMicros(result.latency.P999()));
   // Open-loop ledger: every scheduled request is accounted for.
-  bool balanced = result.completed + result.shed + result.lost == result.sent;
-  if (!balanced) {
+  if (!result.Balanced()) {
     std::printf("loadgen: LEDGER IMBALANCE (completed+shed+lost != sent)\n");
   }
-  return result.clean && balanced;
+  return result.clean && result.Balanced();
 }
 
 // The server half's books after Shutdown: prints the service and scheduler counters.
@@ -170,16 +169,15 @@ int Main(int argc, char** argv) {
     return 2;
   }
   gen.arrivals = *arrivals;
-  if (transport_name != "tcp" && transport_name != "uring") {
+  const std::optional<LiveTransport> transport = ParseLiveTransport(transport_name);
+  if (!transport) {
     std::fprintf(stderr, "silo_tpcc: unknown --transport=%s (expected tcp|uring)\n",
                  transport_name.c_str());
     return 2;
   }
-  if (transport_name == "uring" && !UringTransport::Available()) {
-    std::fprintf(stderr,
-                 "silo_tpcc: --transport=uring requested but io_uring is unavailable "
-                 "on this host: %s\n",
-                 UringTransport::UnavailableReason().c_str());
+  if (const std::string denied = TransportDenied(*transport); !denied.empty()) {
+    std::fprintf(stderr, "silo_tpcc: --transport=%s: %s\n", transport_name.c_str(),
+                 denied.c_str());
     return 1;
   }
 
@@ -198,14 +196,9 @@ int Main(int argc, char** argv) {
   options.num_workers = workers;
   options.max_flows = max_flows;
   TcpTransportOptions tcp = TcpOptionsFor(options, port);
-  std::unique_ptr<SocketTransportBase> transport;
-  if (transport_name == "uring") {
-    transport = std::make_unique<UringTransport>(tcp);
-  } else {
-    transport = std::make_unique<TcpTransport>(tcp);
-  }
-  SocketTransportBase* transport_ptr = transport.get();
-  Runtime runtime(options, std::move(transport), service.Handler());
+  std::unique_ptr<SocketTransportBase> backend = MakeLiveTransport(*transport, tcp);
+  SocketTransportBase* transport_ptr = backend.get();
+  Runtime runtime(options, std::move(backend), service.Handler());
   runtime.Start();
   std::printf("silo_tpcc: %d workers serving TPC-C on %s:%u (%s transport)\n",
               options.num_workers, tcp.bind_address.c_str(), transport_ptr->port(),

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Longitudinal benchmark harness (the `BENCH_*.json` contract from bench/README.md).
 #
-# Runs the fixed trajectory subset — fig8_steal_rate, fig6_latency_throughput and
-# micro_dataplane — on their fixed seeds, parses the stable CSV from stdout, and
-# writes one BENCH_<name>.json per binary ({metric, value, unit, commit, params}) so
-# successive commits can be compared for regressions in steal-path behaviour,
-# max-load@SLO and data-plane cost. The DES-side experiments are deterministic for a
-# fixed seed and host-independent; micro_dataplane's ns/op is host-dependent but its
-# allocs/op (tracked in params) is exact and must stay 0. The five live benches
-# write their own BENCH JSON and are gated generically (run_gated below).
+# Runs the fixed trajectory subset — fig8_steal_rate, fig6_latency_throughput,
+# micro_dataplane and the five live benches — on their fixed seeds. Each binary
+# writes one BENCH_<name>.json ({metric, value, unit, commit, params}) itself, and
+# every record is gated the same way (run_gated below), so successive commits can be
+# compared for regressions in steal-path behaviour, max-load@SLO, data-plane cost and
+# the live runtime's tail. The DES-side experiments are deterministic for a fixed
+# seed and host-independent; micro_dataplane's ns/op is host-dependent but its
+# allocs/op is exact and gated to 0.
 #
 # Usage:
 #   scripts/bench_trajectory.sh [out_dir]       # default out_dir: bench
@@ -42,93 +42,11 @@ for bin in fig8_steal_rate fig6_latency_throughput micro_dataplane fig6_live_run
 done
 mkdir -p "${OUT_DIR}"
 
-# --- fig8: peak ZygOS steal rate -------------------------------------------------------
-# CSV contract: system,load,throughput_mrps,steals_per_event_pct,ipis
-echo "== fig8_steal_rate (requests=${REQUESTS}, points=${POINTS})"
-fig8_csv="$("${BUILD_DIR}/bench/fig8_steal_rate" --requests="${REQUESTS}" --points="${POINTS}")"
-peak_steal="$(printf '%s\n' "${fig8_csv}" | awk -F, '
-  $1 == "ZygOS" && NF >= 4 { found = 1; if ($4 + 0 > max) max = $4 + 0 }
-  END { if (found) printf "%.2f", max }')"
-if [[ -z "${peak_steal}" ]]; then
-  echo "bench_trajectory: no ZygOS rows in fig8 output — the CSV contract changed?" >&2
-  exit 1
-fi
-cat > "${OUT_DIR}/BENCH_fig8_steal_rate.json" <<EOF
-{
-  "metric": "zygos_peak_steal_rate",
-  "value": ${peak_steal},
-  "unit": "steals_per_event_pct",
-  "commit": "${COMMIT}",
-  "params": {"requests": ${REQUESTS}, "points": ${POINTS}, "mean_us": 25, "seed": 51,
-             "env_tunings": "${ENV_TUNINGS}"}
-}
-EOF
-echo "   zygos_peak_steal_rate = ${peak_steal} %  -> ${OUT_DIR}/BENCH_fig8_steal_rate.json"
-
-# --- fig6: ZygOS fraction of the theoretical max load at SLO ---------------------------
-# Headline contract: "# headline: ZygOS max load L = P% of theoretical T (paper: ...)";
-# the first headline is the 10 us exponential case (the paper's §6.1 primary claim).
-echo "== fig6_latency_throughput (requests=${REQUESTS}, points=${POINTS})"
-fig6_out="$("${BUILD_DIR}/bench/fig6_latency_throughput" --requests="${REQUESTS}" --points="${POINTS}")"
-frac="$(printf '%s\n' "${fig6_out}" | sed -nE 's/^# headline: ZygOS max load [0-9.]+ = ([0-9]+)% of theoretical.*/\1/p' | head -1)"
-if [[ -z "${frac}" ]]; then
-  echo "bench_trajectory: fig6 headline line missing — the stdout contract changed?" >&2
-  exit 1
-fi
-cat > "${OUT_DIR}/BENCH_fig6_latency_throughput.json" <<EOF
-{
-  "metric": "zygos_frac_of_theoretical_max_load",
-  "value": ${frac},
-  "unit": "percent",
-  "commit": "${COMMIT}",
-  "params": {"requests": ${REQUESTS}, "points": ${POINTS}, "distribution": "exponential", "mean_us": 10, "slo": "10x_mean", "seed": 35, "env_tunings": "${ENV_TUNINGS}"}
-}
-EOF
-echo "   zygos_frac_of_theoretical_max_load = ${frac} %  -> ${OUT_DIR}/BENCH_fig6_latency_throughput.json"
-
-# --- micro_dataplane: ns/op and allocs/op for one echo RPC, string vs pooled -----------
-# CSV contract: path,ns_per_op,allocs_per_op with rows `string` and `pooled`, from
-# the binary's median-of-3 run by speedup (see its header for why).
-echo "== micro_dataplane (requests=200000)"
-dp_csv="$("${BUILD_DIR}/bench/micro_dataplane" --requests=200000 --warmup=20000)"
-pooled_ns="$(printf '%s\n' "${dp_csv}" | awk -F, '$1 == "pooled" {print $2}')"
-pooled_allocs="$(printf '%s\n' "${dp_csv}" | awk -F, '$1 == "pooled" {print $3}')"
-string_ns="$(printf '%s\n' "${dp_csv}" | awk -F, '$1 == "string" {print $2}')"
-string_allocs="$(printf '%s\n' "${dp_csv}" | awk -F, '$1 == "string" {print $3}')"
-if [[ -z "${pooled_ns}" || -z "${string_ns}" ]]; then
-  echo "bench_trajectory: micro_dataplane rows missing — the CSV contract changed?" >&2
-  exit 1
-fi
-speedup="$(awk -v s="${string_ns}" -v p="${pooled_ns}" 'BEGIN {printf "%.2f", s / p}')"
-# The pooled fast path measures 1.2-1.3x the string path on this host; gate well
-# below that (1.05) so the trajectory catches a real fast-path regression (the
-# pre-inline state was 0.96x) without flaking on run-to-run ns/op jitter.
-if awk -v s="${speedup}" 'BEGIN {exit !(s < 1.05)}'; then
-  echo "bench_trajectory: pooled data plane (${speedup}x string) lost its edge — small-class fast-path regression?" >&2
-  exit 1
-fi
-dp_json="$(cat <<EOF
-{
-  "metric": "dataplane_pooled_echo_ns_per_op",
-  "value": ${pooled_ns},
-  "unit": "ns_per_op",
-  "commit": "${COMMIT}",
-  "params": {"requests": 200000, "warmup": 20000, "payload": 32,
-             "pooled_allocs_per_op": ${pooled_allocs}, "string_ns_per_op": ${string_ns},
-             "string_allocs_per_op": ${string_allocs}, "speedup_vs_string": ${speedup},
-             "env_tunings": "${ENV_TUNINGS}"}
-}
-EOF
-)"
-printf '%s\n' "${dp_json}" > "${OUT_DIR}/BENCH_micro_dataplane.json"
-echo "   dataplane_pooled_echo_ns_per_op = ${pooled_ns} ns (string ${string_ns} ns, ${speedup}x, ${pooled_allocs} allocs/op) -> ${OUT_DIR}/BENCH_micro_dataplane.json"
-
-# run_gated <name> <binary> [args...]: runs one live bench, which writes the
-# BENCH-contract JSON ${OUT_DIR}/BENCH_<name>.json itself (the shared harness,
-# src/loadgen/experiment.h), stamps the commit and prepends env_tunings to its params,
-# and fails unless every gate its params.gates lists reads true
-# (scripts/check_gates.py). Wall-clock values are host-dependent; the gates are the
-# tracked invariants.
+# run_gated <name> <binary> [args...]: runs one bench, which writes the BENCH-contract
+# JSON ${OUT_DIR}/BENCH_<name>.json itself (BenchReport, src/loadgen/experiment.h),
+# stamps the commit and prepends env_tunings to its params, and fails unless every
+# gate its params.gates lists reads true (scripts/check_gates.py). Wall-clock values
+# are host-dependent; the gates are the tracked invariants.
 run_gated() {
   local json="${OUT_DIR}/BENCH_$1.json" bin="$2" status=0
   shift 2
@@ -143,6 +61,20 @@ run_gated() {
     exit 1
   fi
 }
+
+# --- fig8: peak ZygOS steal rate (DES, seed 51) ---------------------------------------
+run_gated fig8_steal_rate fig8_steal_rate --requests="${REQUESTS}" --points="${POINTS}"
+
+# --- fig6: ZygOS fraction of the theoretical max load at SLO (DES, seed 35) -----------
+# The value is the first headline, the 10 us exponential case (the paper's §6.1
+# primary claim).
+run_gated fig6_latency_throughput fig6_latency_throughput --requests="${REQUESTS}" \
+  --points="${POINTS}"
+
+# --- micro_dataplane: ns/op and allocs/op for one echo RPC, string vs pooled ----------
+# The binary's median-of-3 run by speedup (see its header for why). Its gates: the
+# pooled path allocates nothing and stays >= 1.05x the string path.
+run_gated micro_dataplane micro_dataplane --requests=200000 --warmup=20000
 
 # --- fig6_live: the LIVE runtime under open-loop load, both socket transports ---------
 # Every cell is served over real sockets and timed by the TCP loadgen, scheduled send
@@ -174,20 +106,20 @@ run_gated fig6_live fig6_live_runtime \
   --connections=16 --load-fractions=0.2,0.4,0.6,0.8 --cell-repeats=3 \
   --duration-ms="${LIVE_DURATION_MS}" --warmup-ms=400 --seed=3
 
-# --- churn_live: connection churn on the live runtime (flow-table recycling) -----------
+# --- churn_live: connection churn on the live runtime (flow-table recycling) ----------
 CHURN_DURATION_MS="${BENCH_CHURN_DURATION_MS:-1200}"
 run_gated churn churn_live_runtime --rate=2000 \
   --churn-ms=0,160,80,40,20 --duration-ms="${CHURN_DURATION_MS}" --warmup-ms=300 \
   --connections=8 --threads=2 --max-flows=32 --seed=5
 
-# --- fanout_chaos: tail-at-scale amplification through the chaos proxy -----------------
+# --- fanout_chaos: tail-at-scale amplification through the chaos proxy ----------------
 # The amplification RATIO and the steal comparison are relative, so the gates hold
 # across hosts.
 FANOUT_DURATION_MS="${BENCH_FANOUT_DURATION_MS:-2500}"
 run_gated fanout fanout_chaos --fanouts=1,2,4,8 --logical-rate=250 \
   --duration-ms="${FANOUT_DURATION_MS}" --warmup-ms=600 --steal-compare=true --seed=11
 
-# --- overload_live: goodput under overload with deadline shedding + adaptive admission -
+# --- overload_live: goodput under overload with deadline shedding + adaptive admission ---
 # The binary calibrates its own peak, derives the deadline budget from a no-shed
 # baseline and sweeps {0.8,1,2,4,10}x across zygos/no-shed configs. Its six gates are
 # calibration-relative (goodput@2x vs the host's own no-overload peak, sheds vs the
@@ -197,7 +129,7 @@ run_gated overload overload_live_runtime --workers=2 --connections=8 \
   --threads=2 --service-us=1000 --multipliers=0.8,1,2,4,10 \
   --duration-ms="${OVERLOAD_DURATION_MS}" --warmup-ms=300 --seed=1
 
-# --- fig10_live: Silo/TPC-C as the live workload (zygos vs no-steal) -------------------
+# --- fig10_live: Silo/TPC-C as the live workload (zygos vs no-steal) ------------------
 # The binary loads a Silo/TPC-C database behind the runtime and sweeps the three
 # scheduling configs over the open-loop TPC-C loadgen. --service-pad-us=300 blocks
 # each transaction for 300 us before the OCC work, the same trick as fig6_live's

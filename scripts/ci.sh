@@ -31,22 +31,21 @@ python3 perfbench/run.py --selftest
 echo "== smoke: examples/quickstart"
 "${BUILD_DIR}/examples/quickstart" --requests=5000 --rate=20000
 
-echo "== smoke: examples/kv_server over real TCP (loopback interface)"
-"${BUILD_DIR}/examples/kv_server" --requests=4000 --connections=8 --threads=2
+echo "== smoke: kv_server demo (serve + open-loop KV loadgen in one process), epoll"
+# Exits non-zero unless the client ledger (completed + shed + lost == sent, clean)
+# and the server ledger (hits + misses + sheds == completed) both balance.
+"${BUILD_DIR}/examples/kv_server" --workers=2 --threads=2 --connections=8 \
+  --rate=5000 --duration-ms=600 --warmup-ms=200 --transport=tcp
 
-echo "== smoke: bench/micro_dataplane (pooled path must stay allocation-free)"
-dataplane_out="$("${BUILD_DIR}/bench/micro_dataplane" --requests=50000 --warmup=10000)"
-printf '%s\n' "${dataplane_out}"
-pooled_allocs="$(printf '%s\n' "${dataplane_out}" | awk -F, '$1 == "pooled" {print $3}')"
-if [[ -z "${pooled_allocs}" ]] || ! awk -v a="${pooled_allocs}" 'BEGIN {exit !(a == 0)}'; then
-  echo "ci: pooled data plane allocates (${pooled_allocs:-missing} allocs/op)" >&2
-  exit 1
-fi
+echo "== smoke: kv_server rejects the removed closed-loop client (exit 2)"
+status=0
+"${BUILD_DIR}/examples/kv_server" --mode=client 2>/dev/null || status=$?
+(( status == 2 )) || { echo "ci: kv_server exited ${status} on a removed mode" >&2; exit 1; }
 
-# smoke_live <binary> <csv_row_regex> [args...]: one short run of a live bench. It
-# must print a CSV row matching the regex, write a parseable BENCH JSON, pass every
-# gate its params.gates lists (scripts/check_gates.py) and exit 0 — the binary
-# exits 1 iff a gate is false (the shared harness, src/loadgen/experiment.h).
+# smoke_live <binary> <csv_row_regex> [args...]: one short run of a bench that writes
+# a BENCH report. It must print a CSV row matching the regex, write a parseable BENCH
+# JSON, pass every gate its params.gates lists (scripts/check_gates.py) and exit 0 —
+# the binary exits 1 iff a gate is false (BenchReport, src/loadgen/experiment.h).
 smoke_live() {
   local bin="$1" row="$2" status=0 out
   shift 2
@@ -63,6 +62,9 @@ smoke_live() {
   python3 scripts/check_gates.py "${json}" || exit 1
   (( status == 0 )) || { echo "ci: ${bin} exited ${status}" >&2; exit 1; }
 }
+
+# The pooled data plane: gated allocation-free and >= 1.05x the string path.
+smoke_live micro_dataplane '^pooled,' --requests=50000 --warmup=10000
 
 # One low-load point, epoll transport, live runtime.
 smoke_live fig6_live_runtime '^zygos,' --transport=tcp --configs=zygos \
@@ -92,13 +94,6 @@ smoke_live fig10_live_runtime '^zygos,' --transport=tcp --configs=zygos \
 smoke_live overload_live_runtime '^zygos,2\.00,' --workers=2 --connections=8 \
   --threads=2 --service-us=1000 --multipliers=0.8,2 --duration-ms=1200 \
   --warmup-ms=150 --seed=7
-
-echo "== smoke: kv_server demo, pipelined (--pipeline=32), epoll transport"
-# 32 requests in flight per connection make TX batches carry several responses per
-# flow, which the transport sends as one gather op; the demo exits non-zero on any
-# order violation or missing response.
-"${BUILD_DIR}/examples/kv_server" --requests=20000 --connections=8 --threads=2 \
-  --pipeline=32 --transport=tcp
 
 echo "== smoke: kv_server serve -> chaos_proxy -> open-loop loadgen over real TCP"
 # The full degraded-network pipeline as three separate processes: the loadgen dials
@@ -143,11 +138,11 @@ if [[ "${probe_line}" == "io_uring: available" ]]; then
   kill -TERM "${kv_pid}"
   wait "${kv_pid}"
   trap - EXIT
-  echo "== smoke: kv_server demo, pipelined (--pipeline=32), uring transport"
-  "${BUILD_DIR}/examples/kv_server" --requests=20000 --connections=8 --threads=2 \
-    --pipeline=32 --transport=uring
+  echo "== smoke: kv_server demo, uring transport"
+  "${BUILD_DIR}/examples/kv_server" --workers=2 --threads=2 --connections=8 \
+    --rate=5000 --duration-ms=600 --warmup-ms=200 --transport=uring
 else
-  echo "# skip: uring serve->loadgen and pipelined demo smokes (io_uring unavailable)"
+  echo "# skip: uring serve->loadgen and demo smokes (io_uring unavailable)"
 fi
 
 echo "== smoke: silo_tpcc serve -> TPC-C open-loop loadgen -> SIGTERM over real TCP"

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <memory>
 
-#include "src/runtime/socket_transport.h"
 #include "src/runtime/tcp_transport.h"
 #include "src/runtime/uring_transport.h"
 
@@ -14,14 +13,6 @@ namespace {
 bool Fail(const LiveFlags& live, const std::string& message) {
   std::fprintf(stderr, "%s: %s\n%s\n", live.name, message.c_str(), live.usage);
   return false;
-}
-
-// Empty when this host can serve `transport`; otherwise why not, for the skip line.
-std::string TransportDenied(const LiveTransport& transport) {
-  if (!transport.uring || UringTransport::Available()) {
-    return "";
-  }
-  return "io_uring unavailable: " + UringTransport::UnavailableReason();
 }
 
 std::string Quote(const std::string& text) {
@@ -146,6 +137,21 @@ std::optional<LiveTransport> ParseLiveTransport(const std::string& name) {
   return std::nullopt;
 }
 
+std::string TransportDenied(const LiveTransport& transport) {
+  if (!transport.uring || UringTransport::Available()) {
+    return "";
+  }
+  return "io_uring unavailable: " + UringTransport::UnavailableReason();
+}
+
+std::unique_ptr<SocketTransportBase> MakeLiveTransport(const LiveTransport& transport,
+                                                       TcpTransportOptions options) {
+  if (transport.uring) {
+    return std::make_unique<UringTransport>(std::move(options));
+  }
+  return std::make_unique<TcpTransport>(std::move(options));
+}
+
 std::string LiveSweep::TransportNames() const {
   std::string joined;
   for (const LiveTransport& transport : transports) {
@@ -222,12 +228,8 @@ LiveCellResult RunLiveCell(const LiveSweep& sweep, const LiveTransport& transpor
 
   // The transport derives its geometry from the runtime options (the single source of
   // truth for the flow cap — see TcpOptionsFor).
-  std::unique_ptr<SocketTransportBase> backend;
-  if (transport.uring) {
-    backend = std::make_unique<UringTransport>(TcpOptionsFor(options));
-  } else {
-    backend = std::make_unique<TcpTransport>(TcpOptionsFor(options));
-  }
+  std::unique_ptr<SocketTransportBase> backend =
+      MakeLiveTransport(transport, TcpOptionsFor(options));
   SocketTransportBase* sock = backend.get();
   Runtime runtime(options, std::move(backend), std::move(handler));
   if (sweep.skew) {

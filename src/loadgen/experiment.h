@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -28,6 +29,7 @@
 #include "src/loadgen/report.h"
 #include "src/loadgen/tcp_loadgen.h"
 #include "src/runtime/runtime.h"
+#include "src/runtime/socket_transport.h"
 
 namespace zygos {
 
@@ -87,6 +89,14 @@ struct LiveTransport {
   bool uring = false;
 };
 std::optional<LiveTransport> ParseLiveTransport(const std::string& name);
+// Empty when this host can serve `transport`; otherwise why not (uring without
+// io_uring), for a skip line or an error message.
+std::string TransportDenied(const LiveTransport& transport);
+// The socket backend `transport` names, built from `options` (derive them with
+// TcpOptionsFor). The one place a transport name becomes a backend; check
+// TransportDenied first.
+std::unique_ptr<SocketTransportBase> MakeLiveTransport(const LiveTransport& transport,
+                                                       TcpTransportOptions options);
 
 // --- The p99-vs-load sweep ------------------------------------------------------------
 

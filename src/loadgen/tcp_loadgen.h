@@ -128,6 +128,9 @@ struct TcpLoadgenResult {
   double achieved_rps() const;
   // logical_measured over the same window, in logical requests/s.
   double achieved_logical_rps() const;
+  // The open-loop ledger: every sent request resolved exactly once,
+  // completed + shed + lost == sent.
+  bool Balanced() const { return completed + shed + lost == sent; }
 };
 
 TcpLoadgenResult RunTcpLoadgen(const TcpLoadgenOptions& options);

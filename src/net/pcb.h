@@ -38,16 +38,15 @@ enum class PcbState : uint8_t { kIdle, kReady, kBusy };
 // One parsed request waiting for application execution.
 struct PcbEvent {
   uint64_t request_id = 0;
-  Nanos arrival = 0;       // client send time (latency accounting)
+  // Transport receive stamp (Segment::arrival; the simulated arrival in the system
+  // models): the start of latency accounting and the clock deadline shedding runs
+  // against.
+  Nanos arrival = 0;
   Nanos service = 0;       // pre-sampled demand (synthetic workloads; 0 otherwise)
   // Request bytes as a view into a pooled buffer (runtime); empty in the system
   // models. The view's IoBuf ref keeps the bytes alive until the event retires,
   // even when a thief executes it on another core.
   MessageView msg;
-  // Transport receive stamp (Segment::rx_nanos): the clock deadline shedding runs
-  // against. 0 in the system models and legacy harnesses (deadline checks fall back
-  // to `arrival`).
-  Nanos rx_nanos = 0;
   // Refused at ingress by admission control: the executing core emits the shed
   // reply instead of running the handler. The verdict rides the event, not an
   // ingress-time reply, so the shed reply still flows through the PCB in per-flow

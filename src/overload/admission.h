@@ -8,7 +8,7 @@
 // by one value, RuntimeOptions::deadline_budget (0 = off):
 //
 //   deadline shedding   a request whose server-side queueing delay (dispatch time
-//                       minus Segment::rx_nanos) already exceeds the budget is
+//                       minus Segment::arrival) already exceeds the budget is
 //                       answered with a wire-level shed status instead of being
 //                       executed — work that can no longer meet its deadline is
 //                       refused early, keeping the server at its operating point.
@@ -57,7 +57,7 @@ class AdmissionController {
   // Ingress decision for one parsed request. False = shed.
   bool AdmitIngress();
 
-  // Feeds one admitted request's measured queueing delay (dispatch - rx_nanos).
+  // Feeds one admitted request's measured queueing delay (dispatch - arrival).
   void ObserveQueueing(Nanos delay);
 
   double admit_fraction() const { return admit_fraction_; }

@@ -59,10 +59,10 @@ class LoopbackTransport final : public Transport {
 
   // Injects a segment; returns false (and counts a drop) when the ring is full.
   bool Inject(Segment segment) override {
-    // Transport-arrival stamp: the loopback "NIC" receives the bytes now, whatever
-    // (possibly backdated, CO-safe) `arrival` the client chose for latency accounting.
-    if (segment.rx_nanos == 0) {
-      segment.rx_nanos = NowNanos();
+    // Transport-arrival stamp: the loopback "NIC" receives the bytes now, unless the
+    // injector (Runtime::Inject) already stamped them.
+    if (segment.arrival == 0) {
+      segment.arrival = NowNanos();
     }
     int queue = QueueOf(segment.flow_id);
     if (!rings_[static_cast<size_t>(queue)]->TryPush(std::move(segment))) {

@@ -271,11 +271,11 @@ uint64_t Runtime::NetstackRx(int core) {
   static thread_local std::vector<MessageView> scratch;  // per-worker, never nested
   for (size_t i = 0; i < n; ++i) {
     Segment& segment = segments[i];
-    if (segment.rx_nanos == 0) {
+    if (segment.arrival == 0) {
       // Transport contract violation (every backend must stamp transport arrival):
       // backfill with our own clock so overload control keeps working, and count it —
       // the conformance suite gates this counter to zero per backend.
-      segment.rx_nanos = NowNanos();
+      segment.arrival = NowNanos();
       stats.rx_unstamped++;
     }
     Connection* conn = ConnectionFor(segment.flow_id, core);
@@ -308,8 +308,8 @@ uint64_t Runtime::NetstackRx(int core) {
           stats.sheds_admission++;
           view = MessageView();
         }
-        conn->pcb.PushEvent(PcbEvent{request_id, segment.arrival, 0, std::move(view),
-                                     segment.rx_nanos, refused});
+        conn->pcb.PushEvent(
+            PcbEvent{request_id, segment.arrival, 0, std::move(view), refused});
       }
       accepted_.fetch_add(accepted, std::memory_order_release);
       if (conn->pcb.HasPendingEvents()) {
@@ -481,8 +481,7 @@ uint64_t Runtime::ExecuteConnection(int core, Pcb* pcb, bool stolen) {
     // stalls) would slip through on a stale batch timestamp.
     bool shed = event.shed;
     if (budget > 0 && !shed) {
-      Nanos rx = event.rx_nanos != 0 ? event.rx_nanos : event.arrival;
-      Nanos waited = NowNanos() - rx;
+      Nanos waited = NowNanos() - event.arrival;
       if (waited > budget) {
         shed = true;
         stats.sheds_deadline++;

@@ -99,7 +99,7 @@ struct RuntimeOptions {
   // baseline).
   bool enable_stealing = true;
   // Overload control (src/overload/admission.h), the one knob: a request whose
-  // queueing delay (dispatch time - rx_nanos) exceeds this budget is shed at
+  // queueing delay (dispatch time - arrival) exceeds this budget is shed at
   // dispatch, and each core's AdmissionController refuses ingress while its
   // queueing delay stays above budget / 2. 0 (the default) runs no overload code.
   Nanos deadline_budget = 0;
@@ -139,7 +139,7 @@ struct alignas(kCacheLineSize) WorkerStats {
   // Overload control (zero unless RuntimeOptions::deadline_budget > 0):
   uint64_t sheds_deadline = 0;    // shed at dispatch: queueing delay ate the budget
   uint64_t sheds_admission = 0;   // shed at ingress: adaptive controller refused
-  // Segments that arrived with rx_nanos == 0 (transport failed to stamp; the runtime
+  // Segments that arrived with arrival == 0 (transport failed to stamp; the runtime
   // backfills with its own clock). The conformance suite gates this to zero for
   // every backend.
   uint64_t rx_unstamped = 0;

@@ -127,8 +127,7 @@ size_t TcpTransport::PollBatch(int queue, std::span<Segment> out,
       Segment& segment = out[produced++];
       segment.flow_id = conn->flow_id;
       segment.buf = std::move(pq.rx_spare);
-      segment.arrival = NowNanos();
-      segment.rx_nanos = segment.arrival;  // socket recv time == transport arrival
+      segment.arrival = NowNanos();  // socket recv time == transport arrival
     } else if (r == 0 || (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
       CloseConn(pq, conn);  // orderly hangup or hard error
     }

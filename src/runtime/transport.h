@@ -55,13 +55,12 @@ namespace zygos {
 struct Segment {
   uint64_t flow_id = 0;
   IoBuf buf;
-  Nanos arrival = 0;  // receive timestamp (loopback: client inject time)
-  // Wall-clock time the bytes reached THIS transport (loopback: Inject; epoll: the
-  // recv that produced the segment; uring: CQE reap). Overload control measures
-  // server-side queueing as NowNanos() - rx_nanos. Every backend stamps it; the
-  // runtime counts zero-stamped segments in WorkerStats::rx_unstamped
-  // (conformance-gated to 0).
-  Nanos rx_nanos = 0;
+  // Wall-clock time the bytes reached the transport (loopback: Inject; epoll: the
+  // recv that produced the segment; uring: CQE reap). Latency accounting and
+  // overload control both start here: server-side queueing is NowNanos() - arrival.
+  // Every backend stamps it; the runtime counts zero-stamped segments in
+  // WorkerStats::rx_unstamped (conformance-gated to 0).
+  Nanos arrival = 0;
 };
 
 // One response leaving the server: the unit of TransmitBatch. `frame` is the complete

@@ -343,8 +343,7 @@ size_t UringTransport::PollBatch(int queue, std::span<Segment> out,
       Segment& segment = out[produced++];
       segment.flow_id = item.flow_id;
       segment.buf = std::move(item.buf);
-      segment.arrival = item.arrival;
-      segment.rx_nanos = item.arrival;  // CQE reap time == transport arrival
+      segment.arrival = item.arrival;  // CQE reap time == transport arrival
       emitted.push_back(item.flow_id);
     }
     pq.pending.pop_front();

@@ -1,10 +1,12 @@
 // Cross-module integration tests: the real applications (KV store, Silo/TPC-C) served
-// through the real-thread ZygOS runtime, and the pipelined-workload plumbing of the
-// system models. These exercise the same compositions the examples and the paper's
-// evaluation use, with functional assertions.
+// through the real-thread ZygOS runtime (the KV store also over a real TCP socket and
+// the open-loop generator), and the pipelined-workload plumbing of the system models.
+// These exercise the same compositions the examples and the paper's evaluation use,
+// with functional assertions.
 #include <array>
 #include <atomic>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -16,7 +18,9 @@
 #include "src/db/tpcc_txns.h"
 #include "src/kvstore/service.h"
 #include "src/kvstore/workload.h"
+#include "src/loadgen/tcp_loadgen.h"
 #include "src/runtime/runtime.h"
+#include "src/runtime/tcp_transport.h"
 #include "src/sysmodel/system_model.h"
 
 namespace zygos {
@@ -75,6 +79,58 @@ TEST(KvOverRuntimeTest, ServesGetsAndSetsThroughTheScheduler) {
   ASSERT_TRUE(sample.has_value());
   EXPECT_EQ(sample->status, KvStatus::kOk);
   EXPECT_FALSE(sample->value.empty());
+}
+
+// The KV service over a real TCP socket, driven by the open-loop generator with the
+// USR payload factory: kv_server's demo path. Both ledgers must balance: the
+// generator's (completed + shed + lost == sent) and the server's (every completion the
+// runtime retired is a hit or a miss). Functional assertions only, never rates.
+TEST(KvOverRuntimeTest, OpenLoopUsrLoadOverTcpBalancesBothLedgers) {
+  KvService service;
+  KvWorkloadSpec spec = KvWorkloadSpec::Usr();
+  spec.num_keys = 2000;
+  KvWorkload(spec, /*seed=*/5).Populate(service);
+
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> misses{0};
+  ViewHandler handler = [&](uint64_t, std::string_view request,
+                            ResponseBuilder& response) {
+    if (service.HandleView(request, response) == KvStatus::kOk) {
+      hits.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      misses.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  RuntimeOptions options;
+  options.num_workers = 2;
+  auto transport = std::make_unique<TcpTransport>(TcpOptionsFor(options));
+  TcpTransport* tcp = transport.get();
+  Runtime runtime(options, std::move(transport), std::move(handler));
+  runtime.Start();
+
+  TcpLoadgenOptions gen;
+  gen.port = tcp->port();
+  gen.connections = 4;
+  gen.threads = 2;
+  gen.rate_rps = 4000;
+  gen.duration = 400 * kMillisecond;
+  gen.warmup = 100 * kMillisecond;
+  gen.seed = 11;
+  gen.make_payload = [workload = KvWorkload(spec, gen.seed)](Rng& rng,
+                                                             std::string& out) {
+    out = workload.SampleRequest(rng);
+  };
+  TcpLoadgenResult result = RunTcpLoadgen(gen);
+  runtime.Shutdown();
+
+  EXPECT_TRUE(result.clean) << "lost=" << result.lost;
+  EXPECT_EQ(result.mismatches, 0u);
+  EXPECT_GT(result.sent, 0u);
+  EXPECT_TRUE(result.Balanced()) << "sent=" << result.sent
+                                 << " completed=" << result.completed
+                                 << " shed=" << result.shed << " lost=" << result.lost;
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_EQ(hits.load() + misses.load(), runtime.Completed());
 }
 
 // --- Silo/TPC-C over the runtime (the §6.3 application, served for real) --------------

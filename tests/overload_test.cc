@@ -220,7 +220,7 @@ TEST(OverloadRuntimeTest, PastDeadlineRequestIsShedWithWireStatusAndSlotSurvives
     ASSERT_TRUE(runtime->Inject(3, 0, "block"));
     ASSERT_TRUE(WaitFor([&] { return entered.load(std::memory_order_acquire); }));
     // The home core is parked inside request 0's handler, so request 1 sits at the
-    // transport with its rx_nanos stamp aging. Hold the gate for 3x the shedding
+    // transport with its arrival stamp aging. Hold the gate for 3x the shedding
     // budget: the wait below is a one-sided bound (a slow host only makes it LATER).
     Nanos injected_at = NowNanos();
     ASSERT_TRUE(runtime->Inject(3, 1, "late"));
@@ -256,7 +256,7 @@ TEST(OverloadRuntimeTest, PastDeadlineRequestIsShedWithWireStatusAndSlotSurvives
       EXPECT_EQ(total.app_events, 2u);
     }
     EXPECT_EQ(total.sheds_admission, 0u);
-    EXPECT_EQ(total.rx_unstamped, 0u) << "loopback must stamp rx_nanos at Inject";
+    EXPECT_EQ(total.rx_unstamped, 0u) << "loopback must stamp arrival at Inject";
   }
 }
 
@@ -419,7 +419,7 @@ TEST(OverloadChaosTest, DeadlineShedsTrackInjectedLatencySpikesAndLedgerBalances
   EXPECT_GT(total.sheds_deadline, 0u);
   EXPECT_EQ(total.sheds_deadline + total.sheds_admission, result.shed)
       << "every server-side shed verdict must surface as a wire-level refusal";
-  EXPECT_EQ(total.rx_unstamped, 0u) << "tcp transport must stamp rx_nanos at recv";
+  EXPECT_EQ(total.rx_unstamped, 0u) << "tcp transport must stamp arrival at recv";
 }
 
 TEST(OverloadChaosTest, QuietNetworkAtNominalLoadShedsNothing) {

@@ -559,8 +559,8 @@ TEST_P(TransportConformance, ShortWritesKeepPipelinedResponsesIntactAndOrdered) 
 }
 
 TEST_P(TransportConformance, EveryRxSegmentCarriesATransportArrivalStamp) {
-  // Segment::rx_nanos is the clock overload control sheds against (queueing delay =
-  // dispatch - rx_nanos), so every backend must stamp it at transport arrival. The
+  // Segment::arrival is the clock overload control sheds against (queueing delay =
+  // dispatch - arrival), so every backend must stamp it at transport arrival. The
   // runtime backfills a zero stamp with its own clock and counts it in rx_unstamped;
   // this gate pins that counter to zero per backend.
   RuntimeOptions options = Options(/*workers=*/2, /*flows=*/8);
@@ -585,7 +585,7 @@ TEST_P(TransportConformance, EveryRxSegmentCarriesATransportArrivalStamp) {
   WorkerStats total = runtime->TotalStats();
   EXPECT_GT(total.rx_segments, 0u);
   EXPECT_EQ(total.rx_unstamped, 0u)
-      << GetParam().name << " delivered segments with rx_nanos == 0";
+      << GetParam().name << " delivered segments with arrival == 0";
 }
 
 // The send plan both socket backends share: a batch in which two flows' responses
