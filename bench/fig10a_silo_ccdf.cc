@@ -7,9 +7,10 @@
 // median 20 µs, p99 203 µs on their Xeon — absolute values differ on other hosts, the
 // multi-modal *shape* and type ordering are the reproduction target), the achieved
 // single-thread transaction rate, the rate of two threads sharing the database (with
-// their OCC retries and voluntary context switches: a worker that sleeps in the kernel
-// shows there), and a CCDF table (service time at survival probabilities 1e0..1e-4,
-// matching the figure's y-axis).
+// their OCC retries, in total and by the type of the transaction that retried, and
+// their voluntary context switches: a worker that sleeps in the kernel shows there),
+// and a CCDF table (service time at survival probabilities 1e0..1e-4, matching the
+// figure's y-axis).
 //
 // Usage: fig10a_silo_ccdf [--txns=N] [--warmup=N] [--warehouses=W] [--quick]
 #include <array>
@@ -48,9 +49,15 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(measurement.user_aborts),
               static_cast<unsigned long long>(measurement.occ_retries));
   TpccMeasurement shared = driver.RunConcurrent(/*threads=*/2, txns, /*seed=*/202);
-  std::printf("# 2-thread rate: %.0f TPS, OCC retries: %llu, voluntary context "
-              "switches: %llu\n",
-              shared.throughput_tps, static_cast<unsigned long long>(shared.occ_retries),
+  std::printf("# 2-thread rate: %.0f TPS, OCC retries: %llu (", shared.throughput_tps,
+              static_cast<unsigned long long>(shared.occ_retries));
+  for (int t = 0; t < kTpccTxnTypes; ++t) {
+    std::printf("%s%s %llu", t == 0 ? "" : ", ",
+                TpccTxnTypeName(static_cast<TpccTxnType>(t)),
+                static_cast<unsigned long long>(
+                    shared.occ_retries_per_type[static_cast<size_t>(t)]));
+  }
+  std::printf("), voluntary context switches: %llu\n",
               static_cast<unsigned long long>(shared.voluntary_switches));
 
   // Per-type summary plus the mix.

@@ -63,7 +63,10 @@ TpccMeasurement TpccDriver::RunConcurrent(int threads, uint64_t count, uint64_t 
       uint64_t switches_before = ThreadVoluntarySwitches();
       for (uint64_t i = 0; i < per_thread; ++i) {
         TpccTxnType type = workload_.SampleType(random);
+        uint64_t retries = executor.retries();
         TxnStatus status = workload_.Run(type, executor, random);
+        partial.occ_retries_per_type[static_cast<size_t>(type)] +=
+            executor.retries() - retries;
         if (status == TxnStatus::kCommitted) {
           partial.committed++;
         }
@@ -81,6 +84,9 @@ TpccMeasurement TpccDriver::RunConcurrent(int threads, uint64_t count, uint64_t 
     result.committed += partial.committed;
     result.user_aborts += partial.user_aborts;
     result.occ_retries += partial.occ_retries;
+    for (size_t type = 0; type < kTpccTxnTypes; ++type) {
+      result.occ_retries_per_type[type] += partial.occ_retries_per_type[type];
+    }
     result.voluntary_switches += partial.voluntary_switches;
   }
   result.throughput_tps = static_cast<double>(per_thread) *

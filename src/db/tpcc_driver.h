@@ -25,6 +25,9 @@ struct TpccMeasurement {
   uint64_t committed = 0;
   uint64_t user_aborts = 0;  // NewOrder's intentional 1% rollbacks
   uint64_t occ_retries = 0;
+  // RunConcurrent's occ_retries by the type of the transaction that retried: which
+  // transactions conflict.
+  std::array<uint64_t, kTpccTxnTypes> occ_retries_per_type{};
   double throughput_tps = 0.0;  // committed+rolled-back interactions per second
   // Voluntary context switches of the measuring threads (getrusage RUSAGE_THREAD):
   // the times a worker slept in the kernel, e.g. on an allocator lock.

@@ -27,7 +27,10 @@ class Loader {
 
   TpccTables Load() {
     tables_.warehouse = db_.CreateTable("warehouse");
+    tables_.warehouse_ytd = db_.CreateTable("warehouse_ytd");
     tables_.district = db_.CreateTable("district");
+    tables_.district_ytd = db_.CreateTable("district_ytd");
+    tables_.district_next_o_id = db_.CreateTable("district_next_o_id");
     tables_.customer = db_.CreateTable("customer");
     tables_.customer_name_idx = db_.CreateTable("customer_name_idx");
     tables_.history = db_.CreateTable("history");
@@ -76,7 +79,6 @@ class Loader {
     WarehouseRow warehouse;
     warehouse.w_id = w;
     warehouse.w_tax_bp = random_.Uniform(0, 2000);
-    warehouse.w_ytd_cents = 30000000;  // $300,000.00
     SetField(warehouse.w_name, random_.AString(6, 10));
     SetField(warehouse.w_street_1, random_.AString(10, 20));
     SetField(warehouse.w_street_2, random_.AString(10, 20));
@@ -84,6 +86,8 @@ class Loader {
     SetField(warehouse.w_state, random_.AString(2, 2));
     SetField(warehouse.w_zip, random_.NString(4) + "11111");
     Put(tables_.warehouse, WarehouseKey(w), RowBytes(warehouse));
+    WarehouseYtdRow ytd{30000000};  // $300,000.00
+    Put(tables_.warehouse_ytd, WarehouseKey(w), RowBytes(ytd));
 
     LoadStock(w);
     for (int d = 1; d <= kTpccDistrictsPerWarehouse; ++d) {
@@ -118,8 +122,6 @@ class Loader {
     district.d_w_id = w;
     district.d_id = d;
     district.d_tax_bp = random_.Uniform(0, 2000);
-    district.d_ytd_cents = 3000000;  // $30,000.00
-    district.d_next_o_id = options_.initial_orders_per_district + 1;
     SetField(district.d_name, random_.AString(6, 10));
     SetField(district.d_street_1, random_.AString(10, 20));
     SetField(district.d_street_2, random_.AString(10, 20));
@@ -127,6 +129,10 @@ class Loader {
     SetField(district.d_state, random_.AString(2, 2));
     SetField(district.d_zip, random_.NString(4) + "11111");
     Put(tables_.district, DistrictKey(w, d), RowBytes(district));
+    DistrictYtdRow ytd{3000000};  // $30,000.00
+    Put(tables_.district_ytd, DistrictKey(w, d), RowBytes(ytd));
+    DistrictNextOrderRow next{options_.initial_orders_per_district + 1};
+    Put(tables_.district_next_o_id, DistrictKey(w, d), RowBytes(next));
 
     LoadCustomers(w, d);
     LoadOrders(w, d);

@@ -1,8 +1,10 @@
 // TPC-C initial population (clause 4.3.3), scaled by warehouse count.
 //
 // Loads the nine base tables plus the two secondary indexes Silo's TPC-C maintains
-// (customer-by-name, order-by-customer). `LoaderOptions` lets tests shrink the per-
-// district row counts; benchmarks use the spec defaults.
+// (customer-by-name, order-by-customer) and the three hot-counter tables split off
+// WAREHOUSE and DISTRICT (w_ytd, d_ytd, d_next_o_id; see tpcc_schema.h).
+// `LoaderOptions` lets tests shrink the per-district row counts; benchmarks use the
+// spec defaults.
 #ifndef ZYGOS_DB_TPCC_LOADER_H_
 #define ZYGOS_DB_TPCC_LOADER_H_
 

@@ -32,10 +32,14 @@ inline constexpr int kTpccFirstUndeliveredOrder = 2100;
 
 // --- Row structs ----------------------------------------------------------------------
 
+// WAREHOUSE and DISTRICT hold their static columns only. The counters every Payment
+// or NewOrder updates (w_ytd, d_ytd, d_next_o_id) each live in a record of their own,
+// keyed like the parent row (a vertical partition, which TPC-C permits): a NewOrder
+// that reads w_tax then no longer conflicts with a Payment that wrote w_ytd, nor a
+// Payment's d_ytd with a NewOrder's d_next_o_id.
 struct WarehouseRow {
   int32_t w_id = 0;
   int32_t w_tax_bp = 0;    // sales tax, basis points (0..2000)
-  int64_t w_ytd_cents = 0;
   char w_name[11] = {};
   char w_street_1[21] = {};
   char w_street_2[21] = {};
@@ -48,14 +52,27 @@ struct DistrictRow {
   int32_t d_w_id = 0;
   int32_t d_id = 0;
   int32_t d_tax_bp = 0;
-  int32_t d_next_o_id = 0;
-  int64_t d_ytd_cents = 0;
   char d_name[11] = {};
   char d_street_1[21] = {};
   char d_street_2[21] = {};
   char d_city[21] = {};
   char d_state[3] = {};
   char d_zip[10] = {};
+};
+
+// Keyed by WarehouseKey.
+struct WarehouseYtdRow {
+  int64_t w_ytd_cents = 0;
+};
+
+// Keyed by DistrictKey.
+struct DistrictYtdRow {
+  int64_t d_ytd_cents = 0;
+};
+
+// Keyed by DistrictKey.
+struct DistrictNextOrderRow {
+  int32_t d_next_o_id = 0;
 };
 
 struct CustomerRow {
@@ -151,15 +168,10 @@ std::string_view RowBytes(const Row& row) {
 }
 
 template <typename Row>
-std::string EncodeRow(const Row& row) {
-  return std::string(RowBytes(row));
-}
-
-template <typename Row>
 Row DecodeRow(std::string_view bytes) {
   static_assert(std::is_trivially_copyable_v<Row>);
   Row row;
-  // Values written by EncodeRow always have the exact size; tolerate anything longer.
+  // Rows written from RowBytes always have the exact size; tolerate anything longer.
   std::memcpy(&row, bytes.data(), std::min(bytes.size(), sizeof(Row)));
   return row;
 }
@@ -287,7 +299,10 @@ inline std::string StockKey(int32_t w, int32_t i) {
 // Table ids of a loaded TPC-C database, resolved once at load time.
 struct TpccTables {
   uint32_t warehouse = 0;
+  uint32_t warehouse_ytd = 0;
   uint32_t district = 0;
+  uint32_t district_ytd = 0;
+  uint32_t district_next_o_id = 0;
   uint32_t customer = 0;
   uint32_t customer_name_idx = 0;
   uint32_t history = 0;

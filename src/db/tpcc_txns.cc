@@ -17,6 +17,16 @@ void SetField(char (&field)[N], std::string_view text) {
   field[n] = '\0';
 }
 
+// The id in a key's last four bytes (big-endian): an o_id in NEW-ORDER and
+// order-by-customer keys.
+int32_t KeySuffixId(std::string_view key) {
+  size_t n = key.size();
+  return static_cast<int32_t>((static_cast<uint8_t>(key[n - 4]) << 24) |
+                              (static_cast<uint8_t>(key[n - 3]) << 16) |
+                              (static_cast<uint8_t>(key[n - 2]) << 8) |
+                              static_cast<uint8_t>(key[n - 1]));
+}
+
 }  // namespace
 
 const char* TpccTxnTypeName(TpccTxnType type) {
@@ -151,8 +161,7 @@ int32_t TpccWorkload::CustomerByLastName(Transaction& txn, int32_t w, int32_t d,
   std::vector<int32_t> ids;
   txn.Scan(tables_.customer_name_idx, CustomerNameKeyLo(w, d, last),
            CustomerNameKeyHi(w, d, last), /*descending=*/false, /*limit=*/0,
-           [&ids](const std::string& key, const std::string& value) {
-             (void)key;
+           [&ids](const std::string&, const std::string& value, Record*) {
              if (value.size() >= 4) {
                uint32_t c = (static_cast<uint8_t>(value[0]) << 24) |
                             (static_cast<uint8_t>(value[1]) << 16) |
@@ -169,6 +178,13 @@ int32_t TpccWorkload::CustomerByLastName(Transaction& txn, int32_t w, int32_t d,
 }
 
 TxnStatus TpccWorkload::NewOrder(TxnExecutor& executor, const NewOrderParams& params) {
+  return executor.Run([&](Transaction& txn) {
+    return NewOrderBody(txn, params, static_cast<int64_t>(executor.commits() + 2));
+  });
+}
+
+bool TpccWorkload::NewOrderBody(Transaction& txn, const NewOrderParams& params,
+                                int64_t entry_d) {
   const int32_t w = params.w;
   const int32_t d = params.d;
   const int32_t c = params.c;
@@ -182,85 +198,88 @@ TxnStatus TpccWorkload::NewOrder(TxnExecutor& executor, const NewOrderParams& pa
     }
   }
 
-  return executor.Run([&](Transaction& txn) {
-    WarehouseRow warehouse;
-    if (!txn.ReadRow(tables_.warehouse, WarehouseKey(w), &warehouse)) {
+  WarehouseRow warehouse;
+  if (!txn.ReadRow(tables_.warehouse, WarehouseKey(w), &warehouse)) {
+    return false;
+  }
+  DistrictRow district;
+  if (!txn.ReadRow(tables_.district, DistrictKey(w, d), &district)) {
+    return false;
+  }
+  DistrictNextOrderRow next;
+  Record* next_record = txn.ReadRow(tables_.district_next_o_id, DistrictKey(w, d), &next);
+  if (next_record == nullptr) {
+    return false;
+  }
+  const int32_t o_id = next.d_next_o_id;
+  next.d_next_o_id++;
+  txn.Write(next_record, RowBytes(next));
+
+  CustomerRow customer;
+  if (!txn.ReadRow(tables_.customer, CustomerKey(w, d, c), &customer)) {
+    return false;
+  }
+
+  OrderRow order;
+  order.o_w_id = w;
+  order.o_d_id = d;
+  order.o_id = o_id;
+  order.o_c_id = c;
+  order.o_carrier_id = 0;
+  order.o_ol_cnt = ol_cnt;
+  order.o_all_local = all_local ? 1 : 0;
+  order.o_entry_d = entry_d;
+  txn.Insert(tables_.order, OrderKey(w, d, o_id), RowBytes(order));
+  txn.Insert(tables_.order_customer_idx, OrderCustomerKey(w, d, c, o_id), "");
+  const NewOrderRow new_order{w, d, o_id};
+  txn.Insert(tables_.new_order, NewOrderKey(w, d, o_id), RowBytes(new_order));
+
+  int64_t total_cents = 0;
+  for (int32_t index = 0; index < ol_cnt; ++index) {
+    const NewOrderLineInput& input = params.lines[static_cast<size_t>(index)];
+    ItemRow item;
+    if (!txn.ReadRow(tables_.item, ItemKey(input.i_id), &item)) {
+      return false;  // the 1% intentional rollback path
+    }
+
+    StockRow stock;
+    Record* stock_record =
+        txn.ReadRow(tables_.stock, StockKey(input.supply_w, input.i_id), &stock);
+    if (stock_record == nullptr) {
       return false;
     }
-
-    DistrictRow district;
-    if (!txn.ReadRow(tables_.district, DistrictKey(w, d), &district)) {
-      return false;
+    if (stock.s_quantity >= input.quantity + 10) {
+      stock.s_quantity -= input.quantity;
+    } else {
+      stock.s_quantity += 91 - input.quantity;
     }
-    const int32_t o_id = district.d_next_o_id;
-    district.d_next_o_id++;
-    txn.Write(tables_.district, DistrictKey(w, d), EncodeRow(district));
-
-    CustomerRow customer;
-    if (!txn.ReadRow(tables_.customer, CustomerKey(w, d, c), &customer)) {
-      return false;
+    stock.s_ytd += input.quantity;
+    stock.s_order_cnt++;
+    if (input.supply_w != w) {
+      stock.s_remote_cnt++;
     }
+    txn.Write(stock_record, RowBytes(stock));
 
-    OrderRow order;
-    order.o_w_id = w;
-    order.o_d_id = d;
-    order.o_id = o_id;
-    order.o_c_id = c;
-    order.o_carrier_id = 0;
-    order.o_ol_cnt = ol_cnt;
-    order.o_all_local = all_local ? 1 : 0;
-    order.o_entry_d = static_cast<int64_t>(executor.commits() + 2);
-    txn.Insert(tables_.order, OrderKey(w, d, o_id), EncodeRow(order));
-    txn.Insert(tables_.order_customer_idx, OrderCustomerKey(w, d, c, o_id), "");
-    txn.Insert(tables_.new_order, NewOrderKey(w, d, o_id),
-               EncodeRow(NewOrderRow{w, d, o_id}));
-
-    int64_t total_cents = 0;
-    for (int32_t index = 0; index < ol_cnt; ++index) {
-      const NewOrderLineInput& input = params.lines[static_cast<size_t>(index)];
-      ItemRow item;
-      if (!txn.ReadRow(tables_.item, ItemKey(input.i_id), &item)) {
-        return false;  // the 1% intentional rollback path
-      }
-
-      StockRow stock;
-      if (!txn.ReadRow(tables_.stock, StockKey(input.supply_w, input.i_id), &stock)) {
-        return false;
-      }
-      if (stock.s_quantity >= input.quantity + 10) {
-        stock.s_quantity -= input.quantity;
-      } else {
-        stock.s_quantity += 91 - input.quantity;
-      }
-      stock.s_ytd += input.quantity;
-      stock.s_order_cnt++;
-      if (input.supply_w != w) {
-        stock.s_remote_cnt++;
-      }
-      txn.Write(tables_.stock, StockKey(input.supply_w, input.i_id), EncodeRow(stock));
-
-      OrderLineRow ol;
-      ol.ol_w_id = w;
-      ol.ol_d_id = d;
-      ol.ol_o_id = o_id;
-      ol.ol_number = index + 1;
-      ol.ol_i_id = input.i_id;
-      ol.ol_supply_w_id = input.supply_w;
-      ol.ol_delivery_d = 0;
-      ol.ol_quantity = input.quantity;
-      ol.ol_amount_cents = static_cast<int64_t>(input.quantity) * item.i_price_cents;
-      SetField(ol.ol_dist_info, stock.s_dist[d - 1]);
-      txn.Insert(tables_.order_line, OrderLineKey(w, d, o_id, ol.ol_number),
-                 EncodeRow(ol));
-      total_cents += ol.ol_amount_cents;
-    }
-    // The computed total (with taxes and discount) is returned to the client; compute
-    // it so the code path matches the spec even though we do not ship it anywhere.
-    int64_t adjusted = total_cents * (10000 - customer.c_discount_bp) / 10000 *
-                       (10000 + warehouse.w_tax_bp + district.d_tax_bp) / 10000;
-    (void)adjusted;
-    return true;
-  });
+    OrderLineRow ol;
+    ol.ol_w_id = w;
+    ol.ol_d_id = d;
+    ol.ol_o_id = o_id;
+    ol.ol_number = index + 1;
+    ol.ol_i_id = input.i_id;
+    ol.ol_supply_w_id = input.supply_w;
+    ol.ol_delivery_d = 0;
+    ol.ol_quantity = input.quantity;
+    ol.ol_amount_cents = static_cast<int64_t>(input.quantity) * item.i_price_cents;
+    SetField(ol.ol_dist_info, stock.s_dist[d - 1]);
+    txn.Insert(tables_.order_line, OrderLineKey(w, d, o_id, ol.ol_number), RowBytes(ol));
+    total_cents += ol.ol_amount_cents;
+  }
+  // The computed total (with taxes and discount) is returned to the client; compute
+  // it so the code path matches the spec even though we do not ship it anywhere.
+  int64_t adjusted = total_cents * (10000 - customer.c_discount_bp) / 10000 *
+                     (10000 + warehouse.w_tax_bp + district.d_tax_bp) / 10000;
+  (void)adjusted;
+  return true;
 }
 
 TxnStatus TpccWorkload::Payment(TxnExecutor& executor, const PaymentParams& params) {
@@ -276,15 +295,27 @@ TxnStatus TpccWorkload::Payment(TxnExecutor& executor, const PaymentParams& para
     if (!txn.ReadRow(tables_.warehouse, WarehouseKey(w), &warehouse)) {
       return false;
     }
-    warehouse.w_ytd_cents += amount_cents;
-    txn.Write(tables_.warehouse, WarehouseKey(w), EncodeRow(warehouse));
+    WarehouseYtdRow warehouse_ytd;
+    Record* warehouse_ytd_record =
+        txn.ReadRow(tables_.warehouse_ytd, WarehouseKey(w), &warehouse_ytd);
+    if (warehouse_ytd_record == nullptr) {
+      return false;
+    }
+    warehouse_ytd.w_ytd_cents += amount_cents;
+    txn.Write(warehouse_ytd_record, RowBytes(warehouse_ytd));
 
     DistrictRow district;
     if (!txn.ReadRow(tables_.district, DistrictKey(w, d), &district)) {
       return false;
     }
-    district.d_ytd_cents += amount_cents;
-    txn.Write(tables_.district, DistrictKey(w, d), EncodeRow(district));
+    DistrictYtdRow district_ytd;
+    Record* district_ytd_record =
+        txn.ReadRow(tables_.district_ytd, DistrictKey(w, d), &district_ytd);
+    if (district_ytd_record == nullptr) {
+      return false;
+    }
+    district_ytd.d_ytd_cents += amount_cents;
+    txn.Write(district_ytd_record, RowBytes(district_ytd));
 
     int32_t c_id = params.c_id;
     if (params.by_name) {
@@ -294,21 +325,28 @@ TxnStatus TpccWorkload::Payment(TxnExecutor& executor, const PaymentParams& para
       }
     }
     CustomerRow customer;
-    if (!txn.ReadRow(tables_.customer, CustomerKey(c_w, c_d, c_id), &customer)) {
+    Record* customer_record =
+        txn.ReadRow(tables_.customer, CustomerKey(c_w, c_d, c_id), &customer);
+    if (customer_record == nullptr) {
       return false;
     }
     customer.c_balance_cents -= amount_cents;
     customer.c_ytd_payment_cents += amount_cents;
     customer.c_payment_cnt++;
     if (std::strncmp(customer.c_credit, "BC", 2) == 0) {
-      // Bad-credit customers get the payment details prepended to c_data (2.5.2.2).
+      // Bad-credit customers get the payment details prepended to c_data (2.5.2.2),
+      // truncated to the column.
       char info[64];
-      std::snprintf(info, sizeof(info), "%d %d %d %d %d %lld|", c_id, c_d, c_w, d, w,
-                    static_cast<long long>(amount_cents));
-      std::string data = std::string(info) + customer.c_data;
-      SetField(customer.c_data, data);
+      size_t n = std::min<size_t>(
+          sizeof(info) - 1,
+          static_cast<size_t>(std::snprintf(info, sizeof(info), "%d %d %d %d %d %lld|",
+                                            c_id, c_d, c_w, d, w,
+                                            static_cast<long long>(amount_cents))));
+      std::memmove(customer.c_data + n, customer.c_data, sizeof(customer.c_data) - 1 - n);
+      std::memcpy(customer.c_data, info, n);
+      customer.c_data[sizeof(customer.c_data) - 1] = '\0';
     }
-    txn.Write(tables_.customer, CustomerKey(c_w, c_d, c_id), EncodeRow(customer));
+    txn.Write(customer_record, RowBytes(customer));
 
     HistoryRow history;
     history.h_c_id = c_id;
@@ -317,8 +355,9 @@ TxnStatus TpccWorkload::Payment(TxnExecutor& executor, const PaymentParams& para
     history.h_d_id = d;
     history.h_w_id = w;
     history.h_amount_cents = amount_cents;
-    SetField(history.h_data, std::string(warehouse.w_name) + "    " + district.d_name);
-    txn.Insert(tables_.history, HistoryKey(w, d, c_id, h_seq), EncodeRow(history));
+    std::snprintf(history.h_data, sizeof(history.h_data), "%s    %s", warehouse.w_name,
+                  district.d_name);
+    txn.Insert(tables_.history, HistoryKey(w, d, c_id, h_seq), RowBytes(history));
     return true;
   });
 }
@@ -345,14 +384,8 @@ TxnStatus TpccWorkload::OrderStatus(TxnExecutor& executor,
     int32_t o_id = 0;
     txn.Scan(tables_.order_customer_idx, OrderCustomerKey(w, d, c_id, 0),
              OrderCustomerKey(w, d, c_id, INT32_MAX), /*descending=*/true, /*limit=*/1,
-             [&o_id](const std::string& key, const std::string& value) {
-               (void)value;
-               // o_id is the last 4 key bytes (big-endian).
-               size_t n = key.size();
-               o_id = static_cast<int32_t>((static_cast<uint8_t>(key[n - 4]) << 24) |
-                                           (static_cast<uint8_t>(key[n - 3]) << 16) |
-                                           (static_cast<uint8_t>(key[n - 2]) << 8) |
-                                           static_cast<uint8_t>(key[n - 1]));
+             [&o_id](const std::string& key, const std::string&, Record*) {
+               o_id = KeySuffixId(key);
                return false;
              });
     if (o_id == 0) {
@@ -365,8 +398,7 @@ TxnStatus TpccWorkload::OrderStatus(TxnExecutor& executor,
     int64_t checksum = 0;
     txn.Scan(tables_.order_line, OrderLineKey(w, d, o_id, 0),
              OrderLineKey(w, d, o_id, INT32_MAX), /*descending=*/false, /*limit=*/0,
-             [&checksum](const std::string& key, const std::string& value) {
-               (void)key;
+             [&checksum](const std::string&, const std::string& value, Record*) {
                auto ol = DecodeRow<OrderLineRow>(value);
                checksum += ol.ol_amount_cents + ol.ol_quantity;
                return true;
@@ -380,70 +412,54 @@ TxnStatus TpccWorkload::OrderStatus(TxnExecutor& executor,
 TxnStatus TpccWorkload::Delivery(TxnExecutor& executor, const DeliveryParams& params) {
   const int32_t w = params.w;
   const int32_t carrier = params.carrier;
-  // One buffer for every district's order lines, kept by the thread across
-  // transactions: its entries keep their key strings' capacity.
-  struct Line {
-    std::string key;
-    OrderLineRow row;
-  };
-  static thread_local std::vector<Line> lines;
 
   return executor.Run([&](Transaction& txn) {
     for (int32_t d = 1; d <= kTpccDistrictsPerWarehouse; ++d) {
-      // Oldest undelivered order of this district (ascending scan, limit 1).
+      // Oldest undelivered order of this district (ascending scan, limit 1), deleted
+      // through the scan's handle. Structural erase: NEW-ORDER o_ids are never
+      // revisited, and leaving tombstones would make this min-scan
+      // O(delivered-so-far) — Masstree deletes keys, so do we.
       int32_t o_id = 0;
       txn.Scan(tables_.new_order, NewOrderKey(w, d, 0), NewOrderKey(w, d, INT32_MAX),
                /*descending=*/false, /*limit=*/1,
-               [&o_id](const std::string& key, const std::string& value) {
-                 (void)value;
-                 size_t n = key.size();
-                 o_id = static_cast<int32_t>((static_cast<uint8_t>(key[n - 4]) << 24) |
-                                             (static_cast<uint8_t>(key[n - 3]) << 16) |
-                                             (static_cast<uint8_t>(key[n - 2]) << 8) |
-                                             static_cast<uint8_t>(key[n - 1]));
+               [&](const std::string& key, const std::string&, Record* record) {
+                 o_id = KeySuffixId(key);
+                 txn.Delete(record, tables_.new_order, key, /*erase=*/true);
                  return false;
                });
       if (o_id == 0) {
         continue;  // district fully delivered (clause 2.7.4.2 allows skipping)
       }
-      // Structural erase: NEW-ORDER o_ids are never revisited, and leaving tombstones
-      // would make this min-scan O(delivered-so-far) — Masstree deletes keys, so do we.
-      txn.Delete(tables_.new_order, NewOrderKey(w, d, o_id), /*erase=*/true);
 
       OrderRow order;
-      if (!txn.ReadRow(tables_.order, OrderKey(w, d, o_id), &order)) {
+      Record* order_record = txn.ReadRow(tables_.order, OrderKey(w, d, o_id), &order);
+      if (order_record == nullptr) {
         return false;
       }
       order.o_carrier_id = carrier;
-      txn.Write(tables_.order, OrderKey(w, d, o_id), EncodeRow(order));
+      txn.Write(order_record, RowBytes(order));
 
+      // Every line of the order is written back through its scan handle.
       int64_t total_cents = 0;
-      size_t line_count = 0;
       txn.Scan(tables_.order_line, OrderLineKey(w, d, o_id, 0),
                OrderLineKey(w, d, o_id, INT32_MAX), /*descending=*/false, /*limit=*/0,
-               [&](const std::string& key, const std::string& value) {
-                 if (line_count == lines.size()) {
-                   lines.emplace_back();
-                 }
-                 lines[line_count].key.assign(key);
-                 lines[line_count].row = DecodeRow<OrderLineRow>(value);
-                 line_count++;
+               [&](const std::string&, const std::string& value, Record* record) {
+                 auto ol = DecodeRow<OrderLineRow>(value);
+                 total_cents += ol.ol_amount_cents;
+                 ol.ol_delivery_d = 2;  // "now"
+                 txn.Write(record, RowBytes(ol));
                  return true;
                });
-      for (size_t i = 0; i < line_count; ++i) {
-        OrderLineRow& ol = lines[i].row;
-        total_cents += ol.ol_amount_cents;
-        ol.ol_delivery_d = 2;  // "now"
-        txn.Write(tables_.order_line, lines[i].key, EncodeRow(ol));
-      }
 
       CustomerRow customer;
-      if (!txn.ReadRow(tables_.customer, CustomerKey(w, d, order.o_c_id), &customer)) {
+      Record* customer_record =
+          txn.ReadRow(tables_.customer, CustomerKey(w, d, order.o_c_id), &customer);
+      if (customer_record == nullptr) {
         return false;
       }
       customer.c_balance_cents += total_cents;
       customer.c_delivery_cnt++;
-      txn.Write(tables_.customer, CustomerKey(w, d, order.o_c_id), EncodeRow(customer));
+      txn.Write(customer_record, RowBytes(customer));
     }
     return true;
   });
@@ -457,8 +473,8 @@ TxnStatus TpccWorkload::StockLevel(TxnExecutor& executor,
   static thread_local std::vector<int32_t> items;  // reused across transactions
 
   return executor.Run([&](Transaction& txn) {
-    DistrictRow district;
-    if (!txn.ReadRow(tables_.district, DistrictKey(w, d), &district)) {
+    DistrictNextOrderRow district;
+    if (!txn.ReadRow(tables_.district_next_o_id, DistrictKey(w, d), &district)) {
       return false;
     }
     const int32_t next = district.d_next_o_id;
@@ -468,8 +484,7 @@ TxnStatus TpccWorkload::StockLevel(TxnExecutor& executor,
     items.clear();
     txn.Scan(tables_.order_line, OrderLineKey(w, d, lo_order, 0),
              OrderLineKey(w, d, next - 1, INT32_MAX), /*descending=*/false, /*limit=*/0,
-             [](const std::string& key, const std::string& value) {
-               (void)key;
+             [](const std::string&, const std::string& value, Record*) {
                items.push_back(DecodeRow<OrderLineRow>(value).ol_i_id);
                return true;
              });

@@ -125,6 +125,11 @@ class TpccWorkload {
   TxnStatus Delivery(TxnExecutor& executor, const DeliveryParams& params);
   TxnStatus StockLevel(TxnExecutor& executor, const StockLevelParams& params);
 
+  // One execution of NewOrder's body on `txn`, without the commit (false requests a
+  // rollback): what NewOrder's retry loop runs, with o_entry_d = `entry_d`. Public so
+  // a test can commit another transaction between a body and its commit.
+  bool NewOrderBody(Transaction& txn, const NewOrderParams& params, int64_t entry_d);
+
   // Legacy sample-then-run surface (the in-process driver and tests).
   TxnStatus NewOrder(TxnExecutor& executor, TpccRandom& random) {
     return NewOrder(executor, SampleNewOrder(random, scale_));

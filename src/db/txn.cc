@@ -19,15 +19,6 @@ uint64_t Fnv1aMix(uint64_t h, const void* data, size_t len) {
   return h;
 }
 
-// The record of a key that usually exists already: a shared-lock lookup, and the
-// exclusive insert walk only on a miss.
-Record* Resolve(OrderedIndex& index, std::string_view key) {
-  if (Record* record = index.Get(key)) {
-    return record;
-  }
-  return index.GetOrInsert(key).first;
-}
-
 }  // namespace
 
 uint64_t Transaction::HashKey(uint64_t h, std::string_view key) {
@@ -37,8 +28,16 @@ uint64_t Transaction::HashKey(uint64_t h, std::string_view key) {
   return Fnv1aMix(h, key.data(), key.size());
 }
 
+Record* Transaction::Resolve(TableId table, std::string_view key) {
+  OrderedIndex& index = db_.table(table);
+  if (Record* record = index.Get(key)) {
+    return record;
+  }
+  return index.GetOrInsert(key).first;
+}
+
 Transaction::WriteEntry* Transaction::FindWrite(const Record* record) {
-  for (auto& write : writes_) {
+  for (auto& write : Writes()) {
     if (write.record == record) {
       return &write;
     }
@@ -50,9 +49,12 @@ Transaction::WriteEntry& Transaction::WriteFor(Record* record) {
   if (WriteEntry* write = FindWrite(record)) {
     return *write;
   }
-  writes_.push_back(WriteEntry{});
-  writes_.back().record = record;
-  return writes_.back();
+  if (write_count_ == writes_.size()) {
+    writes_.emplace_back();
+  }
+  WriteEntry& write = writes_[write_count_++];
+  write.record = record;
+  return write;
 }
 
 void Transaction::AddRead(Record* record, uint64_t observed_tid) {
@@ -68,32 +70,43 @@ bool Transaction::LockedByUs(const Record* record) const {
   return std::binary_search(locked_.begin(), locked_.end(), record);
 }
 
-std::optional<size_t> Transaction::ReadInto(TableId table, std::string_view key,
-                                            void* dst, size_t capacity) {
+Record* Transaction::ReadRecord(TableId table, std::string_view key, void* dst,
+                                size_t capacity, size_t* size) {
   Record* record = db_.table(table).Get(key);
   if (record == nullptr) {
     // Structurally missing keys cannot be version-validated; they are covered only by
     // scan fingerprints. TPC-C reads always target loaded keys, so this is a miss path
     // for genuinely unknown keys.
-    return std::nullopt;
+    return nullptr;
   }
   // Read-own-writes.
   if (const WriteEntry* write = FindWrite(record)) {
     if (write->deleted) {
-      return std::nullopt;
+      return nullptr;
     }
     size_t n = std::min(capacity, write->value.size());
     if (n > 0) {
       std::memcpy(dst, write->value.data(), n);
     }
-    return write->value.size();
+    *size = write->value.size();
+    return record;
   }
   Record::ReadResult snapshot = record->StableRead(dst, capacity);
   AddRead(record, snapshot.tid);
   if (TidWord::Absent(snapshot.tid)) {
-    return std::nullopt;  // logically absent; the TID is validated so the miss is stable
+    return nullptr;  // logically absent; the TID is validated so the miss is stable
   }
-  return snapshot.size;
+  *size = snapshot.size;
+  return record;
+}
+
+std::optional<size_t> Transaction::ReadInto(TableId table, std::string_view key,
+                                            void* dst, size_t capacity) {
+  size_t size = 0;
+  if (ReadRecord(table, key, dst, capacity, &size) == nullptr) {
+    return std::nullopt;
+  }
+  return size;
 }
 
 std::optional<std::string> Transaction::Read(TableId table, std::string_view key) {
@@ -112,14 +125,14 @@ std::optional<std::string> Transaction::Read(TableId table, std::string_view key
   return row;
 }
 
-void Transaction::Write(TableId table, std::string_view key, std::string value) {
-  WriteEntry& write = WriteFor(Resolve(db_.table(table), key));
-  write.value = std::move(value);
+void Transaction::Write(Record* record, std::string_view row) {
+  WriteEntry& write = WriteFor(record);
+  write.value.assign(row);
   write.deleted = false;
   write.erase_after = false;
 }
 
-bool Transaction::Insert(TableId table, std::string_view key, std::string value) {
+bool Transaction::Insert(TableId table, std::string_view key, std::string_view row) {
   // The key is usually fresh: straight to the insert walk, with no lookup first.
   auto [record, created] = db_.table(table).GetOrInsert(key);
   if (!created) {
@@ -131,28 +144,27 @@ bool Transaction::Insert(TableId table, std::string_view key, std::string value)
     // Reusing a dead/claimed slot: validate it is still absent at commit.
     AddRead(record, TidWord::Version(tid) | TidWord::kAbsentBit);
   }
-  WriteEntry& write = WriteFor(record);
-  write.value = std::move(value);
-  write.deleted = false;
-  write.erase_after = false;
+  Write(record, row);
   return true;
 }
 
-void Transaction::Delete(TableId table, std::string key, bool erase) {
-  WriteEntry& write = WriteFor(Resolve(db_.table(table), key));
+void Transaction::Delete(Record* record, TableId table, std::string_view key,
+                         bool erase) {
+  WriteEntry& write = WriteFor(record);
   write.value.clear();
   write.deleted = true;
   write.erase_after = erase;
   if (erase) {
     write.table = table;
-    write.key = std::move(key);
+    write.key.assign(key);
   }
 }
 
 void Transaction::Scan(
     TableId table, std::string_view lo, std::string_view hi, bool descending,
     uint64_t limit,
-    const std::function<bool(const std::string& key, const std::string& value)>& fn) {
+    const std::function<bool(const std::string& key, const std::string& value,
+                             Record* record)>& fn) {
   ScanEntry scan;
   scan.table = table;
   scan.lo = std::string(lo);
@@ -184,7 +196,7 @@ void Transaction::Scan(
       return true;  // keep walking
     }
     visited++;
-    bool keep_going = fn(key, row);
+    bool keep_going = fn(key, row, record);
     if (!keep_going || (limit != 0 && visited >= limit)) {
       stopped_early = true;
       effective_bound = key;
@@ -243,7 +255,7 @@ TxnStatus Transaction::Commit(uint64_t* last_tid) {
   // Phase 1: lock the write set in global (record-address) order. Entries are unique
   // per record, so the sorted vector has no duplicates.
   locked_.clear();
-  for (const auto& write : writes_) {
+  for (const auto& write : Writes()) {
     locked_.push_back(write.record);
   }
   std::sort(locked_.begin(), locked_.end());
@@ -305,7 +317,7 @@ TxnStatus Transaction::Commit(uint64_t* last_tid) {
   *last_tid = commit_tid;
   committed_tid_ = commit_tid;
 
-  for (auto& write : writes_) {
+  for (auto& write : Writes()) {
     // A structural unlink happens under the record lock, so no other committer can
     // revive the record in between (no index lock holder ever waits on a record lock,
     // so taking the index lock here cannot deadlock).
@@ -320,7 +332,7 @@ TxnStatus Transaction::Commit(uint64_t* last_tid) {
 
 void Transaction::Abort() {
   reads_.clear();
-  writes_.clear();
+  write_count_ = 0;
   scans_.clear();
   poisoned_duplicate_ = false;
 }

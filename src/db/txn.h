@@ -4,11 +4,12 @@
 //   execution   — reads record versions optimistically (TID-validated copies of the
 //                 row, see Record) into a read set; writes are buffered in a write set
 //                 keyed by record, each entry owning its row bytes: every
-//                 Write/Insert/Delete resolves its Record* when it is buffered (an
-//                 absent key gets a fresh absent record, as an insert does), so
-//                 read-own-writes and commit match entries by pointer, one entry per
-//                 record; range scans additionally capture a key fingerprint for
-//                 phantom checks.
+//                 Write/Insert/Delete holds its Record* when it is buffered — the
+//                 handle a ReadRow or Scan returned, with no second index walk, or one
+//                 resolved from the key (an absent key gets a fresh absent record, as
+//                 an insert does) — so read-own-writes and commit match entries by
+//                 pointer, one entry per record; range scans additionally capture a
+//                 key fingerprint for phantom checks.
 //   commit (1)  — lock the write set in a global order (record address), spin locks are
 //                 deadlock-free under the ordering;
 //   commit (2)  — serialization point: read the global epoch; validate that every read
@@ -37,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -69,39 +71,56 @@ class Transaction {
                                  size_t capacity);
 
   // ReadInto a trivially copyable row struct: bytes past the stored row keep `*row`'s
-  // values. False iff the key is missing or deleted.
+  // values. Returns the record read — a handle for Write(Record*, ...) — or nullptr
+  // iff the key is missing or deleted.
   template <typename Row>
-  bool ReadRow(TableId table, std::string_view key, Row* row) {
+  Record* ReadRow(TableId table, std::string_view key, Row* row) {
     static_assert(std::is_trivially_copyable_v<Row>);
-    return ReadInto(table, key, row, sizeof(Row)).has_value();
+    size_t size = 0;
+    return ReadRecord(table, key, row, sizeof(Row), &size);
   }
 
   // ReadInto a string sized to the row (tests and ad-hoc callers).
   std::optional<std::string> Read(TableId table, std::string_view key);
 
-  // Buffers an update. The key should exist (Read/Scan normally precedes it); writing a
-  // missing key places an absent record now and installs it as an insert at commit.
-  void Write(TableId table, std::string_view key, std::string value);
+  // Buffers an update of `record`, a handle this transaction got from ReadRow or Scan:
+  // no index walk. A record the transaction has not read is written blind.
+  void Write(Record* record, std::string_view row);
+
+  // Buffers an update by key: Write(record of `key`, row). The key should exist;
+  // writing a missing key places an absent record now and installs it as an insert at
+  // commit.
+  void Write(TableId table, std::string_view key, std::string_view row) {
+    Write(Resolve(table, key), row);
+  }
 
   // Inserts a new key. Returns false (and poisons the transaction into kDuplicate) if
   // the key already exists live.
-  bool Insert(TableId table, std::string_view key, std::string value);
+  bool Insert(TableId table, std::string_view key, std::string_view row);
 
-  // Logically deletes `key` (absent bit install at commit). With `erase` set, the key
-  // is additionally unlinked from the index after the commit installs (Masstree-style
-  // structural delete; see OrderedIndex::Erase for the semantics caveat — only use for
-  // keys that are never blind-point-read again, like TPC-C NEW-ORDER rows).
-  void Delete(TableId table, std::string key, bool erase = false);
+  // Logically deletes `record`, a handle on `key` in `table` (absent bit install at
+  // commit). With `erase` set, the key is additionally unlinked from the index after
+  // the commit installs (Masstree-style structural delete; see OrderedIndex::Erase for
+  // the semantics caveat — only use for keys that are never blind-point-read again,
+  // like TPC-C NEW-ORDER rows).
+  void Delete(Record* record, TableId table, std::string_view key, bool erase = false);
+
+  // Delete by key: Delete(record of `key`, ...).
+  void Delete(TableId table, std::string_view key, bool erase = false) {
+    Delete(Resolve(table, key), table, key, erase);
+  }
 
   // Ordered scan of lo..hi (inclusive, descending optional), visiting at most `limit`
   // visible rows (0 = unlimited). `fn` returns false to stop early. Rows reflect this
   // transaction's own pending writes; `value` is one buffer the scan reuses for every
-  // row, valid only during the call. The visited range is fingerprinted for phantom
-  // validation at commit. `fn` runs with no index lock held, so it may Read, Write,
-  // Insert, Delete or Scan on this transaction, the scanned table included.
+  // row, valid only during the call, and `record` is the row's handle for Write or
+  // Delete. The visited range is fingerprinted for phantom validation at commit. `fn`
+  // runs with no index lock held, so it may Read, Write, Insert, Delete or Scan on
+  // this transaction, the scanned table included.
   void Scan(TableId table, std::string_view lo, std::string_view hi, bool descending,
             uint64_t limit,
-            const std::function<bool(const std::string& key, const std::string& value)>& fn);
+            const std::function<bool(const std::string& key, const std::string& value,
+                                     Record* record)>& fn);
 
   // Runs the commit protocol. `last_tid` is the calling thread's most recent commit TID
   // (in/out — threads own one, see TxnExecutor). After kCommitted, committed_tid() is
@@ -117,7 +136,7 @@ class Transaction {
 
   // Introspection for tests.
   size_t ReadSetSize() const { return reads_.size(); }
-  size_t WriteSetSize() const { return writes_.size(); }
+  size_t WriteSetSize() const { return write_count_; }
   size_t ScanSetSize() const { return scans_.size(); }
 
  private:
@@ -126,7 +145,7 @@ class Transaction {
     uint64_t observed_tid = 0;
   };
   struct WriteEntry {
-    Record* record = nullptr;  // resolved when the write is buffered
+    Record* record = nullptr;  // held when the write is buffered
     std::string value;         // the row to install (empty for a delete)
     bool deleted = false;
     bool erase_after = false;  // structural unlink after install (deletes only)
@@ -143,8 +162,20 @@ class Transaction {
     uint64_t erases = 0;  // the table's EraseCount() before the walk
   };
 
+  // ReadInto that also returns the record read (nullptr where ReadInto returns
+  // nullopt) and stores the row's full length in `*size`.
+  Record* ReadRecord(TableId table, std::string_view key, void* dst, size_t capacity,
+                     size_t* size);
+
+  // The record of a key that usually exists already: a shared-lock lookup, and the
+  // exclusive insert walk only on a miss.
+  Record* Resolve(TableId table, std::string_view key);
+
+  // The live write entries.
+  std::span<WriteEntry> Writes() { return {writes_.data(), write_count_}; }
   WriteEntry* FindWrite(const Record* record);
-  // The write entry for `record`, appended if the write set has none yet.
+  // The write entry for `record`, appended if the write set has none yet. An appended
+  // entry reuses a slot of an earlier transaction, buffers included.
   WriteEntry& WriteFor(Record* record);
   void AddRead(Record* record, uint64_t observed_tid);
   bool LockedByUs(const Record* record) const;
@@ -159,7 +190,10 @@ class Transaction {
 
   Database& db_;
   std::vector<ReadEntry> reads_;
+  // Entries [0, write_count_) are this transaction's; the slots past them keep their
+  // strings' capacity, so a warmed write set buffers rows without allocating.
   std::vector<WriteEntry> writes_;
+  size_t write_count_ = 0;
   std::vector<ScanEntry> scans_;
   std::vector<Record*> locked_;  // commit's write-set records, sorted by address
   uint64_t committed_tid_ = 0;

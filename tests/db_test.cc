@@ -2,12 +2,14 @@
 // transaction semantics (read-own-writes, deletes, duplicates), conflict validation,
 // phantom detection, and multi-threaded serializability smoke tests.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <map>
 #include <new>
 #include <set>
@@ -671,6 +673,28 @@ TEST_F(TxnTest, WarmedReadIntoACallerBufferAllocatesNothing) {
   EXPECT_EQ(std::string(row, 100), std::string(100, 'v'));
 }
 
+TEST_F(TxnTest, WarmedWritesThroughAHandleCommitWithoutAllocating) {
+  // The write set keeps its entries' row buffers across transactions, and a same-size
+  // install reuses the record's buffer: a warmed read-modify-write allocates nothing.
+  Put("k", std::string(100, 'v'));
+  TxnExecutor executor(db_);
+  const std::string update(100, 'w');
+  const std::function<bool(Transaction&)> body = [&](Transaction& txn) {
+    std::array<char, 100> row{};
+    Record* handle = txn.ReadRow(table_, "k", &row);
+    EXPECT_NE(handle, nullptr);
+    txn.Write(handle, update);
+    return true;
+  };
+  ASSERT_EQ(executor.Run(body), TxnStatus::kCommitted);
+  uint64_t before = g_allocs.load();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(executor.Run(body), TxnStatus::kCommitted);
+  }
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(Get("k").value_or("?"), update);
+}
+
 TEST_F(TxnTest, InsertThenReadBack) {
   TxnExecutor executor(db_);
   EXPECT_EQ(executor.Run([&](Transaction& txn) {
@@ -838,7 +862,7 @@ TEST_F(TxnTest, PhantomInsertInScannedRangeAborts) {
   Transaction scanner(db_);
   int rows = 0;
   scanner.Scan(table_, "r-a", "r-z", false, 0,
-               [&rows](const std::string&, const std::string&) {
+               [&rows](const std::string&, const std::string&, Record*) {
                  rows++;
                  return true;
                });
@@ -856,7 +880,7 @@ TEST_F(TxnTest, DeleteInScannedRangeAborts) {
   Put("r-b", "2");
   Transaction scanner(db_);
   scanner.Scan(table_, "r-a", "r-z", false, 0,
-               [](const std::string&, const std::string&) { return true; });
+               [](const std::string&, const std::string&, Record*) { return true; });
 
   TxnExecutor executor(db_);
   executor.Run([&](Transaction& txn) {
@@ -879,7 +903,7 @@ TEST_F(TxnTest, KeyInsertedAndDeletedAfterTheScanAbortsTheScanner) {
     Put("r-a", "1");
     Transaction scanner(db_);
     scanner.Scan(table_, "r-a", "r-z", false, 0,
-                 [](const std::string&, const std::string&) { return true; });
+                 [](const std::string&, const std::string&, Record*) { return true; });
     Put(key, "came");
     TxnExecutor executor(db_);
     ASSERT_EQ(executor.Run([&](Transaction& txn) {
@@ -900,7 +924,7 @@ TEST_F(TxnTest, InsertBeyondLimitedScanDoesNotAbort) {
   int rows = 0;
   // Limit 1: the effective validated range shrinks to [r-a, r-a].
   scanner.Scan(table_, "r-a", "r-z", false, 1,
-               [&rows](const std::string&, const std::string&) {
+               [&rows](const std::string&, const std::string&, Record*) {
                  rows++;
                  return true;
                });
@@ -919,7 +943,7 @@ TEST_F(TxnTest, ScanAppliesOwnPendingWrites) {
   txn.Write(table_, "s-a", "pending");
   std::vector<std::string> values;
   txn.Scan(table_, "s-a", "s-z", false, 0,
-           [&values](const std::string&, const std::string& value) {
+           [&values](const std::string&, const std::string& value, Record*) {
              values.push_back(value);
              return true;
            });
@@ -940,7 +964,7 @@ TEST_F(TxnTest, ScanCallbackMayWriteAndInsertIntoTheScannedTable) {
   TxnStatus status = executor.Run([&](Transaction& txn) {
     visited = 0;
     txn.Scan(table_, "row-", "row-~", false, 0,
-             [&](const std::string& key, const std::string& value) {
+             [&](const std::string& key, const std::string& value, Record*) {
                visited++;
                txn.Write(table_, key, value + "+");
                txn.Insert(table_, "new-" + key, "inserted");
@@ -1141,7 +1165,7 @@ TEST_F(TxnTest, ConcurrentScansMatchTheCounterTheyRead) {
           }
           rows = 0;
           txn.Scan(table_, key_of(0), key_of(kSlots), descending, 0,
-                   [&rows](const std::string&, const std::string&) {
+                   [&rows](const std::string&, const std::string&, Record*) {
                      rows++;
                      return true;
                    });
@@ -1171,7 +1195,7 @@ TEST_F(TxnTest, ConcurrentScansMatchTheCounterTheyRead) {
   Transaction txn(db_);
   int rows = 0;
   txn.Scan(table_, key_of(0), key_of(kSlots), false, 0,
-           [&rows](const std::string&, const std::string&) {
+           [&rows](const std::string&, const std::string&, Record*) {
              rows++;
              return true;
            });
@@ -1209,7 +1233,7 @@ TEST_F(TxnTest, DeleteWithEraseRemovesKeyFromScans) {
   Transaction txn(db_);
   std::vector<std::string> keys;
   txn.Scan(table_, "e-a", "e-z", false, 0,
-           [&keys](const std::string& key, const std::string&) {
+           [&keys](const std::string& key, const std::string&, Record*) {
              keys.push_back(key);
              return true;
            });
@@ -1225,7 +1249,7 @@ TEST_F(TxnTest, EraseInScannedRangeStillAbortsTheScanner) {
   Put("e-b", "2");
   Transaction scanner(db_);
   scanner.Scan(table_, "e-a", "e-z", false, 0,
-               [](const std::string&, const std::string&) { return true; });
+               [](const std::string&, const std::string&, Record*) { return true; });
 
   TxnExecutor executor(db_);
   executor.Run([&](Transaction& txn) {
@@ -1261,6 +1285,103 @@ TEST_F(TxnTest, WriteToARecordErasedBeforeCommitRetriesOnTheFreshKey) {
             TxnStatus::kCommitted);
   EXPECT_EQ(writer.retries(), 1u);
   EXPECT_EQ(Get("e-w").value_or("?"), "new");
+}
+
+TEST_F(TxnTest, WriteThroughAReadHandleIsSeenByOwnReadsAndScansAndInstallsAtCommit) {
+  // ReadRow and Scan hand out the record they read; a write through it buffers the
+  // row with no index walk, and behaves as the by-key write does.
+  Put("h-a", "old");
+  Put("h-b", "bbb");
+  Transaction txn(db_);
+  std::array<char, 3> row{};
+  Record* handle = txn.ReadRow(table_, "h-a", &row);
+  ASSERT_NE(handle, nullptr);
+  EXPECT_EQ(handle, db_.table(table_).Get("h-a"));
+  EXPECT_EQ(std::string(row.data(), row.size()), "old");
+  EXPECT_EQ(txn.ReadRow(table_, "h-missing", &row), nullptr);
+  txn.Write(handle, "new");
+  // Read-own-writes, by key and by the handle a second ReadRow returns.
+  EXPECT_EQ(txn.Read(table_, "h-a").value_or("?"), "new");
+  EXPECT_EQ(txn.ReadRow(table_, "h-a", &row), handle);
+  EXPECT_EQ(std::string(row.data(), row.size()), "new");
+  // A later scan sees the pending row, and its handles write the same way.
+  std::vector<std::string> values;
+  txn.Scan(table_, "h-a", "h-z", false, 0,
+           [&](const std::string&, const std::string& value, Record* record) {
+             values.push_back(value);
+             if (value == "bbb") {
+               txn.Write(record, "b+");
+             }
+             return true;
+           });
+  EXPECT_EQ(values, (std::vector<std::string>{"new", "bbb"}));
+  EXPECT_EQ(txn.Read(table_, "h-b").value_or("?"), "b+");
+  EXPECT_EQ(txn.WriteSetSize(), 2u);
+  // Nothing is visible before the commit; both rows install at it.
+  EXPECT_EQ(Get("h-a").value_or("?"), "old");
+  uint64_t last = 0;
+  ASSERT_EQ(txn.Commit(&last), TxnStatus::kCommitted);
+  EXPECT_EQ(Get("h-a").value_or("?"), "new");
+  EXPECT_EQ(Get("h-b").value_or("?"), "b+");
+}
+
+TEST_F(TxnTest, WriteThroughAReadHandleAbortsWhenAnotherCommitterErasedTheRecord) {
+  // The read entry catches the erase (its absent install moved the TID); the retry
+  // finds the key gone and inserts it afresh.
+  Put("e-r", "old");
+  TxnExecutor writer(db_);
+  TxnExecutor eraser(db_);
+  bool erased = false;
+  EXPECT_EQ(writer.Run([&](Transaction& txn) {
+    std::array<char, 3> row{};
+    Record* handle = txn.ReadRow(table_, "e-r", &row);
+    if (handle == nullptr) {
+      return txn.Insert(table_, "e-r", "new");
+    }
+    if (!erased) {
+      erased = true;
+      EXPECT_EQ(eraser.Run([&](Transaction& other) {
+        other.Delete(table_, "e-r", /*erase=*/true);
+        return true;
+      }),
+                TxnStatus::kCommitted);
+    }
+    txn.Write(handle, "new");
+    return true;
+  }),
+            TxnStatus::kCommitted);
+  EXPECT_EQ(writer.retries(), 1u);
+  EXPECT_EQ(Get("e-r").value_or("?"), "new");
+}
+
+TEST_F(TxnTest, WriteThroughAnOwnWriteHandleToAnErasedRecordRetriesOnTheFreshKey) {
+  // The handle twin of WriteToARecordErasedBeforeCommitRetriesOnTheFreshKey. A handle
+  // that ReadRow returned from this transaction's own pending write carries no read
+  // entry, so only commit's unlinked check keeps its write out of the graveyard.
+  Put("e-h", "old");
+  TxnExecutor writer(db_);
+  TxnExecutor eraser(db_);
+  bool erased = false;
+  EXPECT_EQ(writer.Run([&](Transaction& txn) {
+    txn.Write(table_, "e-h", "mid");
+    std::array<char, 3> row{};
+    Record* handle = txn.ReadRow(table_, "e-h", &row);
+    EXPECT_NE(handle, nullptr);
+    EXPECT_EQ(txn.ReadSetSize(), 0u);
+    if (!erased) {
+      erased = true;
+      EXPECT_EQ(eraser.Run([&](Transaction& other) {
+        other.Delete(table_, "e-h", /*erase=*/true);
+        return true;
+      }),
+                TxnStatus::kCommitted);
+    }
+    txn.Write(handle, "new");
+    return true;
+  }),
+            TxnStatus::kCommitted);
+  EXPECT_EQ(writer.retries(), 1u);
+  EXPECT_EQ(Get("e-h").value_or("?"), "new");
 }
 
 TEST_F(TxnTest, InsertAfterEraseCreatesFreshRecord) {

@@ -85,7 +85,7 @@ TEST(TpccSchemaTest, RowRoundTrip) {
   customer.c_id = 77;
   customer.c_balance_cents = -123456;
   std::snprintf(customer.c_last, sizeof(customer.c_last), "%s", "OUGHTABLEPRI");
-  auto decoded = DecodeRow<CustomerRow>(EncodeRow(customer));
+  auto decoded = DecodeRow<CustomerRow>(RowBytes(customer));
   EXPECT_EQ(decoded.c_w_id, 3);
   EXPECT_EQ(decoded.c_id, 77);
   EXPECT_EQ(decoded.c_balance_cents, -123456);
@@ -126,31 +126,35 @@ class TpccFixture : public ::testing::Test {
   uint64_t CountRange(TableId table, const std::string& lo, const std::string& hi) {
     Transaction txn(db_);
     uint64_t count = 0;
-    txn.Scan(table, lo, hi, false, 0, [&count](const std::string&, const std::string&) {
-      count++;
-      return true;
-    });
+    txn.Scan(table, lo, hi, false, 0,
+             [&count](const std::string&, const std::string&, Record*) {
+               count++;
+               return true;
+             });
     txn.Abort();
     return count;
   }
 
   // TPC-C clause 3.3 consistency conditions 1-3, checked across every warehouse:
   // w_ytd = Σ d_ytd (exact, integer cents); d_next_o_id - 1 = max(o_id) in ORDER;
-  // NEW-ORDER rows form a contiguous o_id range. Shared by the driver-level and the
-  // live-service concurrency tests.
+  // NEW-ORDER rows form a contiguous o_id range. The counters are read from their own
+  // records (tpcc_schema.h). Shared by the driver-level and the live-service
+  // concurrency tests.
   void CheckConsistencyConditions() {
     for (int w = 1; w <= options_.num_warehouses; ++w) {
-      auto warehouse = ReadRow<WarehouseRow>(tables_.warehouse, WarehouseKey(w));
+      auto warehouse = ReadRow<WarehouseYtdRow>(tables_.warehouse_ytd, WarehouseKey(w));
       int64_t district_ytd = 0;
       for (int d = 1; d <= kTpccDistrictsPerWarehouse; ++d) {
-        auto district = ReadRow<DistrictRow>(tables_.district, DistrictKey(w, d));
-        district_ytd += district.d_ytd_cents;
+        district_ytd +=
+            ReadRow<DistrictYtdRow>(tables_.district_ytd, DistrictKey(w, d)).d_ytd_cents;
+        auto district =
+            ReadRow<DistrictNextOrderRow>(tables_.district_next_o_id, DistrictKey(w, d));
 
         // Condition 2: d_next_o_id - 1 = max(o_id) in ORDER for the district.
         int32_t max_order = 0;
         Transaction txn(db_);
         txn.Scan(tables_.order, OrderKey(w, d, 0), OrderKey(w, d, INT32_MAX), true, 1,
-                 [&max_order](const std::string& key, const std::string&) {
+                 [&max_order](const std::string& key, const std::string&, Record*) {
                    size_t n = key.size();
                    max_order =
                        static_cast<int32_t>((static_cast<uint8_t>(key[n - 4]) << 24) |
@@ -168,7 +172,7 @@ class TpccFixture : public ::testing::Test {
         Transaction scan_txn(db_);
         scan_txn.Scan(tables_.new_order, NewOrderKey(w, d, 0),
                       NewOrderKey(w, d, INT32_MAX), false, 0,
-                      [&pending](const std::string& key, const std::string&) {
+                      [&pending](const std::string& key, const std::string&, Record*) {
                         size_t n = key.size();
                         pending.push_back(static_cast<int32_t>(
                             (static_cast<uint8_t>(key[n - 4]) << 24) |
@@ -193,7 +197,8 @@ class TpccFixture : public ::testing::Test {
   void CheckOrderLineCounts() {
     for (int w = 1; w <= options_.num_warehouses; ++w) {
       for (int d = 1; d <= kTpccDistrictsPerWarehouse; ++d) {
-        auto district = ReadRow<DistrictRow>(tables_.district, DistrictKey(w, d));
+        auto district =
+            ReadRow<DistrictNextOrderRow>(tables_.district_next_o_id, DistrictKey(w, d));
         for (int32_t o = district.d_next_o_id - 1;
              o > std::max(0, district.d_next_o_id - 4); --o) {
           auto order = ReadRow<OrderRow>(tables_.order, OrderKey(w, d, o));
@@ -224,6 +229,9 @@ TEST_F(TpccFixture, LoaderPopulationCounts) {
   EXPECT_EQ(db_.table(tables_.stock).KeyCount(),
             static_cast<size_t>(w * options_.items));
   EXPECT_EQ(db_.table(tables_.district).KeyCount(), static_cast<size_t>(w * d));
+  EXPECT_EQ(db_.table(tables_.warehouse_ytd).KeyCount(), static_cast<size_t>(w));
+  EXPECT_EQ(db_.table(tables_.district_ytd).KeyCount(), static_cast<size_t>(w * d));
+  EXPECT_EQ(db_.table(tables_.district_next_o_id).KeyCount(), static_cast<size_t>(w * d));
   EXPECT_EQ(db_.table(tables_.customer).KeyCount(), static_cast<size_t>(w * d * c));
   EXPECT_EQ(db_.table(tables_.customer_name_idx).KeyCount(),
             static_cast<size_t>(w * d * c));
@@ -242,13 +250,15 @@ TEST_F(TpccFixture, LoaderPopulationCounts) {
 
 TEST_F(TpccFixture, LoaderDistrictAndWarehouseInvariants) {
   Load(LoaderOptions::Tiny(1));
-  auto warehouse = ReadRow<WarehouseRow>(tables_.warehouse, WarehouseKey(1));
+  auto warehouse = ReadRow<WarehouseYtdRow>(tables_.warehouse_ytd, WarehouseKey(1));
   EXPECT_EQ(warehouse.w_ytd_cents, 30000000);
   int64_t district_ytd = 0;
   for (int d = 1; d <= kTpccDistrictsPerWarehouse; ++d) {
-    auto district = ReadRow<DistrictRow>(tables_.district, DistrictKey(1, d));
+    auto district =
+        ReadRow<DistrictNextOrderRow>(tables_.district_next_o_id, DistrictKey(1, d));
     EXPECT_EQ(district.d_next_o_id, options_.initial_orders_per_district + 1);
-    district_ytd += district.d_ytd_cents;
+    district_ytd +=
+        ReadRow<DistrictYtdRow>(tables_.district_ytd, DistrictKey(1, d)).d_ytd_cents;
   }
   // TPC-C consistency condition 1: w_ytd = Σ d_ytd.
   EXPECT_EQ(warehouse.w_ytd_cents, district_ytd);
@@ -280,7 +290,8 @@ TEST_F(TpccFixture, NewOrderAdvancesDistrictAndCreatesRows) {
   // Some district's next_o_id advanced and the matching order + lines exist.
   bool found = false;
   for (int d = 1; d <= kTpccDistrictsPerWarehouse && !found; ++d) {
-    auto district = ReadRow<DistrictRow>(tables_.district, DistrictKey(1, d));
+    auto district =
+        ReadRow<DistrictNextOrderRow>(tables_.district_next_o_id, DistrictKey(1, d));
     if (district.d_next_o_id == options_.initial_orders_per_district + 1) {
       continue;
     }
@@ -307,7 +318,8 @@ TEST_F(TpccFixture, NewOrderRollbackLeavesNoTrace) {
   std::vector<int32_t> before;
   for (int d = 1; d <= kTpccDistrictsPerWarehouse; ++d) {
     before.push_back(
-        ReadRow<DistrictRow>(tables_.district, DistrictKey(1, d)).d_next_o_id);
+        ReadRow<DistrictNextOrderRow>(tables_.district_next_o_id, DistrictKey(1, d))
+            .d_next_o_id);
   }
   // Drive NewOrders until we hit >= 1 rollback.
   TxnExecutor executor(db_);
@@ -326,31 +338,84 @@ TEST_F(TpccFixture, NewOrderRollbackLeavesNoTrace) {
   // Every committed order advanced exactly one district counter; rollbacks none.
   int32_t advanced = 0;
   for (int d = 1; d <= kTpccDistrictsPerWarehouse; ++d) {
-    advanced += ReadRow<DistrictRow>(tables_.district, DistrictKey(1, d)).d_next_o_id -
-                before[static_cast<size_t>(d - 1)];
+    advanced +=
+        ReadRow<DistrictNextOrderRow>(tables_.district_next_o_id, DistrictKey(1, d))
+            .d_next_o_id -
+        before[static_cast<size_t>(d - 1)];
   }
   EXPECT_EQ(advanced, commits);
 }
 
 TEST_F(TpccFixture, PaymentUpdatesBalancesAndYtd) {
   Load(LoaderOptions::Tiny(1));
-  auto warehouse_before = ReadRow<WarehouseRow>(tables_.warehouse, WarehouseKey(1));
+  auto warehouse_before =
+      ReadRow<WarehouseYtdRow>(tables_.warehouse_ytd, WarehouseKey(1));
   size_t history_before = db_.table(tables_.history).KeyCount();
 
   TxnExecutor executor(db_);
   TpccRandom random(13);
   ASSERT_EQ(workload_->Payment(executor, random), TxnStatus::kCommitted);
 
-  auto warehouse_after = ReadRow<WarehouseRow>(tables_.warehouse, WarehouseKey(1));
+  auto warehouse_after = ReadRow<WarehouseYtdRow>(tables_.warehouse_ytd, WarehouseKey(1));
   EXPECT_GT(warehouse_after.w_ytd_cents, warehouse_before.w_ytd_cents);
   EXPECT_EQ(db_.table(tables_.history).KeyCount(), history_before + 1);
 
   // Consistency condition 1 still holds.
   int64_t district_ytd = 0;
   for (int d = 1; d <= kTpccDistrictsPerWarehouse; ++d) {
-    district_ytd += ReadRow<DistrictRow>(tables_.district, DistrictKey(1, d)).d_ytd_cents;
+    district_ytd +=
+        ReadRow<DistrictYtdRow>(tables_.district_ytd, DistrictKey(1, d)).d_ytd_cents;
   }
   EXPECT_EQ(warehouse_after.w_ytd_cents, district_ytd);
+}
+
+TEST_F(TpccFixture, PaymentCommittingInsideANewOrderOnItsDistrictCausesNoRetry) {
+  // A Payment writes w_ytd and d_ytd; a NewOrder reads w_tax and d_tax and updates
+  // d_next_o_id. With each counter in its own record the two share no record, so a
+  // Payment on the same warehouse and district that commits between a NewOrder's body
+  // and its commit leaves the NewOrder's reads valid: it commits without a retry.
+  Load(LoaderOptions::Tiny(1));
+  NewOrderParams new_order;
+  new_order.w = 1;
+  new_order.d = 3;
+  new_order.c = 1;
+  new_order.ol_cnt = 5;
+  for (int32_t line = 0; line < new_order.ol_cnt; ++line) {
+    new_order.lines[static_cast<size_t>(line)] =
+        NewOrderLineInput{/*i_id=*/line + 1, /*supply_w=*/1, /*quantity=*/2};
+  }
+  PaymentParams payment;
+  payment.w = 1;
+  payment.d = 3;
+  payment.c_w = 1;
+  payment.c_d = 3;
+  payment.c_id = 2;  // not the NewOrder's customer
+  payment.amount_cents = 1234;
+
+  TxnExecutor new_order_executor(db_);
+  TxnExecutor payment_executor(db_);
+  int bodies = 0;
+  TxnStatus payment_status = TxnStatus::kAborted;
+  TxnStatus status = new_order_executor.Run([&](Transaction& txn) {
+    bool ok = workload_->NewOrderBody(txn, new_order, /*entry_d=*/2);
+    if (bodies++ == 0) {
+      payment_status = workload_->Payment(payment_executor, payment);
+    }
+    return ok;
+  });
+  ASSERT_EQ(payment_status, TxnStatus::kCommitted);
+  EXPECT_EQ(payment_executor.retries(), 0u);
+  ASSERT_EQ(status, TxnStatus::kCommitted);
+  EXPECT_EQ(new_order_executor.retries(), 0u);
+  EXPECT_EQ(bodies, 1);
+
+  // Both took effect.
+  EXPECT_EQ(ReadRow<DistrictNextOrderRow>(tables_.district_next_o_id, DistrictKey(1, 3))
+                .d_next_o_id,
+            options_.initial_orders_per_district + 2);
+  EXPECT_EQ(ReadRow<WarehouseYtdRow>(tables_.warehouse_ytd, WarehouseKey(1)).w_ytd_cents,
+            30000000 + 1234);
+  CheckConsistencyConditions();
 }
 
 TEST_F(TpccFixture, DeliveryDrainsOldestNewOrders) {
@@ -417,6 +482,12 @@ TEST_F(TpccFixture, ConsistencyConditionsAfterConcurrentMix) {
   TpccDriver driver(db_, *workload_);
   auto result = driver.RunConcurrent(/*threads=*/3, /*count=*/900, /*seed=*/29);
   EXPECT_GT(result.committed, 0u);
+  // Every retry is attributed to the type of the transaction that retried.
+  uint64_t per_type_retries = 0;
+  for (uint64_t retries : result.occ_retries_per_type) {
+    per_type_retries += retries;
+  }
+  EXPECT_EQ(per_type_retries, result.occ_retries);
   CheckConsistencyConditions();
 }
 
@@ -531,9 +602,10 @@ TEST_F(TpccLiveServiceFixture, TidsNeverRegressWithinARecordAcrossLiveBursts) {
   RunLiveMix(service, /*workers=*/3, /*count=*/800, /*seed=*/43);
 
   // Snapshot the stable tables (rows that are updated in place, never deleted).
-  const std::array<TableId, 4> stable_tables = {tables_.warehouse, tables_.district,
-                                                tables_.customer, tables_.stock};
-  std::array<std::map<std::string, uint64_t>, 4> before;
+  const std::array<TableId, 7> stable_tables = {
+      tables_.warehouse,    tables_.warehouse_ytd, tables_.district, tables_.district_ytd,
+      tables_.district_next_o_id, tables_.customer, tables_.stock};
+  std::array<std::map<std::string, uint64_t>, 7> before;
   for (size_t t = 0; t < stable_tables.size(); ++t) {
     before[t] = SnapshotTids(stable_tables[t]);
     ASSERT_FALSE(before[t].empty());
@@ -554,7 +626,8 @@ TEST_F(TpccLiveServiceFixture, TidsNeverRegressWithinARecordAcrossLiveBursts) {
       advanced += it->second > tid_before ? 1 : 0;
     }
   }
-  // The second burst really wrote: district/warehouse rows must have moved.
+  // The second burst really wrote: the warehouse and district counters must have
+  // moved.
   EXPECT_GT(advanced, 0u);
 }
 
