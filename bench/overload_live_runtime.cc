@@ -19,8 +19,9 @@
 //                   noisy host. SLO = 4 x budget (2x for the server-side queueing
 //                   budget, 2x again for client-observed residency the server
 //                   cannot measure: kernel socket buffers, TX, generator lag).
-//   3. sweep      — {0.8, 1, 2, 4, 10} x peak, configs `zygos` (deadline shedding +
-//                   adaptive admission) and `no-shed` (overload control off).
+//   3. sweep      — {0.8, 1, 2, 4, 10} x peak, configs `zygos` (deadline shedding:
+//                   a request whose queueing delay exceeds the budget is answered
+//                   with the wire-level shed frame) and `no-shed` (budget 0).
 //                   Goodput = completions inside the SLO per second of measured
 //                   window; sheds are counted separately on both sides of the wire
 //                   and the loadgen ledger must balance (completed + shed + lost
@@ -48,7 +49,6 @@
 #include "src/common/time_units.h"
 #include "src/loadgen/experiment.h"
 #include "src/loadgen/tcp_loadgen.h"
-#include "src/overload/admission.h"
 #include "src/queueing/analytic.h"
 #include "src/runtime/runtime.h"
 #include "src/runtime/tcp_transport.h"
@@ -80,7 +80,6 @@ struct Cell {
   uint64_t shed = 0;
   uint64_t lost = 0;
   uint64_t sheds_deadline = 0;
-  uint64_t sheds_admission = 0;
   bool clean = false;
   bool ledger_ok = false;
 };
@@ -100,8 +99,8 @@ ViewHandler SleepEcho(Nanos service) {
   };
 }
 
-// `budget` is RuntimeOptions::deadline_budget: > 0 turns on deadline shedding and
-// adaptive admission (target budget / 2), 0 is the no-shed server.
+// `budget` is RuntimeOptions::deadline_budget: > 0 turns on deadline shedding, 0 is
+// the no-shed server.
 RawCell RunRaw(const Experiment& exp, double rate, Nanos budget, uint64_t seed_salt) {
   RuntimeOptions options;
   options.num_workers = exp.workers;
@@ -148,7 +147,6 @@ Cell FinishCell(const std::string& config, double multiplier, double rate,
       r.sent > 0 ? static_cast<double>(r.shed) / static_cast<double>(r.sent) : 0.0;
   cell.predicted_shed = PredictedShedFraction(multiplier);
   cell.sheds_deadline = raw.stats.sheds_deadline;
-  cell.sheds_admission = raw.stats.sheds_admission;
   cell.clean = r.clean;
   cell.ledger_ok = r.Balanced();
   return cell;
@@ -156,7 +154,7 @@ Cell FinishCell(const std::string& config, double multiplier, double rate,
 
 void PrintCell(const Cell& cell) {
   std::printf("%s,%.2f,%.0f,%.0f,%.0f,%.1f,%llu,%llu,%llu,%llu,%.4f,%.4f,"
-              "%llu,%llu,%d,%d\n",
+              "%llu,%d,%d\n",
               cell.config.c_str(), cell.multiplier, cell.offered_rps,
               cell.achieved_rps, cell.goodput_rps, cell.p99_admitted_us,
               static_cast<unsigned long long>(cell.sent),
@@ -165,7 +163,6 @@ void PrintCell(const Cell& cell) {
               static_cast<unsigned long long>(cell.lost), cell.shed_fraction,
               cell.predicted_shed,
               static_cast<unsigned long long>(cell.sheds_deadline),
-              static_cast<unsigned long long>(cell.sheds_admission),
               cell.clean ? 1 : 0, cell.ledger_ok ? 1 : 0);
   std::fflush(stdout);
 }
@@ -222,8 +219,8 @@ int Main(int argc, char** argv) {
   Nanos p99_base = baseline.result.latency.P99();
   Nanos max_base = baseline.result.latency.Max();
   // Analytic floor: M/M/c p99 waiting time at the baseline operating point (rates
-  // in events/ns, src/queueing/analytic.h) — the slo_search-style seed the adaptive
-  // controller's target ultimately derives from (target = budget / 2).
+  // in events/ns, src/queueing/analytic.h) — the slo_search-style seed of the
+  // deadline budget.
   double mu = 1.0 / static_cast<double>(exp.service);
   double lambda_base = 0.8 * peak_rps / 1e9;
   double analytic_wait =
@@ -248,8 +245,7 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(exp.seed));
   std::printf("config,multiplier,offered_rps,achieved_rps,goodput_rps,"
               "p99_admitted_us,sent,completed,shed,lost,shed_fraction,"
-              "predicted_shed,sheds_deadline,sheds_admission,"
-              "clean,ledger_ok\n");
+              "predicted_shed,sheds_deadline,clean,ledger_ok\n");
 
   // 3. The sweep: both configs over every multiplier, ascending, zygos first per
   // load. The baseline run above is reused as the no-shed cell nearest 0.8x.
@@ -314,9 +310,8 @@ int Main(int argc, char** argv) {
       continue;
     }
     if (cell.multiplier < 1.0 - 1e-9) {
-      zero_sheds_below_saturation = zero_sheds_below_saturation && cell.shed == 0 &&
-                                    cell.sheds_deadline == 0 &&
-                                    cell.sheds_admission == 0;
+      zero_sheds_below_saturation =
+          zero_sheds_below_saturation && cell.shed == 0 && cell.sheds_deadline == 0;
     }
     if (cell.multiplier >= 2.0 - 1e-9) {
       shed_tracks_analytic =

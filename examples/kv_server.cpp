@@ -160,7 +160,7 @@ bool CheckServerLedger(Server& server) {
   PrintServerStats(server);
   WorkerStats stats = server.runtime->TotalStats();
   uint64_t answered = server.hits.load() + server.misses.load();
-  uint64_t shed = stats.sheds_deadline + stats.sheds_admission;
+  uint64_t shed = stats.sheds_deadline;
   std::printf("ledger: answered %llu + shed %llu of %llu completed\n",
               static_cast<unsigned long long>(answered),
               static_cast<unsigned long long>(shed),

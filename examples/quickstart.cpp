@@ -63,7 +63,7 @@ int Main(int argc, char** argv) {
   runtime.Shutdown();
 
   WorkerStats stats = runtime.TotalStats();
-  const uint64_t sheds = stats.sheds_deadline + stats.sheds_admission;
+  const uint64_t sheds = stats.sheds_deadline;
   std::printf("completed %llu / sent %llu (shed %llu, lost %llu)\n",
               static_cast<unsigned long long>(result.completed),
               static_cast<unsigned long long>(result.sent),

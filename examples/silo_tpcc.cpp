@@ -115,7 +115,7 @@ bool CheckServerLedger(const TpccService& service, Runtime& runtime) {
   PrintRuntimeStats(runtime);
   WorkerStats stats = runtime.TotalStats();
   uint64_t answered = service.commits() + service.user_aborts() + service.malformed();
-  uint64_t shed = stats.sheds_deadline + stats.sheds_admission;
+  uint64_t shed = stats.sheds_deadline;
   std::printf("ledger: answered %llu + shed %llu of %llu completed\n",
               static_cast<unsigned long long>(answered),
               static_cast<unsigned long long>(shed),

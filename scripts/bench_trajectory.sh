@@ -119,7 +119,7 @@ FANOUT_DURATION_MS="${BENCH_FANOUT_DURATION_MS:-2500}"
 run_gated fanout fanout_chaos --fanouts=1,2,4,8 --logical-rate=250 \
   --duration-ms="${FANOUT_DURATION_MS}" --warmup-ms=600 --steal-compare=true --seed=11
 
-# --- overload_live: goodput under overload with deadline shedding + adaptive admission ---
+# --- overload_live: goodput under overload with deadline shedding ---
 # The binary calibrates its own peak, derives the deadline budget from a no-shed
 # baseline and sweeps {0.8,1,2,4,10}x across zygos/no-shed configs. Its six gates are
 # calibration-relative (goodput@2x vs the host's own no-overload peak, sheds vs the

@@ -264,7 +264,7 @@ LiveCellResult RunLiveCell(const LiveSweep& sweep, const LiveTransport& transpor
   point.max_us = ToMicros(result.latency.Max());
   WorkerStats stats = runtime.TotalStats();
   point.steals = runtime.TotalShuffleStats().steals;
-  point.sheds = stats.sheds_deadline + stats.sheds_admission;
+  point.sheds = stats.sheds_deadline;
   cell.runtime_completed = runtime.Completed();
   // Data-path syscalls amortized over every completed request of the run (warmup
   // included — a steady-state ratio). epoll pays recv+send per request; batched uring

@@ -99,8 +99,7 @@ struct ThreadTotals {
   uint64_t completed = 0;
   uint64_t measured = 0;
   uint64_t lost = 0;
-  uint64_t shed = 0;           // overload refusals (kFrameFlagShed replies)
-  uint64_t measured_shed = 0;  // refusals of requests scheduled inside the window
+  uint64_t shed = 0;  // overload refusals (kFrameFlagShed replies)
   uint64_t mismatches = 0;
   uint64_t reconnects = 0;
   uint64_t logical_sent = 0;
@@ -160,9 +159,6 @@ void DrainReadable(GenConn& conn, std::string& buffer, Nanos measure_start,
         // not served — it gets its own ledger column and stays out of the latency
         // histograms. completed + shed + lost == sent, always.
         totals.shed++;
-        if (sub.scheduled >= measure_start) {
-          totals.measured_shed++;
-        }
         fanout.SubShed(sub.slot, now);
         continue;
       }
@@ -405,7 +401,6 @@ TcpLoadgenResult RunTcpLoadgen(const TcpLoadgenOptions& options) {
     result.measured += thread_totals.measured;
     result.lost += thread_totals.lost;
     result.shed += thread_totals.shed;
-    result.measured_shed += thread_totals.measured_shed;
     result.mismatches += thread_totals.mismatches;
     result.reconnects += thread_totals.reconnects;
     result.logical_sent += thread_totals.logical_sent;

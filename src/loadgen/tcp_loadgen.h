@@ -96,7 +96,6 @@ struct TcpLoadgenResult {
   // with "no". Disjoint from `completed` and excluded from every latency histogram,
   // so on a clean run completed + shed + lost == sent (the overload-ledger test).
   uint64_t shed = 0;
-  uint64_t measured_shed = 0;  // refusals of requests scheduled inside the window
   // Ordering violations (response id != FIFO head). Each one severs its connection —
   // its send-time matching is unrecoverable — and counts the in-flight tail in
   // `lost`.

@@ -40,8 +40,8 @@ namespace zygos {
 inline constexpr size_t kFrameHeaderSize = 4 + 8;
 
 // Status flag carried in the top bit of the length word: the server SHED this request
-// under overload control (deadline blown / admission refusal) instead of executing
-// it. The bit is free because kMaxPayload (16 MiB) needs only 25 bits;
+// under overload control (its queueing delay blew the deadline budget) instead of
+// executing it. The bit is free because kMaxPayload (16 MiB) needs only 25 bits;
 // parsers mask it off before the oversized-length check, so a flagged frame and a
 // poisoned one can never be confused. A shed response carries the echoed request_id
 // and an empty payload — clients can distinguish shed from loss and from success.

@@ -47,12 +47,6 @@ struct PcbEvent {
   // models. The view's IoBuf ref keeps the bytes alive until the event retires,
   // even when a thief executes it on another core.
   MessageView msg;
-  // Refused at ingress by admission control: the executing core emits the shed
-  // reply instead of running the handler. The verdict rides the event, not an
-  // ingress-time reply, so the shed reply still flows through the PCB in per-flow
-  // FIFO order — replying at ingress would overtake earlier queued responses and
-  // break the §4.3 ordering clients rely on.
-  bool shed = false;
 };
 
 class Pcb {

@@ -37,6 +37,13 @@ double MmcMeanWait(int c, double lambda, double mu) {
   return ErlangC(c, a) / (static_cast<double>(c) * mu - lambda);
 }
 
+double PredictedShedFraction(double load_multiplier) {
+  if (load_multiplier <= 1.0) {
+    return 0.0;
+  }
+  return 1.0 - 1.0 / load_multiplier;
+}
+
 double PollaczekKhinchineMeanWait(double lambda, double mean_service,
                                   double second_moment_service) {
   double rho = lambda * mean_service;

@@ -1,9 +1,9 @@
 // Closed-form queueing results used to validate the simulators.
 //
 // These are textbook formulas (M/M/1 sojourn tail, Erlang-C waiting probability and
-// conditional wait tail, Pollaczek–Khinchine mean wait). The property-based tests drive
-// the discrete-event models of models.h against these across parameter sweeps; the
-// benchmarks also print them as sanity columns.
+// conditional wait tail, Pollaczek–Khinchine mean wait, the open-loop shed curve). The
+// property-based tests drive the discrete-event models of models.h against these
+// across parameter sweeps; the benchmarks also print them as sanity columns.
 //
 // Contract: pure, reentrant, thread-safe functions. Rates (lambda, mu) are events per
 // nanosecond and returned times are nanoseconds, matching Nanos everywhere else;
@@ -32,6 +32,11 @@ double MmcWaitQuantile(int c, double lambda, double mu, double q);
 
 // M/M/c-FCFS mean waiting time: ErlangC / (c*mu - lambda).
 double MmcMeanWait(int c, double lambda, double mu);
+
+// Ideal open-loop shed fraction at offered load m x capacity: serve capacity, shed
+// the rest, max(0, 1 - 1/m). The analytic reference curve the overload bench
+// (bench/overload_live_runtime.cc) checks measured sheds against.
+double PredictedShedFraction(double load_multiplier);
 
 // M/G/1-FCFS mean waiting time (Pollaczek–Khinchine):
 //   E[W] = lambda * E[S^2] / (2 * (1 - rho)),  rho = lambda * mean_service.

@@ -47,8 +47,6 @@ Runtime::Runtime(RuntimeOptions options, std::unique_ptr<Transport> transport,
   Rng seeder(0x2e67a5u);
   for (int c = 0; c < options_.num_workers; ++c) {
     lifecycle_.push_back(std::make_unique<CoreLifecycle>());
-    admission_.push_back(std::make_unique<CoreAdmission>());
-    admission_.back()->controller.set_target(options_.deadline_budget / 2);
     remote_queues_.push_back(std::make_unique<MpmcQueue<RemoteSyscall>>(
         options_.ring_capacity));
     stats_.push_back(std::make_unique<WorkerStats>());
@@ -147,7 +145,6 @@ WorkerStats Runtime::TotalStats() const {
     total.flows_recycled += stats->flows_recycled;
     total.events_refused += stats->events_refused;
     total.sheds_deadline += stats->sheds_deadline;
-    total.sheds_admission += stats->sheds_admission;
     total.rx_unstamped += stats->rx_unstamped;
   }
   return total;
@@ -266,8 +263,6 @@ uint64_t Runtime::NetstackRx(int core) {
   }
   stats.rx_batches++;
   stats.rx_segments += n;
-  const bool overload = options_.deadline_budget > 0;
-  AdmissionController& admission = admission_[static_cast<size_t>(core)]->controller;
   static thread_local std::vector<MessageView> scratch;  // per-worker, never nested
   for (size_t i = 0; i < n; ++i) {
     Segment& segment = segments[i];
@@ -297,19 +292,8 @@ uint64_t Runtime::NetstackRx(int core) {
     if (!scratch.empty()) {
       size_t accepted = scratch.size();
       for (MessageView& view : scratch) {
-        uint64_t request_id = view.request_id;
-        // Ingress admission verdict (home core only, like everything layer-1). A
-        // refused request still becomes a PcbEvent — its shed *reply* must flow
-        // through the PCB so per-flow response FIFO holds — but the payload ref is
-        // dropped right here: a shed never reads it, and pinning RX memory behind a
-        // refusal would defeat the point of refusing.
-        bool refused = overload && !admission.AdmitIngress();
-        if (refused) {
-          stats.sheds_admission++;
-          view = MessageView();
-        }
         conn->pcb.PushEvent(
-            PcbEvent{request_id, segment.arrival, 0, std::move(view), refused});
+            PcbEvent{view.request_id, segment.arrival, 0, std::move(view)});
       }
       accepted_.fetch_add(accepted, std::memory_order_release);
       if (conn->pcb.HasPendingEvents()) {
@@ -465,7 +449,6 @@ uint64_t Runtime::ExecuteConnection(int core, Pcb* pcb, bool stolen) {
     events.push_back(std::move(*event));
   }
   const Nanos budget = options_.deadline_budget;
-  AdmissionController& admission = admission_[static_cast<size_t>(core)]->controller;
   static thread_local std::vector<TxSegment> responses;
   responses.clear();
   responses.reserve(events.size());
@@ -474,26 +457,15 @@ uint64_t Runtime::ExecuteConnection(int core, Pcb* pcb, bool stolen) {
     response.flow_id = pcb->flow_id();
     response.request_id = event.request_id;
     response.arrival = event.arrival;
-    // Overload control at dispatch. The ingress admission verdict arrives on the
-    // event; the deadline check happens here, with a fresh clock read per event —
-    // within one pipelined batch an earlier handler's service time must push later
-    // requests past their deadline, or the gated-handler determinism tests (and real
-    // stalls) would slip through on a stale batch timestamp.
-    bool shed = event.shed;
-    if (budget > 0 && !shed) {
-      Nanos waited = NowNanos() - event.arrival;
-      if (waited > budget) {
-        shed = true;
-        stats.sheds_deadline++;
-      } else {
-        admission.ObserveQueueing(waited);
-      }
-    }
-    if (shed) {
+    // Overload control at dispatch, with a fresh clock read per event — within one
+    // pipelined batch an earlier handler's service time must push later requests
+    // past their deadline, or the gated-handler determinism tests (and real stalls)
+    // would slip through on a stale batch timestamp.
+    if (budget > 0 && NowNanos() - event.arrival > budget) {
       // Refusal reply: a header-only frame carrying kFrameFlagShed, through the
       // normal TX path so it stays in per-flow FIFO order behind earlier responses.
-      // The handler never runs; the payload ref (already empty for ingress sheds)
-      // drops with the event.
+      // The handler never runs; the payload ref drops with the event.
+      stats.sheds_deadline++;
       response.frame = EncodeShedFrame(event.request_id);
       event.msg = MessageView();
     } else {

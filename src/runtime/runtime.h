@@ -65,7 +65,6 @@
 #include "src/core/shuffle_layer.h"
 #include "src/net/message.h"
 #include "src/net/pcb.h"
-#include "src/overload/admission.h"
 #include "src/runtime/transport.h"
 
 namespace zygos {
@@ -98,10 +97,9 @@ struct RuntimeOptions {
   // its own flows run-to-completion ("ZygOS-no-steal", the shared-nothing IX
   // baseline).
   bool enable_stealing = true;
-  // Overload control (src/overload/admission.h), the one knob: a request whose
-  // queueing delay (dispatch time - arrival) exceeds this budget is shed at
-  // dispatch, and each core's AdmissionController refuses ingress while its
-  // queueing delay stays above budget / 2. 0 (the default) runs no overload code.
+  // Overload control, the one knob: a request whose queueing delay (dispatch time
+  // - arrival) exceeds this budget is answered with the wire-level shed frame
+  // instead of running the handler. 0 (the default) runs no overload code.
   Nanos deadline_budget = 0;
 };
 
@@ -138,7 +136,6 @@ struct alignas(kCacheLineSize) WorkerStats {
   uint64_t events_refused = 0;    // accepted events drained unexecuted at teardown
   // Overload control (zero unless RuntimeOptions::deadline_budget > 0):
   uint64_t sheds_deadline = 0;    // shed at dispatch: queueing delay ate the budget
-  uint64_t sheds_admission = 0;   // shed at ingress: adaptive controller refused
   // Segments that arrived with arrival == 0 (transport failed to stamp; the runtime
   // backfills with its own clock). The conformance suite gates this to zero for
   // every backend.
@@ -252,16 +249,6 @@ class Runtime {
     std::vector<std::unique_ptr<Connection>> free_conns;
   };
 
-  // Per-core adaptive admission controller, cache-line isolated like WorkerStats.
-  // Strictly single-threaded: core c's controller is touched only by worker c —
-  // AdmitIngress from its netstack, ObserveQueueing from its execution loop. Under
-  // stealing a thief feeds *its own* controller with the stolen event's delay; the
-  // feedback is approximate per core but overload is a whole-server condition, so
-  // every controller converges on the same signal.
-  struct alignas(kCacheLineSize) CoreAdmission {
-    AdmissionController controller;
-  };
-
   // RX/TX batch sizes per scheduling pass.
   static constexpr size_t kRxBatch = 64;
   static constexpr size_t kTxBatch = 64;
@@ -301,7 +288,6 @@ class Runtime {
   // never grown past the table. Slot addresses are stable without synchronization.
   std::vector<Slot> connections_;
   std::vector<std::unique_ptr<CoreLifecycle>> lifecycle_;
-  std::vector<std::unique_ptr<CoreAdmission>> admission_;
   std::vector<std::unique_ptr<MpmcQueue<RemoteSyscall>>> remote_queues_;
   std::vector<std::unique_ptr<WorkerStats>> stats_;
   std::vector<std::thread> workers_;

@@ -107,6 +107,18 @@ TEST(QueueingModelTest, Mg1BimodalMeanWaitMatchesPollaczekKhinchine) {
   EXPECT_NEAR(result.wait.Mean() / expected, 1.0, 0.08);
 }
 
+// --- the analytic shed curve ----------------------------------------------------
+
+TEST(ShedCurveTest, PredictedShedFractionMatchesOpenLoopIdeal) {
+  // Serve capacity, shed the rest: at m x capacity the ideal controller sheds
+  // max(0, 1 - 1/m) of the offered load.
+  EXPECT_DOUBLE_EQ(PredictedShedFraction(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(PredictedShedFraction(1.0), 0.0);
+  EXPECT_DOUBLE_EQ(PredictedShedFraction(2.0), 0.5);
+  EXPECT_DOUBLE_EQ(PredictedShedFraction(4.0), 0.75);
+  EXPECT_DOUBLE_EQ(PredictedShedFraction(10.0), 0.9);
+}
+
 // --- Processor sharing ----------------------------------------------------------
 
 TEST(QueueingModelTest, Mm1PsMeanSojournEqualsFcfs) {
