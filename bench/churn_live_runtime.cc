@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,9 +29,8 @@
 #include "src/common/flags.h"
 #include "src/common/time_units.h"
 #include "src/loadgen/experiment.h"
+#include "src/loadgen/spin_service.h"
 #include "src/loadgen/tcp_loadgen.h"
-#include "src/runtime/runtime.h"
-#include "src/runtime/tcp_transport.h"
 
 namespace zygos {
 namespace {
@@ -45,19 +43,13 @@ constexpr const char* kUsage =
 
 struct ChurnPoint {
   double churn_ms = 0;  // mean connection lifetime; 0 = no churn
-  double offered_rps = 0;
-  double achieved_rps = 0;
-  double p50_us = 0;
-  double p99_us = 0;
-  double p999_us = 0;
-  uint64_t measured = 0;
+  LivePoint live;       // the measured run: offered/achieved rate, latencies, measured
   uint64_t reconnects = 0;
   uint64_t distinct_conns = 0;      // lifetime connections accepted (measured run)
   double accept_rate_cps = 0;       // sustained accepts/second over the window
   uint64_t capacity_refusals = 0;
   uint64_t stall_drops = 0;
   uint64_t peak_open = 0;           // table occupancy high-water mark
-  uint64_t flows_recycled = 0;
   double pool_miss_per_req = 0;     // heap allocs per request AFTER the warmup run
   bool clean = false;
 };
@@ -72,68 +64,57 @@ ChurnPoint RunCell(const Experiment& exp, double churn_ms) {
   options.num_workers = exp.workers;
   options.num_flows = exp.connections;
   options.max_flows = exp.max_flows;
-  // Flow cap and table size from one source of truth (TcpOptionsFor).
-  auto transport = std::make_unique<TcpTransport>(TcpOptionsFor(options));
-  TcpTransport* tcp = transport.get();
-  ViewHandler echo = [](uint64_t, std::string_view request, ResponseBuilder& out) {
-    out.Append(request);
-  };
-  Runtime runtime(options, std::move(transport), std::move(echo));
-  runtime.Start();
-
-  TcpLoadgenOptions gen = LiveLoadgenOptions(exp, tcp->port(), exp.rate);
-  gen.churn_mean_lifetime = static_cast<Nanos>(churn_ms * 1e6);
-
-  // Warmup run: grows every pool (and the per-core Connection freelists) to the
-  // workload's working set, so the measured run can be judged allocation-free. Full
-  // length: the in-flight buffer population scales with backlog depth, which needs
-  // the same duration to reach its stationary range.
-  gen.warmup = gen.duration / 2;
-  RunTcpLoadgen(gen);
-  uint64_t warmed_misses = runtime.TotalStats().pool_misses;
-  uint64_t warmed_accepts = tcp->AcceptedConnections();
-
-  // Measured run.
-  gen.duration = exp.duration;
-  gen.warmup = exp.warmup;
-  gen.seed = exp.seed + 101;  // fresh schedule, same law
-  TcpLoadgenResult result = RunTcpLoadgen(gen);
-
   ChurnPoint point;
   point.churn_ms = churn_ms;
-  point.offered_rps = exp.rate;
-  point.achieved_rps = result.achieved_rps();
-  point.p50_us = ToMicros(result.latency.P50());
-  point.p99_us = ToMicros(result.latency.P99());
-  point.p999_us = ToMicros(result.latency.P999());
-  point.measured = result.measured;
-  point.reconnects = result.reconnects;
-  point.distinct_conns = tcp->AcceptedConnections() - warmed_accepts;
-  Nanos window = result.measure_end - result.measure_start;
+  auto drive = [&](Runtime& runtime, SocketTransportBase& tcp) {
+    TcpLoadgenOptions gen = LiveLoadgenOptions(exp, tcp.port(), exp.rate);
+    gen.churn_mean_lifetime = static_cast<Nanos>(churn_ms * 1e6);
+
+    // Warmup run: grows every pool (and the per-core Connection freelists) to the
+    // workload's working set, so the measured run can be judged allocation-free. Full
+    // length: the in-flight buffer population scales with backlog depth, which needs
+    // the same duration to reach its stationary range.
+    gen.warmup = gen.duration / 2;
+    RunTcpLoadgen(gen);
+    uint64_t warmed_misses = runtime.TotalStats().pool_misses;
+    uint64_t warmed_accepts = tcp.AcceptedConnections();
+
+    // Measured run.
+    gen.duration = exp.duration;
+    gen.warmup = exp.warmup;
+    gen.seed = exp.seed + 101;  // fresh schedule, same law
+    TcpLoadgenResult result = RunTcpLoadgen(gen);
+    point.distinct_conns = tcp.AcceptedConnections() - warmed_accepts;
+    point.capacity_refusals = tcp.CapacityRefusals();
+    point.stall_drops = tcp.StallDrops();
+    point.peak_open = runtime.PeakOpenFlows();
+
+    // Let in-flight teardowns retire before reading the recycle counters (workers are
+    // still polling; bounded wait, not a timing assertion).
+    uint64_t accepted = tcp.AcceptedConnections();
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (runtime.TotalStats().flows_recycled < accepted &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    point.pool_miss_per_req =
+        result.measured > 0
+            ? static_cast<double>(runtime.TotalStats().pool_misses - warmed_misses) /
+                  static_cast<double>(result.measured)
+            : 0.0;
+    return result;
+  };
+  LiveCellResult cell = RunLiveCell(options, *ParseLiveTransport("tcp"), EchoHandler(),
+                                    /*skew=*/false, drive);
+  point.live = cell.point;
+  point.live.offered_rps = exp.rate;
+  point.reconnects = cell.tcp.reconnects;
+  Nanos window = cell.tcp.measure_end - cell.tcp.measure_start;
   point.accept_rate_cps =
       window > 0 ? static_cast<double>(point.distinct_conns) * 1e9 /
                        static_cast<double>(window)
                  : 0.0;
-  point.capacity_refusals = tcp->CapacityRefusals();
-  point.stall_drops = tcp->StallDrops();
-  point.peak_open = runtime.PeakOpenFlows();
-  point.clean = result.clean;
-
-  // Let in-flight teardowns retire before reading the recycle counters (workers are
-  // still polling; bounded wait, not a timing assertion).
-  uint64_t accepted = tcp->AcceptedConnections();
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (runtime.TotalStats().flows_recycled < accepted &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  WorkerStats stats = runtime.TotalStats();
-  point.flows_recycled = stats.flows_recycled;
-  point.pool_miss_per_req =
-      result.measured > 0 ? static_cast<double>(stats.pool_misses - warmed_misses) /
-                                static_cast<double>(result.measured)
-                          : 0.0;
-  runtime.Shutdown();
+  point.clean = cell.tcp.clean;
   return point;
 }
 
@@ -188,9 +169,9 @@ int Main(int argc, char** argv) {
     ChurnPoint point = RunCell(exp, lifetime);
     std::printf("%.0f,%.0f,%.0f,%.1f,%.1f,%.1f,%llu,%llu,%llu,%.1f,%llu,%llu,%llu,"
                 "%zu,%.4f,%d\n",
-                point.churn_ms, point.offered_rps, point.achieved_rps, point.p50_us,
-                point.p99_us, point.p999_us,
-                static_cast<unsigned long long>(point.measured),
+                point.churn_ms, point.live.offered_rps, point.live.achieved_rps,
+                point.live.p50_us, point.live.p99_us, point.live.p999_us,
+                static_cast<unsigned long long>(point.live.measured),
                 static_cast<unsigned long long>(point.reconnects),
                 static_cast<unsigned long long>(point.distinct_conns),
                 point.accept_rate_cps,
@@ -226,13 +207,13 @@ int Main(int argc, char** argv) {
   std::printf("# headline: churn p99@fastest(%.0fms)=%.1fus accept_rate=%.0f/s "
               "distinct=%llu capacity=%zu exceed_capacity=%s zero_refusals=%s "
               "flat_occupancy=%s allocation_free=%s clean=%s\n",
-              fastest.churn_ms, fastest.p99_us, fastest.accept_rate_cps,
+              fastest.churn_ms, fastest.live.p99_us, fastest.accept_rate_cps,
               static_cast<unsigned long long>(fastest.distinct_conns), exp.max_flows,
               exceed_capacity ? "yes" : "no", zero_refusals ? "yes" : "no",
               flat_occupancy ? "yes" : "no", allocation_free ? "yes" : "no",
               all_clean ? "yes" : "no");
 
-  BenchReport report("churn_p99_us_at_fastest_churn", fastest.p99_us, "us");
+  BenchReport report("churn_p99_us_at_fastest_churn", fastest.live.p99_us, "us");
   AddRunParams(report.params(), exp);
   report.params()
       .Int("threads", exp.threads)
@@ -248,11 +229,14 @@ int Main(int argc, char** argv) {
   auto column = [&points](auto ChurnPoint::*field) {
     return Column(points, [field](const ChurnPoint& point) { return point.*field; });
   };
+  auto live_column = [&points](double LivePoint::*field) {
+    return Column(points, [field](const ChurnPoint& point) { return point.live.*field; });
+  };
   report.params()
       .Num("pool_miss_per_req_max", worst_miss_rate, 6)
       .Nums("churn_ms", column(&ChurnPoint::churn_ms), 0)
-      .Nums("p99_us", column(&ChurnPoint::p99_us), 2)
-      .Nums("achieved_rps", column(&ChurnPoint::achieved_rps), 0)
+      .Nums("p99_us", live_column(&LivePoint::p99_us), 2)
+      .Nums("achieved_rps", live_column(&LivePoint::achieved_rps), 0)
       .Nums("accept_rate_cps", column(&ChurnPoint::accept_rate_cps), 1)
       .Nums("distinct_conns", column(&ChurnPoint::distinct_conns), 0)
       .Nums("peak_open", column(&ChurnPoint::peak_open), 0);

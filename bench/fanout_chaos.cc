@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,8 +38,6 @@
 #include "src/loadgen/experiment.h"
 #include "src/loadgen/spin_service.h"
 #include "src/loadgen/tcp_loadgen.h"
-#include "src/runtime/runtime.h"
-#include "src/runtime/tcp_transport.h"
 
 namespace zygos {
 namespace {
@@ -59,131 +58,81 @@ struct Experiment : LiveFlags {
 };
 
 struct Cell {
-  std::string config;  // direct | proxy | steal | no-steal
   int fanout_n = 0;
-  double offered_logical_rps = 0;
-  double achieved_logical_rps = 0;
-  double p50_us = 0;
-  double p99_us = 0;   // LOGICAL (max-of-N) p99 — the amplification quantity
-  double p999_us = 0;
+  // Config (direct | proxy | steal | no-steal), LOGICAL (max-of-N) rate and
+  // latencies; p99 is the amplification quantity.
+  LivePoint live;
   double sub_p99_us = 0;
   uint64_t logical_measured = 0;
   uint64_t logical_lost = 0;
   bool clean = false;
 };
 
-Cell Measure(const std::string& config, int fanout_n, double logical_rate,
-             const TcpLoadgenResult& result) {
-  Cell cell;
-  cell.config = config;
-  cell.fanout_n = fanout_n;
-  cell.offered_logical_rps = logical_rate;
-  cell.achieved_logical_rps = result.achieved_logical_rps();
-  cell.p50_us = ToMicros(result.latency.P50());
-  cell.p99_us = ToMicros(result.latency.P99());
-  cell.p999_us = ToMicros(result.latency.P999());
-  cell.sub_p99_us = ToMicros(result.sub_latency.P99());
-  cell.logical_measured = result.logical_measured;
-  cell.logical_lost = result.logical_lost;
-  cell.clean = result.clean && result.logical_lost == 0;
-  return cell;
-}
+// What one cell runs: the runtime and its service, the chaos proxy in front of it
+// (none when `s2c` is empty) and the schedule of logical requests.
+struct CellSpec {
+  std::string config;
+  int fanout_n = 1;
+  double logical_rate = 0;
+  uint64_t seed = 0;  // loadgen seed
+  bool stealing = true;
+  bool skew = false;  // every flow homed on worker 0
+  ViewHandler handler;
+  std::optional<DelayModel> s2c;  // the proxy's server->client delay
+  uint64_t proxy_seed = 0;
+};
 
-TcpLoadgenOptions GenFor(const Experiment& exp, uint16_t port, int fanout_n,
-                         double logical_rate, uint64_t seed) {
-  // Arrivals are LOGICAL requests.
-  TcpLoadgenOptions gen = LiveLoadgenOptions(exp, port, logical_rate);
-  gen.fanout_n = fanout_n;
-  gen.seed = seed;
-  return gen;
-}
-
-// One amplification cell: echo runtime, optionally behind a response-jitter proxy.
-// The service is a cheap echo so the injected network jitter dominates the sub
-// latency — the cleanest reading of the max-of-N effect.
-Cell RunFanoutCell(const Experiment& exp, int fanout_n, bool through_proxy) {
+Cell RunCell(const Experiment& exp, const CellSpec& spec) {
   RuntimeOptions options;
   options.num_workers = exp.workers;
   options.num_flows = exp.connections;
-  auto transport = std::make_unique<TcpTransport>(TcpOptionsFor(options));
-  TcpTransport* tcp = transport.get();
-  ViewHandler echo = [](uint64_t, std::string_view request, ResponseBuilder& out) {
-    out.Append(request);
-  };
-  Runtime runtime(options, std::move(transport), std::move(echo));
-  runtime.Start();
-
-  ChaosProxy* proxy = nullptr;
-  std::unique_ptr<ChaosProxy> owned_proxy;
-  uint16_t port = tcp->port();
-  if (through_proxy) {
-    ChaosProxyOptions chaos;
-    chaos.upstream_port = tcp->port();
-    chaos.server_to_client = exp.proxy_s2c;
-    chaos.seed = exp.seed + static_cast<uint64_t>(fanout_n) * 13;
-    owned_proxy = std::make_unique<ChaosProxy>(chaos);
-    proxy = owned_proxy.get();
-    if (!proxy->Start()) {
-      std::fprintf(stderr, "fanout_chaos: proxy failed to start\n");
-      std::exit(1);
+  options.enable_stealing = spec.stealing;
+  auto drive = [&](Runtime&, SocketTransportBase& tcp) {
+    uint16_t port = tcp.port();
+    std::unique_ptr<ChaosProxy> proxy;
+    if (spec.s2c) {
+      ChaosProxyOptions chaos;
+      chaos.upstream_port = tcp.port();
+      chaos.server_to_client = *spec.s2c;
+      chaos.seed = spec.proxy_seed;
+      proxy = std::make_unique<ChaosProxy>(chaos);
+      if (!proxy->Start()) {
+        std::fprintf(stderr, "fanout_chaos: proxy failed to start\n");
+        std::exit(1);
+      }
+      port = proxy->port();
     }
-    port = proxy->port();
-  }
-
-  TcpLoadgenResult result = RunTcpLoadgen(
-      GenFor(exp, port, fanout_n, exp.logical_rate, exp.seed + 7));
-  if (proxy != nullptr) {
-    proxy->Stop();
-  }
-  runtime.Shutdown();
-  return Measure(through_proxy ? "proxy" : "direct", fanout_n, exp.logical_rate,
-                 result);
-}
-
-// One steal-compare cell: sleep-mode service (host-thread friendly), RSS skewed so
-// every flow homes to worker 0, jittery proxy in the path. With stealing off the
-// whole load queues behind one worker; stealing spreads it — its logical p99 must
-// not lose.
-Cell RunStealCell(const Experiment& exp, int fanout_n, bool stealing) {
-  RuntimeOptions options;
-  options.num_workers = exp.workers;
-  options.num_flows = exp.connections;
-  options.enable_stealing = stealing;
-  auto dist = std::shared_ptr<const ServiceTimeDistribution>(
-      MakeDistribution("exponential", exp.service));
-  ViewHandler handler = MakeSpinService(dist, ServiceMode::kSleep, exp.seed + 97);
-  auto transport = std::make_unique<TcpTransport>(TcpOptionsFor(options));
-  TcpTransport* tcp = transport.get();
-  Runtime runtime(options, std::move(transport), std::move(handler));
-  runtime.mutable_rss().SetIndirection(
-      std::vector<int>(static_cast<size_t>(options.num_flow_groups), 0));
-  runtime.Start();
-
-  ChaosProxyOptions chaos;
-  chaos.upstream_port = tcp->port();
-  chaos.server_to_client = exp.steal_jitter;
-  chaos.seed = exp.seed + (stealing ? 211 : 223);
-  ChaosProxy proxy(chaos);
-  if (!proxy.Start()) {
-    std::fprintf(stderr, "fanout_chaos: proxy failed to start\n");
-    std::exit(1);
-  }
-
-  double logical_rate = exp.steal_rate / fanout_n;
-  TcpLoadgenResult result = RunTcpLoadgen(
-      GenFor(exp, proxy.port(), fanout_n, logical_rate, exp.seed + 31));
-  proxy.Stop();
-  runtime.Shutdown();
-  return Measure(stealing ? "steal" : "no-steal", fanout_n, logical_rate, result);
+    // Arrivals are LOGICAL requests.
+    TcpLoadgenOptions gen = LiveLoadgenOptions(exp, port, spec.logical_rate);
+    gen.fanout_n = spec.fanout_n;
+    gen.seed = spec.seed;
+    TcpLoadgenResult result = RunTcpLoadgen(gen);
+    if (proxy != nullptr) {
+      proxy->Stop();
+    }
+    return result;
+  };
+  LiveCellResult run = RunLiveCell(options, *ParseLiveTransport("tcp"),
+                                   spec.handler, spec.skew, drive);
+  Cell cell;
+  cell.fanout_n = spec.fanout_n;
+  cell.live = run.point;
+  cell.live.config = spec.config;
+  cell.live.offered_rps = spec.logical_rate;
+  cell.sub_p99_us = ToMicros(run.tcp.sub_latency.P99());
+  cell.logical_measured = run.tcp.logical_measured;
+  cell.logical_lost = run.tcp.logical_lost;
+  cell.clean = run.tcp.clean && run.tcp.logical_lost == 0;
+  return cell;
 }
 
 void PrintCell(const Cell& cell) {
   std::printf("%s,%d,%.0f,%.0f,%.1f,%.1f,%.1f,%.1f,%llu,%llu,%d\n",
-              cell.config.c_str(), cell.fanout_n, cell.offered_logical_rps,
-              cell.achieved_logical_rps, cell.p50_us, cell.p99_us, cell.p999_us,
-              cell.sub_p99_us, static_cast<unsigned long long>(cell.logical_measured),
-              static_cast<unsigned long long>(cell.logical_lost),
-              cell.clean ? 1 : 0);
+              cell.live.config.c_str(), cell.fanout_n, cell.live.offered_rps,
+              cell.live.achieved_rps, cell.live.p50_us, cell.live.p99_us,
+              cell.live.p999_us, cell.sub_p99_us,
+              static_cast<unsigned long long>(cell.logical_measured),
+              static_cast<unsigned long long>(cell.logical_lost), cell.clean ? 1 : 0);
   std::fflush(stdout);
 }
 
@@ -243,25 +192,52 @@ int Main(int argc, char** argv) {
   std::printf("config,fanout_n,offered_logical_rps,achieved_logical_rps,p50_us,"
               "p99_us,p999_us,sub_p99_us,logical_measured,logical_lost,clean\n");
 
+  bool all_clean = true;
+  auto run = [&](const CellSpec& spec) {
+    Cell cell = RunCell(exp, spec);
+    PrintCell(cell);
+    all_clean = all_clean && cell.clean;
+    return cell;
+  };
+
+  // Amplification cells: a cheap echo service, so the injected network jitter
+  // dominates the sub latency — the cleanest reading of the max-of-N effect.
   std::vector<Cell> direct_curve;
   std::vector<Cell> proxy_curve;
   for (int n : fanouts) {
-    Cell direct = RunFanoutCell(exp, n, /*through_proxy=*/false);
-    PrintCell(direct);
-    direct_curve.push_back(direct);
-    Cell proxied = RunFanoutCell(exp, n, /*through_proxy=*/true);
-    PrintCell(proxied);
-    proxy_curve.push_back(proxied);
+    CellSpec spec{.config = "direct", .fanout_n = n, .logical_rate = exp.logical_rate,
+                  .seed = exp.seed + 7, .stealing = true, .skew = false,
+                  .handler = EchoHandler(), .s2c = std::nullopt, .proxy_seed = 0};
+    direct_curve.push_back(run(spec));
+    spec.config = "proxy";
+    spec.s2c = exp.proxy_s2c;
+    spec.proxy_seed = exp.seed + static_cast<uint64_t>(n) * 13;
+    proxy_curve.push_back(run(spec));
   }
 
+  // Steal-compare cells: sleep-mode service (host-thread friendly), RSS skewed so
+  // every flow homes to worker 0, jittery proxy in the path. With stealing off the
+  // whole load queues behind one worker; stealing spreads it — its logical p99 must
+  // not lose.
+  auto steal_spec = [&](bool stealing) {
+    int n = fanouts.back();
+    return CellSpec{
+        .config = stealing ? "steal" : "no-steal",
+        .fanout_n = n,
+        .logical_rate = exp.steal_rate / n,
+        .seed = exp.seed + 31,
+        .stealing = stealing,
+        .skew = true,
+        .handler = MakeSpinService(MakeDistribution("exponential", exp.service),
+                                   ServiceMode::kSleep, exp.seed + 97),
+        .s2c = exp.steal_jitter,
+        .proxy_seed = exp.seed + (stealing ? 211 : 223)};
+  };
   Cell steal_cell;
   Cell no_steal_cell;
   if (steal_compare) {
-    int steal_fanout = fanouts.back();
-    steal_cell = RunStealCell(exp, steal_fanout, /*stealing=*/true);
-    PrintCell(steal_cell);
-    no_steal_cell = RunStealCell(exp, steal_fanout, /*stealing=*/false);
-    PrintCell(no_steal_cell);
+    steal_cell = run(steal_spec(/*stealing=*/true));
+    no_steal_cell = run(steal_spec(/*stealing=*/false));
   }
 
   // Acceptance booleans.
@@ -271,37 +247,22 @@ int Main(int argc, char** argv) {
   // amplify the smallest's p99 by >= 1.2x — the max-of-N quantile shift for the
   // default ms-scale lognormal predicts ~1.7x at N=8, so 1.2 is a robust floor, while
   // a fan-out implementation that measured subs instead of maxes would sit at 1.0.
+  auto p99 = [](const Cell& cell) { return cell.live.p99_us; };
   bool monotone = proxy_curve.size() >= 2;
   for (size_t i = 0; i + 1 < proxy_curve.size(); ++i) {
-    monotone = monotone && proxy_curve[i + 1].p99_us >= 0.9 * proxy_curve[i].p99_us;
+    monotone = monotone && p99(proxy_curve[i + 1]) >= 0.9 * p99(proxy_curve[i]);
   }
-  monotone = monotone &&
-             proxy_curve.back().p99_us >= 1.2 * proxy_curve.front().p99_us;
+  monotone = monotone && p99(proxy_curve.back()) >= 1.2 * p99(proxy_curve.front());
   // Stealing must not lose under injected jitter (5% tolerance for shared noise).
-  bool steal_leq =
-      !steal_compare || steal_cell.p99_us <= no_steal_cell.p99_us * 1.05;
-  bool all_clean = true;
-  auto fold_clean = [&all_clean](const Cell& cell) {
-    all_clean = all_clean && cell.clean;
-  };
-  for (const Cell& cell : direct_curve) {
-    fold_clean(cell);
-  }
-  for (const Cell& cell : proxy_curve) {
-    fold_clean(cell);
-  }
-  if (steal_compare) {
-    fold_clean(steal_cell);
-    fold_clean(no_steal_cell);
-  }
+  bool steal_leq = !steal_compare || p99(steal_cell) <= p99(no_steal_cell) * 1.05;
 
-  double amplification = proxy_curve.front().p99_us > 0
-                             ? proxy_curve.back().p99_us / proxy_curve.front().p99_us
+  double amplification = p99(proxy_curve.front()) > 0
+                             ? p99(proxy_curve.back()) / p99(proxy_curve.front())
                              : 0;
   std::printf("# headline: fanout x%d proxy p99 %.1fus vs x%d %.1fus "
               "(amplification %.2fx) monotone=%s steal_leq_no_steal=%s clean=%s\n",
-              proxy_curve.back().fanout_n, proxy_curve.back().p99_us,
-              proxy_curve.front().fanout_n, proxy_curve.front().p99_us,
+              proxy_curve.back().fanout_n, p99(proxy_curve.back()),
+              proxy_curve.front().fanout_n, p99(proxy_curve.front()),
               amplification, monotone ? "yes" : "no",
               steal_compare ? (steal_leq ? "yes" : "no") : "skipped",
               all_clean ? "yes" : "no");
@@ -320,10 +281,9 @@ int Main(int argc, char** argv) {
   report.Gate("p99_amplification_monotone_in_fanout", monotone)
       .Gate("steal_leq_no_steal_under_jitter", steal_leq)
       .Gate("all_runs_clean", all_clean);
-  auto p99 = [](const Cell& cell) { return cell.p99_us; };
   report.params()
-      .Num("steal_p99_us", steal_cell.p99_us, 2)
-      .Num("no_steal_p99_us", no_steal_cell.p99_us, 2)
+      .Num("steal_p99_us", p99(steal_cell), 2)
+      .Num("no_steal_p99_us", p99(no_steal_cell), 2)
       .Nums("fanout_n", Column(proxy_curve, [](const Cell& c) { return c.fanout_n; }), 0)
       .Nums("direct_p99_us", Column(direct_curve, p99), 2)
       .Nums("proxy_p99_us", Column(proxy_curve, p99), 2)

@@ -165,7 +165,7 @@ int Main(int argc, char** argv) {
     TpccTables tables = LoadTpcc(db, scale);
     TpccService service(db, tables, scale);
     LiveCellResult cell =
-        RunLiveCell(sweep, transport, config, rate, PaddedHandler(service, pad));
+        RunSweepCell(sweep, transport, config, rate, PaddedHandler(service, pad));
     return TpccCell{cell.point, LedgerOf(cell, service)};
   };
   // TPC-C has no closed-form service time, so calibration is always an overload

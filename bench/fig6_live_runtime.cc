@@ -7,12 +7,12 @@
 //   zygos        full design (idle cores steal ready connections)
 //   no-steal     RuntimeOptions::enable_stealing = false (the shared-nothing IX
 //                baseline: every core serves only its own flows)
-// The IPI ablation (ZygOS vs ZygOS-no-IPI) runs only in the discrete-event model
+// It prints one CSV row per (config, load) cell; `--json=PATH` additionally writes
+// the BENCH-contract report with the acceptance booleans as gates (the shared harness,
+// src/loadgen/experiment.h; the process exits 1 iff a gate is false). The IPI
+// ablation (ZygOS vs ZygOS-no-IPI) runs only in the discrete-event model
 // (fig6_latency_throughput, ablation_design_choices section A): the live runtime
 // polls and has no interrupt to ablate.
-// and prints one CSV row per (config, load) cell; `--json=PATH` additionally writes
-// the BENCH-contract report with the acceptance booleans as gates (the shared harness,
-// src/loadgen/experiment.h; the process exits 1 iff a gate is false).
 //
 // Load points come from `--rates` (explicit rps list) or, by default, from a
 // calibration probe: one deliberately overloaded run measures the peak sustainable
@@ -105,8 +105,8 @@ int Main(int argc, char** argv) {
 
   auto run_cell = [&](const LiveTransport& transport, const LiveConfig& config,
                       double rate) {
-    return RunLiveCell(sweep, transport, config, rate,
-                       MakeSpinService(service, *service_mode, sweep.seed + 97));
+    return RunSweepCell(sweep, transport, config, rate,
+                        MakeSpinService(service, *service_mode, sweep.seed + 97));
   };
   // Overload probe: offered load far beyond nominal capacity; the achieved completion
   // rate IS the peak sustainable throughput on this host.

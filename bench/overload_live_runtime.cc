@@ -37,21 +37,19 @@
 // Exit status is 0 iff every boolean holds (gates of the shared BENCH writer,
 // src/loadgen/experiment.h).
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <memory>
+#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "src/common/distribution.h"
 #include "src/common/flags.h"
 #include "src/common/time_units.h"
 #include "src/loadgen/experiment.h"
+#include "src/loadgen/spin_service.h"
 #include "src/loadgen/tcp_loadgen.h"
 #include "src/queueing/analytic.h"
-#include "src/runtime/runtime.h"
-#include "src/runtime/tcp_transport.h"
 
 namespace zygos {
 namespace {
@@ -67,86 +65,66 @@ struct Experiment : LiveFlags {
 
 // One sweep cell, finished once the SLO is known.
 struct Cell {
-  std::string config;  // "zygos" | "no-shed"
   double multiplier = 0;
-  double offered_rps = 0;
-  double achieved_rps = 0;   // admitted completions / measured window
+  // Config ("zygos" | "no-shed"), offered rate, admitted completions / measured
+  // window, p99 of the admitted, sent, lost (`dropped`) and the server's deadline
+  // sheds.
+  LivePoint live;
   double goodput_rps = 0;    // completions inside the SLO / measured window
-  double p99_admitted_us = 0;
   double shed_fraction = 0;  // shed / sent, whole run
   double predicted_shed = 0; // analytic max(0, 1 - 1/m)
-  uint64_t sent = 0;
   uint64_t completed = 0;
   uint64_t shed = 0;
-  uint64_t lost = 0;
-  uint64_t sheds_deadline = 0;
   bool clean = false;
   bool ledger_ok = false;
 };
 
-struct RawCell {
-  TcpLoadgenResult result;
-  WorkerStats stats;
-};
-
-// Echo with a fixed sleep service time: capacity = workers / service independent of
-// host CPU speed (sleeps overlap even on one hardware thread), so the overload
-// multipliers mean the same thing on every machine.
-ViewHandler SleepEcho(Nanos service) {
-  return [service](uint64_t, std::string_view request, ResponseBuilder& out) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(service));
-    out.Append(request);
-  };
-}
-
-// `budget` is RuntimeOptions::deadline_budget: > 0 turns on deadline shedding, 0 is
-// the no-shed server.
-RawCell RunRaw(const Experiment& exp, double rate, Nanos budget, uint64_t seed_salt) {
+// One run at `rate` of the sleep service behind a runtime whose deadline budget is
+// `budget` (RuntimeOptions::deadline_budget: > 0 turns on deadline shedding, 0 is the
+// no-shed server). The service echoes after a fixed sleep: capacity = workers /
+// service independent of host CPU speed (sleeps overlap even on one hardware thread),
+// so the overload multipliers mean the same thing on every machine.
+LiveCellResult RunCell(const Experiment& exp, double rate, Nanos budget,
+                       uint64_t seed_salt) {
   RuntimeOptions options;
   options.num_workers = exp.workers;
   options.num_flows = std::max(64, exp.connections);
   options.deadline_budget = budget;
-  auto transport = std::make_unique<TcpTransport>(TcpOptionsFor(options));
-  TcpTransport* tcp = transport.get();
-  Runtime runtime(options, std::move(transport), SleepEcho(exp.service));
-  runtime.Start();
-
-  TcpLoadgenOptions gen = LiveLoadgenOptions(exp, tcp->port(), rate);
-  gen.seed = exp.seed + seed_salt;
-  // Bounded drain: a collapsed no-shed cell holds seconds of backlog the harness
-  // must not wait out — undrained requests count as `lost`, the ledger still
-  // balances, and teardown refusals reclaim the server side.
-  gen.drain_timeout = 3 * kSecond;
-  RawCell raw;
-  raw.result = RunTcpLoadgen(gen);
-  runtime.Shutdown();
-  raw.stats = runtime.TotalStats();
-  return raw;
+  LiveCellResult run = RunLiveCell(
+      options, *ParseLiveTransport("tcp"),
+      MakeSpinService(MakeDistribution("fixed", exp.service), ServiceMode::kSleep,
+                      exp.seed),
+      /*skew=*/false, [&](Runtime&, SocketTransportBase& tcp) {
+        TcpLoadgenOptions gen = LiveLoadgenOptions(exp, tcp.port(), rate);
+        gen.seed = exp.seed + seed_salt;
+        // Bounded drain: a collapsed no-shed cell holds seconds of backlog the
+        // harness must not wait out — undrained requests count as `lost`, the ledger
+        // still balances, and teardown refusals reclaim the server side.
+        gen.drain_timeout = 3 * kSecond;
+        return RunTcpLoadgen(gen);
+      });
+  run.point.offered_rps = rate;
+  return run;
 }
 
-Cell FinishCell(const std::string& config, double multiplier, double rate,
-                const RawCell& raw, Nanos slo) {
-  const TcpLoadgenResult& r = raw.result;
+Cell FinishCell(const std::string& config, double multiplier, const LiveCellResult& run,
+                Nanos slo) {
+  const TcpLoadgenResult& r = run.tcp;
   Cell cell;
-  cell.config = config;
   cell.multiplier = multiplier;
-  cell.offered_rps = rate;
-  cell.achieved_rps = r.achieved_rps();
+  cell.live = run.point;
+  cell.live.config = config;
   Nanos window = r.measure_end - r.measure_start;
   if (window > 0 && r.latency.Count() > 0) {
     double within =
         static_cast<double>(r.latency.Count()) * (1.0 - r.latency.Ccdf(slo));
     cell.goodput_rps = within * 1e9 / static_cast<double>(window);
   }
-  cell.p99_admitted_us = ToMicros(r.latency.P99());
-  cell.sent = r.sent;
   cell.completed = r.completed;
   cell.shed = r.shed;
-  cell.lost = r.lost;
   cell.shed_fraction =
       r.sent > 0 ? static_cast<double>(r.shed) / static_cast<double>(r.sent) : 0.0;
   cell.predicted_shed = PredictedShedFraction(multiplier);
-  cell.sheds_deadline = raw.stats.sheds_deadline;
   cell.clean = r.clean;
   cell.ledger_ok = r.Balanced();
   return cell;
@@ -155,14 +133,13 @@ Cell FinishCell(const std::string& config, double multiplier, double rate,
 void PrintCell(const Cell& cell) {
   std::printf("%s,%.2f,%.0f,%.0f,%.0f,%.1f,%llu,%llu,%llu,%llu,%.4f,%.4f,"
               "%llu,%d,%d\n",
-              cell.config.c_str(), cell.multiplier, cell.offered_rps,
-              cell.achieved_rps, cell.goodput_rps, cell.p99_admitted_us,
-              static_cast<unsigned long long>(cell.sent),
+              cell.live.config.c_str(), cell.multiplier, cell.live.offered_rps,
+              cell.live.achieved_rps, cell.goodput_rps, cell.live.p99_us,
+              static_cast<unsigned long long>(cell.live.sent),
               static_cast<unsigned long long>(cell.completed),
               static_cast<unsigned long long>(cell.shed),
-              static_cast<unsigned long long>(cell.lost), cell.shed_fraction,
-              cell.predicted_shed,
-              static_cast<unsigned long long>(cell.sheds_deadline),
+              static_cast<unsigned long long>(cell.live.dropped), cell.shed_fraction,
+              cell.predicted_shed, static_cast<unsigned long long>(cell.live.sheds),
               cell.clean ? 1 : 0, cell.ledger_ok ? 1 : 0);
   std::fflush(stdout);
 }
@@ -204,8 +181,9 @@ int Main(int argc, char** argv) {
   Nanos provisional_budget = std::max<Nanos>(20 * exp.service, 50 * kMillisecond);
   std::printf("# calibrating peak at 3x nominal (%.0f rps)...\n", 3 * nominal_rps);
   std::fflush(stdout);
-  RawCell calib = RunRaw(exp, 3 * nominal_rps, provisional_budget, /*seed_salt=*/7001);
-  double peak_rps = calib.result.achieved_rps();
+  LiveCellResult calib =
+      RunCell(exp, 3 * nominal_rps, provisional_budget, /*seed_salt=*/7001);
+  double peak_rps = calib.point.achieved_rps;
   if (peak_rps <= 0) {
     std::fprintf(stderr, "overload_live_runtime: calibration served nothing\n");
     return 1;
@@ -215,9 +193,10 @@ int Main(int argc, char** argv) {
   // doubles as the no-shed 0.8x sweep cell.
   std::printf("# baseline no-shed at 0.8x peak (%.0f rps)...\n", 0.8 * peak_rps);
   std::fflush(stdout);
-  RawCell baseline = RunRaw(exp, 0.8 * peak_rps, /*budget=*/0, /*seed_salt=*/7002);
-  Nanos p99_base = baseline.result.latency.P99();
-  Nanos max_base = baseline.result.latency.Max();
+  LiveCellResult baseline =
+      RunCell(exp, 0.8 * peak_rps, /*budget=*/0, /*seed_salt=*/7002);
+  Nanos p99_base = baseline.tcp.latency.P99();
+  Nanos max_base = baseline.tcp.latency.Max();
   // Analytic floor: M/M/c p99 waiting time at the baseline operating point (rates
   // in events/ns, src/queueing/analytic.h) — the slo_search-style seed of the
   // deadline budget.
@@ -253,14 +232,14 @@ int Main(int argc, char** argv) {
   for (size_t i = 0; i < multipliers.size(); ++i) {
     double m = multipliers[i];
     double rate = m * peak_rps;
-    RawCell zygos_raw = RunRaw(exp, rate, budget, /*seed_salt=*/100 + i);
-    cells.push_back(FinishCell("zygos", m, rate, zygos_raw, slo));
+    cells.push_back(
+        FinishCell("zygos", m, RunCell(exp, rate, budget, /*seed_salt=*/100 + i), slo));
     PrintCell(cells.back());
     if (std::abs(m - 0.8) < 1e-9) {
-      cells.push_back(FinishCell("no-shed", m, rate, baseline, slo));
+      cells.push_back(FinishCell("no-shed", m, baseline, slo));
     } else {
-      RawCell no_shed_raw = RunRaw(exp, rate, /*budget=*/0, /*seed_salt=*/200 + i);
-      cells.push_back(FinishCell("no-shed", m, rate, no_shed_raw, slo));
+      cells.push_back(FinishCell(
+          "no-shed", m, RunCell(exp, rate, /*budget=*/0, /*seed_salt=*/200 + i), slo));
     }
     PrintCell(cells.back());
   }
@@ -268,7 +247,7 @@ int Main(int argc, char** argv) {
   auto find_cell = [&cells](const std::string& config,
                             double m) -> const Cell* {
     for (const Cell& cell : cells) {
-      if (cell.config == config && std::abs(cell.multiplier - m) < 1e-9) {
+      if (cell.live.config == config && std::abs(cell.multiplier - m) < 1e-9) {
         return &cell;
       }
     }
@@ -278,7 +257,7 @@ int Main(int argc, char** argv) {
   // The no-overload peak goodput: best no-shed cell at or below saturation.
   double peak_goodput = 0;
   for (const Cell& cell : cells) {
-    if (cell.config == "no-shed" && cell.multiplier <= 1.0 + 1e-9) {
+    if (cell.live.config == "no-shed" && cell.multiplier <= 1.0 + 1e-9) {
       peak_goodput = std::max(peak_goodput, cell.goodput_rps);
     }
   }
@@ -300,18 +279,18 @@ int Main(int argc, char** argv) {
   // includes kernel-socket residency the server's budget cannot see.
   bool admitted_p99_bounded =
       zygos_2x == nullptr ||
-      zygos_2x->p99_admitted_us <= static_cast<double>(slo) / 1e3;
+      zygos_2x->live.p99_us <= static_cast<double>(slo) / 1e3;
   bool zero_sheds_below_saturation = true;
   bool shed_tracks_analytic = true;
   bool ledger_balanced = true;
   for (const Cell& cell : cells) {
     ledger_balanced = ledger_balanced && cell.ledger_ok;
-    if (cell.config != "zygos") {
+    if (cell.live.config != "zygos") {
       continue;
     }
     if (cell.multiplier < 1.0 - 1e-9) {
       zero_sheds_below_saturation =
-          zero_sheds_below_saturation && cell.shed == 0 && cell.sheds_deadline == 0;
+          zero_sheds_below_saturation && cell.shed == 0 && cell.live.sheds == 0;
     }
     if (cell.multiplier >= 2.0 - 1e-9) {
       shed_tracks_analytic =
@@ -347,21 +326,22 @@ int Main(int argc, char** argv) {
       .Gate("zero_sheds_below_saturation", zero_sheds_below_saturation)
       .Gate("shed_fraction_tracks_analytic", shed_tracks_analytic)
       .Gate("ledger_balanced", ledger_balanced);
-  auto column = [&cells](const std::string& config, double Cell::*field) {
+  auto column = [&cells](const std::string& config, auto field) {
     std::vector<double> values;
     for (const Cell& cell : cells) {
-      if (cell.config == config) {
-        values.push_back(cell.*field);
+      if (cell.live.config == config) {
+        values.push_back(std::invoke(field, cell));
       }
     }
     return values;
   };
+  auto p99 = [](const Cell& cell) { return cell.live.p99_us; };
   report.params()
       .Nums("multipliers", column("zygos", &Cell::multiplier), 2)
       .Nums("zygos_goodput_rps", column("zygos", &Cell::goodput_rps), 0)
       .Nums("no_shed_goodput_rps", column("no-shed", &Cell::goodput_rps), 0)
-      .Nums("zygos_p99_admitted_us", column("zygos", &Cell::p99_admitted_us), 1)
-      .Nums("no_shed_p99_us", column("no-shed", &Cell::p99_admitted_us), 1)
+      .Nums("zygos_p99_admitted_us", column("zygos", p99), 1)
+      .Nums("no_shed_p99_us", column("no-shed", p99), 1)
       .Nums("zygos_shed_fraction", column("zygos", &Cell::shed_fraction), 4)
       .Nums("predicted_shed_fraction", column("zygos", &Cell::predicted_shed), 4);
   return report.Finish(exp.json_path);

@@ -255,6 +255,9 @@ int Main(int argc, char** argv) {
   if (gen.connections < 1 || gen.threads < 1) {
     return usage_error("--connections and --threads must be positive");
   }
+  if (!CheckMeasurementWindow("kv_server", usage, gen.duration, gen.warmup)) {
+    return 2;
+  }
   const std::optional<LiveTransport> transport = ParseLiveTransport(transport_name);
   if (!transport) {
     return usage_error("unknown --transport=" + transport_name);

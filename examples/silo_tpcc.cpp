@@ -149,12 +149,13 @@ int Main(int argc, char** argv) {
   gen.seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
   gen.make_payload = MakeTpccPayloadFactory(scale);
   const std::string arrivals_name = flags.GetString("arrivals", "poisson");
-  if (!flags.CheckUnknown(
-          "usage: silo_tpcc [--mode=demo|serve|loadgen] [--workers=N]\n"
-          "  [--warehouses=N] [--scale=full|tiny] [--seed=N] [--transport=tcp|uring]\n"
-          "  [--host=H] [--port=P] [--max-flows=N] [--connections=N] [--threads=N]\n"
-          "  [--rate=RPS] [--duration-ms=N] [--warmup-ms=N] "
-          "[--arrivals=poisson|fixed]")) {
+  const char* usage =
+      "usage: silo_tpcc [--mode=demo|serve|loadgen] [--workers=N]\n"
+      "  [--warehouses=N] [--scale=full|tiny] [--seed=N] [--transport=tcp|uring]\n"
+      "  [--host=H] [--port=P] [--max-flows=N] [--connections=N] [--threads=N]\n"
+      "  [--rate=RPS] [--duration-ms=N] [--warmup-ms=N] [--arrivals=poisson|fixed]";
+  if (!flags.CheckUnknown(usage) ||
+      !CheckMeasurementWindow("silo_tpcc", usage, gen.duration, gen.warmup)) {
     return 2;
   }
   if (mode != "demo" && mode != "serve" && mode != "loadgen") {

@@ -42,6 +42,14 @@ status=0
 "${BUILD_DIR}/examples/kv_server" --mode=client 2>/dev/null || status=$?
 (( status == 2 )) || { echo "ci: kv_server exited ${status} on a removed mode" >&2; exit 1; }
 
+echo "== smoke: a bad measurement window is a usage error (exit 2)"
+status=0
+"${BUILD_DIR}/bench/fig6_live_runtime" --warmup-ms=-1 2>/dev/null || status=$?
+(( status == 2 )) || { echo "ci: fig6_live_runtime exited ${status} on a negative warmup" >&2; exit 1; }
+status=0
+"${BUILD_DIR}/examples/kv_server" --duration-ms=200 --warmup-ms=500 2>/dev/null || status=$?
+(( status == 2 )) || { echo "ci: kv_server exited ${status} on warmup > duration" >&2; exit 1; }
+
 # smoke_live <binary> <csv_row_regex> [args...]: one short run of a bench that writes
 # a BENCH report. It must print a CSV row matching the regex, write a parseable BENCH
 # JSON, pass every gate its params.gates lists (scripts/check_gates.py) and exit 0 —

@@ -64,12 +64,21 @@ bool ParseLiveFlags(const Flags& flags, LiveFlags& live) {
       return Fail(live, "unknown --arrivals=" + arrivals);
     }
   }
-  if (live.workers < 1 || live.connections < 1 || live.threads < 1 ||
-      live.duration <= live.warmup) {
-    return Fail(live, "need workers/connections/threads >= 1 and "
-                      "--duration-ms > --warmup-ms");
+  if (live.workers < 1 || live.connections < 1 || live.threads < 1) {
+    return Fail(live, "need workers/connections/threads >= 1");
   }
-  return true;
+  return CheckMeasurementWindow(live.name, live.usage, live.duration, live.warmup);
+}
+
+bool CheckMeasurementWindow(const char* name, const char* usage, Nanos duration,
+                            Nanos warmup) {
+  if (warmup >= 0 && duration > warmup) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "%s: need --warmup-ms >= 0 and --duration-ms > --warmup-ms\n%s\n", name,
+               usage);
+  return false;
 }
 
 bool ParseNumbers(const LiveFlags& live, const std::string& flag, const std::string& csv,
@@ -213,46 +222,27 @@ bool SelectTransports(LiveSweep& sweep) {
   return true;
 }
 
-LiveCellResult RunLiveCell(const LiveSweep& sweep, const LiveTransport& transport,
-                           const LiveConfig& config, double rate, ViewHandler handler) {
-  RuntimeOptions options;
-  options.num_workers = sweep.workers;
-  options.num_flows = sweep.connections;
-  options.enable_stealing = config.stealing;
-
-  LiveCellResult cell;
-  LivePoint& point = cell.point;
-  point.config = config.name;
-  point.transport = transport.name;
-  point.offered_rps = rate;
-
+LiveCellResult RunLiveCell(const RuntimeOptions& options, const LiveTransport& transport,
+                           ViewHandler handler, bool skew, const LiveDrive& drive) {
   // The transport derives its geometry from the runtime options (the single source of
   // truth for the flow cap — see TcpOptionsFor).
   std::unique_ptr<SocketTransportBase> backend =
       MakeLiveTransport(transport, TcpOptionsFor(options));
-  SocketTransportBase* sock = backend.get();
+  SocketTransportBase& sock = *backend;
   Runtime runtime(options, std::move(backend), std::move(handler));
-  if (sweep.skew) {
+  if (skew) {
     runtime.mutable_rss().SetIndirection(
         std::vector<int>(static_cast<size_t>(options.num_flow_groups), 0));
   }
   runtime.Start();
-
-  TcpLoadgenOptions gen = LiveLoadgenOptions(sweep, sock->port(), rate);
-  if (sweep.make_payload) {
-    gen.make_payload = sweep.make_payload;
-  }
-  cell.tcp = RunTcpLoadgen(gen);
-  const TcpLoadgenResult& result = cell.tcp;
+  LiveCellResult cell;
+  cell.tcp = drive(runtime, sock);
   runtime.Shutdown();
-  if (!result.clean) {
-    std::fprintf(stderr,
-                 "%s: [%s/%s @ %.0f rps] unclean TCP run (lost=%llu mismatches=%llu)\n",
-                 sweep.name, config.name.c_str(), transport.name.c_str(), rate,
-                 static_cast<unsigned long long>(result.lost),
-                 static_cast<unsigned long long>(result.mismatches));
-  }
-  point.achieved_rps = result.achieved_rps();
+
+  const TcpLoadgenResult& result = cell.tcp;
+  LivePoint& point = cell.point;
+  point.transport = transport.name;
+  point.achieved_rps = result.achieved_logical_rps();
   point.sent = result.sent;
   point.measured = result.measured;
   point.dropped = result.lost;
@@ -262,16 +252,42 @@ LiveCellResult RunLiveCell(const LiveSweep& sweep, const LiveTransport& transpor
   point.p999_us = ToMicros(result.latency.P999());
   point.mean_us = result.latency.Mean() / 1e3;
   point.max_us = ToMicros(result.latency.Max());
-  WorkerStats stats = runtime.TotalStats();
   point.steals = runtime.TotalShuffleStats().steals;
-  point.sheds = stats.sheds_deadline;
+  point.sheds = runtime.TotalStats().sheds_deadline;
   cell.runtime_completed = runtime.Completed();
-  // Data-path syscalls amortized over every completed request of the run (warmup
+  // Data-path syscalls amortized over every completed request of the cell (warmup
   // included — a steady-state ratio). epoll pays recv+send per request; batched uring
   // pays io_uring_enter per poll pass.
   if (cell.runtime_completed > 0) {
-    point.syscalls_per_req = static_cast<double>(sock->IoSyscalls()) /
+    point.syscalls_per_req = static_cast<double>(sock.IoSyscalls()) /
                              static_cast<double>(cell.runtime_completed);
+  }
+  return cell;
+}
+
+LiveCellResult RunSweepCell(const LiveSweep& sweep, const LiveTransport& transport,
+                            const LiveConfig& config, double rate, ViewHandler handler) {
+  RuntimeOptions options;
+  options.num_workers = sweep.workers;
+  options.num_flows = sweep.connections;
+  options.enable_stealing = config.stealing;
+  LiveCellResult cell = RunLiveCell(
+      options, transport, std::move(handler), sweep.skew,
+      [&](Runtime&, SocketTransportBase& sock) {
+        TcpLoadgenOptions gen = LiveLoadgenOptions(sweep, sock.port(), rate);
+        if (sweep.make_payload) {
+          gen.make_payload = sweep.make_payload;
+        }
+        return RunTcpLoadgen(gen);
+      });
+  cell.point.config = config.name;
+  cell.point.offered_rps = rate;
+  if (!cell.tcp.clean) {
+    std::fprintf(stderr,
+                 "%s: [%s/%s @ %.0f rps] unclean TCP run (lost=%llu mismatches=%llu)\n",
+                 sweep.name, config.name.c_str(), transport.name.c_str(), rate,
+                 static_cast<unsigned long long>(cell.tcp.lost),
+                 static_cast<unsigned long long>(cell.tcp.mismatches));
   }
   return cell;
 }

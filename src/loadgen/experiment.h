@@ -1,11 +1,12 @@
 // The shared live-experiment harness: what the five live benches (fig6_live_runtime,
 // fig10_live_runtime, overload_live_runtime, churn_live_runtime, fanout_chaos) have
 // in common — the shared flag block, the runtime configs and transports by name, the
-// p99-vs-load sweep (one cell runner, one calibration, one median-of-N) and the
-// BENCH_*.json writer driven by a table of gates (the process exits 1 iff a gate is
-// false). fig6/fig10 add only a handler, a payload factory and their own headline and
-// gates; the other three keep their own sweep logic on top of LiveFlags and
-// BenchReport.
+// one cell runner (RunLiveCell: every live cell's server, its lifetime and its
+// LivePoint), the p99-vs-load sweep (calibration, median-of-N) and the BENCH_*.json
+// writer driven by a table of gates (the process exits 1 iff a gate is false).
+// fig6/fig10 add only a handler, a payload factory and their own headline and gates;
+// churn, fanout and overload keep their own sweeps, CSV rows and gates, and hand
+// RunLiveCell their runtime options, handler and drive.
 //
 // Contract: single-threaded harness code (each cell's runtime and generators run their
 // own threads internally); output goes to stdout (CSV, `#` prose) and the JSON file.
@@ -55,6 +56,12 @@ struct LiveFlags {
 // values. Call it after the binary has read its own flags, so they count as known.
 // Returns false after printing the problem and the usage line (exit status 2).
 bool ParseLiveFlags(const Flags& flags, LiveFlags& live);
+
+// The measurement-window rule of every live binary: warmup >= 0 (a negative one opens
+// the window before the run starts) and duration > warmup (else nothing is measured).
+// False after printing the problem and `usage` under `name` (exit status 2).
+bool CheckMeasurementWindow(const char* name, const char* usage, Nanos duration,
+                            Nanos warmup);
 
 // Parses the comma-separated flag --`flag` into `out`, each entry required to pass
 // `valid` (the error names the rule as `requirement`). False, after printing the
@@ -133,19 +140,38 @@ bool ParseLiveSweep(const Flags& flags, LiveSweep& sweep);
 bool SelectTransports(LiveSweep& sweep);
 
 // One cell's measurement, plus the raw run it came from for binaries that keep their
-// own books on top (fig10_live_runtime's TPC-C ledger).
+// own books on top (fig10's TPC-C ledger, overload's goodput, fanout's sub-request
+// tail).
 struct LiveCellResult {
   LivePoint point;
   uint64_t runtime_completed = 0;  // Runtime::Completed() at shutdown (served + shed)
-  TcpLoadgenResult tcp;
+  TcpLoadgenResult tcp;            // the run the cell's drive returned
 };
 
-// Runs one (transport, config, rate) cell of `sweep` on a fresh runtime serving
-// `handler` on an ephemeral port, driven open-loop by the TCP loadgen for
-// sweep.duration. Fills every LivePoint field — latencies from the warmup-trimmed
-// window, syscalls_per_req, sheds.
-LiveCellResult RunLiveCell(const LiveSweep& sweep, const LiveTransport& transport,
-                           const LiveConfig& config, double rate, ViewHandler handler);
+// A cell's load: runs against the started runtime, whose transport serves on
+// transport.port(), and returns the loadgen run the cell reports. It may run the
+// loadgen more than once and read the runtime's counters between and after runs; the
+// runtime shuts down when it returns.
+using LiveDrive =
+    std::function<TcpLoadgenResult(Runtime& runtime, SocketTransportBase& transport)>;
+
+// Runs one live cell: a fresh runtime built from `options`, serving `handler` over
+// `transport` on an ephemeral port (`skew`: every flow group homed on core 0), started,
+// driven by `drive`, shut down. Fills every measured LivePoint field from the run
+// `drive` returned and the runtime's books: latencies and achieved_rps of the
+// warmup-trimmed window (logical requests, src/loadgen/fanout.h: the same as wire
+// requests unless fanned out), sent/measured/dropped, syscalls_per_req, steals, sheds.
+// The labels, point.config and point.offered_rps, are the caller's. The one place a
+// live bench builds a server.
+LiveCellResult RunLiveCell(const RuntimeOptions& options, const LiveTransport& transport,
+                           ViewHandler handler, bool skew, const LiveDrive& drive);
+
+// One (transport, config, rate) cell of `sweep`: RunLiveCell on sweep.workers workers
+// and sweep.connections flows with the config's stealing and sweep.skew, driven by one
+// open-loop run of sweep.duration (LiveLoadgenOptions; sweep.make_payload when set).
+// The point is labelled with the config and the rate.
+LiveCellResult RunSweepCell(const LiveSweep& sweep, const LiveTransport& transport,
+                            const LiveConfig& config, double rate, ViewHandler handler);
 
 // Runs `run` `repeats` (>= 1) times and returns the run whose key(run) is the median
 // (sorted[n/2], the upper median for even n). The whole run is kept, not per-field

@@ -32,6 +32,8 @@ struct LivePoint {
   std::string config;
   std::string transport = "tcp";
   double offered_rps = 0;
+  // Measured requests per second of the window; this rate and the latencies count
+  // logical requests, the same as wire requests unless the cell fans out (fanout.h).
   double achieved_rps = 0;
   uint64_t sent = 0;
   uint64_t measured = 0;  // completions inside the measurement window

@@ -49,6 +49,12 @@ struct SpinServiceState {
 
 }  // namespace
 
+ViewHandler EchoHandler() {
+  return [](uint64_t, std::string_view request, ResponseBuilder& response) {
+    response.Append(request);
+  };
+}
+
 ViewHandler MakeSpinService(std::shared_ptr<const ServiceTimeDistribution> distribution,
                             ServiceMode mode, uint64_t seed) {
   auto state = std::make_shared<SpinServiceState>(seed);

@@ -1,6 +1,6 @@
 // Synthetic "spin service": a ViewHandler whose per-request service time is drawn
 // from one of the paper's distributions (src/common/distribution.h) — the live-runtime
-// analogue of the DES workload generator, used by bench/fig6_live_runtime.cc.
+// analogue of the DES workload generator, used by the live benches.
 //
 // Two ways to burn the sampled time:
 //   kSpin   busy-poll the clock (CPU-bound, the paper's synthetic microbenchmark).
@@ -12,7 +12,8 @@
 //           timer adds ~50 µs of slack per sleep; use mean service times well above
 //           that.
 //
-// The response echoes the request payload.
+// The response echoes the request payload; EchoHandler is the same service with no
+// service time.
 //
 // Contract: the returned ViewHandler is thread-safe (runtime workers call it
 // concurrently for different flows); service times are sampled from per-thread RNG
@@ -45,6 +46,9 @@ inline std::optional<ServiceMode> ParseServiceMode(std::string_view name) {
   }
   return std::nullopt;
 }
+
+// The zero-service-time handler: answers every request with its own bytes.
+ViewHandler EchoHandler();
 
 // Builds the handler. `distribution` is shared by every worker (it is immutable);
 // `seed` derives the per-thread sampling streams.

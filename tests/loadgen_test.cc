@@ -26,6 +26,7 @@
 #include "src/loadgen/experiment.h"
 #include "src/loadgen/fanout.h"
 #include "src/loadgen/report.h"
+#include "src/loadgen/spin_service.h"
 #include "src/loadgen/tcp_loadgen.h"
 #include "src/loadgen/tpcc_gen.h"
 #include "src/runtime/runtime.h"
@@ -117,10 +118,7 @@ TEST(TcpLoadgenChurnTest, ReconnectsServeMoreConnectionsThanTableCapacity) {
   options.max_flows = 8;
   auto transport = std::make_unique<TcpTransport>(TcpOptionsFor(options));
   TcpTransport* tcp = transport.get();
-  ViewHandler echo = [](uint64_t, std::string_view request, ResponseBuilder& out) {
-    out.Append(request);
-  };
-  Runtime runtime(options, std::move(transport), std::move(echo));
+  Runtime runtime(options, std::move(transport), EchoHandler());
   runtime.Start();
 
   TcpLoadgenOptions gen;
@@ -292,9 +290,7 @@ TEST(TcpLoadgenFanoutTest, LogicalLatencyCoversTheSlowestSubFlow) {
 // Runs the same schedule against a direct server and through a chaos proxy whose
 // server->client direction goes deaf, and checks the logical ledger of both runs.
 void ExpectScheduleSurvivesDegradation(int fanout_n) {
-  ViewHandler echo = [](uint64_t, std::string_view request, ResponseBuilder& out) {
-    out.Append(request);
-  };
+  ViewHandler echo = EchoHandler();
   auto run = [&](uint16_t port) {
     TcpLoadgenOptions gen;
     gen.port = port;
@@ -473,15 +469,9 @@ LiveSweep LowRateSweep() {
   return sweep;
 }
 
-ViewHandler EchoHandler() {
-  return [](uint64_t, std::string_view request, ResponseBuilder& out) {
-    out.Append(request);
-  };
-}
-
 TEST(RunLiveCellTest, TcpCellLedgerBalances) {
-  LiveCellResult cell = RunLiveCell(LowRateSweep(), *ParseLiveTransport("tcp"),
-                                    *ParseLiveConfig("zygos"), 500, EchoHandler());
+  LiveCellResult cell = RunSweepCell(LowRateSweep(), *ParseLiveTransport("tcp"),
+                                     *ParseLiveConfig("zygos"), 500, EchoHandler());
   const TcpLoadgenResult& tcp = cell.tcp;
   EXPECT_GT(tcp.sent, 0u);
   EXPECT_EQ(tcp.completed + tcp.shed + tcp.lost, tcp.sent);
@@ -489,6 +479,81 @@ TEST(RunLiveCellTest, TcpCellLedgerBalances) {
   EXPECT_GT(cell.point.measured, 0u);
   EXPECT_GE(cell.runtime_completed, tcp.completed);
   EXPECT_GT(cell.point.syscalls_per_req, 0.0) << "epoll serves no request syscall-free";
+}
+
+RuntimeOptions SmallCellOptions() {
+  RuntimeOptions options;
+  options.num_workers = 2;
+  options.num_flows = 4;
+  return options;
+}
+
+// A churn-shaped cell (churn_live_runtime): a warmup run and a measured run on one
+// server. Each run balances on its own, and the runtime served both.
+TEST(RunLiveCellTest, TwoLoadgenRunsOnOneServerBothBalance) {
+  RuntimeOptions options = SmallCellOptions();
+  options.max_flows = 8;
+  TcpLoadgenResult warmup;
+  LiveCellResult cell = RunLiveCell(
+      options, *ParseLiveTransport("tcp"), EchoHandler(), /*skew=*/false,
+      [&](Runtime&, SocketTransportBase& transport) {
+        TcpLoadgenOptions gen = LiveLoadgenOptions(LowRateSweep(), transport.port(), 500);
+        gen.churn_mean_lifetime = 50 * kMillisecond;
+        warmup = RunTcpLoadgen(gen);
+        gen.seed += 101;
+        return RunTcpLoadgen(gen);
+      });
+  EXPECT_GT(warmup.sent, 0u);
+  EXPECT_TRUE(warmup.Balanced());
+  EXPECT_GT(cell.tcp.sent, 0u);
+  EXPECT_TRUE(cell.tcp.Balanced());
+  EXPECT_EQ(cell.point.sent, cell.tcp.sent) << "the point must read the returned run";
+  EXPECT_GE(cell.runtime_completed, warmup.completed + cell.tcp.completed);
+}
+
+// A cell whose drive puts a chaos proxy in front of the server (fanout_chaos): the
+// ledger balances and the point's latencies are the proxied run's, every one at least
+// the proxy's fixed response delay (an injected lower bound, tests/README.md).
+TEST(RunLiveCellTest, ProxiedCellReportsTheProxiedRun) {
+  LiveCellResult cell = RunLiveCell(
+      SmallCellOptions(), *ParseLiveTransport("tcp"), EchoHandler(), /*skew=*/false,
+      [](Runtime&, SocketTransportBase& transport) {
+        ChaosProxyOptions chaos;
+        chaos.upstream_port = transport.port();
+        chaos.server_to_client = *ParseDelayModel("fixed:3000");
+        chaos.seed = 5;
+        ChaosProxy proxy(chaos);
+        if (!proxy.Start()) {
+          ADD_FAILURE() << "proxy failed to start";
+          return TcpLoadgenResult{};
+        }
+        TcpLoadgenResult result =
+            RunTcpLoadgen(LiveLoadgenOptions(LowRateSweep(), proxy.port(), 200));
+        proxy.Stop();
+        return result;
+      });
+  EXPECT_GT(cell.tcp.sent, 0u);
+  EXPECT_TRUE(cell.tcp.Balanced());
+  EXPECT_GT(cell.point.measured, 0u);
+  EXPECT_EQ(cell.point.p99_us, ToMicros(cell.tcp.latency.P99()));
+  EXPECT_GE(cell.point.p50_us, 3000.0) << "a response skipped the proxy's delay";
+}
+
+bool ParsesLiveFlags(std::vector<std::string> args) {
+  std::vector<char*> argv = {const_cast<char*>("live")};
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  LiveFlags live;
+  return ParseLiveFlags(Flags(static_cast<int>(argv.size()), argv.data()), live);
+}
+
+TEST(LiveFlagsTest, RejectsANegativeWarmupAndAnEmptyWindow) {
+  EXPECT_TRUE(ParsesLiveFlags({"--duration-ms=300", "--warmup-ms=100"}));
+  EXPECT_TRUE(ParsesLiveFlags({"--warmup-ms=0"}));
+  EXPECT_FALSE(ParsesLiveFlags({"--warmup-ms=-100"}));
+  EXPECT_FALSE(ParsesLiveFlags({"--duration-ms=200", "--warmup-ms=200"}));
+  EXPECT_FALSE(ParsesLiveFlags({"--duration-ms=200", "--warmup-ms=500"}));
 }
 
 // --- report.h acceptance predicates ---------------------------------------------------
