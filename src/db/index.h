@@ -31,7 +31,9 @@
 // Contract: thread-safe; the lock is held only inside these methods. A scan is not a
 // snapshot of the tree: keys inserted or erased between its chunks may or may not be
 // visited. Serializability comes from the transaction layer's OCC — record TIDs plus
-// the range fingerprint revalidated at commit — not from this lock.
+// the range fingerprint revalidated at commit — not from this lock. A reader that
+// needs only committed rows (TPC-C's StockLevel) may also Get or Scan and copy each
+// record with Record::StableRead, with no transaction.
 #ifndef ZYGOS_DB_INDEX_H_
 #define ZYGOS_DB_INDEX_H_
 
@@ -41,13 +43,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "src/common/function_ref.h"
 #include "src/concurrency/spinlock.h"
 #include "src/db/record.h"
 
@@ -109,7 +111,7 @@ class OrderedIndex {
   // itself read, insert into or scan this index). The next chunk resumes strictly past
   // the last key handed out, so no key is visited twice.
   void Scan(std::string_view lo, std::string_view hi, bool descending,
-            const std::function<bool(const std::string&, Record*)>& fn) const {
+            FunctionRef<bool(const std::string&, Record*)> fn) const {
     if (lo > hi) {
       return;
     }
@@ -170,8 +172,9 @@ class OrderedIndex {
   // Semantics caveat (why this is opt-in, see Transaction::Delete): a *point read* of
   // an erased key that found no record cannot detect a later fresh insert of the same
   // key (the new key creates a new record). Range scans remain fully protected by their
-  // key fingerprints. Callers must erase only keys that are never blind-point-read
-  // again — e.g. TPC-C NEW-ORDER rows, whose o_id space is never revisited.
+  // fingerprints and the erase count. Callers must erase only keys that are never
+  // blind-point-read again — e.g. TPC-C NEW-ORDER rows, whose o_id space is never
+  // revisited.
   bool Erase(std::string_view key) {
     RwSpinlock::Guard guard(lock_);
     Leaf* leaf = FindLeafRecordingPath(key);

@@ -123,7 +123,14 @@ class TpccWorkload {
   TxnStatus Payment(TxnExecutor& executor, const PaymentParams& params);
   TxnStatus OrderStatus(TxnExecutor& executor, const OrderStatusParams& params);
   TxnStatus Delivery(TxnExecutor& executor, const DeliveryParams& params);
-  TxnStatus StockLevel(TxnExecutor& executor, const StockLevelParams& params);
+  // StockLevel runs at read committed, which clause 2.8.2.3 allows ("All data read
+  // must be committed and no older than the most recently committed data prior to the
+  // time this business transaction was initiated"): it copies the latest committed
+  // rows through the index with no Transaction, so it never aborts or retries and
+  // leaves `executor` untouched. Stores the number of distinct low-stock items in
+  // `*low_stock` when that is non-null.
+  TxnStatus StockLevel(TxnExecutor& executor, const StockLevelParams& params,
+                       int32_t* low_stock = nullptr);
 
   // One execution of NewOrder's body on `txn`, without the commit (false requests a
   // rollback): what NewOrder's retry loop runs, with o_entry_d = `entry_d`. Public so

@@ -9,24 +9,19 @@ namespace zygos {
 
 namespace {
 
-// FNV-1a step used for scan fingerprints (order-dependent combination).
-uint64_t Fnv1aMix(uint64_t h, const void* data, size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  return h;
+// 2^64 over the golden ratio: Fibonacci hashing's multiplier, which spreads record
+// addresses a few words apart over the high bits.
+constexpr uint64_t kGoldenMultiplier = 0x9e3779b97f4a7c15ull;
+
+// The scan fingerprint's starting value and its fold: one multiply per visible row,
+// order-dependent, over the row's record identity.
+constexpr uint64_t kFingerprintSeed = 14695981039346656037ull;
+
+uint64_t FoldRecord(uint64_t fingerprint, const Record* record) {
+  return (fingerprint ^ reinterpret_cast<uintptr_t>(record)) * kGoldenMultiplier;
 }
 
 }  // namespace
-
-uint64_t Transaction::HashKey(uint64_t h, std::string_view key) {
-  // Mix in the length first so ("ab","c") and ("a","bc") sequences differ.
-  uint64_t len = key.size();
-  h = Fnv1aMix(h, &len, sizeof(len));
-  return Fnv1aMix(h, key.data(), key.size());
-}
 
 Record* Transaction::Resolve(TableId table, std::string_view key) {
   OrderedIndex& index = db_.table(table);
@@ -36,25 +31,50 @@ Record* Transaction::Resolve(TableId table, std::string_view key) {
   return index.GetOrInsert(key).first;
 }
 
-Transaction::WriteEntry* Transaction::FindWrite(const Record* record) {
-  for (auto& write : Writes()) {
-    if (write.record == record) {
-      return &write;
-    }
+size_t Transaction::SlotOf(const Record* record) const {
+  const size_t mask = write_slots_.size() - 1;
+  size_t at =
+      static_cast<size_t>((reinterpret_cast<uintptr_t>(record) * kGoldenMultiplier) >> 32) &
+      mask;
+  while (write_slots_[at].record != nullptr && write_slots_[at].record != record) {
+    at = (at + 1) & mask;
   }
-  return nullptr;
+  return at;
+}
+
+const Transaction::WriteEntry* Transaction::FindWrite(const Record* record) const {
+  if (write_count_ == 0) {
+    return nullptr;
+  }
+  const WriteSlot& slot = write_slots_[SlotOf(record)];
+  return slot.record == nullptr ? nullptr : &writes_[slot.entry];
 }
 
 Transaction::WriteEntry& Transaction::WriteFor(Record* record) {
-  if (WriteEntry* write = FindWrite(record)) {
-    return *write;
+  if ((write_count_ + 1) * 2 > write_slots_.size()) {
+    GrowWriteSlots();
+  }
+  const size_t at = SlotOf(record);
+  if (write_slots_[at].record != nullptr) {
+    return writes_[write_slots_[at].entry];
   }
   if (write_count_ == writes_.size()) {
     writes_.emplace_back();
   }
+  write_slots_[at] = WriteSlot{record, static_cast<uint32_t>(write_count_)};
   WriteEntry& write = writes_[write_count_++];
   write.record = record;
+  write.slot = at;
   return write;
+}
+
+void Transaction::GrowWriteSlots() {
+  write_slots_.assign(std::max(kInitialWriteSlots, write_slots_.size() * 2), WriteSlot{});
+  for (size_t i = 0; i < write_count_; ++i) {
+    WriteEntry& write = writes_[i];
+    write.slot = SlotOf(write.record);
+    write_slots_[write.slot] = WriteSlot{write.record, static_cast<uint32_t>(i)};
+  }
 }
 
 void Transaction::AddRead(Record* record, uint64_t observed_tid) {
@@ -64,10 +84,6 @@ void Transaction::AddRead(Record* record, uint64_t observed_tid) {
 bool Transaction::InReadSet(const Record* record) const {
   return std::any_of(reads_.begin(), reads_.end(),
                      [record](const ReadEntry& read) { return read.record == record; });
-}
-
-bool Transaction::LockedByUs(const Record* record) const {
-  return std::binary_search(locked_.begin(), locked_.end(), record);
 }
 
 Record* Transaction::ReadRecord(TableId table, std::string_view key, void* dst,
@@ -160,31 +176,40 @@ void Transaction::Delete(Record* record, TableId table, std::string_view key,
   }
 }
 
-void Transaction::Scan(
-    TableId table, std::string_view lo, std::string_view hi, bool descending,
-    uint64_t limit,
-    const std::function<bool(const std::string& key, const std::string& value,
-                             Record* record)>& fn) {
-  ScanEntry scan;
-  scan.table = table;
-  scan.lo = std::string(lo);
-  scan.hi = std::string(hi);
-  scan.descending = descending;
-  scan.erases = db_.table(table).EraseCount();
-  uint64_t fingerprint = 14695981039346656037ull;
+void Transaction::Scan(TableId table, std::string_view lo, std::string_view hi,
+                       bool descending, uint64_t limit,
+                       FunctionRef<bool(const std::string& key, const std::string& value,
+                                        Record* record)>
+                           fn) {
+  // The entry is claimed before the walk, so a scan inside `fn` claims the next one.
+  // That may move scans_, so this one is reached by index, not by reference.
+  const size_t entry = scan_count_++;
+  if (entry == scans_.size()) {
+    scans_.emplace_back();
+  }
+  {
+    ScanEntry& scan = scans_[entry];
+    scan.table = table;
+    scan.lo.assign(lo);
+    scan.hi.assign(hi);
+    scan.descending = descending;
+    scan.erases = db_.table(table).EraseCount();
+  }
+  if (scan_depth_ == scan_rows_.size()) {
+    scan_rows_.emplace_back();
+  }
+  std::string& row = scan_rows_[scan_depth_++];  // every row handed to `fn` is copied here
+  uint64_t fingerprint = kFingerprintSeed;
   uint64_t visited = 0;
-  std::string effective_bound;
-  bool stopped_early = false;
 
-  std::string row;  // every row handed to `fn` is copied here
   db_.table(table).Scan(lo, hi, descending, [&](const std::string& key, Record* record) {
     uint64_t tid = record->StableRead(&row);
     AddRead(record, tid);
     bool visible = !TidWord::Absent(tid);
-    // Fingerprint the *committed-visible* key set (own pending inserts stay absent
-    // until commit, so validation recomputes the same set).
+    // Fingerprint the *committed-visible* rows (own pending inserts stay absent until
+    // commit, so validation recomputes the same set).
     if (visible) {
-      fingerprint = HashKey(fingerprint, key);
+      fingerprint = FoldRecord(fingerprint, record);
     }
     // Row visibility for the callback applies own writes on top. An own row is copied:
     // `fn` may overwrite this very entry.
@@ -198,29 +223,20 @@ void Transaction::Scan(
     visited++;
     bool keep_going = fn(key, row, record);
     if (!keep_going || (limit != 0 && visited >= limit)) {
-      stopped_early = true;
-      effective_bound = key;
+      // Shrink the validated range to what was actually observed: phantoms beyond the
+      // stopping point cannot have affected this transaction.
+      ScanEntry& scan = scans_[entry];
+      (descending ? scan.lo : scan.hi).assign(key);
       return false;
     }
     return true;
   });
-
-  if (stopped_early) {
-    // Shrink the validated range to what was actually observed: phantoms beyond the
-    // stopping point cannot have affected this transaction.
-    if (descending) {
-      scan.lo = effective_bound;
-    } else {
-      scan.hi = effective_bound;
-    }
-  }
-  scan.fingerprint = fingerprint;
-  scan.count = visited;
-  scans_.push_back(std::move(scan));
+  scan_depth_--;
+  scans_[entry].fingerprint = fingerprint;
 }
 
 bool Transaction::ValidateScan(const ScanEntry& scan) const {
-  // The visible-key fingerprint alone is not monotonic: a key inserted behind the
+  // The visible-row fingerprint alone is not monotonic: a key inserted behind the
   // scan cursor and deleted again before this walk restores it, although a read
   // validated earlier may have seen the insert (a counter of the range's keys, say).
   // Every key the scan visited is in the read set, whose TIDs only grow, so such a
@@ -228,16 +244,16 @@ bool Transaction::ValidateScan(const ScanEntry& scan) const {
   // read set that was committed at some point (version != 0), or, if it was unlinked
   // too, by the table's erase count.
   const OrderedIndex& index = db_.table(scan.table);
-  uint64_t fingerprint = 14695981039346656037ull;
+  uint64_t fingerprint = kFingerprintSeed;
   bool conflict = false;
-  index.Scan(scan.lo, scan.hi, scan.descending, [&](const std::string& key, Record* record) {
+  index.Scan(scan.lo, scan.hi, scan.descending, [&](const std::string&, Record* record) {
     uint64_t tid = record->LoadTid();
     if (TidWord::Locked(tid) && !LockedByUs(record)) {
       conflict = true;  // another committer is mutating the range
       return false;
     }
     if (!TidWord::Absent(tid)) {
-      fingerprint = HashKey(fingerprint, key);
+      fingerprint = FoldRecord(fingerprint, record);
     } else if (TidWord::Version(tid) != 0 && !InReadSet(record)) {
       conflict = true;  // committed and deleted since the scan passed its key
       return false;
@@ -290,7 +306,7 @@ TxnStatus Transaction::Commit(uint64_t* last_tid) {
     }
   }
   if (valid) {
-    for (const auto& scan : scans_) {
+    for (const ScanEntry& scan : Scans()) {
       if (!ValidateScan(scan)) {
         valid = false;
         break;
@@ -332,12 +348,15 @@ TxnStatus Transaction::Commit(uint64_t* last_tid) {
 
 void Transaction::Abort() {
   reads_.clear();
+  for (const WriteEntry& write : Writes()) {
+    write_slots_[write.slot] = WriteSlot{};
+  }
   write_count_ = 0;
-  scans_.clear();
+  scan_count_ = 0;
   poisoned_duplicate_ = false;
 }
 
-TxnStatus TxnExecutor::Run(const std::function<bool(Transaction&)>& body) {
+TxnStatus TxnExecutor::Run(FunctionRef<bool(Transaction&)> body) {
   while (true) {
     if (!body(txn_)) {
       txn_.Abort();

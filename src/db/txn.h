@@ -8,17 +8,23 @@
 //                 handle a ReadRow or Scan returned, with no second index walk, or one
 //                 resolved from the key (an absent key gets a fresh absent record, as
 //                 an insert does) — so read-own-writes and commit match entries by
-//                 pointer, one entry per record; range scans additionally capture a
-//                 key fingerprint for phantom checks.
+//                 pointer, one entry per record, found through an open-addressed hash
+//                 of the record address (no search of the write set); range scans
+//                 additionally capture a fingerprint of the visible rows' record
+//                 identities for phantom checks.
 //   commit (1)  — lock the write set in a global order (record address), spin locks are
 //                 deadlock-free under the ordering;
 //   commit (2)  — serialization point: read the global epoch; validate that every read
 //                 record's TID is unchanged (and not locked by others) and that every
-//                 scanned key range still fingerprints identically and has had no key
+//                 scanned range still fingerprints identically and has had no key
 //                 come and go since the scan (no phantoms, see ValidateScan);
 //   commit (3)  — pick the commit TID (greater than everything observed, the thread's
 //                 previous TID, and within the current epoch), install the new values,
 //                 and release the locks.
+//
+// A fingerprint over records is as strict as one over keys: while a key is linked it
+// maps to one record for that record's whole life, and a key that is erased and
+// inserted again gets a fresh record (the erase also moves the table's EraseCount).
 //
 // Lock discipline: no index lock is held across a record read, a record lock or a
 // scan callback (OrderedIndex::Scan runs callbacks with no lock held), and every lock
@@ -31,12 +37,14 @@
 // equivalent to Silo's pre-GC state; the paper benchmarks with GC disabled).
 // Contract: one Txn per worker thread at a time; a Txn is not thread-safe but
 // different threads' transactions may run concurrently against the same Database.
-// Abort/commit leaves no locks held; TIDs embed the serialization epoch.
+// Abort/commit leaves no locks held; TIDs embed the serialization epoch. The sets,
+// the write-set hash and the scan row buffers keep their capacity across
+// transactions, so a warmed transaction allocates nothing of its own.
 #ifndef ZYGOS_DB_TXN_H_
 #define ZYGOS_DB_TXN_H_
 
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <optional>
 #include <span>
 #include <string>
@@ -44,6 +52,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/common/function_ref.h"
 #include "src/db/database.h"
 #include "src/db/record.h"
 
@@ -112,15 +121,17 @@ class Transaction {
 
   // Ordered scan of lo..hi (inclusive, descending optional), visiting at most `limit`
   // visible rows (0 = unlimited). `fn` returns false to stop early. Rows reflect this
-  // transaction's own pending writes; `value` is one buffer the scan reuses for every
-  // row, valid only during the call, and `record` is the row's handle for Write or
-  // Delete. The visited range is fingerprinted for phantom validation at commit. `fn`
-  // runs with no index lock held, so it may Read, Write, Insert, Delete or Scan on
-  // this transaction, the scanned table included.
+  // transaction's own pending writes; `value` is one buffer the transaction reuses for
+  // every row of every scan at this nesting depth, valid only during the call, and
+  // `record` is the row's handle for Write or Delete. The visited range is
+  // fingerprinted for phantom validation at commit. `fn` runs with no index lock held,
+  // so it may Read, Write, Insert, Delete or Scan on this transaction, the scanned
+  // table included.
   void Scan(TableId table, std::string_view lo, std::string_view hi, bool descending,
             uint64_t limit,
-            const std::function<bool(const std::string& key, const std::string& value,
-                                     Record* record)>& fn);
+            FunctionRef<bool(const std::string& key, const std::string& value,
+                             Record* record)>
+                fn);
 
   // Runs the commit protocol. `last_tid` is the calling thread's most recent commit TID
   // (in/out — threads own one, see TxnExecutor). After kCommitted, committed_tid() is
@@ -137,7 +148,11 @@ class Transaction {
   // Introspection for tests.
   size_t ReadSetSize() const { return reads_.size(); }
   size_t WriteSetSize() const { return write_count_; }
-  size_t ScanSetSize() const { return scans_.size(); }
+  size_t ScanSetSize() const { return scan_count_; }
+
+  // Slots of the write-set hash before its first growth; it doubles whenever it would
+  // become more than half full.
+  static constexpr size_t kInitialWriteSlots = 64;
 
  private:
   struct ReadEntry {
@@ -151,14 +166,19 @@ class Transaction {
     bool erase_after = false;  // structural unlink after install (deletes only)
     TableId table = 0;         // table and key are kept only for erase_after
     std::string key;
+    size_t slot = 0;           // this entry's slot in write_slots_
+  };
+  // A slot of the write-set hash: open addressing, linear probing.
+  struct WriteSlot {
+    const Record* record = nullptr;  // nullptr: empty
+    uint32_t entry = 0;              // index into writes_
   };
   struct ScanEntry {
     TableId table = 0;
-    std::string lo;
-    std::string hi;  // effective upper bound (shrunk when a limit stopped the walk)
+    std::string lo;  // effective bounds (one shrunk when the walk stopped early)
+    std::string hi;
     bool descending = false;
     uint64_t fingerprint = 0;
-    uint64_t count = 0;
     uint64_t erases = 0;  // the table's EraseCount() before the walk
   };
 
@@ -171,19 +191,23 @@ class Transaction {
   // exclusive insert walk only on a miss.
   Record* Resolve(TableId table, std::string_view key);
 
-  // The live write entries.
+  // The live write and scan entries.
   std::span<WriteEntry> Writes() { return {writes_.data(), write_count_}; }
-  WriteEntry* FindWrite(const Record* record);
+  std::span<const ScanEntry> Scans() const { return {scans_.data(), scan_count_}; }
+  // The slot of `record` in write_slots_, or the empty slot where it would go.
+  size_t SlotOf(const Record* record) const;
+  const WriteEntry* FindWrite(const Record* record) const;
   // The write entry for `record`, appended if the write set has none yet. An appended
   // entry reuses a slot of an earlier transaction, buffers included.
   WriteEntry& WriteFor(Record* record);
+  // Doubles write_slots_ and rehashes the live entries into it.
+  void GrowWriteSlots();
   void AddRead(Record* record, uint64_t observed_tid);
-  bool LockedByUs(const Record* record) const;
+  // Commit locks the whole write set before it validates, so during validation a
+  // record is locked by this transaction iff it is in the write set.
+  bool LockedByUs(const Record* record) const { return FindWrite(record) != nullptr; }
 
-  // Order-dependent hash of the visible keys in a range (phantom detection).
-  static uint64_t HashKey(uint64_t h, std::string_view key);
-
-  // Re-walks a scanned range and returns false if its visible-key fingerprint changed,
+  // Re-walks a scanned range and returns false if its visible-row fingerprint changed,
   // or if a key could have appeared in it and vanished again since the scan.
   bool ValidateScan(const ScanEntry& scan) const;
   bool InReadSet(const Record* record) const;
@@ -194,7 +218,17 @@ class Transaction {
   // strings' capacity, so a warmed write set buffers rows without allocating.
   std::vector<WriteEntry> writes_;
   size_t write_count_ = 0;
+  // Record -> write entry. Its size is 0 or a power of two at least twice
+  // write_count_; only the live entries' slots are occupied, so clearing it costs
+  // O(write_count_).
+  std::vector<WriteSlot> write_slots_;
+  // Entries [0, scan_count_) are this transaction's, reused as writes_ are.
   std::vector<ScanEntry> scans_;
+  size_t scan_count_ = 0;
+  // The row buffer Scan fills, one per nesting depth (a scan callback may scan); a
+  // deque, so a deeper scan's buffer never moves a shallower one's.
+  std::deque<std::string> scan_rows_;
+  size_t scan_depth_ = 0;
   std::vector<Record*> locked_;  // commit's write-set records, sorted by address
   uint64_t committed_tid_ = 0;
   bool poisoned_duplicate_ = false;
@@ -210,7 +244,7 @@ class TxnExecutor {
   // or `body` requests rollback by returning false (user abort, e.g. TPC-C's 1%
   // NewOrder rollback). Returns the final status: kCommitted, or kAborted for a user
   // abort, or kDuplicate if an insert failed.
-  TxnStatus Run(const std::function<bool(Transaction&)>& body);
+  TxnStatus Run(FunctionRef<bool(Transaction&)> body);
 
   uint64_t last_tid() const { return last_tid_; }
   uint64_t commits() const { return commits_; }

@@ -695,6 +695,96 @@ TEST_F(TxnTest, WarmedWritesThroughAHandleCommitWithoutAllocating) {
   EXPECT_EQ(Get("k").value_or("?"), update);
 }
 
+TEST_F(TxnTest, WarmedScanThenCommitAllocatesNothing) {
+  // Scan callbacks and transaction bodies are bound by reference, and the scan entries
+  // and the row buffer Scan fills are reused: a warmed transaction that scans rows
+  // longer than any inline string buffer, behind keys longer than one, writes one row
+  // through its handle and commits, reaches the heap not at all.
+  const std::string prefix = "a-scanned-range-key-";
+  for (int i = 0; i < 10; ++i) {
+    Put(prefix + std::to_string(i), std::string(100, 'v'));
+  }
+  const std::string lo = prefix + "0";
+  const std::string hi = prefix + "9";
+  const std::string update(100, 'w');
+  TxnExecutor executor(db_);
+  int rows = 0;
+  auto body = [&](Transaction& txn) {
+    rows = 0;
+    txn.Scan(table_, lo, hi, false, 0,
+             [&](const std::string&, const std::string& value, Record* record) {
+               if (rows++ == 0) {
+                 EXPECT_EQ(value.size(), 100u);
+                 txn.Write(record, update);
+               }
+               return true;
+             });
+    return true;
+  };
+  ASSERT_EQ(executor.Run(body), TxnStatus::kCommitted);
+  uint64_t before = g_allocs.load();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(executor.Run(body), TxnStatus::kCommitted);
+  }
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(rows, 10);
+  EXPECT_EQ(Get(lo).value_or("?"), update);
+}
+
+TEST_F(TxnTest, WriteSetBeyondItsInitialHashCapacityReadsBackAndCommitsEveryWrite) {
+  constexpr int kWrites = 4 * static_cast<int>(Transaction::kInitialWriteSlots);
+  auto key_of = [](int i) { return "w-" + std::to_string(i); };
+  Transaction txn(db_);
+  for (int i = 0; i < kWrites; ++i) {
+    txn.Write(table_, key_of(i), "v" + std::to_string(i));
+  }
+  // Writing a key again updates its entry; it adds none.
+  txn.Write(table_, key_of(0), "first");
+  EXPECT_EQ(txn.WriteSetSize(), static_cast<size_t>(kWrites));
+  for (int i = 0; i < kWrites; ++i) {
+    EXPECT_EQ(txn.Read(table_, key_of(i)).value_or("?"),
+              i == 0 ? "first" : "v" + std::to_string(i));
+  }
+  uint64_t last = 0;
+  ASSERT_EQ(txn.Commit(&last), TxnStatus::kCommitted);
+  for (int i = 0; i < kWrites; ++i) {
+    EXPECT_EQ(Get(key_of(i)).value_or("?"), i == 0 ? "first" : "v" + std::to_string(i));
+  }
+}
+
+TEST_F(TxnTest, NextTransactionOnTheSameObjectFindsNoEarlierWrite) {
+  // After a commit and after an abort, the write-set hash holds none of the previous
+  // transaction's records: the next transaction's reads go to the committed rows.
+  constexpr int kWrites = 2 * static_cast<int>(Transaction::kInitialWriteSlots);
+  auto key_of = [](int i) { return "n-" + std::to_string(i); };
+  Transaction txn(db_);
+  for (int i = 0; i < kWrites; ++i) {
+    txn.Write(table_, key_of(i), "committed");
+  }
+  uint64_t last = 0;
+  ASSERT_EQ(txn.Commit(&last), TxnStatus::kCommitted);
+  for (int i = 0; i < kWrites; i += 2) {
+    Put(key_of(i), "overwritten");  // by another transaction
+  }
+  for (int i = 0; i < kWrites; ++i) {
+    EXPECT_EQ(txn.Read(table_, key_of(i)).value_or("?"),
+              i % 2 == 0 ? "overwritten" : "committed");
+  }
+  EXPECT_EQ(txn.WriteSetSize(), 0u);
+  EXPECT_EQ(txn.ReadSetSize(), static_cast<size_t>(kWrites));  // no read was own
+  txn.Abort();
+
+  for (int i = 0; i < kWrites; ++i) {
+    txn.Write(table_, "p-" + std::to_string(i), "pending");
+  }
+  txn.Abort();
+  for (int i = 0; i < kWrites; ++i) {
+    EXPECT_FALSE(txn.Read(table_, "p-" + std::to_string(i)).has_value());
+  }
+  EXPECT_EQ(txn.WriteSetSize(), 0u);
+  txn.Abort();
+}
+
 TEST_F(TxnTest, InsertThenReadBack) {
   TxnExecutor executor(db_);
   EXPECT_EQ(executor.Run([&](Transaction& txn) {

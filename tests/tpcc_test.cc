@@ -5,6 +5,7 @@
 // multi-worker run through the runtime (src/services/tpcc_service.h), TID-regression
 // checks across bursts, and the malformed-request poison discipline.
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
 #include <string>
@@ -455,6 +456,78 @@ TEST_F(TpccFixture, ReadOnlyTransactionsCommit) {
     EXPECT_EQ(workload_->OrderStatus(executor, random), TxnStatus::kCommitted);
     EXPECT_EQ(workload_->StockLevel(executor, random), TxnStatus::kCommitted);
   }
+}
+
+TEST_F(TpccFixture, StockLevelCountMatchesABruteForceCountOfCommittedRows) {
+  Load(LoaderOptions::Tiny(1));
+  TpccDriver driver(db_, *workload_);
+  driver.Measure(/*count=*/400, /*warmup=*/0, /*seed=*/41);  // recent orders of every kind
+  TxnExecutor executor(db_);
+  int32_t total = 0;
+  for (int32_t d = 1; d <= kTpccDistrictsPerWarehouse; ++d) {
+    // The distinct items of the district's last 20 orders, read transactionally.
+    const int32_t next =
+        ReadRow<DistrictNextOrderRow>(tables_.district_next_o_id, DistrictKey(1, d))
+            .d_next_o_id;
+    std::set<int32_t> items;
+    Transaction txn(db_);
+    txn.Scan(tables_.order_line, OrderLineKey(1, d, std::max(1, next - 20), 0),
+             OrderLineKey(1, d, next - 1, INT32_MAX), false, 0,
+             [&items](const std::string&, const std::string& value, Record*) {
+               items.insert(DecodeRow<OrderLineRow>(value).ol_i_id);
+               return true;
+             });
+    txn.Abort();
+    ASSERT_FALSE(items.empty()) << "district " << d;
+    for (int32_t threshold = 10; threshold <= 20; ++threshold) {
+      int32_t expected = 0;
+      for (int32_t i_id : items) {
+        if (ReadRow<StockRow>(tables_.stock, StockKey(1, i_id)).s_quantity < threshold) {
+          expected++;
+        }
+      }
+      int32_t low_stock = -1;
+      ASSERT_EQ(workload_->StockLevel(executor, StockLevelParams{1, d, threshold},
+                                      &low_stock),
+                TxnStatus::kCommitted);
+      EXPECT_EQ(low_stock, expected) << "district " << d << " threshold " << threshold;
+      total += low_stock;
+    }
+  }
+  EXPECT_GT(total, 0);  // the comparison saw low-stock items, not only zeros
+  EXPECT_EQ(executor.retries(), 0u);
+}
+
+TEST_F(TpccFixture, StockLevelBesideConcurrentNewOrdersNeverRetries) {
+  // StockLevel reads committed rows with no transaction, so a NewOrder committing on
+  // another thread in the middle of it can never make it retry.
+  Load(LoaderOptions::Tiny(1));
+  std::atomic<bool> ordering{true};
+  std::thread orderer([&] {
+    TxnExecutor executor(db_);
+    TpccRandom random(43);
+    for (int i = 0; i < 1500; ++i) {
+      workload_->NewOrder(executor, random);
+    }
+    ordering.store(false);
+  });
+  TxnExecutor executor(db_);
+  TpccRandom random(47);
+  int runs = 0;
+  while (ordering.load() || runs < 100) {
+    StockLevelParams params = SampleStockLevel(random, options_);
+    int32_t low_stock = -1;
+    EXPECT_EQ(workload_->StockLevel(executor, params, &low_stock), TxnStatus::kCommitted);
+    // At most 20 orders of at most 15 lines each.
+    EXPECT_GE(low_stock, 0);
+    EXPECT_LE(low_stock, 20 * kTpccMaxOrderLines);
+    runs++;
+  }
+  orderer.join();
+  EXPECT_EQ(executor.retries(), 0u);
+  EXPECT_EQ(executor.user_aborts(), 0u);
+  CheckConsistencyConditions();
+  CheckOrderLineCounts();
 }
 
 TEST_F(TpccFixture, MixFractionsMatchTheSpec) {
