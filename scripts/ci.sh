@@ -78,6 +78,12 @@ smoke_live micro_dataplane '^pooled,' --requests=50000 --warmup=10000
 smoke_live fig6_live_runtime '^zygos,' --transport=tcp --configs=zygos \
   --rates=1500 --duration-ms=400 --warmup-ms=100 --dist=exponential \
   --service-us=100 --service-mode=sleep --workers=2 --connections=8 --seed=7
+# The same point in the paper's regime: a 25 us exponential spin with every flow
+# homed on core 0 (the default skew), so the spin loop's safe points answer the
+# doorbells of the idle core over real sockets, under the same gates.
+smoke_live fig6_live_runtime '^zygos,' --transport=tcp --configs=zygos \
+  --rates=4000 --duration-ms=400 --warmup-ms=100 --dist=exponential \
+  --service-us=25 --service-mode=spin --workers=2 --connections=8 --seed=7
 # One low churn rate, real TCP, small table.
 smoke_live churn_live_runtime '^30,' --rate=1500 --churn-ms=30 --duration-ms=600 \
   --warmup-ms=200 --connections=4 --threads=2 --max-flows=16 --seed=7
@@ -241,7 +247,7 @@ cmake --build "${BUILD_DIR}-ubsan" -j "${JOBS}" --target net_test tpcc_test kvst
 ctest --test-dir "${BUILD_DIR}-ubsan" -R 'net_test|tpcc_test|kvstore_test' \
   --output-on-failure -j "${JOBS}"
 
-echo "== ThreadSanitizer: lock-free queues, core scheduler, Silo layer (${BUILD_DIR}-tsan)"
+echo "== ThreadSanitizer: lock-free queues, core scheduler, Silo layer, safe points (${BUILD_DIR}-tsan)"
 # The MPMC/SPSC rings and the core scheduler are where a missing acquire/release or
 # a plain access racing an atomic one would hide: a normal build on x86 forgives
 # most of them. db_test and tpcc_test cover the Silo layer two workers share: the
@@ -254,8 +260,11 @@ cmake -B "${BUILD_DIR}-tsan" -S . -DZYGOS_BUILD_BENCH=OFF -DZYGOS_BUILD_EXAMPLES
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -Werror=tsan" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" --target concurrency_test core_test \
-  db_test tpcc_test
+  db_test tpcc_test runtime_test
 ctest --test-dir "${BUILD_DIR}-tsan" -R 'concurrency_test|core_test|db_test|tpcc_test' \
   --output-on-failure -j "${JOBS}"
+# The live IPI: a handler's safe point drains remote syscalls and polls RX on its
+# worker while idle cores peek that worker's receive queue and ring its doorbell.
+"${BUILD_DIR}-tsan/runtime_test" --gtest_filter='*SafePoint*'
 
 echo "CI OK"

@@ -7,9 +7,8 @@
 // cursors (mpmc_queue.h); TcpTransport::PerQueue
 // (src/runtime/tcp_transport.h); LatencyCollector's histogram shards
 // (src/runtime/client.h); IoSlab's data offset (src/common/buffer_pool.h) — the
-// refcount churns cross-core, the payload bytes must not ride the same line. There is
-// no per-core interrupt flag: the live runtime polls, and IPIs are modelled only in
-// the discrete-event model (src/sysmodel/zygos_model.cc).
+// refcount churns cross-core, the payload bytes must not ride the same line; Doorbell
+// (src/runtime/runtime.h) — the per-core interrupt flag other cores ring.
 #ifndef ZYGOS_CONCURRENCY_CACHE_LINE_H_
 #define ZYGOS_CONCURRENCY_CACHE_LINE_H_
 

@@ -79,14 +79,18 @@ class Record {
           // above: the second TID load then rejects whatever was copied.
           size_t n = std::min({size, capacity, buffer->words * 8});
           const std::atomic<uint64_t>* words = buffer->data();
-          size_t i = 0;
-          for (; (i + 1) * 8 <= n; ++i) {
-            uint64_t word = words[i].load(std::memory_order_acquire);
-            std::memcpy(out + i * 8, &word, 8);
+          // Whole words, then the partial tail word. Both tests also check
+          // `capacity` itself (n <= capacity already): inlined with a constant
+          // capacity, they fold, and the compiler sees no copy run past `dst` (GCC
+          // does not fold the three-way std::min above).
+          size_t done = 0;
+          for (; done + 8 <= n && done + 8 <= capacity; done += 8) {
+            uint64_t word = words[done / 8].load(std::memory_order_acquire);
+            std::memcpy(out + done, &word, 8);
           }
-          if (i * 8 < n) {
-            uint64_t word = words[i].load(std::memory_order_acquire);
-            std::memcpy(out + i * 8, &word, n - i * 8);
+          if (done < n && done < capacity) {
+            uint64_t word = words[done / 8].load(std::memory_order_acquire);
+            std::memcpy(out + done, &word, n - done);
           }
         }
       }

@@ -28,10 +28,8 @@ int32_t KeySuffixId(std::string_view key) {
 }
 
 // Copies the latest committed version of `record` into the `size` bytes at `row`;
-// false if the record is absent (an insert not yet committed, or a delete). Out of
-// line: inlined with a row shorter than a word, GCC cannot see that StableRead's word
-// loop stops short of it and reports -Warray-bounds.
-[[gnu::noinline]] bool ReadCommitted(const Record& record, void* row, size_t size) {
+// false if the record is absent (an insert not yet committed, or a delete).
+bool ReadCommitted(const Record& record, void* row, size_t size) {
   return !TidWord::Absent(record.StableRead(row, size).tid);
 }
 
@@ -157,7 +155,7 @@ TxnStatus TpccWorkload::Run(TpccTxnType type, TxnExecutor& executor, TpccRandom&
     case TpccTxnType::kDelivery:
       return Delivery(executor, random);
     case TpccTxnType::kStockLevel:
-      return StockLevel(executor, random);
+      return StockLevel(random);
   }
   return TxnStatus::kAborted;
 }
@@ -473,8 +471,7 @@ TxnStatus TpccWorkload::Delivery(TxnExecutor& executor, const DeliveryParams& pa
   });
 }
 
-TxnStatus TpccWorkload::StockLevel(TxnExecutor& /*executor*/,
-                                   const StockLevelParams& params, int32_t* low_stock) {
+TxnStatus TpccWorkload::StockLevel(const StockLevelParams& params, int32_t* low_stock) {
   // Read committed, which clause 2.8.2.3 allows: every row is the latest committed
   // version, copied with Record::StableRead through the index, and absent records are
   // skipped. No Transaction, so no read set and no validation: nothing can make

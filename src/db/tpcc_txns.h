@@ -126,11 +126,10 @@ class TpccWorkload {
   // StockLevel runs at read committed, which clause 2.8.2.3 allows ("All data read
   // must be committed and no older than the most recently committed data prior to the
   // time this business transaction was initiated"): it copies the latest committed
-  // rows through the index with no Transaction, so it never aborts or retries and
-  // leaves `executor` untouched. Stores the number of distinct low-stock items in
-  // `*low_stock` when that is non-null.
-  TxnStatus StockLevel(TxnExecutor& executor, const StockLevelParams& params,
-                       int32_t* low_stock = nullptr);
+  // rows through the index with no Transaction, so it takes no executor and never
+  // aborts or retries. Stores the number of distinct low-stock items in `*low_stock`
+  // when that is non-null.
+  TxnStatus StockLevel(const StockLevelParams& params, int32_t* low_stock = nullptr);
 
   // One execution of NewOrder's body on `txn`, without the commit (false requests a
   // rollback): what NewOrder's retry loop runs, with o_entry_d = `entry_d`. Public so
@@ -150,8 +149,8 @@ class TpccWorkload {
   TxnStatus Delivery(TxnExecutor& executor, TpccRandom& random) {
     return Delivery(executor, SampleDelivery(random, scale_));
   }
-  TxnStatus StockLevel(TxnExecutor& executor, TpccRandom& random) {
-    return StockLevel(executor, SampleStockLevel(random, scale_));
+  TxnStatus StockLevel(TpccRandom& random) {
+    return StockLevel(SampleStockLevel(random, scale_));
   }
 
   const TpccTables& tables() const { return tables_; }

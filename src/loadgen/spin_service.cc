@@ -63,9 +63,13 @@ ViewHandler MakeSpinService(std::shared_ptr<const ServiceTimeDistribution> distr
     (void)flow_id;
     Nanos service = distribution->Sample(state->ForThisThread());
     if (mode == ServiceMode::kSpin) {
+      // Busy-poll: the clock read itself is the work, as in the paper's spin loop.
+      // Every iteration is a safe point that answers a rung doorbell (the live IPI);
+      // the deadline moves back by the time spent there, so the request still burns
+      // its whole sampled service time outside safe points.
       Nanos deadline = NowNanos() + service;
       while (NowNanos() < deadline) {
-        // Busy-poll: the clock read itself is the work, as in the paper's spin loop.
+        deadline += Runtime::SafePoint();
       }
     } else {
       std::this_thread::sleep_for(std::chrono::nanoseconds(service));

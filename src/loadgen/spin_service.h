@@ -4,13 +4,19 @@
 //
 // Two ways to burn the sampled time:
 //   kSpin   busy-poll the clock (CPU-bound, the paper's synthetic microbenchmark).
-//           Faithful when every worker owns a hardware thread.
+//           Faithful when every worker owns a hardware thread. The loop calls
+//           Runtime::SafePoint on every iteration, so a home core stuck in a long
+//           request still answers its doorbell (§4.5's IPI): it polls new requests
+//           into its shuffle queue for idle cores to steal and ships their responses.
+//           The time spent there is added back to the deadline: every request burns
+//           its full sampled service time outside safe points, as the DES resumes a
+//           preempted task with its remaining service time.
 //   kSleep  block in nanosleep (an I/O-bound stand-in). On hosts with fewer hardware
 //           threads than workers — like CI containers — kSpin degenerates into pure
 //           timesharing noise, while kSleep keeps concurrent requests genuinely
 //           overlappable, so stealing and no-steal remain distinguishable. The OS
 //           timer adds ~50 µs of slack per sleep; use mean service times well above
-//           that.
+//           that. A sleeping handler reaches no safe point.
 //
 // The response echoes the request payload; EchoHandler is the same service with no
 // service time.

@@ -21,6 +21,12 @@ std::unique_ptr<Transport> MakeLoopbackTransport(const RuntimeOptions& options,
   return transport;
 }
 
+// The runtime and core whose claimed connection the calling thread is executing: set
+// around a batch of handler calls, null everywhere else — on non-worker threads, in
+// the worker loop, and inside a safe point, where Runtime::SafePoint is a no-op.
+thread_local Runtime* t_handler_runtime = nullptr;
+thread_local int t_handler_core = -1;
+
 }  // namespace
 
 Runtime::Runtime(RuntimeOptions options, ViewHandler handler,
@@ -50,6 +56,7 @@ Runtime::Runtime(RuntimeOptions options, std::unique_ptr<Transport> transport,
     remote_queues_.push_back(std::make_unique<MpmcQueue<RemoteSyscall>>(
         options_.ring_capacity));
     stats_.push_back(std::make_unique<WorkerStats>());
+    doorbells_.push_back(std::make_unique<Doorbell>());
     worker_rngs_.push_back(seeder.Fork());
   }
 }
@@ -137,6 +144,7 @@ WorkerStats Runtime::TotalStats() const {
     total.app_events += stats->app_events;
     total.stolen_events += stats->stolen_events;
     total.remote_syscalls += stats->remote_syscalls;
+    total.doorbells_sent += stats->doorbells_sent;
     total.pool_hits += stats->pool_hits;
     total.pool_misses += stats->pool_misses;
     total.pool_remote_frees += stats->pool_remote_frees;
@@ -165,7 +173,13 @@ void Runtime::WorkerLoop(int core) {
     stats.pool_misses = snapshot.misses();
     stats.pool_remote_frees = snapshot.remote_frees;
   };
+  Doorbell& bell = *doorbells_[static_cast<size_t>(core)];
   while (true) {
+    // A rung bell asks for a remote-syscall drain and an RX poll, which this pass
+    // runs anyway.
+    if (bell.rung.load(std::memory_order_relaxed)) {
+      bell.rung.store(false, std::memory_order_relaxed);
+    }
     bool worked = false;
     // Priority 1: remote batched syscalls (they hold socket ownership and directly
     // add to RPC latency, §4.5).
@@ -197,6 +211,9 @@ void Runtime::WorkerLoop(int core) {
         ExecuteConnection(core, pcb, /*stolen=*/true);
         continue;
       }
+      // (c)/(d) Packets behind a busy home core: ring it, so its next safe point
+      // polls them into its shuffle queue, where the next pass can steal them.
+      RingBusyHomes(core);
     }
     if (stop_.load(std::memory_order_acquire)) {
       mirror_pool_stats();  // final exact values for post-Shutdown readers
@@ -208,11 +225,53 @@ void Runtime::WorkerLoop(int core) {
   }
 }
 
+void Runtime::Ring(int target, int core) {
+  std::atomic<bool>& rung = doorbells_[static_cast<size_t>(target)]->rung;
+  // Release: the responses a thief shipped before ringing are visible to the safe
+  // point that sees the bell.
+  if (!rung.load(std::memory_order_relaxed) &&
+      !rung.exchange(true, std::memory_order_release)) {
+    stats_[static_cast<size_t>(core)]->doorbells_sent++;
+  }
+}
+
+void Runtime::RingBusyHomes(int core) {
+  for (int target = 0; target < options_.num_workers; ++target) {
+    const Doorbell& bell = *doorbells_[static_cast<size_t>(target)];
+    if (target != core && bell.in_handler.load(std::memory_order_relaxed) &&
+        !bell.rung.load(std::memory_order_relaxed) &&
+        transport_->ApproxNonEmpty(target)) {
+      Ring(target, core);
+    }
+  }
+}
+
+Nanos Runtime::SafePoint() {
+  Runtime* runtime = t_handler_runtime;
+  if (runtime == nullptr) {
+    return 0;
+  }
+  const int core = t_handler_core;
+  std::atomic<bool>& rung = runtime->doorbells_[static_cast<size_t>(core)]->rung;
+  if (!rung.load(std::memory_order_acquire)) {
+    return 0;
+  }
+  const Nanos start = NowNanos();
+  rung.store(false, std::memory_order_relaxed);
+  // Completion callbacks fired by the drain below see a thread outside any handler.
+  t_handler_runtime = nullptr;
+  runtime->DrainRemoteSyscalls(core);
+  runtime->NetstackRx(core);
+  t_handler_runtime = runtime;
+  return NowNanos() - start;
+}
+
 uint64_t Runtime::DrainRemoteSyscalls(int core) {
   WorkerStats& stats = *stats_[static_cast<size_t>(core)];
   uint64_t executed = 0;
   std::array<RemoteSyscall, kTxBatch> calls;
-  // Per-worker scratch (threads are never nested into this function): its capacity
+  // Per-worker scratch (never nested: a safe point runs this function only from
+  // inside a handler, and neither it nor the handler runs from here): its capacity
   // persists across passes, so the steady-state drain performs no vector growth.
   static thread_local std::vector<TxSegment> batch;
   while (true) {
@@ -248,9 +307,10 @@ uint64_t Runtime::DrainRemoteSyscalls(int core) {
 uint64_t Runtime::NetstackRx(int core) {
   WorkerStats& stats = *stats_[static_cast<size_t>(core)];
   std::array<Segment, kRxBatch> segments;
-  // Per-worker control scratch (never nested): lifecycle events ride the same poll
-  // as segments and are processed first — the transport orders an open before the
-  // flow's first segment and never delivers segments after a close.
+  // Per-worker control scratch (never nested: a safe point runs this function only
+  // from inside a handler): lifecycle events ride the same poll as segments and are
+  // processed first — the transport orders an open before the flow's first segment
+  // and never delivers segments after a close.
   static thread_local std::vector<ControlEvent> control;
   control.clear();
   size_t n = transport_->PollBatch(core, std::span<Segment>(segments.data(), kRxBatch),
@@ -452,6 +512,12 @@ uint64_t Runtime::ExecuteConnection(int core, Pcb* pcb, bool stolen) {
   static thread_local std::vector<TxSegment> responses;
   responses.clear();
   responses.reserve(events.size());
+  // Inside a handler: idle cores may ring this core's doorbell, and the handler's
+  // safe points answer it (they run the drain and the RX poll, never this function).
+  Doorbell& bell = *doorbells_[static_cast<size_t>(core)];
+  bell.in_handler.store(true, std::memory_order_relaxed);
+  t_handler_runtime = this;
+  t_handler_core = core;
   for (PcbEvent& event : events) {
     TxSegment response;
     response.flow_id = pcb->flow_id();
@@ -484,6 +550,8 @@ uint64_t Runtime::ExecuteConnection(int core, Pcb* pcb, bool stolen) {
     }
     responses.push_back(std::move(response));
   }
+  t_handler_runtime = nullptr;
+  bell.in_handler.store(false, std::memory_order_relaxed);
 
   if (!stolen || responses.empty()) {
     // Home-core path (or a raced-to-empty claim): transmit directly, release ownership.
@@ -504,11 +572,14 @@ uint64_t Runtime::ExecuteConnection(int core, Pcb* pcb, bool stolen) {
     call.tx = std::move(responses[i]);
     call.pcb = (i + 1 == responses.size()) ? pcb : nullptr;
     // The remote queue is bounded; a full queue back-pressures the thief (responses
-    // must not be dropped).
+    // must not be dropped) and rings the home core, whose safe point drains it.
     while (!remote_queues_[static_cast<size_t>(home)]->TryPushRef(call)) {
+      Ring(home, core);
       std::this_thread::yield();
     }
   }
+  // The home core may be inside a long handler: its next safe point ships these.
+  Ring(home, core);
   size_t executed = events.size();
   responses.clear();  // elements were moved into the remote queue; drop the husks
   events.clear();

@@ -28,13 +28,17 @@
 // Work conservation comes from the idle loop (§5): a worker with no local work peeks
 // its own receive queue (step (a)), then, with RuntimeOptions::enable_stealing set,
 // steals one ready connection from a remote shuffle queue (step (b),
-// ShuffleLayer::StealAny). A worker reads no other core's receive queue. The runtime
-// polls: every pass runs the remote-syscall drain and one RX batch, so there is no IPI
-// (§4.5) to send — a home core busy in a long handler serves its shipped responses
-// and packets when the handler returns. IPIs and their ablation are modelled only in
-// the discrete-event model (src/sysmodel/zygos_model.cc); docs/ARCHITECTURE.md
-// "Deleted: live doorbell and partitioned mode" records the measurement that retired
-// the live flag.
+// ShuffleLayer::StealAny). A worker whose steal found nothing peeks the receive queue
+// of every core that is inside a handler and rings that core's Doorbell if packets
+// wait there (steps (c)/(d)); a thief rings the home core's bell after shipping a
+// stolen batch's responses. The bell is the live IPI (§4.5): user-level code cannot
+// be interrupted, so a handler answers it at a safe point (Runtime::SafePoint), which
+// drains the remote syscalls and polls one RX batch — new requests become stealable
+// and the thieves' responses leave, then the handler resumes. A handler that never
+// calls SafePoint serves its core's shipped responses and packets when it returns,
+// as a worker loop pass drains and polls anyway. The discrete-event model
+// (src/sysmodel/zygos_model.cc) models true preemption and its ablation;
+// docs/ARCHITECTURE.md "Safe points: the live IPI" records the live measurement.
 //
 // Contract: all timestamps are wall-clock Nanos (std::steady_clock based). Inject/
 // InjectBytes are thread-safe (any client thread, any time between Start and Shutdown;
@@ -122,7 +126,7 @@ struct alignas(kCacheLineSize) WorkerStats {
   uint64_t app_events = 0;        // requests executed on this core
   uint64_t stolen_events = 0;     // requests this core executed for another home core
   uint64_t remote_syscalls = 0;   // responses executed here on behalf of thieves
-  uint64_t doorbells_sent = 0;    // always 0; read only by frozen perfbench/bench.cc
+  uint64_t doorbells_sent = 0;    // doorbells this core rang (silent bell -> rung)
   // Buffer-pool observability (this worker's thread pool, refreshed every pass):
   // heap allocations per request on this core == pool_misses / app_events; flat
   // pool_misses after warmup is the allocation-free steady state.
@@ -140,6 +144,17 @@ struct alignas(kCacheLineSize) WorkerStats {
   // backfills with its own clock). The conformance suite gates this to zero for
   // every backend.
   uint64_t rx_unstamped = 0;
+};
+
+// One core's doorbell, the live runtime's IPI (§4.5). Cache-line aligned: other
+// cores read `in_handler` and write `rung`, the owner spins on `rung` at safe points.
+struct alignas(kCacheLineSize) Doorbell {
+  // Set by another core (an idle peeker or a thief with shipped responses); cleared by
+  // the owner before it drains and polls, at a safe point or a worker loop pass.
+  std::atomic<bool> rung{false};
+  // The owner is executing a claimed connection's handlers; only such a core is worth
+  // ringing for packets, every other one polls its receive queue on its next pass.
+  std::atomic<bool> in_handler{false};
 };
 
 class Runtime {
@@ -217,6 +232,15 @@ class Runtime {
 
   const RuntimeOptions& options() const { return options_; }
 
+  // The handler side of the live IPI. Called from inside a handler on a worker thread,
+  // it answers the worker's rung doorbell: clears it, drains the core's remote
+  // syscalls and polls one RX batch (so packets behind a long handler become
+  // stealable), and returns the wall-clock time that took. Returns 0 at once when the
+  // bell is silent, on a thread that is not inside a handler, and when nested (a
+  // completion callback run by the safe point itself). A handler that burns a service
+  // time must add the returned time to its deadline: safe-point work is not service.
+  static Nanos SafePoint();
+
  private:
   // One response shipped from a thief back to the home core (Fig. 4 step (b)).
   struct RemoteSyscall {
@@ -254,6 +278,11 @@ class Runtime {
   static constexpr size_t kTxBatch = 64;
 
   void WorkerLoop(int core);
+  // Rings `target`'s doorbell from `core`; counts the ring when the bell was silent.
+  void Ring(int target, int core);
+  // Idle-loop steps (c)/(d): rings every other core that is inside a handler while
+  // packets wait on its receive queue.
+  void RingBusyHomes(int core);
   // Drains this core's remote-syscall queue in batches; returns the number executed.
   uint64_t DrainRemoteSyscalls(int core);
   // Pulls one transport batch from the core's queue through the parser into PCB event
@@ -290,6 +319,7 @@ class Runtime {
   std::vector<std::unique_ptr<CoreLifecycle>> lifecycle_;
   std::vector<std::unique_ptr<MpmcQueue<RemoteSyscall>>> remote_queues_;
   std::vector<std::unique_ptr<WorkerStats>> stats_;
+  std::vector<std::unique_ptr<Doorbell>> doorbells_;
   std::vector<std::thread> workers_;
   std::vector<Rng> worker_rngs_;
   std::atomic<bool> stop_{false};

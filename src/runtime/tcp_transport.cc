@@ -213,8 +213,9 @@ bool TcpTransport::ApproxNonEmpty(int queue) const {
     return true;
   }
   // Zero-timeout peek: level-triggered readiness is not consumed by observing it —
-  // the idle loop's own-queue step (a). (Deliberately NOT counted in IoSyscalls: it
-  // is the idle spin's cost, not the data path's.)
+  // the idle loop's own-queue step (a), or an idle core checking a busy home core's
+  // backlog. (Deliberately NOT counted in IoSyscalls: it is the idle spin's cost, not
+  // the data path's.)
   epoll_event ev;
   return ::epoll_wait(pq.epfd, &ev, 1, 0) > 0;
 }

@@ -39,8 +39,8 @@
 //
 // ApproxNonEmpty peeks the queue's epoll set with a zero-timeout wait (level-triggered
 // readiness is not consumed by observers) and the accept ring. The idle loop peeks
-// only its own queue: the live runtime polls, so no core watches another's backlog
-// to send it an IPI (IPIs are modelled only in the discrete-event model).
+// its own queue and, after a failed steal, the queue of a core busy in a handler —
+// the peek that decides whether to ring that core's doorbell (the live IPI).
 //
 // Contract: Start binds/listens and launches the acceptor; port() is valid after
 // Start (bind to port 0 for an ephemeral port). Stop joins the acceptor and closes

@@ -147,8 +147,9 @@ class Transport {
   // socket). Home-core-only: `queue` must be QueueOf(flow) for every element.
   virtual size_t TransmitBatch(int queue, std::span<TxSegment> batch) = 0;
 
-  // Racy occupancy peek, safe from any thread. The runtime's idle loop peeks only the
-  // calling worker's own queue (§5 step (a)).
+  // Racy occupancy peek, safe from any thread. The runtime's idle loop peeks the
+  // calling worker's own queue (§5 step (a)) and, after a failed steal, the queue of
+  // each core that is inside a handler, to ring that core's doorbell (steps (c)/(d)).
   virtual bool ApproxNonEmpty(int queue) const = 0;
 
   // Severs a flow at the transport level (poisoned frame stream, unserviceable flow

@@ -6,7 +6,7 @@
 // consumer head, a submit path that counts every io_uring_enter (the
 // syscalls-per-request metric the benches report), CQE peek/advance for the
 // single-consumer home core, and an any-thread CQ occupancy probe behind
-// ApproxNonEmpty (the idle loop's own-queue step).
+// ApproxNonEmpty (the idle loop's peeks).
 //
 // Deliberate simplifications vs liburing:
 //   - No kernel SQ poller thread, no provided-buffer rings and no standing
@@ -17,8 +17,8 @@
 //     invisible to *other* threads until the issuer enters the kernel, which would
 //     break the Transport contract's any-thread ApproxNonEmpty — the same trade the
 //     epoll backend makes by using level-triggered readiness as its peek. The live
-//     runtime itself peeks only a worker's own ring: it polls and sends no IPIs
-//     (they are modelled only in the discrete-event model).
+//     runtime peeks another worker's ring when that worker is busy in a handler,
+//     to decide whether to ring its doorbell.
 //   - The SQ index array is identity-mapped once at Init; SQEs are used in ring
 //     order, which is all a batch-submit transport needs.
 //

@@ -307,28 +307,33 @@ TpccWireStatus TpccService::HandleView(std::string_view request_payload,
     return TpccWireStatus::kMalformed;
   }
 
-  auto executor = AcquireExecutor();
-  const uint64_t retries_before = executor->retries();
   TxnStatus status = TxnStatus::kAborted;
-  switch (request->type) {
-    case TpccTxnType::kNewOrder:
-      status = workload_.NewOrder(*executor, request->new_order);
-      break;
-    case TpccTxnType::kPayment:
-      status = workload_.Payment(*executor, request->payment);
-      break;
-    case TpccTxnType::kOrderStatus:
-      status = workload_.OrderStatus(*executor, request->order_status);
-      break;
-    case TpccTxnType::kDelivery:
-      status = workload_.Delivery(*executor, request->delivery);
-      break;
-    case TpccTxnType::kStockLevel:
-      status = workload_.StockLevel(*executor, request->stock_level);
-      break;
+  uint64_t retries = 0;
+  if (request->type == TpccTxnType::kStockLevel) {
+    // Read committed with no transaction: no executor to borrow, nothing to retry.
+    status = workload_.StockLevel(request->stock_level);
+  } else {
+    auto executor = AcquireExecutor();
+    const uint64_t retries_before = executor->retries();
+    switch (request->type) {
+      case TpccTxnType::kNewOrder:
+        status = workload_.NewOrder(*executor, request->new_order);
+        break;
+      case TpccTxnType::kPayment:
+        status = workload_.Payment(*executor, request->payment);
+        break;
+      case TpccTxnType::kOrderStatus:
+        status = workload_.OrderStatus(*executor, request->order_status);
+        break;
+      case TpccTxnType::kDelivery:
+        status = workload_.Delivery(*executor, request->delivery);
+        break;
+      case TpccTxnType::kStockLevel:
+        break;  // dispatched above
+    }
+    retries = executor->retries() - retries_before;
+    ReleaseExecutor(std::move(executor));
   }
-  const uint64_t retries = executor->retries() - retries_before;
-  ReleaseExecutor(std::move(executor));
 
   occ_retries_.fetch_add(retries, std::memory_order_relaxed);
   TpccWireStatus wire_status;

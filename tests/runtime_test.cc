@@ -1,8 +1,9 @@
 // Tests for the real-thread runtime: completion of every accepted request, the §4.3
 // per-connection ordering guarantee under stealing, exclusive socket ownership
 // (handlers for one flow never run concurrently), work stealing under skewed RSS
-// layouts, no-steal isolation, the idle loop's own-queue-only peeks, frame
-// reassembly, and clean shutdown — all exercised through the Transport interface with
+// layouts, no-steal isolation, one poller per receive queue, safe points (the live
+// IPI: a thief serves a request queued behind a long handler), frame reassembly, and
+// clean shutdown — all exercised through the Transport interface with
 // BOTH backends: LoopbackTransport (in-process rings) and TcpTransport (real epoll
 // sockets over the loopback interface). The TCP tests assert that stealing and remote
 // batched syscalls remain observable in WorkerStats when traffic arrives from real
@@ -19,6 +20,7 @@
 #include <atomic>
 #include <cerrno>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -382,9 +384,9 @@ TEST(RuntimeTest, StealingDisabledRecordsZeroStealsUnderSkewedRss) {
 }
 
 // Forwards to a LoopbackTransport and records which thread polls each queue (a worker
-// polls exactly its own). Each ApproxNonEmpty(q) is counted as an own peek when q's
-// poller makes it and as a foreign peek (a worker peeking another core's receive
-// queue) otherwise.
+// polls exactly its own), counting every poll by a thread other than the queue's
+// first poller. Each ApproxNonEmpty(q) is counted as an own peek when q's poller makes
+// it and as a foreign peek (a worker peeking another core's receive queue) otherwise.
 class PeekRecordingTransport final : public Transport {
  public:
   PeekRecordingTransport(int queues, int flow_groups, size_t ring_capacity)
@@ -397,7 +399,12 @@ class PeekRecordingTransport final : public Transport {
   RssTable& mutable_rss() override { return inner_.mutable_rss(); }
   size_t PollBatch(int queue, std::span<Segment> out,
                    std::vector<ControlEvent>& control) override {
-    pollers_[static_cast<size_t>(queue)].store(std::this_thread::get_id());
+    std::thread::id first{};
+    if (!pollers_[static_cast<size_t>(queue)].compare_exchange_strong(
+            first, std::this_thread::get_id()) &&
+        first != std::this_thread::get_id()) {
+      second_pollers_.fetch_add(1);
+    }
     return inner_.PollBatch(queue, out, control);
   }
   size_t TransmitBatch(int queue, std::span<TxSegment> batch) override {
@@ -412,18 +419,22 @@ class PeekRecordingTransport final : public Transport {
 
   uint64_t own_peeks() const { return own_peeks_.load(); }
   uint64_t foreign_peeks() const { return foreign_peeks_.load(); }
+  uint64_t second_pollers() const { return second_pollers_.load(); }
 
  private:
   LoopbackTransport inner_;
   std::vector<std::atomic<std::thread::id>> pollers_;
   mutable std::atomic<uint64_t> own_peeks_{0};
   mutable std::atomic<uint64_t> foreign_peeks_{0};
+  std::atomic<uint64_t> second_pollers_{0};
 };
 
-// The idle loop reads only its own receive queue (§5 step (a), ahead of any steal) and
-// remote shuffle queues: a worker never peeks another core's receive queue, even while
-// every flow is homed on core 0 and the other three workers idle-loop and steal.
-TEST(RuntimeTest, IdleWorkersNeverPeekRemoteReceiveQueues) {
+// Layer-1 isolation under the idle loop: each receive queue is polled by exactly one
+// thread, even while every flow is homed on core 0 and the other three workers
+// idle-loop and steal. Idle workers peek their own queue (§5 step (a)) and, after a
+// failed steal, the queue of a core busy in a handler (steps (c)/(d), to ring its
+// doorbell); with no traffic no core is in a handler, so none peeks a remote queue.
+TEST(RuntimeTest, ReceiveQueuesHaveOnePollerAndQuietCoresPeekNoRemoteQueue) {
   RuntimeOptions options = SmallOptions(/*workers=*/4, /*flows=*/32);
   auto owned = std::make_unique<PeekRecordingTransport>(
       options.num_workers, options.num_flow_groups, options.ring_capacity);
@@ -432,6 +443,9 @@ TEST(RuntimeTest, IdleWorkersNeverPeekRemoteReceiveQueues) {
   runtime.mutable_rss().SetIndirection(
       std::vector<int>(static_cast<size_t>(options.num_flow_groups), 0));
   runtime.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(transport->foreign_peeks(), 0u)
+      << "a quiet worker peeked a receive queue it does not poll";
   uint64_t injected = 0;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(8);
   for (int wave = 0; wave < 12 || (runtime.TotalShuffleStats().steals == 0 &&
@@ -449,8 +463,8 @@ TEST(RuntimeTest, IdleWorkersNeverPeekRemoteReceiveQueues) {
   EXPECT_EQ(runtime.TotalStats().app_events, injected);
   EXPECT_GT(runtime.TotalShuffleStats().steals, 0u) << "the idle loop never ran a steal";
   EXPECT_GT(transport->own_peeks(), 0u) << "idle workers skipped their own-queue peek";
-  EXPECT_EQ(transport->foreign_peeks(), 0u)
-      << "a worker peeked a receive queue it does not poll";
+  EXPECT_EQ(transport->second_pollers(), 0u)
+      << "a receive queue was polled by more than one thread";
 }
 
 TEST(RuntimeTest, FramesSplitAcrossSegmentsReassemble) {
@@ -680,6 +694,174 @@ TEST(RuntimeTest, OneByteSegmentsStayOrderedUnderStealingLoopback) {
       << "skew produced no steals; the ordering guarantee was not stressed";
 }
 
+// --- Safe points: the live IPI ---------------------------------------------------------
+
+// BusyEchoHandler with a safe point on every spin, the shape of the spin service's
+// loop. Counts the safe points that answered a rung doorbell.
+ViewHandler SafePointEchoHandler(std::atomic<uint64_t>& answered, int spins = 2000) {
+  return [&answered, spins](uint64_t, std::string_view request,
+                            ResponseBuilder& response) {
+    for (int i = 0; i < spins; ++i) {
+      if (Runtime::SafePoint() > 0) {
+        answered.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    response.Append(request);
+  };
+}
+
+// The whole chain of §4.5's IPI, live: a handler for flow 0 holds core 0 until a gate
+// opens, calling the safe point. A request on flow 1 (also homed on core 0) arrives
+// after that handler started: idle core 1 peeks core 0's receive queue and rings it,
+// core 0's safe point polls the request into its shuffle queue, core 1 steals and
+// runs it and rings again, and core 0's safe point transmits the response — all
+// before the gate opens.
+TEST(RuntimeTest, SafePointLetsAThiefServeARequestQueuedBehindALongHandler) {
+  RuntimeOptions options = SmallOptions(/*workers=*/2, /*flows=*/2);
+  // Core 0's worker thread: the home core runs every completion (home-core TX).
+  std::atomic<std::thread::id> home_thread{};
+  std::atomic<bool> gate_open{false};
+  std::atomic<bool> spinning{false};
+  std::atomic<std::thread::id> prober{};
+  ViewHandler handler = [&](uint64_t flow_id, std::string_view request,
+                            ResponseBuilder& response) {
+    if (request == "long") {
+      // Only on core 0: core 1 may steal a long request before core 0 claims it,
+      // and then it answers at once and the test sends another.
+      if (std::this_thread::get_id() == home_thread.load()) {
+        spinning.store(true);
+        while (!gate_open.load()) {
+          Runtime::SafePoint();
+        }
+      }
+    } else if (flow_id == 1) {
+      prober.store(std::this_thread::get_id());
+    }
+    response.Append(request);
+  };
+  std::atomic<uint64_t> completed{0};
+  std::atomic<bool> probe_completed{false};
+  CompletionHandler on_complete = [&](uint64_t, uint64_t request_id, std::string_view,
+                                      Nanos, bool) {
+    home_thread.store(std::this_thread::get_id());
+    if (request_id == 1'000'000) {
+      probe_completed.store(true);
+    }
+    completed.fetch_add(1);
+  };
+  Runtime runtime(options, handler, on_complete);
+  runtime.mutable_rss().SetIndirection(
+      std::vector<int>(static_cast<size_t>(options.num_flow_groups), 0));
+  runtime.Start();
+  // Time caps, not timing assertions: a broken chain exhausts the last one.
+  auto wait_for = [](const std::function<bool()>& done) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return done();
+  };
+  ASSERT_TRUE(runtime.Inject(0, 0, "hello"));
+  ASSERT_TRUE(wait_for([&] { return completed.load() == 1; }));
+  uint64_t sent = 1;
+  for (int attempt = 0; attempt < 100 && !spinning.load(); ++attempt) {
+    ASSERT_TRUE(runtime.Inject(0, sent++, "long"));
+    wait_for([&] { return spinning.load() || completed.load() == sent; });
+  }
+  ASSERT_TRUE(spinning.load()) << "core 0 never ran the long handler";
+  ASSERT_TRUE(runtime.Inject(1, 1'000'000, "probe"));
+  const bool served_behind_handler = wait_for([&] { return probe_completed.load(); });
+  gate_open.store(true);
+  runtime.Shutdown();
+
+  EXPECT_TRUE(served_behind_handler)
+      << "the probe waited for the long handler to return";
+  EXPECT_NE(prober.load(), home_thread.load()) << "the probe ran on its home core";
+  EXPECT_GE(runtime.StatsFor(1).stolen_events, 1u);
+  EXPECT_GE(runtime.StatsFor(0).remote_syscalls, 1u);
+  // One ring for the waiting packet, one for the shipped response.
+  EXPECT_GE(runtime.TotalStats().doorbells_sent, 2u);
+  EXPECT_EQ(runtime.Completed(), sent + 1);
+}
+
+// OneByteSegmentsStayOrderedUnderStealingLoopback with every handler answering its
+// doorbell: safe points poll segments mid-handler and ship thieves' responses, yet
+// each flow's responses leave in order and the ledger is exact.
+TEST(RuntimeTest, OneByteSegmentsStayOrderedWhenHandlersCallSafePoints) {
+  RuntimeOptions options = SmallOptions(/*workers=*/3, /*flows=*/8);
+  CompletionLog log;
+  std::atomic<uint64_t> answered{0};
+  Runtime runtime(options, SafePointEchoHandler(answered), log.Handler());
+  runtime.mutable_rss().SetIndirection(
+      std::vector<int>(static_cast<size_t>(options.num_flow_groups), 0));
+  runtime.Start();
+
+  uint64_t bulk_sent = 0;
+  auto inject_bulk = [&runtime, &bulk_sent](int count) {
+    for (int k = 0; k < count; ++k) {
+      uint64_t flow = 1 + (bulk_sent % 7);
+      if (runtime.Inject(flow, 1'000'000 + bulk_sent, "bulk")) {
+        bulk_sent++;
+      } else {
+        std::this_thread::yield();  // ring full: keep the backlog, let workers run
+      }
+    }
+  };
+  // Sustain the backlog until a safe point has answered a doorbell (time-capped).
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(8);
+  while (answered.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    inject_bulk(200);
+  }
+  constexpr uint64_t kProbeMessages = 60;
+  uint64_t probe_sent = 0;
+  for (uint64_t i = 0; i < kProbeMessages; ++i) {
+    std::string frame;
+    EncodeMessage(Message{probe_sent, "probe" + std::to_string(probe_sent)}, frame);
+    for (size_t b = 0; b < frame.size(); ++b) {
+      uint64_t completes = (b + 1 == frame.size()) ? 1 : 0;
+      while (!runtime.InjectBytes(0, frame.substr(b, 1), completes)) {
+        std::this_thread::yield();
+      }
+    }
+    probe_sent++;
+    inject_bulk(20);
+  }
+  runtime.Shutdown();
+
+  auto order = log.FlowOrder(0);
+  ASSERT_EQ(order.size(), probe_sent);
+  for (uint64_t i = 0; i < probe_sent; ++i) {
+    EXPECT_EQ(order[i], i) << "probe response " << i << " out of order";
+    EXPECT_EQ(log.ResponseFor(i), "probe" + std::to_string(i));
+  }
+  for (uint64_t flow = 1; flow < 8; ++flow) {
+    auto bulk = log.FlowOrder(flow);
+    EXPECT_TRUE(std::is_sorted(bulk.begin(), bulk.end())) << "bulk flow " << flow;
+  }
+  // The exact ledger: every accepted message executed and completed exactly once.
+  const uint64_t sent = bulk_sent + probe_sent;
+  EXPECT_EQ(runtime.Injected(), sent);
+  EXPECT_EQ(runtime.Completed(), sent);
+  EXPECT_EQ(log.total(), sent);
+  EXPECT_EQ(runtime.TotalStats().app_events, sent);
+  EXPECT_GT(runtime.TotalStats().stolen_events, 0u);
+  EXPECT_GT(answered.load(), 0u) << "no safe point answered a doorbell";
+}
+
+TEST(RuntimeTest, SafePointIsANoOpOffWorkerThreads) {
+  EXPECT_EQ(Runtime::SafePoint(), 0);
+  // Also while a runtime runs: the calling thread is still not one of its workers.
+  CompletionLog log;
+  Runtime runtime(SmallOptions(/*workers=*/2, /*flows=*/2), EchoHandler(),
+                  log.Handler());
+  runtime.Start();
+  ASSERT_TRUE(runtime.Inject(0, 0, "x"));
+  EXPECT_EQ(Runtime::SafePoint(), 0);
+  runtime.Shutdown();
+  EXPECT_EQ(Runtime::SafePoint(), 0);
+  EXPECT_EQ(log.total(), 1u);
+}
+
 // --- The allocation-free data plane -----------------------------------------------------
 
 TEST(RuntimeTest, ZeroCopyHandlerServesRequests) {
@@ -831,6 +1013,75 @@ TEST(RuntimeTcpTest, SkewedRssStealsAndShipsRemoteSyscallsOverTcp) {
   EXPECT_GT(runtime->StatsFor(0).remote_syscalls, 0u)
       << "stolen responses were not shipped home";
   // Every connection was homed on core 0: remote cores never polled segments.
+  EXPECT_EQ(runtime->StatsFor(0).rx_segments, total.rx_segments);
+}
+
+// SkewedRssStealsAndShipsRemoteSyscallsOverTcp with a handler that calls the safe
+// point: on real sockets the idle core's peek is a zero-timeout epoll_wait on core
+// 0's epoll set, and core 0's safe point polls and transmits mid-handler. Rounds end
+// once a handler ran on a thread other than the first one — every flow is homed on
+// core 0, so that is a steal — observed from the handler without reading WorkerStats
+// while the workers write them.
+TEST(RuntimeTcpTest, SkewedRssStealsAndShipsRemoteSyscallsOverTcpWithSafePoints) {
+  RuntimeOptions options = SmallOptions(/*workers=*/4);
+  std::atomic<uint64_t> answered{0};
+  std::mutex threads_mutex;
+  std::vector<std::thread::id> handler_threads;
+  ViewHandler inner = SafePointEchoHandler(answered);
+  ViewHandler handler = [&](uint64_t flow_id, std::string_view request,
+                            ResponseBuilder& response) {
+    {
+      std::lock_guard<std::mutex> guard(threads_mutex);
+      if (std::find(handler_threads.begin(), handler_threads.end(),
+                    std::this_thread::get_id()) == handler_threads.end()) {
+        handler_threads.push_back(std::this_thread::get_id());
+      }
+    }
+    inner(flow_id, request, response);
+  };
+  auto stolen = [&] {
+    std::lock_guard<std::mutex> guard(threads_mutex);
+    return handler_threads.size() > 1;
+  };
+  TcpTransport* transport = nullptr;
+  auto runtime = MakeTcpRuntime(options, handler, nullptr, &transport);
+  runtime->mutable_rss().SetIndirection(
+      std::vector<int>(static_cast<size_t>(options.num_flow_groups), 0));
+  runtime->Start();
+
+  constexpr int kConnections = 8;
+  constexpr uint64_t kPerConnection = 250;
+  std::atomic<int> failures{0};
+  uint64_t total_requests = 0;
+  for (int round = 0; round < 10 && !stolen(); ++round) {
+    std::vector<std::thread> drivers;
+    for (int c = 0; c < kConnections; ++c) {
+      drivers.emplace_back([&, c] {
+        TestTcpClient client(transport->port());
+        if (!client.ok() ||
+            !RunEchoExchange(client, kPerConnection, /*window=*/8,
+                             "c" + std::to_string(c) + "-")) {
+          failures.fetch_add(1);
+        }
+      });
+    }
+    for (auto& driver : drivers) {
+      driver.join();
+    }
+    total_requests += kConnections * kPerConnection;
+  }
+  EXPECT_EQ(failures.load(), 0);
+  runtime->Shutdown();
+
+  WorkerStats total = runtime->TotalStats();
+  EXPECT_EQ(total.app_events, total_requests);
+  EXPECT_GT(total.stolen_events, 0u) << "no steals despite a fully skewed layout";
+  EXPECT_GT(runtime->TotalShuffleStats().steals, 0u);
+  EXPECT_GT(runtime->StatsFor(0).remote_syscalls, 0u)
+      << "stolen responses were not shipped home";
+  EXPECT_GT(total.doorbells_sent, 0u) << "thieves shipped responses without ringing";
+  // Safe points poll only the calling worker's own queue: core 0 still received
+  // every segment.
   EXPECT_EQ(runtime->StatsFor(0).rx_segments, total.rx_segments);
 }
 

@@ -454,7 +454,7 @@ TEST_F(TpccFixture, ReadOnlyTransactionsCommit) {
   TpccRandom random(19);
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(workload_->OrderStatus(executor, random), TxnStatus::kCommitted);
-    EXPECT_EQ(workload_->StockLevel(executor, random), TxnStatus::kCommitted);
+    EXPECT_EQ(workload_->StockLevel(random), TxnStatus::kCommitted);
   }
 }
 
@@ -487,8 +487,7 @@ TEST_F(TpccFixture, StockLevelCountMatchesABruteForceCountOfCommittedRows) {
         }
       }
       int32_t low_stock = -1;
-      ASSERT_EQ(workload_->StockLevel(executor, StockLevelParams{1, d, threshold},
-                                      &low_stock),
+      ASSERT_EQ(workload_->StockLevel(StockLevelParams{1, d, threshold}, &low_stock),
                 TxnStatus::kCommitted);
       EXPECT_EQ(low_stock, expected) << "district " << d << " threshold " << threshold;
       total += low_stock;
@@ -517,7 +516,7 @@ TEST_F(TpccFixture, StockLevelBesideConcurrentNewOrdersNeverRetries) {
   while (ordering.load() || runs < 100) {
     StockLevelParams params = SampleStockLevel(random, options_);
     int32_t low_stock = -1;
-    EXPECT_EQ(workload_->StockLevel(executor, params, &low_stock), TxnStatus::kCommitted);
+    EXPECT_EQ(workload_->StockLevel(params, &low_stock), TxnStatus::kCommitted);
     // At most 20 orders of at most 15 lines each.
     EXPECT_GE(low_stock, 0);
     EXPECT_LE(low_stock, 20 * kTpccMaxOrderLines);
