@@ -199,7 +199,7 @@ echo "== warnings-as-errors build of the whole tree (${BUILD_DIR}-werror)"
 cmake -B "${BUILD_DIR}-werror" -S . -DZYGOS_WERROR=ON
 cmake --build "${BUILD_DIR}-werror" -j "${JOBS}"
 
-echo "== AddressSanitizer: runtime + loadgen + chaos + transport suites (${BUILD_DIR}-asan)"
+echo "== AddressSanitizer: runtime + loadgen + chaos + transport + db + kvstore suites (${BUILD_DIR}-asan)"
 # Lifecycle refactors are use-after-free factories: the connection slot table hands
 # PCBs to thieves, recycles them behind generation tags and reuses freed flow ids —
 # ASan over the runtime + loadgen suites is the gate that a teardown race never
@@ -218,11 +218,16 @@ echo "== AddressSanitizer: runtime + loadgen + chaos + transport suites (${BUILD
 # the decode fuzz sweep must prove DecodeTpccRequest never reads out of bounds.
 # db_test rides along for the Silo layer's unlocked scans: record pointers and keys
 # handed out of a released index chunk must stay valid across concurrent erases.
+# kvstore_test rides along for the KV table's hand-freed entry blocks: an overwrite
+# that outgrows its block swaps in a new one and frees the old, and the
+# differential test drives that path, deletes and overflow chains (a leaked or
+# doubly freed block fails here).
 cmake -B "${BUILD_DIR}-asan" -S . -DZYGOS_BUILD_BENCH=OFF -DZYGOS_BUILD_EXAMPLES=OFF \
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
 cmake --build "${BUILD_DIR}-asan" -j "${JOBS}" --target runtime_test loadgen_test \
-  chaos_test transport_conformance_test overload_test tpcc_test net_test db_test
+  chaos_test transport_conformance_test overload_test tpcc_test net_test db_test \
+  kvstore_test
 # Leak checking stays ON; only the by-design thread-pool leak is suppressed
 # (scripts/lsan.supp) — a leaked connection or socket wrapper still fails.
 # --repeat until-pass:2: ASan slows the whole pipeline severalfold, which puts
@@ -231,7 +236,7 @@ cmake --build "${BUILD_DIR}-asan" -j "${JOBS}" --target runtime_test loadgen_tes
 # One retry absorbs a single stall; a deterministic regression fails both runs.
 LSAN_OPTIONS="suppressions=$(pwd)/scripts/lsan.supp" \
   ctest --test-dir "${BUILD_DIR}-asan" \
-  -R 'runtime_test|loadgen_test|chaos_test|transport_conformance_test|overload_test|tpcc_test|net_test|db_test' \
+  -R 'runtime_test|loadgen_test|chaos_test|transport_conformance_test|overload_test|tpcc_test|net_test|db_test|kvstore_test' \
   --output-on-failure -j "${JOBS}" --repeat until-pass:2
 
 echo "== UndefinedBehaviorSanitizer: wire-decoder suites (${BUILD_DIR}-ubsan)"
@@ -247,21 +252,23 @@ cmake --build "${BUILD_DIR}-ubsan" -j "${JOBS}" --target net_test tpcc_test kvst
 ctest --test-dir "${BUILD_DIR}-ubsan" -R 'net_test|tpcc_test|kvstore_test' \
   --output-on-failure -j "${JOBS}"
 
-echo "== ThreadSanitizer: lock-free queues, core scheduler, Silo layer, safe points (${BUILD_DIR}-tsan)"
+echo "== ThreadSanitizer: lock-free queues, core scheduler, Silo layer, KV table, safe points (${BUILD_DIR}-tsan)"
 # The MPMC/SPSC rings and the core scheduler are where a missing acquire/release or
 # a plain access racing an atomic one would hide: a normal build on x86 forgives
 # most of them. db_test and tpcc_test cover the Silo layer two workers share: the
 # index's spin RW lock and unlocked chunked scans, the record's TID seqlock (row words
 # copied between two TID loads, and a torn-read stress test), and concurrent OCC
-# commits. No suppressions: any report fails the suite (TSan exits non-zero when it
+# commits. kvstore_test covers the KV table's striped spinlocks: concurrent writers
+# on disjoint keys and readers copying a value a writer overwrites in place. No
+# suppressions: any report fails the suite (TSan exits non-zero when it
 # reported a race). -Werror=tsan rejects std::atomic_thread_fence, which TSan does not
 # model: code this leg checks must order its accesses with the atomics themselves.
 cmake -B "${BUILD_DIR}-tsan" -S . -DZYGOS_BUILD_BENCH=OFF -DZYGOS_BUILD_EXAMPLES=OFF \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -Werror=tsan" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" --target concurrency_test core_test \
-  db_test tpcc_test runtime_test
-ctest --test-dir "${BUILD_DIR}-tsan" -R 'concurrency_test|core_test|db_test|tpcc_test' \
+  db_test tpcc_test runtime_test kvstore_test
+ctest --test-dir "${BUILD_DIR}-tsan" -R 'concurrency_test|core_test|db_test|tpcc_test|kvstore_test' \
   --output-on-failure -j "${JOBS}"
 # The live IPI: a handler's safe point drains remote syscalls and polls RX on its
 # worker while idle cores peek that worker's receive queue and ring its doorbell.

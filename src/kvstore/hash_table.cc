@@ -2,8 +2,19 @@
 
 #include <atomic>
 #include <bit>
+#include <new>
 
 namespace zygos {
+
+namespace {
+
+void CopyBytes(char* dst, std::string_view bytes) {
+  if (!bytes.empty()) {
+    std::memcpy(dst, bytes.data(), bytes.size());
+  }
+}
+
+}  // namespace
 
 HashTable::HashTable(size_t bucket_count, size_t stripes)
     : bucket_mask_(std::bit_ceil(bucket_count) - 1),
@@ -11,29 +22,64 @@ HashTable::HashTable(size_t bucket_count, size_t stripes)
       stripe_mask_(std::bit_ceil(stripes) - 1),
       locks_(stripe_mask_ + 1) {}
 
-uint64_t HashTable::Hash(std::string_view key) {
-  // FNV-1a, finished with a mix step: fast and adequate for short memcached keys.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : key) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-  }
-  h ^= h >> 33;
-  return h;
-}
-
-Spinlock& HashTable::LockFor(uint64_t hash) const { return locks_[hash & stripe_mask_]; }
-
-bool HashTable::Set(std::string_view key, std::string_view value) {
-  uint64_t h = Hash(key);
-  Spinlock::Guard guard(LockFor(h));
-  Bucket& bucket = buckets_[h & bucket_mask_];
-  for (Entry& entry : bucket.entries) {
-    if (std::string_view(entry.key) == key) {
-      entry.value = value;
-      return false;
+HashTable::~HashTable() {
+  for (Bucket& head : buckets_) {
+    Bucket* overflow = head.next;
+    for (Bucket* bucket = &head; bucket != nullptr; bucket = bucket->next) {
+      for (Entry* entry : bucket->entries) {
+        if (entry != nullptr) {
+          FreeEntry(entry);
+        }
+      }
+    }
+    while (overflow != nullptr) {
+      delete std::exchange(overflow, overflow->next);
     }
   }
-  bucket.entries.push_back(Entry{std::string(key), std::string(value)});
+}
+
+HashTable::Entry* HashTable::NewEntry(std::string_view key, std::string_view value) {
+  auto* entry =
+      static_cast<Entry*>(::operator new(sizeof(Entry) + key.size() + value.size()));
+  entry->key_size = static_cast<uint32_t>(key.size());
+  entry->value_size = static_cast<uint32_t>(value.size());
+  entry->capacity = static_cast<uint32_t>(value.size());
+  CopyBytes(entry->bytes(), key);
+  CopyBytes(entry->bytes() + key.size(), value);
+  return entry;
+}
+
+void HashTable::FreeEntry(Entry* entry) { ::operator delete(entry); }
+
+bool HashTable::Set(std::string_view key, std::string_view value) {
+  const uint64_t hash = Hash(key);
+  Spinlock::Guard guard(LockFor(hash));
+  Bucket* head = &buckets_[hash & bucket_mask_];
+  if (auto [bucket, slot] = Find(head, hash, key); bucket != nullptr) {
+    Entry*& entry = bucket->entries[slot];
+    if (value.size() <= entry->capacity) {
+      CopyBytes(entry->bytes() + entry->key_size, value);
+      entry->value_size = static_cast<uint32_t>(value.size());
+    } else {
+      FreeEntry(std::exchange(entry, NewEntry(key, value)));
+    }
+    return false;
+  }
+  // A new key takes the chain's first empty slot, chaining on an overflow bucket
+  // when every slot is taken.
+  Bucket* bucket = head;
+  size_t slot = 0;
+  while (bucket->entries[slot] != nullptr) {
+    if (++slot == kSlots) {
+      if (bucket->next == nullptr) {
+        bucket->next = new Bucket();
+      }
+      bucket = bucket->next;
+      slot = 0;
+    }
+  }
+  bucket->tags[slot] = Tag(hash);
+  bucket->entries[slot] = NewEntry(key, value);
   size_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -45,18 +91,15 @@ std::optional<std::string> HashTable::Get(std::string_view key) const {
 }
 
 bool HashTable::Delete(std::string_view key) {
-  uint64_t h = Hash(key);
-  Spinlock::Guard guard(LockFor(h));
-  Bucket& bucket = buckets_[h & bucket_mask_];
-  for (size_t i = 0; i < bucket.entries.size(); ++i) {
-    if (std::string_view(bucket.entries[i].key) == key) {
-      bucket.entries[i] = std::move(bucket.entries.back());
-      bucket.entries.pop_back();
-      size_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
+  const uint64_t hash = Hash(key);
+  Spinlock::Guard guard(LockFor(hash));
+  auto [bucket, slot] = Find(&buckets_[hash & bucket_mask_], hash, key);
+  if (bucket == nullptr) {
+    return false;
   }
-  return false;
+  FreeEntry(std::exchange(bucket->entries[slot], nullptr));
+  size_.fetch_sub(1, std::memory_order_relaxed);
+  return true;
 }
 
 size_t HashTable::Size() const { return size_.load(std::memory_order_relaxed); }

@@ -51,17 +51,29 @@ class KvWorkload {
   // Builds one request payload (GET or SET per the mix, uniform key popularity).
   std::string SampleRequest(Rng& rng) const;
 
-  // Inserts every key with a sampled value.
+  // Inserts every key with a sampled value: KeyAt(i) -> SampleValue(rng) for a
+  // fixed-seed rng, each key built in a stack buffer (one allocation per key, its
+  // table entry).
   void Populate(KvService& service);
 
   // Runs `samples` operations against the populated service, timing each with the
-  // steady clock, and returns the measured per-op service times in nanoseconds. This is
-  // the measured-substrate step of the Fig. 9 methodology.
+  // steady clock, and returns the measured per-op service times in nanoseconds. Each
+  // timing covers the served path: HandleView into a ResponseBuilder, then Finish.
+  // This is the measured-substrate step of the Fig. 9 methodology.
   std::vector<Nanos> MeasureServiceTimes(KvService& service, int samples);
 
   const KvWorkloadSpec& spec() const { return spec_; }
 
  private:
+  // Longest key KeyAt builds: ETC pads to at most 45 bytes, and "k" plus the
+  // digits of a 64-bit index is at most 21.
+  static constexpr size_t kMaxKeySize = 45;
+
+  // Writes key `index` into `out` (kMaxKeySize bytes) and returns its length.
+  size_t BuildKey(uint64_t index, char* out) const;
+  // Draws a value length exactly as SampleValue does (same Rng draws).
+  size_t SampleValueSize(Rng& rng) const;
+
   KvWorkloadSpec spec_;
   uint64_t seed_;
   mutable Rng rng_;

@@ -281,6 +281,34 @@ std::optional<TpccResponse> DecodeTpccResponse(std::string_view payload) {
   return response;
 }
 
+namespace {
+
+// A worker thread's executor and the id of the service it belongs to (0: none).
+struct WorkerSlot {
+  uint64_t service_id = 0;
+  std::unique_ptr<TxnExecutor> executor;
+};
+thread_local WorkerSlot t_worker_slot;
+
+std::atomic<uint64_t> g_next_service_id{1};
+
+}  // namespace
+
+TpccService::TpccService(Database& db, TpccTables tables, LoaderOptions scale)
+    : db_(db),
+      id_(g_next_service_id.fetch_add(1, std::memory_order_relaxed)),
+      workload_(db, tables, scale) {}
+
+TxnExecutor& TpccService::WorkerExecutor() {
+  WorkerSlot& slot = t_worker_slot;
+  if (slot.service_id != id_) {
+    // A stale executor is only destroyed, never run: it touches no database then.
+    slot.executor = std::make_unique<TxnExecutor>(db_);
+    slot.service_id = id_;
+  }
+  return *slot.executor;
+}
+
 std::unique_ptr<TxnExecutor> TpccService::AcquireExecutor() {
   {
     Spinlock::Guard guard(pool_lock_);
@@ -313,7 +341,14 @@ TpccWireStatus TpccService::HandleView(std::string_view request_payload,
     // Read committed with no transaction: no executor to borrow, nothing to retry.
     status = workload_.StockLevel(request->stock_level);
   } else {
-    auto executor = AcquireExecutor();
+    std::unique_ptr<TxnExecutor> pooled;
+    TxnExecutor* executor = nullptr;
+    if (Runtime::InHandler()) {
+      executor = &WorkerExecutor();
+    } else {
+      pooled = AcquireExecutor();
+      executor = pooled.get();
+    }
     const uint64_t retries_before = executor->retries();
     switch (request->type) {
       case TpccTxnType::kNewOrder:
@@ -332,7 +367,9 @@ TpccWireStatus TpccService::HandleView(std::string_view request_payload,
         break;  // dispatched above
     }
     retries = executor->retries() - retries_before;
-    ReleaseExecutor(std::move(executor));
+    if (pooled != nullptr) {
+      ReleaseExecutor(std::move(pooled));
+    }
   }
 
   occ_retries_.fetch_add(retries, std::memory_order_relaxed);

@@ -34,9 +34,16 @@
 // Frame-level garbage (oversized length words) never reaches this layer: the
 // FrameParser poisons and the runtime severs the flow.
 //
-// Contract: HandleView/Handler are thread-safe (executors are pooled per call;
-// per-connection calls are already serialized by socket ownership). Counters are
-// monotonic and racy-but-safe while serving, exact once traffic quiesces.
+// Executors: a runtime worker runs every transaction on its own TxnExecutor, kept in
+// a thread-local slot tagged with the service's id, so an executor's warmed read and
+// write sets, write-slot hash and scan buffers stay on one core. Ids are never
+// reused: a worker that meets a slot of another (possibly destroyed) service
+// replaces the executor instead of running it. Calls off worker threads (harnesses,
+// tests) borrow from a spinlocked LIFO pool.
+//
+// Contract: HandleView/Handler are thread-safe (per-connection calls are already
+// serialized by socket ownership). Counters are monotonic and racy-but-safe while
+// serving, exact once traffic quiesces.
 #ifndef ZYGOS_SERVICES_TPCC_SERVICE_H_
 #define ZYGOS_SERVICES_TPCC_SERVICE_H_
 
@@ -104,8 +111,7 @@ class TpccService {
  public:
   // `tables`/`scale` come from LoadTpcc (src/db/tpcc_loader.h); the database outlives
   // the service.
-  TpccService(Database& db, TpccTables tables, LoaderOptions scale)
-      : db_(db), workload_(db, tables, scale) {}
+  TpccService(Database& db, TpccTables tables, LoaderOptions scale);
 
   // Executes one request, writing the 4-byte response into the TX frame builder.
   // Never throws, never crashes on garbage, never commits a malformed request.
@@ -141,15 +147,17 @@ class TpccService {
   const LoaderOptions& scale() const { return workload_.scale(); }
 
  private:
-  // Pops a pooled per-call executor (each owns its thread-local-style last-commit
-  // TID; Silo only needs per-executor TID monotonicity, so pooling across worker
-  // threads is sound). Pool depth ≤ peak concurrent handler calls (≤ workers). The
-  // pool lock spins: a handler must not sleep in the kernel (it could neither serve its
-  // queue nor steal), and the critical section is a vector push or pop.
+  // The calling worker's executor for this service (created on first use).
+  TxnExecutor& WorkerExecutor();
+  // Pops a pooled executor for a call off the worker threads (each owns its
+  // last-commit TID; Silo only needs per-executor TID monotonicity, so handing one
+  // between threads is sound). Pool depth <= peak concurrent calls. The pool lock
+  // spins: the critical section is a vector push or pop.
   std::unique_ptr<TxnExecutor> AcquireExecutor();
   void ReleaseExecutor(std::unique_ptr<TxnExecutor> executor);
 
   Database& db_;
+  const uint64_t id_;  // tags this service's thread-local worker executors
   TpccWorkload workload_;
   Spinlock pool_lock_;
   std::vector<std::unique_ptr<TxnExecutor>> executor_pool_;

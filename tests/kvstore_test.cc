@@ -1,9 +1,16 @@
 // Tests for the memcached-style KV store: protocol codec, hash table (including
-// concurrent access), service dispatch and the ETC/USR workload generators.
+// concurrent access and a differential test against std::unordered_map), service
+// dispatch, the ETC/USR workload generators, and the allocations of the load and GET
+// paths.
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +21,44 @@
 #include "src/kvstore/protocol.h"
 #include "src/kvstore/service.h"
 #include "src/kvstore/workload.h"
+
+// Global allocation counters (the idiom of core_test.cc and db_test.cc), with
+// over-aligned allocations (the table's 64-byte buckets) counted apart.
+namespace {
+std::atomic<uint64_t> g_allocs{0};
+std::atomic<uint64_t> g_aligned_allocs{0};
+}  // namespace
+
+// Out of line, both sides: once inlined, GCC pairs the malloc/free inside with the
+// caller's new/delete expressions and reports -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void* operator new[](size_t size) { return operator new(size); }
+void operator delete(void* p, size_t) noexcept { operator delete(p); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete[](void* p, size_t) noexcept { operator delete(p); }
+
+[[gnu::noinline]] void* operator new(size_t size, std::align_val_t align) {
+  g_aligned_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto alignment = static_cast<size_t>(align);
+  const size_t rounded = (size + alignment - 1) / alignment * alignment;
+  if (void* p = std::aligned_alloc(alignment, rounded)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, size_t, std::align_val_t align) noexcept {
+  operator delete(p, align);
+}
 
 namespace zygos {
 namespace {
@@ -157,6 +202,75 @@ TEST(HashTableTest, ConcurrentReadersSeeConsistentValues) {
   writer.join();
   reader.join();
   EXPECT_EQ(torn.load(), 0);
+}
+
+// Differential test against std::unordered_map. 16 buckets of five slots hold 400
+// keys only through overflow chains; the seeded mix grows and shrinks values across
+// the in-place/new-block boundary (empty values up to 4 KB), and deletes free slots
+// that later inserts of the chain reuse.
+TEST(HashTableTest, MatchesAnUnorderedMapThroughOverwritesDeletesAndOverflow) {
+  HashTable table(16, 4);
+  std::unordered_map<std::string, std::string> oracle;
+  Rng rng(29);
+  constexpr uint64_t kKeys = 400;
+  auto sample_value = [&rng] {
+    const double u = rng.NextDouble();
+    size_t size = 0;
+    if (u < 0.1) {
+      size = 0;
+    } else if (u < 0.6) {
+      size = 1 + rng.NextBounded(16);
+    } else {
+      size = rng.NextBounded(4097);
+    }
+    // Bytes that differ by position and draw, so a stale tail or a torn copy shows.
+    std::string value(size, '\0');
+    const uint64_t salt = rng.NextU64();
+    for (size_t i = 0; i < size; ++i) {
+      value[i] = static_cast<char>((salt >> (i % 57)) + i);
+    }
+    return value;
+  };
+  auto expect_matches = [&](const std::string& key) {
+    auto it = oracle.find(key);
+    std::optional<std::string> got = table.Get(key);
+    ASSERT_EQ(got.has_value(), it != oracle.end()) << key;
+    if (got.has_value()) {
+      ASSERT_EQ(*got, it->second) << key;
+    }
+  };
+  for (int step = 0; step < 30000; ++step) {
+    const std::string key = "key-" + std::to_string(rng.NextBounded(kKeys));
+    const uint64_t op = rng.NextBounded(10);
+    if (op < 4) {
+      std::string value = sample_value();
+      ASSERT_EQ(table.Set(key, value), oracle.find(key) == oracle.end()) << key;
+      oracle[key] = std::move(value);
+    } else if (op < 6) {
+      expect_matches(key);
+    } else if (op < 8) {
+      std::string seen;
+      const bool hit = table.Visit(key, [&seen](std::string_view value) {
+        seen = std::string(value);
+      });
+      auto it = oracle.find(key);
+      ASSERT_EQ(hit, it != oracle.end()) << key;
+      if (hit) {
+        ASSERT_EQ(seen, it->second) << key;
+      }
+    } else {
+      ASSERT_EQ(table.Delete(key), oracle.erase(key) == 1) << key;
+      if (rng.NextBool(0.5)) {
+        std::string value = sample_value();
+        ASSERT_TRUE(table.Set(key, value)) << key;
+        oracle[key] = std::move(value);
+      }
+    }
+    ASSERT_EQ(table.Size(), oracle.size());
+  }
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    expect_matches("key-" + std::to_string(i));
+  }
 }
 
 // --- Service -------------------------------------------------------------------------
@@ -311,6 +425,75 @@ TEST(KvWorkloadTest, PopulateInsertsEveryKey) {
   EXPECT_EQ(service.table().Size(), 1000u);
   EXPECT_TRUE(service.table().Get(workload.KeyAt(0)).has_value());
   EXPECT_TRUE(service.table().Get(workload.KeyAt(999)).has_value());
+}
+
+// Pins the benchmark's inputs: Populate stores exactly KeyAt(i) -> SampleValue for
+// Populate's fixed value stream, and KeyAt builds the keys it always has.
+TEST(KvWorkloadTest, PopulateStoresKeyAtAndSampleValueForEveryKey) {
+  for (KvWorkloadSpec spec : {KvWorkloadSpec::Usr(), KvWorkloadSpec::Etc()}) {
+    spec.num_keys = 1000;
+    constexpr uint64_t kSeed = 17;
+    KvWorkload workload(spec, kSeed);
+    KvService service;
+    workload.Populate(service);
+    EXPECT_EQ(service.table().Size(), 1000u);
+    Rng values(kSeed ^ 0x5eed);  // Populate's value stream
+    for (uint64_t i = 0; i < spec.num_keys; ++i) {
+      auto hit = service.table().Get(workload.KeyAt(i));
+      ASSERT_TRUE(hit.has_value()) << spec.Name() << " key " << i;
+      ASSERT_EQ(*hit, workload.SampleValue(values)) << spec.Name() << " key " << i;
+    }
+  }
+  KvWorkload usr(KvWorkloadSpec::Usr(), 1);
+  KvWorkload etc(KvWorkloadSpec::Etc(), 1);
+  EXPECT_EQ(usr.KeyAt(0), "k0ovcjqxelszgnubipw");
+  EXPECT_EQ(usr.KeyAt(12345), "k12345lszgnubipwdkr");
+  EXPECT_EQ(usr.KeyAt(99999), "k99999tahovcjqxelsz");
+  EXPECT_EQ(etc.KeyAt(7), "k7vcjqxelszgnubipwdkryfmtahovcjqxelszgnub");
+  EXPECT_EQ(etc.KeyAt(12345), "k12345lszgnubipwdkryfmtahovcjqx");
+}
+
+// Loading costs one allocation per key (its entry block), plus the rare overflow
+// bucket (over-aligned, counted apart); a warmed GET through the served path makes
+// none.
+TEST(KvWorkloadTest, PopulateAllocatesOncePerKeyAndWarmGetsNever) {
+  for (const KvWorkloadSpec& spec : {KvWorkloadSpec::Usr(), KvWorkloadSpec::Etc()}) {
+    KvWorkload workload(spec, 9);
+    KvService service;
+    const uint64_t allocs_before = g_allocs.load();
+    const uint64_t aligned_before = g_aligned_allocs.load();
+    workload.Populate(service);
+    const uint64_t allocs = g_allocs.load() - allocs_before;
+    const uint64_t overflow = g_aligned_allocs.load() - aligned_before;
+    std::printf("%s Populate of %llu keys: %llu allocations + %llu overflow buckets\n",
+                spec.Name(), static_cast<unsigned long long>(spec.num_keys),
+                static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(overflow));
+    EXPECT_LE(allocs, spec.num_keys) << spec.Name();
+    EXPECT_LE(overflow, spec.num_keys / 100) << spec.Name();
+  }
+
+  KvWorkloadSpec spec = KvWorkloadSpec::Usr();
+  spec.num_keys = 10'000;
+  KvWorkload workload(spec, 9);
+  KvService service;
+  workload.Populate(service);
+  std::vector<std::string> gets;
+  gets.reserve(spec.num_keys);
+  for (uint64_t i = 0; i < spec.num_keys; ++i) {
+    gets.push_back(EncodeKvRequest({KvOp::kGet, workload.KeyAt(i), ""}));
+  }
+  auto serve_all = [&service, &gets] {
+    for (const std::string& request : gets) {
+      ResponseBuilder builder(request.size());
+      ASSERT_EQ(service.HandleView(request, builder), KvStatus::kOk);
+      IoBuf frame = builder.Finish(0);
+    }
+  };
+  serve_all();  // warm the buffer pool
+  const uint64_t allocs_before = g_allocs.load() + g_aligned_allocs.load();
+  serve_all();
+  EXPECT_EQ(g_allocs.load() + g_aligned_allocs.load() - allocs_before, 0u);
 }
 
 TEST(KvWorkloadTest, MeasuredServiceTimesArePositiveAndTiny) {
