@@ -7,7 +7,7 @@
 // (views into pooled RX memory), GET values are copied once — under the stripe lock,
 // straight into the pooled TX frame — and the returned status lets the server count
 // hits without re-decoding its own response. Handle keeps the owning-string surface
-// for harnesses and tests.
+// for tests.
 // Contract: Handle/HandleView are thread-safe (delegate to the striped hash table)
 // and safe to call concurrently from every runtime worker.
 #ifndef ZYGOS_KVSTORE_SERVICE_H_
@@ -63,8 +63,8 @@ class KvService {
     return KvStatus::kError;
   }
 
-  // Owning-string surface (service-time measurement, tests): same semantics, plus
-  // the two string materializations the fast path exists to avoid.
+  // Owning-string surface (tests): same semantics, plus the two string
+  // materializations the fast path exists to avoid.
   std::string Handle(std::string_view request_payload) {
     ResponseBuilder builder;
     HandleView(request_payload, builder);
