@@ -214,7 +214,7 @@ echo "== AddressSanitizer: runtime + loadgen + chaos + transport + db + kvstore 
 # gated-handler test holds a shed in flight across a flow recycle — the exact window
 # where a refused event's buffer could be freed twice or leak. tpcc_test + net_test
 # ride along for the TPC-C wire service: the consistency battery drives concurrent
-# OCC commits through pooled executors (read-set pointers into recycled records), and
+# OCC commits through per-thread executors (read-set pointers into recycled records), and
 # the decode fuzz sweep must prove DecodeTpccRequest never reads out of bounds.
 # db_test rides along for the Silo layer's unlocked scans: record pointers and keys
 # handed out of a released index chunk must stay valid across concurrent erases.

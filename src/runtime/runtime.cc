@@ -266,8 +266,6 @@ Nanos Runtime::SafePoint() {
   return NowNanos() - start;
 }
 
-bool Runtime::InHandler() { return t_handler_runtime != nullptr; }
-
 uint64_t Runtime::DrainRemoteSyscalls(int core) {
   WorkerStats& stats = *stats_[static_cast<size_t>(core)];
   uint64_t executed = 0;

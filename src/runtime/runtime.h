@@ -241,11 +241,6 @@ class Runtime {
   // time must add the returned time to its deadline: safe-point work is not service.
   static Nanos SafePoint();
 
-  // True on a worker thread while it runs a claimed connection's handlers (so a
-  // handler can keep per-worker state); false on every other thread, in the worker
-  // loop, and inside a safe point's drain.
-  static bool InHandler();
-
  private:
   // One response shipped from a thief back to the home core (Fig. 4 step (b)).
   struct RemoteSyscall {

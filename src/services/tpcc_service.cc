@@ -1,6 +1,7 @@
 #include "src/services/tpcc_service.h"
 
 #include <cstring>
+#include <memory>
 
 namespace zygos {
 
@@ -283,12 +284,12 @@ std::optional<TpccResponse> DecodeTpccResponse(std::string_view payload) {
 
 namespace {
 
-// A worker thread's executor and the id of the service it belongs to (0: none).
-struct WorkerSlot {
+// A thread's executor and the id of the service it belongs to (0: none).
+struct ExecutorSlot {
   uint64_t service_id = 0;
   std::unique_ptr<TxnExecutor> executor;
 };
-thread_local WorkerSlot t_worker_slot;
+thread_local ExecutorSlot t_executor_slot;
 
 std::atomic<uint64_t> g_next_service_id{1};
 
@@ -299,31 +300,14 @@ TpccService::TpccService(Database& db, TpccTables tables, LoaderOptions scale)
       id_(g_next_service_id.fetch_add(1, std::memory_order_relaxed)),
       workload_(db, tables, scale) {}
 
-TxnExecutor& TpccService::WorkerExecutor() {
-  WorkerSlot& slot = t_worker_slot;
+TxnExecutor& TpccService::ThreadExecutor() {
+  ExecutorSlot& slot = t_executor_slot;
   if (slot.service_id != id_) {
     // A stale executor is only destroyed, never run: it touches no database then.
     slot.executor = std::make_unique<TxnExecutor>(db_);
     slot.service_id = id_;
   }
   return *slot.executor;
-}
-
-std::unique_ptr<TxnExecutor> TpccService::AcquireExecutor() {
-  {
-    Spinlock::Guard guard(pool_lock_);
-    if (!executor_pool_.empty()) {
-      auto executor = std::move(executor_pool_.back());
-      executor_pool_.pop_back();
-      return executor;
-    }
-  }
-  return std::make_unique<TxnExecutor>(db_);
-}
-
-void TpccService::ReleaseExecutor(std::unique_ptr<TxnExecutor> executor) {
-  Spinlock::Guard guard(pool_lock_);
-  executor_pool_.push_back(std::move(executor));
 }
 
 TpccWireStatus TpccService::HandleView(std::string_view request_payload,
@@ -341,35 +325,25 @@ TpccWireStatus TpccService::HandleView(std::string_view request_payload,
     // Read committed with no transaction: no executor to borrow, nothing to retry.
     status = workload_.StockLevel(request->stock_level);
   } else {
-    std::unique_ptr<TxnExecutor> pooled;
-    TxnExecutor* executor = nullptr;
-    if (Runtime::InHandler()) {
-      executor = &WorkerExecutor();
-    } else {
-      pooled = AcquireExecutor();
-      executor = pooled.get();
-    }
-    const uint64_t retries_before = executor->retries();
+    TxnExecutor& executor = ThreadExecutor();
+    const uint64_t retries_before = executor.retries();
     switch (request->type) {
       case TpccTxnType::kNewOrder:
-        status = workload_.NewOrder(*executor, request->new_order);
+        status = workload_.NewOrder(executor, request->new_order);
         break;
       case TpccTxnType::kPayment:
-        status = workload_.Payment(*executor, request->payment);
+        status = workload_.Payment(executor, request->payment);
         break;
       case TpccTxnType::kOrderStatus:
-        status = workload_.OrderStatus(*executor, request->order_status);
+        status = workload_.OrderStatus(executor, request->order_status);
         break;
       case TpccTxnType::kDelivery:
-        status = workload_.Delivery(*executor, request->delivery);
+        status = workload_.Delivery(executor, request->delivery);
         break;
       case TpccTxnType::kStockLevel:
         break;  // dispatched above
     }
-    retries = executor->retries() - retries_before;
-    if (pooled != nullptr) {
-      ReleaseExecutor(std::move(pooled));
-    }
+    retries = executor.retries() - retries_before;
   }
 
   occ_retries_.fetch_add(retries, std::memory_order_relaxed);

@@ -34,12 +34,12 @@
 // Frame-level garbage (oversized length words) never reaches this layer: the
 // FrameParser poisons and the runtime severs the flow.
 //
-// Executors: a runtime worker runs every transaction on its own TxnExecutor, kept in
-// a thread-local slot tagged with the service's id, so an executor's warmed read and
-// write sets, write-slot hash and scan buffers stay on one core. Ids are never
-// reused: a worker that meets a slot of another (possibly destroyed) service
-// replaces the executor instead of running it. Calls off worker threads (harnesses,
-// tests) borrow from a spinlocked LIFO pool.
+// Executors: every thread runs its transactions on its own TxnExecutor, kept in a
+// thread-local slot tagged with the service's id, so a worker's warmed read and write
+// sets, write-slot hash and scan buffers stay on one core. A thread runs one
+// HandleView at a time, so the slot is never shared. Ids are never reused: a thread
+// that meets a slot of another (possibly destroyed) service replaces the executor
+// instead of running it.
 //
 // Contract: HandleView/Handler are thread-safe (per-connection calls are already
 // serialized by socket ownership). Counters are monotonic and racy-but-safe while
@@ -50,13 +50,10 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "src/concurrency/spinlock.h"
 #include "src/db/database.h"
 #include "src/db/tpcc_loader.h"
 #include "src/db/tpcc_txns.h"
@@ -147,20 +144,13 @@ class TpccService {
   const LoaderOptions& scale() const { return workload_.scale(); }
 
  private:
-  // The calling worker's executor for this service (created on first use).
-  TxnExecutor& WorkerExecutor();
-  // Pops a pooled executor for a call off the worker threads (each owns its
-  // last-commit TID; Silo only needs per-executor TID monotonicity, so handing one
-  // between threads is sound). Pool depth <= peak concurrent calls. The pool lock
-  // spins: the critical section is a vector push or pop.
-  std::unique_ptr<TxnExecutor> AcquireExecutor();
-  void ReleaseExecutor(std::unique_ptr<TxnExecutor> executor);
+  // The calling thread's executor for this service (created on first use; each owns
+  // its last-commit TID, and Silo only needs per-executor TID monotonicity).
+  TxnExecutor& ThreadExecutor();
 
   Database& db_;
-  const uint64_t id_;  // tags this service's thread-local worker executors
+  const uint64_t id_;  // tags this service's thread-local executors
   TpccWorkload workload_;
-  Spinlock pool_lock_;
-  std::vector<std::unique_ptr<TxnExecutor>> executor_pool_;
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> user_aborts_{0};
   std::atomic<uint64_t> malformed_{0};
